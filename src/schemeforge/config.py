@@ -11,7 +11,6 @@ DEFAULT_SEED = 0xA55C
 DEFAULT_ELEMENT_CAP = 50_000          # loop elements
 DEFAULT_CLOSURE_CAP = 200_000         # group closure
 DEFAULT_RELATION_CAP = 300_000_000    # n^2 entries of a relation
-TABLE_CACHE_LIMIT = 4096              # loops at or below this size cache the full table
 DENSE_RELATION_LIMIT = 8192           # schemes at or below this size store a dense matrix
 EXACT_ORBIT_CAP = 2000                # exact pair-orbit policy allowed up to this loop size
 MOUFANG_EXHAUSTIVE_LIMIT = 150        # exhaustive identity checks allowed up to this size

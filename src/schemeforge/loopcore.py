@@ -483,18 +483,6 @@ def _union_batch(parent: np.ndarray, A: np.ndarray, B: np.ndarray) -> int:
     return merged
 
 
-def _apply_inner_map(loop: LoopStructure, kind: int, x: int, y: int,
-                     Z: np.ndarray) -> np.ndarray:
-    if kind == 0:
-        # T(x): z -> x \ (z * x)
-        return loop.left_div_vec(x, loop.mul_vec(Z, x))
-    if kind == 1:
-        # L(x, y): z -> (x*y) \ (x * (y*z))
-        return loop.left_div_vec(loop.mul(x, y), loop.mul_vec(x, loop.mul_vec(y, Z)))
-    # R(x, y): z -> ((z*x) * y) / (x*y)
-    return loop.right_div_vec(loop.mul_vec(loop.mul_vec(Z, x), y), loop.mul(x, y))
-
-
 def _sampled_inner_images(loop: LoopStructure, kinds: np.ndarray,
                           X: np.ndarray, Y: np.ndarray,
                           Z: np.ndarray) -> np.ndarray:

@@ -167,6 +167,15 @@ class PermutationGroup:
     Enumeration order is canonical: identity first, then breadth-first
     discovery order of `closure`.  Index-level helpers (mul_idx, inv_idx)
     require enumeration.
+
+    The multiplication table and the conjugacy classes are built from the
+    Cayley graph.  For each generator s, one lookup of all n elements gives
+    L_s[k] = index(s * e_k) and C_s[x] = index(s^-1 * x * s).  Rows of the
+    table follow the left-Cayley recurrence: if e_i = s * e_p then
+    table[i] = L_s[table[p]].  The classes are the connected components of
+    the C_s maps.  Every lookup is a membership check: a product outside the
+    element list raises ValueError, as does an element list that the
+    generators do not reach from the identity.
     """
 
     def __init__(self, generators, elements=None, index=None):
@@ -228,7 +237,10 @@ class PermutationGroup:
             keys = np.ascontiguousarray(imgs).view(
                 np.dtype((np.void, imgs.dtype.itemsize * self.degree))).ravel()
             order = np.argsort(keys)
-            self._sorted_keys = (keys[order], order)
+            keys = keys[order]
+            if np.any(keys[1:] == keys[:-1]):
+                raise ValueError("the element list repeats an element")
+            self._sorted_keys = (keys, order)
         keys, order = self._sorted_keys
         rows = np.ascontiguousarray(rows.astype(imgs.dtype, copy=False))
         probe = rows.view(np.dtype((np.void, rows.dtype.itemsize * self.degree))).ravel()
@@ -257,18 +269,41 @@ class PermutationGroup:
         return self._inv_array
 
     def mul_table(self, limit: int = 4096) -> np.ndarray:
-        """Full index-level multiplication table; small groups only."""
+        """Index-level multiplication table: table[i, j] = index(e_i * e_j), int32.
+
+        Rows follow the left-Cayley recurrence.  A breadth-first tree from
+        the identity along k -> L_s[k] = index(s * e_k) reaches e_i = s * e_p
+        from e_p, and then table[i] = L_s[table[p]], since
+        s * e_p * e_j = s * (e_p * e_j): one gather per row.  Raises
+        CapExceeded above `limit` elements, and ValueError when some s * e_k
+        is not in the element list or the tree misses a listed element.
+        """
         if self._mul_table is None:
             self.require_enumerated()
             n = len(self.elements)
             if n > limit:
                 raise CapExceeded(f"multiplication table for {n} elements exceeds limit {limit}")
             imgs = self._images()
+            # (s * e_k).images = imgs[k][s.images], all k at once
+            left = [self._rows_to_indices(imgs[:, s.as_array()]).astype(np.int32)
+                    for s in self.generators]
+            root = self.element_index(Permutation.identity(self.degree))
             table = np.empty((n, n), dtype=np.int32)
-            for i in range(n):
-                # (e_i * e_j).images = imgs[j][imgs[i]], all j at once
-                composed = imgs[:, imgs[i].astype(np.int64)]
-                table[i] = self._rows_to_indices(composed)
+            table[root] = np.arange(n)
+            reached = bytearray(n)
+            reached[root] = 1
+            tree = [root]
+            hops = [(L, L.tolist()) for L in left]
+            for p in tree:
+                for L, hop in hops:
+                    i = hop[p]
+                    if not reached[i]:
+                        reached[i] = 1
+                        np.take(L, table[p], out=table[i])
+                        tree.append(i)
+            if len(tree) != n:
+                raise ValueError(f"the generators reach {len(tree)} of the "
+                                 f"{n} listed elements from the identity")
             self._mul_table = table
         return self._mul_table
 
@@ -276,33 +311,49 @@ class PermutationGroup:
         self.require_enumerated()
         return [self._index[g.images] for g in self.generators]
 
-    # conjugacy classes, ordered by (size, minimal element index)
-
     def conjugacy_classes(self) -> list[list[int]]:
+        """Conjugacy classes as sorted index lists, ordered by (size, minimal index).
+
+        The classes are the connected components of the maps
+        x -> C_s[x] = index(s^-1 * x * s) over the generators s.  Labels
+        start as the element indices and take the minimum along every C_s
+        and its inverse, with pointer jumping, until they settle on the
+        smallest index of each component.  No multiplication table is
+        built.  Raises ValueError when some s^-1 * x * s is not in the
+        element list.
+        """
         if self._classes is None:
             self.require_enumerated()
             n = len(self.elements)
-            gen_idx = self.generator_indices()
-            inv = self.inv_array()
-            assigned = np.zeros(n, dtype=bool)
-            classes = []
-            for g in range(n):
-                if assigned[g]:
-                    continue
-                orbit = [g]
-                assigned[g] = True
-                head = 0
-                while head < len(orbit):
-                    x = orbit[head]
-                    head += 1
-                    for s in gen_idx:
-                        y = self.mul_idx(self.mul_idx(int(inv[s]), x), s)
-                        if not assigned[y]:
-                            assigned[y] = True
-                            orbit.append(y)
-                classes.append(sorted(orbit))
-            classes.sort(key=lambda c: (len(c), c[0]))
-            self._classes = classes
+            imgs = self._images()
+            ident = np.arange(n)
+            maps = []
+            for s in self.generators:
+                # (s^-1 * x * s).images = s.images[x.images[s^-1.images]]
+                conj = self._rows_to_indices(
+                    s.as_array()[imgs[:, s.inverse().as_array()]])
+                back = np.empty_like(conj)
+                back[conj] = ident
+                maps += [conj, back]
+            label = ident
+            while True:
+                lower = label
+                for m in maps:
+                    lower = np.minimum(lower, label[m])
+                while True:
+                    jumped = lower[lower]
+                    if np.array_equal(jumped, lower):
+                        break
+                    lower = jumped
+                if np.array_equal(lower, label):
+                    break
+                label = lower
+            order = np.argsort(label, kind="stable")
+            roots, starts, sizes = np.unique(label[order], return_index=True,
+                                             return_counts=True)
+            members = np.split(order, starts[1:])
+            self._classes = [members[k].tolist()
+                             for k in np.lexsort((roots, sizes))]
         return self._classes
 
     def class_of_array(self) -> np.ndarray:
@@ -441,21 +492,12 @@ def group_scheme(group: PermutationGroup,
     n = group.order
     if n * n > relation_cap:
         raise CapExceeded(f"{n}^2 relation entries exceed the cap {relation_cap}")
-    class_of = group.class_of_array()
-    inv = group.inv_array()
-    if n <= 4096:
-        table = group.mul_table()
-        matrix = class_of[table[:, inv]].T
-    else:
-        imgs = group._images()
-        imgs64 = imgs.astype(np.int64)
-        matrix = np.empty((n, n), dtype=np.int64)
-        for x in range(n):
-            # (e_y * e_x^-1).images = inv_images[e_y.images], all y at once
-            composed = imgs[int(inv[x])][imgs64]
-            matrix[x] = class_of[group._rows_to_indices(composed)]
     d = len(group.conjugacy_classes()) - 1
-    matrix = matrix.astype(_class_dtype(d))
+    class_of = group.class_of_array().astype(_class_dtype(d))
+    inv = group.inv_array()
+    table = group.mul_table(limit=math.isqrt(relation_cap))
+    # matrix[x, y] = class(x^-1 y), and x^-1 y = x^-1 (y x^-1) x is conjugate to y x^-1
+    matrix = class_of[table][inv]
     return AssociationScheme.from_matrix(matrix, source={"kind": "group-scheme"})
 
 

@@ -114,6 +114,77 @@ def test_cyclic_group_classes_are_singletons():
     assert [len(c) for c in cyclic(6).conjugacy_classes()] == [1] * 6
 
 
+def _bfs_classes(group):
+    """Reference classes: a breadth-first search from each unassigned element
+    under conjugation by the generators, composing Permutations directly."""
+    assigned = set()
+    classes = []
+    for g in range(group.order):
+        if g in assigned:
+            continue
+        orbit = [g]
+        assigned.add(g)
+        for x in orbit:
+            for s in group.generators:
+                y = group.element_index(s.inverse() * group.elements[x] * s)
+                if y not in assigned:
+                    assigned.add(y)
+                    orbit.append(y)
+        classes.append(sorted(orbit))
+    classes.sort(key=lambda c: (len(c), c[0]))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "make,arg", [(symmetric, n) for n in range(2, 7)]
+    + [(cyclic, n) for n in range(1, 13)]
+    + [(psl2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    + [(sl2, q) for q in (2, 3, 4, 5)],
+    ids=lambda v: v.__name__ if callable(v) else str(v))
+def test_conjugacy_classes_match_bfs_reference(make, arg):
+    group = make(arg)
+    assert group.conjugacy_classes() == _bfs_classes(group)
+
+
+@pytest.mark.parametrize("make,arg", [(psl2, 7), (sl2, 5), (symmetric, 5)],
+                         ids=["psl2-7", "sl2-5", "symmetric-5"])
+def test_mul_table_matches_composition(make, arg):
+    group = make(arg)
+    table = group.mul_table()
+    assert table.dtype == np.int32
+    els = group.elements
+    want = [[group.element_index(a * b) for b in els] for a in els]
+    assert table.tolist() == want
+
+
+@pytest.mark.parametrize("make,arg", [(symmetric, 4), (psl2, 7)],
+                         ids=["symmetric-4", "psl2-7"])
+def test_incomplete_element_list_is_refused(make, arg):
+    gens = make(arg).generators
+    short = closure(gens).elements[:-1]
+    with pytest.raises(ValueError):
+        PermutationGroup(gens, elements=short).mul_table()
+    with pytest.raises(ValueError):
+        PermutationGroup(gens, elements=short).conjugacy_classes()
+
+
+def test_repeated_element_is_refused():
+    gens = symmetric(4).generators
+    els = closure(gens).elements
+    listed = els[:-1] + [els[1]]
+    with pytest.raises(ValueError):
+        PermutationGroup(gens, elements=listed).mul_table()
+    with pytest.raises(ValueError):
+        PermutationGroup(gens, elements=listed).conjugacy_classes()
+
+
+def test_mul_table_refuses_elements_the_generators_miss():
+    # S3 is closed under the swap, but the swap alone generates only 2 of it
+    s3 = symmetric(3)
+    with pytest.raises(ValueError):
+        PermutationGroup([s3.generators[0]], elements=s3.elements).mul_table()
+
+
 def test_orbitals_two_transitive_action():
     scheme = orbitals(symmetric(3))
     assert scheme.n == 3 and scheme.d == 1
@@ -153,6 +224,35 @@ def test_group_scheme_diagonal_and_symmetry():
     for _ in range(100):
         a, x, y = (int(v) for v in rng.integers(0, 24, 3))
         assert mat[x, y] == mat[g.mul_idx(a, x), g.mul_idx(a, y)]
+
+
+def _cycle_type(perm):
+    seen, lengths = set(), []
+    for start in range(perm.degree):
+        length, p = 0, start
+        while p not in seen:
+            seen.add(p)
+            p = perm(p)
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def test_group_scheme_s7_matches_cycle_types():
+    # n = 5040 lies above the 4096 default of mul_table; the relation of
+    # (x, y) is the class of y x^-1, which in S7 is fixed by its cycle type
+    g = symmetric(7)
+    mat = group_scheme(g).dense_matrix()
+    assert mat.shape == (5040, 5040)
+    types = {}
+    for cid, members in enumerate(g.conjugacy_classes()):
+        types[cid] = _cycle_type(g.elements[members[0]])
+    assert len(set(types.values())) == 15
+    rng = np.random.default_rng(7)
+    for x, y in rng.integers(0, g.order, (200, 2)).tolist():
+        rel = int(mat[x, y])
+        assert types[rel] == _cycle_type(g.elements[y] * g.elements[x].inverse())
 
 
 def test_is_subgroup():
