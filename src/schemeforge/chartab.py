@@ -3,11 +3,10 @@
 The table P = [p_j(i)] is recovered numerically.  The intersection matrices
 B_j commute, so a random positive combination M = sum_j c_j B_j has the
 shared eigenvectors of the whole family, one per character, and generically
-a simple spectrum.  Each eigenvector has coordinate l proportional to
-conj(p_l(i)) / k_l, so coordinate 0 never vanishes; normalizing there and
-reading coordinate 0 of B_j v yields p_j(i) directly.  A two-sided
-Rayleigh-quotient pass stands by as a refinement when the residual check
-trips on badly scaled spectra.
+a simple spectrum.  The rows of P are the eigenvectors of M^T, and every
+entry p_j(i) is read as a two-sided Rayleigh quotient of B_j^T with the
+matching eigenvector of M as left partner, so its error is quadratic in the
+eigenvector error.
 
 Multiplicities come from the first orthogonality relation, and all residual
 checks are scale-normalized so that tolerances mean the same thing for a
@@ -31,6 +30,8 @@ from .gf import factor_prime_power
 from .permgroup import (CosetAction, PermutationGroup, coset_action,
                         double_cosets, group_scheme, orbitals)
 from .scheme import AssociationScheme, IntersectionNumbers, intersection_numbers
+
+MAX_TRIES = 20      # random combinations tried before EigensolverFailure
 
 
 class CharacterTable:
@@ -108,17 +109,17 @@ def _row_sort_keys(P: np.ndarray, decimals: int = 6) -> np.ndarray:
 
 
 def compute_character_table(source, seed: int = DEFAULT_SEED,
-                            tol_eigen: float = DEFAULT_TOL_EIGEN,
-                            collision_tol: float = EIGENVALUE_COLLISION_TOL,
-                            max_tries: int = 20,
-                            reps_per_class: int = 3) -> CharacterTable:
+                            tol_eigen: float = DEFAULT_TOL_EIGEN) -> CharacterTable:
     """Character table of a commutative scheme (or of precomputed
     intersection numbers) by simultaneous diagonalization.
 
-    Retries with a fresh random combination when eigenvalues collide or a
-    residual check fails; raises EigensolverFailure after max_tries."""
+    The rows are the eigenvectors of M^T for a random positive combination
+    M = sum_j c_j B_j; each entry p_j(i) is read as the two-sided Rayleigh
+    quotient of B_j^T on row i, with the matching eigenvector of M as left
+    partner.  Retries with a fresh combination when eigenvalues collide or a
+    residual check fails; raises EigensolverFailure after MAX_TRIES."""
     if isinstance(source, AssociationScheme):
-        inter = intersection_numbers(source, reps_per_class=reps_per_class)
+        inter = intersection_numbers(source)
     elif isinstance(source, IntersectionNumbers):
         inter = source
     else:
@@ -131,37 +132,31 @@ def compute_character_table(source, seed: int = DEFAULT_SEED,
     d1 = k.shape[0]
     B = np.stack([inter.B(j).astype(np.float64) for j in range(d1)])
     Bt = B.transpose(0, 2, 1).copy()
-    # row 0 of B_j is k_j at the transpose class and zero elsewhere, so
-    # coordinate 0 of B_j v is cheap to read for every eigenvector at once
-    R0 = B[:, 0, :]
     rng = np.random.default_rng(seed)
     last_error = "no attempts made"
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         try:
             c = rng.uniform(1.0, 2.0, size=d1)
             M = np.tensordot(c, B, axes=1)
             eigvals, V = np.linalg.eig(M)
             gaps = np.abs(eigvals[:, None] - eigvals[None, :])
             gaps[np.diag_indices(d1)] = np.inf
-            if gaps.min() < collision_tol:
+            if gaps.min() < EIGENVALUE_COLLISION_TOL:
                 raise DegenerateCombination(
-                    f"eigenvalue gap {gaps.min():.2e} below {collision_tol:.0e}")
+                    f"eigenvalue gap {gaps.min():.2e} below "
+                    f"{EIGENVALUE_COLLISION_TOL:.0e}")
             norm_m = max(np.linalg.norm(M), 1.0)
             resid = np.linalg.norm(M @ V - V * eigvals, axis=0)
             if resid.max() > tol_eigen * norm_m * 10:
                 raise DegenerateCombination(
                     f"eigenpair residual {resid.max():.2e} too large")
             # each eigenvector has coefficient 1/k_l * conj(p_l(i)) at
-            # coordinate l up to scale, so coordinate 0 never vanishes;
-            # normalize there and read p_j(i) off as coordinate 0 of B_j v
+            # coordinate l up to scale, so coordinate 0 never vanishes
             pivots = np.abs(V[0, :])
             if pivots.min() < 1e-12 * max(np.abs(V).max(), 1.0):
                 raise DegenerateCombination("eigenvector pivot near zero")
-            W = (R0 @ (V / V[0, :])).T
+            W = _rayleigh_rows(M, Bt, eigvals, V, d1)
             self_check = _max_eigen_residual(Bt, k, W)
-            if self_check > 10 * tol_eigen:
-                W = _rayleigh_refine(M, Bt, eigvals, V, d1)
-                self_check = _max_eigen_residual(Bt, k, W)
             if self_check > 10 * tol_eigen:
                 raise DegenerateCombination(
                     f"eigen relation residual {self_check:.2e} too large")
@@ -183,7 +178,7 @@ def compute_character_table(source, seed: int = DEFAULT_SEED,
         except DegenerateCombination as exc:
             last_error = str(exc)
     raise EigensolverFailure(
-        f"no usable random combination after {max_tries} tries: {last_error}")
+        f"no usable random combination after {MAX_TRIES} tries: {last_error}")
 
 
 def _max_eigen_residual(Bt: np.ndarray, k: np.ndarray, W: np.ndarray) -> float:
@@ -197,14 +192,15 @@ def _max_eigen_residual(Bt: np.ndarray, k: np.ndarray, W: np.ndarray) -> float:
     return worst
 
 
-def _rayleigh_refine(M: np.ndarray, Bt: np.ndarray, eigvals: np.ndarray,
-                     V: np.ndarray, d1: int) -> np.ndarray:
-    """Re-extract the table rows with two-sided Rayleigh quotients.
+def _rayleigh_rows(M: np.ndarray, Bt: np.ndarray, eigvals: np.ndarray,
+                   V: np.ndarray, d1: int) -> np.ndarray:
+    """Table rows from two-sided Rayleigh quotients.
 
     The rows of P are the eigenvectors of the transposed combination, with
     the eigenvectors of M itself acting as their left partners.  Quotients
     (z^T B_j^T w) / (z^T w) have error quadratic in the eigenvector error,
-    which rescues tables whose entries dwarf the eigenvector noise floor."""
+    so entries stay accurate however far they dwarf the eigenvector noise
+    floor."""
     evalsT, WT = np.linalg.eig(M.T)
     pairing = np.abs(evalsT[:, None] - eigvals[None, :]).argmin(axis=1)
     if sorted(pairing.tolist()) != list(range(d1)):
@@ -267,15 +263,14 @@ class CandidateReport:
 
 
 def verify_candidate_table(table: CharacterTable, source,
-                           tol: float = DEFAULT_TOL_COMPARE,
-                           reps_per_class: int = 3) -> CandidateReport:
+                           tol: float = DEFAULT_TOL_COMPARE) -> CandidateReport:
     """Certify a claimed character table against a scheme's intersection
     numbers: column 0 all ones, row 0 equal to the valencies, every row an
     eigenvector of every B_j^T with eigenvalue p_j(i), and both
     orthogonality relations with the multiplicities the table itself
     carries (so rows and multiplicities cannot be paired wrongly)."""
     if isinstance(source, AssociationScheme):
-        inter = intersection_numbers(source, reps_per_class=reps_per_class)
+        inter = intersection_numbers(source)
     elif isinstance(source, IntersectionNumbers):
         inter = source
     else:
@@ -607,90 +602,68 @@ class MatchResult:
         return self.matched
 
 
-def _valency_groups(k1: np.ndarray, k2: np.ndarray):
-    groups = []
-    for value in sorted(set(k1.tolist())):
-        a = np.flatnonzero(k1 == value)
-        b = np.flatnonzero(k2 == value)
-        if a.shape[0] != b.shape[0]:
-            return None
-        groups.append((a, b))
-    return groups
-
-
-def _column_permutations(groups, budget: int = 1_000_000):
-    """Yield column maps tau with k2[tau[j]] = k1[j], cheapest groups first."""
-    import itertools
-    total = 1
-    for a, _ in groups:
-        total *= math.factorial(a.shape[0])
-        if total > budget:
-            raise EigensolverFailure(
-                "too many equal-valency columns to compare exhaustively")
-    pools = [itertools.permutations(b.tolist()) for _, b in groups]
-    starts = [a.tolist() for a, _ in groups]
-    size = sum(len(s) for s in starts)
-    for combo in itertools.product(*pools):
-        tau = np.empty(size, dtype=np.int64)
-        for positions, images in zip(starts, combo):
-            for p, im in zip(positions, images):
-                tau[p] = im
-        yield tau
-
-
 def compare_tables(t1: CharacterTable, t2: CharacterTable,
                    tol: float = DEFAULT_TOL_COMPARE) -> MatchResult:
     """Match two tables up to row and column permutation.
 
-    Columns may only map to columns of equal valency; rows must agree
-    entrywise within tol and carry multiplicities within tol of each other
-    (relative to n).  Returns the permutations on success."""
-    if t1.d != t2.d or t1.n != t2.n:
-        return MatchResult(False, None, None, float("inf"))
+    Columns may only map to columns of equal valency; paired rows must agree
+    entrywise within tol and carry multiplicities within tol * n of each
+    other.  Rows are paired depth first: pairing row i of t1 with row r of
+    t2 keeps only the column images on which both rows agree, and a pairing
+    that leaves some column without an image is abandoned.  P is
+    invertible, so once every row is paired each column has exactly one
+    image.  Rows go most constrained first, by the number of rows of t2
+    each one fits on its own; a row that fits none rejects the match at once.
+
+    On success max_diff is the largest entrywise deviation under the
+    returned permutations.  On a failed match it is the largest, over rows
+    of t1, of the deviation from the closest row of t2 under that row's own
+    best column map: a finite lower bound on the deviation of every
+    matching.  Tables of different order, size or valencies give inf."""
     k1, k2 = t1.valencies, t2.valencies
-    if sorted(k1.tolist()) != sorted(k2.tolist()):
-        return MatchResult(False, None, None, float("inf"))
-    groups = _valency_groups(k1, k2)
-    if groups is None:
+    if t1.d != t2.d or t1.n != t2.n or sorted(k1.tolist()) != sorted(k2.tolist()):
         return MatchResult(False, None, None, float("inf"))
     d1 = t1.d + 1
-    m_tol = tol * max(t1.n, 1)
-    best = float("inf")
-    for tau in _column_permutations(groups):
-        P2 = t2.P[:, tau]
-        # greedy unique row assignment with backtracking
-        diff = np.abs(t1.P[:, None, :] - P2[None, :, :]).max(axis=2)
-        mdiff = np.abs(t1.multiplicities[:, None] - t2.multiplicities[None, :])
-        allowed = (diff <= tol) & (mdiff <= m_tol)
-        best = min(best, float(diff.min(axis=1).max()))
-        assignment = _bipartite_match(allowed)
-        if assignment is not None:
-            sigma = np.array(assignment, dtype=np.int64)
-            worst = float(np.abs(t1.P - P2[sigma]).max())
-            return MatchResult(True, sigma, np.asarray(tau), worst)
-    return MatchResult(False, None, None, best)
+    P1, P2 = t1.P, t2.P
+    same_k = k1[:, None] == k2[None, :]
+    # row_gap[i, r]: deviation of row i from row r under the column map
+    # that suits these two rows best
+    row_gap = np.empty((d1, d1))
+    for i in range(d1):
+        gap = np.abs(P1[i][None, :, None] - P2[:, None, :])
+        gap[:, ~same_k] = np.inf
+        row_gap[i] = gap.min(axis=2).max(axis=1)
+    mdiff = np.abs(t1.multiplicities[:, None] - t2.multiplicities[None, :])
+    fits = (row_gap <= tol) & (mdiff <= tol * max(t1.n, 1))
+    lower_bound = float(row_gap.min(axis=1).max())
+    if not fits.any(axis=1).all():
+        return MatchResult(False, None, None, lower_bound)
+    order = np.argsort(fits.sum(axis=1), kind="stable").tolist()
+    sigma = np.full(d1, -1, dtype=np.int64)
+    used = np.zeros(d1, dtype=bool)
 
+    def pair(depth: int, images: np.ndarray) -> np.ndarray | None:
+        if depth == d1:
+            bijective = ((images.sum(axis=0) == 1).all()
+                         and (images.sum(axis=1) == 1).all())
+            return images.argmax(axis=1) if bijective else None
+        i = order[depth]
+        for r in np.flatnonzero(fits[i] & ~used).tolist():
+            narrowed = images & (np.abs(P1[i][:, None] - P2[r][None, :]) <= tol)
+            if not narrowed.any(axis=1).all():
+                continue
+            sigma[i], used[r] = r, True
+            tau = pair(depth + 1, narrowed)
+            if tau is not None:
+                return tau
+            used[r] = False
+        return None
 
-def _bipartite_match(allowed: np.ndarray):
-    n = allowed.shape[0]
-    match_of_right = [-1] * n
-
-    def try_assign(i, visited):
-        for j in range(n):
-            if allowed[i, j] and not visited[j]:
-                visited[j] = True
-                if match_of_right[j] < 0 or try_assign(match_of_right[j], visited):
-                    match_of_right[j] = i
-                    return True
-        return False
-
-    for i in range(n):
-        if not try_assign(i, [False] * n):
-            return None
-    out = [0] * n
-    for j, i in enumerate(match_of_right):
-        out[i] = j
-    return out
+    tau = pair(0, same_k)
+    if tau is None:
+        return MatchResult(False, None, None, lower_bound)
+    worst = float(np.abs(P1 - P2[sigma][:, tau]).max())
+    return MatchResult(True, sigma, tau, worst)
 
 
 # plain-text, CSV and LaTeX renderings of a table

@@ -62,8 +62,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="write the result here instead of stdout")
     parser.add_argument("--json-errors", action="store_true",
                         help="machine-readable error report on stderr")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker count; results are independent of it")
     parser.add_argument("--tol-eigen", type=float, default=DEFAULT_TOL_EIGEN,
                         help="eigensolver residual tolerance")
     parser.add_argument("--tol-compare", type=float, default=DEFAULT_TOL_COMPARE,
@@ -77,7 +75,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     cap = args.cap_elements if args.cap_elements is not None else element_cap_default()
     return RunConfig(seed=args.seed, element_cap=cap,
                      tol_eigen=args.tol_eigen, tol_compare=args.tol_compare,
-                     threads=args.threads, output_format=args.format)
+                     output_format=args.format)
 
 
 def _echo_header(cfg: RunConfig) -> None:

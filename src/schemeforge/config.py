@@ -47,22 +47,18 @@ class RunConfig:
 
     seed: int = DEFAULT_SEED
     element_cap: int = field(default_factory=element_cap_default)
-    closure_cap: int = DEFAULT_CLOSURE_CAP
     relation_cap: int = DEFAULT_RELATION_CAP
     tol_eigen: float = DEFAULT_TOL_EIGEN
     tol_compare: float = DEFAULT_TOL_COMPARE
     tol_square: float = DEFAULT_TOL_SQUARE
-    threads: int = 1
     output_format: str = "json"
 
     def __post_init__(self):
-        if self.element_cap <= 0 or self.closure_cap <= 0 or self.relation_cap <= 0:
+        if self.element_cap <= 0 or self.relation_cap <= 0:
             raise ValueError("size caps must be positive")
         for name in ("tol_eigen", "tol_compare", "tol_square"):
             tol = getattr(self, name)
             if not (0 < tol < 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2), got {tol}")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"output_format must be one of {OUTPUT_FORMATS}")

@@ -20,13 +20,16 @@ from .errors import (CapExceeded, CertificationFailed, IndexOutOfRange,
 from .permgroup import Permutation, PermutationGroup, pair_orbits
 from .scheme import AssociationScheme, _class_dtype, verify_scheme_axioms
 
+MAX_ROUNDS = 10             # randomized refinement rounds before giving up
+VERIFY_SEED_OFFSET = 101    # certificate seed offset from the sampling seed
+
 
 class LoopStructure:
     """Interface shared by table-backed loops and structured loops.
 
-    Scalar ops take and return python ints; *_vec ops take numpy index arrays
-    and broadcast.  left_div(a, b) solves a * x = b; right_div(a, b) solves
-    x * b = a, so right_div(v, u) is v / u.
+    mul takes and returns python ints; the *_vec ops take numpy index arrays
+    and broadcast.  left_div_vec(a, b) solves a * x = b; right_div_vec(a, b)
+    solves x * b = a, so right_div_vec(v, u) is v / u.
     """
 
     n: int
@@ -34,46 +37,17 @@ class LoopStructure:
     def mul(self, i: int, j: int) -> int:
         raise NotImplementedError
 
-    def left_div(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def right_div(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def inv(self, i: int) -> int:
-        return self.left_div(i, 0)
-
     def mul_vec(self, I, J) -> np.ndarray:
-        I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
-        out = np.empty(I.shape, dtype=np.int64)
-        flat_i, flat_j, flat_o = I.ravel(), J.ravel(), out.ravel()
-        for k in range(flat_i.size):
-            flat_o[k] = self.mul(int(flat_i[k]), int(flat_j[k]))
-        return out
+        raise NotImplementedError
 
     def left_div_vec(self, A, B) -> np.ndarray:
-        A, B = np.broadcast_arrays(np.asarray(A), np.asarray(B))
-        out = np.empty(A.shape, dtype=np.int64)
-        fa, fb, fo = A.ravel(), B.ravel(), out.ravel()
-        for k in range(fa.size):
-            fo[k] = self.left_div(int(fa[k]), int(fb[k]))
-        return out
+        raise NotImplementedError
 
     def right_div_vec(self, A, B) -> np.ndarray:
-        A, B = np.broadcast_arrays(np.asarray(A), np.asarray(B))
-        out = np.empty(A.shape, dtype=np.int64)
-        fa, fb, fo = A.ravel(), B.ravel(), out.ravel()
-        for k in range(fa.size):
-            fo[k] = self.right_div(int(fa[k]), int(fb[k]))
-        return out
+        raise NotImplementedError
 
     def inv_vec(self, I) -> np.ndarray:
-        I = np.asarray(I)
-        out = np.empty(I.shape, dtype=np.int64)
-        fi, fo = I.ravel(), out.ravel()
-        for k in range(fi.size):
-            fo[k] = self.inv(int(fi[k]))
-        return out
+        raise NotImplementedError
 
     def table(self) -> np.ndarray | None:
         """Full multiplication table when affordable, else None."""
@@ -112,12 +86,6 @@ class TableLoop(LoopStructure):
     def mul(self, i, j):
         return int(self._table[i, j])
 
-    def left_div(self, a, b):
-        return int(self._ldiv[a, b])
-
-    def right_div(self, a, b):
-        return int(self._rdiv[a, b])
-
     def mul_vec(self, I, J):
         return self._table[I, J]
 
@@ -140,7 +108,6 @@ class QuasigroupReport:
     passed: bool
     failure: str | None = None
     cell: tuple[int, int] | None = None
-    mode: str = "exhaustive"
 
     def __bool__(self) -> bool:
         return self.passed
@@ -188,46 +155,17 @@ def quasigroup_check(source) -> QuasigroupReport:
     Accepts a LoopStructure or a raw n x n table.  On failure the report
     carries the first violating cell, scanning out-of-range entries, then
     row duplicates, then column duplicates, then the identity row and
-    column.  Structures too large to tabulate are spot-checked on a seeded
-    sample of rows and columns (mode "sampled").
+    column.  A loop too large to tabulate raises CapExceeded.
     """
-    table = None
-    loop = None
     if isinstance(source, LoopStructure):
-        loop = source
-        table = loop.table()
+        table = source.table()
+        if table is None:
+            raise CapExceeded("quasigroup check needs a materialized table")
     else:
         table = np.asarray(source)
         if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
             return QuasigroupReport(False, "table must be square and nonempty")
-        table = table.astype(np.int64, copy=False)
-    if table is not None:
-        return _check_table_cells(np.asarray(table, dtype=np.int64))
-    n = loop.n
-    rng = np.random.default_rng(DEFAULT_SEED)
-    ident = np.arange(n)
-    rows = np.unique(np.concatenate([[0], rng.integers(0, n, size=64)]))
-    for r in rows.tolist():
-        line = np.asarray(loop.mul_vec(np.full(n, r), ident))
-        if not np.array_equal(np.sort(line), ident):
-            return QuasigroupReport(False, "repeated entry in a row",
-                                    (r, int(_first_duplicate(line))),
-                                    mode="sampled")
-        if r == 0 and not np.array_equal(line, ident):
-            c = int(np.flatnonzero(line != ident)[0])
-            return QuasigroupReport(False, "row 0 is not the identity", (0, c),
-                                    mode="sampled")
-    for c in rows.tolist():
-        line = np.asarray(loop.mul_vec(ident, np.full(n, c)))
-        if not np.array_equal(np.sort(line), ident):
-            return QuasigroupReport(False, "repeated entry in a column",
-                                    (int(_first_duplicate(line)), c),
-                                    mode="sampled")
-        if c == 0 and not np.array_equal(line, ident):
-            r = int(np.flatnonzero(line != ident)[0])
-            return QuasigroupReport(False, "column 0 is not the identity",
-                                    (r, 0), mode="sampled")
-    return QuasigroupReport(True, mode="sampled")
+    return _check_table_cells(np.asarray(table, dtype=np.int64))
 
 
 def parse_loop_table(text: str) -> np.ndarray:
@@ -432,10 +370,11 @@ def _canonical_labels(raw: np.ndarray) -> tuple[np.ndarray, int]:
     return relabel[inverse], count
 
 
-def _inner_orbits_exact(loop: LoopStructure, cap: int) -> InnerOrbitReport:
+def _inner_orbits_exact(loop: LoopStructure) -> InnerOrbitReport:
     n = loop.n
-    if n > cap:
-        raise CapExceeded(f"exact inner orbits cap is {cap}, loop has {n} elements")
+    if n > EXACT_ORBIT_CAP:
+        raise CapExceeded(f"exact inner orbits cap is {EXACT_ORBIT_CAP}, "
+                          f"loop has {n} elements")
     T = loop.table()
     if T is None:
         raise CapExceeded("exact inner orbits need a materialized table")
@@ -504,9 +443,7 @@ def _sampled_inner_images(loop: LoopStructure, kinds: np.ndarray,
     return W
 
 
-def _inner_orbits_randomized(loop: LoopStructure, seed: int,
-                             max_rounds: int = 10,
-                             verify_seed_offset: int = 101) -> InnerOrbitReport:
+def _inner_orbits_randomized(loop: LoopStructure, seed: int) -> InnerOrbitReport:
     """Union-find refinement driven by single-point inner-map samples.
 
     Each sample draws a map (T, L or R), uniform parameters x, y, and a
@@ -520,7 +457,7 @@ def _inner_orbits_randomized(loop: LoopStructure, seed: int,
     target = 3 * n
     block = min(4096, target)
     samples = 0
-    for round_no in range(max_rounds):
+    for round_no in range(MAX_ROUNDS):
         stable = 0
         while stable < target:
             kinds = rng.integers(0, 3, size=block)
@@ -538,19 +475,18 @@ def _inner_orbits_randomized(loop: LoopStructure, seed: int,
             stable = block - 1 - int(diff[-1])
         class_of, count = _canonical_labels(parent)
         candidate = loop_scheme(loop, class_of=class_of)
-        report = verify_scheme_axioms(candidate, seed=seed + verify_seed_offset + round_no)
+        report = verify_scheme_axioms(candidate, seed=seed + VERIFY_SEED_OFFSET + round_no)
         if report.passed:
             return InnerOrbitReport(class_of, count, "randomized",
                                     samples, True)
         # undermerged: the sampled certificate failed, keep sampling
     raise CertificationFailed(
-        f"inner-orbit refinement did not stabilize after {max_rounds} rounds "
+        f"inner-orbit refinement did not stabilize after {MAX_ROUNDS} rounds "
         f"({samples} sampled inner maps)")
 
 
 def inner_orbits(loop: LoopStructure, policy: str = "auto",
-                 seed: int = DEFAULT_SEED,
-                 exact_cap: int = EXACT_ORBIT_CAP) -> InnerOrbitReport:
+                 seed: int = DEFAULT_SEED) -> InnerOrbitReport:
     """Orbits of the inner mapping group on the loop's index set.
 
     policy "exact" runs a pair-orbit computation under all translations
@@ -561,7 +497,7 @@ def inner_orbits(loop: LoopStructure, policy: str = "auto",
     if policy == "auto":
         policy = "exact" if loop.n <= 256 else "randomized"
     if policy == "exact":
-        return _inner_orbits_exact(loop, exact_cap)
+        return _inner_orbits_exact(loop)
     if policy == "randomized":
         return _inner_orbits_randomized(loop, seed)
     raise ValueError(f"unknown inner-orbit policy {policy!r}")

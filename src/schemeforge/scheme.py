@@ -16,6 +16,8 @@ import numpy as np
 from .config import DEFAULT_SEED, DENSE_RELATION_LIMIT
 from .errors import InvalidFusion, NotAScheme
 
+REPS_PER_CLASS = 3      # representative pairs whose counts must agree per class
+
 
 def _class_dtype(d: int):
     return np.uint8 if d < 255 else np.uint16
@@ -159,20 +161,20 @@ class IntersectionNumbers:
         return self._commutes
 
 
-def _collect_representatives(scheme: AssociationScheme, reps_per_class: int):
+def _collect_representatives(scheme: AssociationScheme):
     """Deterministic representative pairs: scan rows upward, first hit per class."""
     d = scheme.d
     reps: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
     missing = d + 1
-    limit = min(scheme.n, max(4 * reps_per_class, 32))
+    limit = min(scheme.n, max(4 * REPS_PER_CLASS, 32))
     for x in range(scheme.n):
         row = scheme.rel_row(x)
         classes, first = np.unique(row, return_index=True)
         for h, y in zip(classes.tolist(), first.tolist()):
             bucket = reps[h]
-            if len(bucket) < reps_per_class:
+            if len(bucket) < REPS_PER_CLASS:
                 bucket.append((x, int(y)))
-                if len(bucket) == reps_per_class:
+                if len(bucket) == REPS_PER_CLASS:
                     missing -= 1
         if missing == 0 or x + 1 >= limit:
             break
@@ -189,7 +191,7 @@ def _counts_for_pair(scheme: AssociationScheme, x: int, y: int, d: int) -> np.nd
     return counts.reshape(d + 1, d + 1)
 
 
-def intersection_numbers(scheme: AssociationScheme, reps_per_class: int = 3,
+def intersection_numbers(scheme: AssociationScheme,
                          exhaustive_limit: int = 300) -> IntersectionNumbers:
     """Count p_ij^h from representative pairs of each class.
 
@@ -219,7 +221,7 @@ def intersection_numbers(scheme: AssociationScheme, reps_per_class: int = 3,
                         f"disagree with an earlier representative")
         return IntersectionNumbers(tensor, scheme.valencies, n)
 
-    reps = _collect_representatives(scheme, reps_per_class)
+    reps = _collect_representatives(scheme)
     for h in range(d + 1):
         for x, y in reps[h]:
             counts = _counts_for_pair(scheme, x, y, d)
@@ -244,8 +246,8 @@ class SchemeReport:
         return self.passed
 
 
-def verify_scheme_axioms(scheme: AssociationScheme, reps_per_class: int = 3,
-                         max_rows: int = 40, seed: int = DEFAULT_SEED) -> SchemeReport:
+def verify_scheme_axioms(scheme: AssociationScheme, max_rows: int = 40,
+                         seed: int = DEFAULT_SEED) -> SchemeReport:
     """Check diagonal class, row regularity, transpose closure and
     representative independence of the intersection numbers."""
     n, d = scheme.n, scheme.d
@@ -297,14 +299,14 @@ def verify_scheme_axioms(scheme: AssociationScheme, reps_per_class: int = 3,
     inter = None
     if not failures:
         try:
-            inter = intersection_numbers(scheme, reps_per_class=reps_per_class)
+            inter = intersection_numbers(scheme)
         except NotAScheme as exc:
             failures.append(str(exc))
 
     return SchemeReport(passed=not failures, failures=failures, intersection=inter)
 
 
-def fuse(scheme: AssociationScheme, cells, reps_per_class: int = 3,
+def fuse(scheme: AssociationScheme, cells,
          dense_limit: int = DENSE_RELATION_LIMIT) -> AssociationScheme:
     """Merge classes along a partition of {0..d}; the result must again be a scheme.
 
@@ -352,7 +354,7 @@ def fuse(scheme: AssociationScheme, cells, reps_per_class: int = 3,
             source={"kind": "fusion", "cells": [list(c) for c in norm],
                     "base": scheme.source})
 
-    report = verify_scheme_axioms(fused, reps_per_class=reps_per_class)
+    report = verify_scheme_axioms(fused)
     if not report.passed:
         raise InvalidFusion("fused partition is not a scheme: " + "; ".join(report.failures))
     return fused

@@ -230,17 +230,8 @@ class PaigeLoop(LoopStructure):
             self._inv_of = self._lookup[rows @ self._strides].astype(np.int64)
         return self._inv_of
 
-    def inv(self, i: int) -> int:
-        return int(self.inv_array()[i])
-
     def inv_vec(self, I):
         return self.inv_array()[np.asarray(I)]
-
-    def left_div(self, a: int, b: int) -> int:
-        return self.mul(self.inv(a), b)
-
-    def right_div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def left_div_vec(self, A, B):
         return self.mul_vec(self.inv_vec(A), B)

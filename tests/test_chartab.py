@@ -15,6 +15,7 @@ from schemeforge.chartab import (CharacterTable, closed_form_mstar,
                                  table_to_latex, table_to_text,
                                  transfer_to_group_table,
                                  verify_candidate_table, verify_orthogonality)
+from schemeforge.config import DEFAULT_SEED
 from schemeforge.errors import (MismatchWithOrbitalTable, NonCommutative,
                                 NonPositiveMultiplicity, NotGroupScheme,
                                 NotMultiplicityFree, ParseError, UnsupportedQ)
@@ -145,6 +146,15 @@ def test_s3_group_scheme_table():
 def test_pipeline_matches_oracle_mstar2(mstar2_scheme):
     got = compute_character_table(mstar2_scheme)
     res = compare_tables(got, closed_form_mstar(2), tol=1e-8)
+    assert res.matched
+    assert res.max_diff < 1e-8
+
+
+@pytest.mark.parametrize("q, seed", [(8, 733544948), (16, DEFAULT_SEED)])
+def test_pipeline_matches_oracle_psl2(q, seed):
+    # seed 733544948 once gave a PSL(2,8) table 1.5e-8 off the closed form
+    table = compute_character_table(group_scheme(psl2(q)), seed=seed)
+    res = compare_tables(table, closed_form_psl2(q), tol=1e-8)
     assert res.matched
     assert res.max_diff < 1e-8
 
@@ -358,6 +368,36 @@ def test_compare_tables_bridges_class_order(mstar2_scheme):
 def test_compare_tables_rejects_different_tables():
     res = compare_tables(closed_form_psl2(2), closed_form_mstar(2))
     assert not res.matched
+
+
+def _shuffled(t: CharacterTable, seed: int) -> CharacterTable:
+    rng = np.random.default_rng(seed)
+    rows = np.concatenate([[0], 1 + rng.permutation(t.d)])
+    cols = np.concatenate([[0], 1 + rng.permutation(t.d)])
+    return CharacterTable(t.P[rows][:, cols], t.valencies[cols],
+                          t.multiplicities[rows], t.n)
+
+
+@pytest.mark.parametrize("oracle", [lambda: closed_form_mstar(8),
+                                    lambda: closed_form_psl2(16)],
+                         ids=["mstar8", "psl2_16"])
+def test_compare_tables_undoes_a_shuffle(oracle):
+    t = oracle()
+    s = _shuffled(t, seed=t.d)
+    res = compare_tables(s, t)
+    assert res.matched
+    assert np.array_equal(s.valencies, t.valencies[res.col_perm])
+    assert np.abs(s.P - t.P[res.row_perm][:, res.col_perm]).max() < 1e-8
+
+
+@pytest.mark.parametrize("q", [16, 32])
+def test_compare_tables_rejects_perturbed_entry(q):
+    t = closed_form_psl2(q)
+    s = _shuffled(t, seed=q)
+    s.P[3, 5] += 1e-6
+    res = compare_tables(s, t)
+    assert not res.matched
+    assert 1e-8 < res.max_diff < 1e-5
 
 
 def test_compare_tables_rejects_dimension_mismatch():

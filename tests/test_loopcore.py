@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from schemeforge.errors import ParseError
+from schemeforge.errors import CapExceeded, ParseError
 from schemeforge.loopcore import (InnerOrbitReport, TableLoop,
                                   associativity_counterexample, inner_orbits,
                                   loop_from_group, loop_scheme,
@@ -9,6 +9,7 @@ from schemeforge.loopcore import (InnerOrbitReport, TableLoop,
                                   multiplication_group_generators,
                                   parse_loop_table, quasigroup_check)
 from schemeforge.permgroup import closure, cyclic, group_scheme, symmetric
+from schemeforge.zorn import build_paige_loop
 
 # smallest loop that is not a group; fails the Moufang identities
 LOOP5 = [
@@ -25,6 +26,13 @@ def test_group_table_is_a_loop():
     report = quasigroup_check(loop)
     assert report.passed and report.cell is None
     assert bool(report)
+
+
+def test_quasigroup_check_refuses_untabulated_loop():
+    loop = build_paige_loop(4)
+    assert loop.table() is None
+    with pytest.raises(CapExceeded):
+        quasigroup_check(loop)
 
 
 def test_quasigroup_check_accepts_raw_table():
