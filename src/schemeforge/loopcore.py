@@ -552,5 +552,9 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
     def col_fn(v: int) -> np.ndarray:
         return class_of[loop.right_div_vec(v, Z)].astype(dtype)
 
+    def point_fn(u: int, v: int) -> int:
+        return class_of[loop.right_div_vec(v, u)]
+
     return AssociationScheme(n, d, valencies, np.asarray(transpose_map),
-                             row_fn=row_fn, col_fn=col_fn, source=source)
+                             row_fn=row_fn, col_fn=col_fn, point_fn=point_fn,
+                             source=source)

@@ -1,10 +1,10 @@
 """Association schemes: relation storage, intersection numbers, axioms, fusion.
 
 A scheme on n points with d+1 classes stores its relation either as a dense
-n x n class-index matrix or as a pair of row/column functions for sizes where
-the matrix would not fit.  Intersection numbers are counted from representative
-pairs; disagreement between representatives is the definitive signal that the
-input partition is not a scheme.
+n x n class-index matrix or as row, column and point functions for sizes
+where the matrix would not fit.  Intersection numbers are counted from
+representative pairs; disagreement between representatives is the definitive
+signal that the input partition is not a scheme.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class AssociationScheme:
     """Partition of X x X into classes R_0..R_d with R_0 the diagonal."""
 
     def __init__(self, n, d, valencies, transpose_map, matrix=None,
-                 row_fn=None, col_fn=None, source=None):
+                 row_fn=None, col_fn=None, point_fn=None, source=None):
         self.n = int(n)
         self.d = int(d)
         self.valencies = np.asarray(valencies, dtype=np.int64)
@@ -39,9 +39,10 @@ class AssociationScheme:
         self._matrix = matrix
         self._row_fn = row_fn
         self._col_fn = col_fn
+        self._point_fn = point_fn
         self.source = source
-        if matrix is None and (row_fn is None or col_fn is None):
-            raise ValueError("need either a dense matrix or row and column functions")
+        if matrix is None and None in (row_fn, col_fn, point_fn):
+            raise ValueError("need either a dense matrix or row, column and point functions")
 
     @classmethod
     def from_matrix(cls, matrix, source=None) -> "AssociationScheme":
@@ -69,7 +70,7 @@ class AssociationScheme:
     def rel(self, x: int, y: int) -> int:
         if self._matrix is not None:
             return int(self._matrix[x, y])
-        return int(self._row_fn(x)[y])
+        return int(self._point_fn(x, y))
 
     def rel_row(self, x: int) -> np.ndarray:
         if self._matrix is not None:
@@ -349,8 +350,10 @@ def fuse(scheme: AssociationScheme, cells,
         cast = remap.astype(_class_dtype(new_d))
         row_fn = lambda x: cast[scheme.rel_row(x).astype(np.int64)]  # noqa: E731
         col_fn = lambda y: cast[scheme.rel_col(y).astype(np.int64)]  # noqa: E731
+        point_fn = lambda x, y: cast[scheme.rel(x, y)]  # noqa: E731
         fused = AssociationScheme(
             scheme.n, new_d, new_k, new_tm, row_fn=row_fn, col_fn=col_fn,
+            point_fn=point_fn,
             source={"kind": "fusion", "cells": [list(c) for c in norm],
                     "base": scheme.source})
 

@@ -16,6 +16,13 @@ Loop elements are stored as rows of eight base-q digits
 (a, alpha1, alpha2, alpha3, beta1, beta2, beta3, b); a row packs into a
 single integer code with digit 'a' most significant, so lexicographic order
 on rows equals numeric order on codes.
+
+Whole-array products run on flat uint8 field tables: ADD and SUB indexed by
+x*q + y, and the fused tables MADD[a,b,c,d] = ab + cd and
+MSUB[a,b,c,d] = ab - cd indexed by ((a*q + b)*q + c)*q + d.  Every digit of
+a product is one ADD or SUB of two fused lookups, 24 lookups per product;
+the same tables give determinants, inverses and packed codes.  Digits are
+uint8, so the indices fit uint8 and uint16 for every q <= 16.
 """
 
 from __future__ import annotations
@@ -109,45 +116,81 @@ def paige_loop_order(q: int) -> int:
     return q ** 3 * (q ** 4 - 1) // math.gcd(2, q - 1)
 
 
+KERNEL_MAX_Q = 16   # pair indices x*q + y fit in uint8, quadruple indices in uint16
+
+
+def _quad_index(q: int, w, x, y, z):
+    """((w*q + x)*q + y)*q + z as uint16, for uint8 digits below q <= 16."""
+    # unsafe casting admits the int64 scalars older numpy makes of uint8 scalars
+    return np.multiply(w * q + x, q * q, dtype=np.uint16, casting="unsafe") + (y * q + z)
+
+
 class _FieldTables:
-    """Field arithmetic as numpy arrays, for whole-array Zorn products."""
+    """GF(q) arithmetic as flat uint8 tables, for whole-array Zorn products.
+
+    ADD and SUB hold x + y and x - y at x*q + y; the fused tables MADD and
+    MSUB hold ab + cd and ab - cd at ((a*q + b)*q + c)*q + d; NEG holds -x
+    at x.  Arguments are uint8 digit arrays (or numpy scalars) that
+    broadcast against each other.
+    """
 
     def __init__(self, spec: FieldSpec):
         q = spec.q
+        if q > KERNEL_MAX_Q:
+            raise CapExceeded(f"Zorn arithmetic covers q <= {KERNEL_MAX_Q}, got q={q}")
         self.q = q
-        self.MUL = np.array(spec._mul, dtype=np.int64)
-        self.ADD = np.array(spec._add, dtype=np.int64)
-        self.SUB = np.array([[spec.sub(x, y) for y in range(q)] for x in range(q)],
-                            dtype=np.int64)
-        self.NEG = np.array(spec._neg, dtype=np.int64)
+        self.ADD = spec.add_t.ravel()
+        self.SUB = spec.sub_t.ravel()
+        self.NEG = spec.neg_t
+        ab = spec.mul_t.ravel()
+        self.MADD = spec.add_t[ab[:, None], ab].ravel()
+        self.MSUB = spec.sub_t[ab[:, None], ab].ravel()
 
-    def dot3(self, U, V):
-        MUL, ADD = self.MUL, self.ADD
-        return ADD[ADD[MUL[U[0], V[0]], MUL[U[1], V[1]]], MUL[U[2], V[2]]]
+    def add(self, x, y):
+        return self.ADD.take(x * self.q + y)
 
-    def cross3(self, U, V):
-        MUL, SUB = self.MUL, self.SUB
-        return (SUB[MUL[U[1], V[2]], MUL[U[2], V[1]]],
-                SUB[MUL[U[2], V[0]], MUL[U[0], V[2]]],
-                SUB[MUL[U[0], V[1]], MUL[U[1], V[0]]])
+    def sub(self, x, y):
+        return self.SUB.take(x * self.q + y)
+
+    def madd(self, a, b, c, d):
+        return self.MADD.take(_quad_index(self.q, a, b, c, d))
+
+    def msub(self, a, b, c, d):
+        return self.MSUB.take(_quad_index(self.q, a, b, c, d))
+
+    def det(self, D):
+        """ab - alpha.beta of the digit rows D = (a, alpha, beta, b)."""
+        return self.sub(self.msub(D[0], D[7], D[1], D[4]),
+                        self.madd(D[2], D[5], D[3], D[6]))
+
+    def codes(self, D):
+        """Packed uint32 codes of the digit rows D, digit 0 most significant."""
+        q = self.q
+        return (np.multiply(_quad_index(q, *D[:4]), q ** 4, dtype=np.uint32,
+                            casting="unsafe") + _quad_index(q, *D[4:]))
 
 
 def _zorn_product_digits(ft: _FieldTables, A, B):
     """Digit-wise product of stacks of vector matrices.
 
-    A and B are sequences of eight broadcast-compatible digit arrays in the
-    order (a, alpha, beta, b); returns the product's eight digit arrays.
+    A and B are sequences of eight broadcast-compatible uint8 digit arrays
+    in the order (a, alpha, beta, b); returns the product's eight digit
+    arrays.  Each output digit is one ADD or SUB of two fused MADD/MSUB
+    lookups, 24 lookups per product.
     """
-    MUL, ADD, SUB = ft.MUL, ft.ADD, ft.SUB
     a, al, be, b = A[0], A[1:4], A[4:7], A[7]
     c, ga, de, d = B[0], B[1:4], B[4:7], B[7]
-    bxd = ft.cross3(be, de)
-    axg = ft.cross3(al, ga)
-    e = ADD[MUL[a, c], ft.dot3(al, de)]
-    f = ADD[ft.dot3(be, ga), MUL[b, d]]
-    top = tuple(SUB[ADD[MUL[a, ga[k]], MUL[d, al[k]]], bxd[k]] for k in range(3))
-    bot = tuple(ADD[ADD[MUL[c, be[k]], MUL[b, de[k]]], axg[k]] for k in range(3))
-    return (e,) + top + bot + (f,)
+    e = ft.add(ft.madd(a, c, al[0], de[0]), ft.madd(al[1], de[1], al[2], de[2]))
+    f = ft.add(ft.madd(be[0], ga[0], be[1], ga[1]), ft.madd(be[2], ga[2], b, d))
+    top, bot = [], []
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        # a gamma + d alpha - beta x delta  and  c beta + b delta + alpha x gamma
+        top.append(ft.sub(ft.madd(a, ga[k], d, al[k]),
+                          ft.msub(be[i], de[j], be[j], de[i])))
+        bot.append(ft.add(ft.madd(c, be[k], b, de[k]),
+                          ft.msub(al[i], ga[j], al[j], ga[i])))
+    return (e, *top, *bot, f)
 
 
 class PaigeLoop(LoopStructure):
@@ -167,22 +210,23 @@ class PaigeLoop(LoopStructure):
         self.n = elems.shape[0]
         self.elems = np.ascontiguousarray(elems, dtype=np.int16)
         self._ft = _FieldTables(spec)
-        self._strides = self.q ** np.arange(7, -1, -1, dtype=np.int64)
+        # each element's eight uint8 digits as one 8-byte word: one gather per element
+        self._words = self.elems.astype(np.uint8).view(np.uint64).ravel()
         self._lookup = self._build_lookup()
         self._inv_of: np.ndarray | None = None
         self._table: np.ndarray | None = None
 
-    def _codes_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        return rows.astype(np.int64) @ self._strides
+    def _digits(self, I) -> np.ndarray:
+        """Digit rows (8,) + shape(I) of the elements I, as uint8."""
+        rows = self._words.take(I)[..., None].view(np.uint8)
+        return np.ascontiguousarray(np.moveaxis(rows, -1, 0))
 
     def _build_lookup(self) -> np.ndarray:
-        q = self.q
-        lookup = np.full(q ** 8, -1, dtype=np.int32)
-        codes = self._codes_of_rows(self.elems)
-        lookup[codes] = np.arange(self.n, dtype=np.int32)
-        if q % 2:
-            neg_rows = self._ft.NEG[self.elems.astype(np.int64)]
-            lookup[neg_rows @ self._strides] = np.arange(self.n, dtype=np.int32)
+        D = self._digits(np.arange(self.n))
+        lookup = np.full(self.q ** 8, -1, dtype=np.int32)
+        lookup[self._ft.codes(D)] = np.arange(self.n, dtype=np.int32)
+        if self.q % 2:
+            lookup[self._ft.codes(self._ft.NEG.take(D))] = np.arange(self.n, dtype=np.int32)
         return lookup
 
     # vector matrix views
@@ -191,7 +235,7 @@ class PaigeLoop(LoopStructure):
         return ZornMatrix.from_reps(self.spec, self.elems[i])
 
     def index_of(self, mat: ZornMatrix) -> int:
-        code = int(np.array(mat.to_reps(), dtype=np.int64) @ self._strides)
+        code = self._ft.codes(np.array(mat.to_reps(), dtype=np.uint8))
         idx = int(self._lookup[code])
         if idx < 0:
             raise ValueError("matrix is not a unit vector matrix of this loop")
@@ -200,18 +244,10 @@ class PaigeLoop(LoopStructure):
     # loop interface
 
     def mul_vec(self, I, J):
-        I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
         if self._table is not None:
             return self._table[I, J]
-        A = self.elems[I].astype(np.int64)
-        B = self.elems[J].astype(np.int64)
-        digits_a = tuple(A[..., k] for k in range(8))
-        digits_b = tuple(B[..., k] for k in range(8))
-        prod = _zorn_product_digits(self._ft, digits_a, digits_b)
-        code = prod[0]
-        for k in range(1, 8):
-            code = code * self.q + prod[k]
-        return self._lookup[code].astype(np.int64)
+        prod = _zorn_product_digits(self._ft, self._digits(I), self._digits(J))
+        return self._lookup.take(self._ft.codes(prod)).astype(np.int64)
 
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:
@@ -220,14 +256,11 @@ class PaigeLoop(LoopStructure):
 
     def inv_array(self) -> np.ndarray:
         if self._inv_of is None:
-            E = self.elems.astype(np.int64)
-            NEG = self._ft.NEG
+            D = self._digits(np.arange(self.n))
+            neg = self._ft.NEG.take(D[1:7])
             # unit determinant: inverse of [a, alpha; beta, b] is [b, -alpha; -beta, a]
-            rows = np.stack([E[:, 7],
-                             NEG[E[:, 1]], NEG[E[:, 2]], NEG[E[:, 3]],
-                             NEG[E[:, 4]], NEG[E[:, 5]], NEG[E[:, 6]],
-                             E[:, 0]], axis=1)
-            self._inv_of = self._lookup[rows @ self._strides].astype(np.int64)
+            rows = (D[7], *neg, D[0])
+            self._inv_of = self._lookup.take(self._ft.codes(rows)).astype(np.int64)
         return self._inv_of
 
     def inv_vec(self, I):
@@ -274,20 +307,16 @@ class PaigeLoop(LoopStructure):
         if elems.shape != (expected, 8) or elems.min() < 0 or elems.max() >= q:
             raise ParseError("elements must be rows of eight base-q digits")
         ft = _FieldTables(spec)
-        digits = tuple(elems[:, k] for k in range(8))
-        det = ft.SUB[ft.MUL[digits[0], digits[7]],
-                     ft.dot3(digits[1:4], digits[4:7])]
-        if not np.all(det == spec.one.rep):
+        D = np.ascontiguousarray(elems.T, dtype=np.uint8)
+        if not np.all(ft.det(D) == spec.one.rep):
             raise ParseError("every element must have determinant 1")
         ident = np.zeros(8, dtype=np.int64)
         ident[0] = ident[7] = spec.one.rep
         if not np.array_equal(elems[0], ident):
             raise ParseError("element 0 must be the identity matrix")
-        strides = q ** np.arange(7, -1, -1, dtype=np.int64)
-        codes = elems @ strides
+        codes = ft.codes(D)
         if q % 2:
-            neg_codes = ft.NEG[elems] @ strides
-            codes = np.minimum(codes, neg_codes)
+            codes = np.minimum(codes, ft.codes(ft.NEG.take(D)))
         if np.unique(codes).shape[0] != expected:
             raise ParseError("elements repeat up to sign")
         return cls(spec, elems)
@@ -304,14 +333,12 @@ def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
     if n > cap:
         raise CapExceeded(f"loop of q={q} has {n} elements, above the cap {cap}")
     ft = _FieldTables(spec)
-    codes = np.arange(q ** 8, dtype=np.int64)
-    digits = tuple((codes // q ** (7 - k)) % q for k in range(8))
-    det = ft.SUB[ft.MUL[digits[0], digits[7]],
-                 ft.dot3(digits[1:4], digits[4:7])]
-    unit = det == spec.one.rep
-    unit_codes = codes[unit]
+    # digit k varies along axis k of a q^8 grid, so C order is code order
+    grid = [np.arange(q, dtype=np.uint8).reshape((q,) + (1,) * (7 - k))
+            for k in range(8)]
+    unit_codes = np.flatnonzero(ft.det(grid) == spec.one.rep)
     if q % 2:
-        neg_code = sum(ft.NEG[digits[k]][unit] * q ** (7 - k) for k in range(8))
+        neg_code = ft.codes([ft.NEG.take(g) for g in grid]).ravel()[unit_codes]
         unit_codes = unit_codes[unit_codes < neg_code]
     ident_code = spec.one.rep * q ** 7 + spec.one.rep
     rest = unit_codes[unit_codes != ident_code]

@@ -217,6 +217,24 @@ def test_compare_subcommand(capsys, tmp_path):
     assert json.loads(out)["matched"] is True
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_compare_mismatch_is_strict_json(capsys, tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    rc, out, _ = run_cli(capsys, "chartable", "oracle-mstar", "--q", "2")
+    a.write_text(out)
+    rc, out, _ = run_cli(capsys, "chartable", "oracle-psl2", "--q", "2")
+    b.write_text(out)
+    rc, out, _ = run_cli(capsys, "chartable", "compare", "--table", str(a),
+                         "--other", str(b))
+    assert rc == 1
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload == {"matched": False, "max_diff": None}
+
+
 def test_export_roundtrip_table(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "chartable", "oracle-mstar", "--q", "4")
     original = json.loads(out)

@@ -195,3 +195,29 @@ def test_functional_scheme_serializes_through_source(paige2):
     assert data["relations"]["source"]["kind"] == "paige-loop-scheme"
     assert data["relations"]["source"]["q"] == 2
     assert len(data["relations"]["source"]["class_of"]) == 120
+
+
+def test_functional_rel_matches_dense(mstar2_scheme, paige2):
+    from schemeforge.loopcore import inner_orbits, loop_scheme
+    functional = loop_scheme(paige2, inner_orbits(paige2, policy="exact"),
+                             dense_limit=10)
+    fused = fuse(functional, [[0], list(range(1, functional.d + 1))])
+    assert not fused.is_dense
+    dense = mstar2_scheme.dense_matrix()
+    rng = np.random.default_rng(5)
+    for x, y in rng.integers(0, paige2.n, (300, 2)).tolist():
+        assert functional.rel(x, y) == dense[x, y]
+        assert fused.rel(x, y) == min(int(dense[x, y]), 1)
+
+
+def test_function_backed_rel_reads_one_entry():
+    mat = complete_graph_scheme(4).dense_matrix()
+
+    def no_rows(_):
+        raise AssertionError("rel read a whole row or column")
+
+    sch = AssociationScheme(4, 1, [1, 3], [0, 1], row_fn=no_rows, col_fn=no_rows,
+                            point_fn=lambda x, y: mat[x, y])
+    assert [sch.rel(x, y) for x in range(4) for y in range(4)] == mat.ravel().tolist()
+    with pytest.raises(ValueError):
+        AssociationScheme(4, 1, [1, 3], [0, 1], row_fn=no_rows, col_fn=no_rows)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from schemeforge.chartab import compute_character_table
 from schemeforge.errors import CapExceeded, ParseError, SingularMatrix
 from schemeforge.gf import field_for
-from schemeforge.zorn import (PaigeLoop, ZornMatrix, build_paige_loop,
+from schemeforge.loopcore import inner_orbits, loop_scheme
+from schemeforge.scheme import intersection_numbers
+from schemeforge.zorn import (PaigeLoop, ZornMatrix, _FieldTables,
+                              _zorn_product_digits, build_paige_loop,
                               paige_loop_order, zorn_det, zorn_inv, zorn_mul)
 
 
@@ -84,14 +88,41 @@ def test_build_paige_loop_q2(paige2):
     assert np.unique(codes).shape[0] == 120
 
 
-def test_loop_product_agrees_with_matrix_product(paige3):
-    rng = np.random.default_rng(3)
-    I = rng.integers(0, paige3.n, 300)
-    J = rng.integers(0, paige3.n, 300)
-    K = paige3.mul_vec(I, J)
-    for i, j, k in zip(I[:40], J[:40], K[:40]):
-        prod = paige3.matrix(int(i)) * paige3.matrix(int(j))
-        assert paige3.index_of(prod) == int(k)
+def test_loop_product_agrees_with_matrix_product(paige2, paige3):
+    for loop in (paige2, paige3, build_paige_loop(4), build_paige_loop(5)):
+        rng = np.random.default_rng(loop.q)
+        I = rng.integers(0, loop.n, 300)
+        J = rng.integers(0, loop.n, 300)
+        K = loop.mul_vec(I, J)
+        for i, j, k in zip(I[:100], J[:100], K[:100]):
+            prod = loop.matrix(int(i)) * loop.matrix(int(j))
+            assert loop.index_of(prod) == int(k)
+        # a scalar operand broadcasts against an array, and two give a scalar
+        assert np.array_equal(loop.mul_vec(int(I[0]), J),
+                              loop.mul_vec(np.full(300, I[0]), J))
+        assert loop.mul_vec(int(I[0]), int(J[0])) == K[0]
+        assert loop.mul(int(I[1]), int(J[1])) == K[1]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_kernel_matches_scalar_product(q):
+    spec = field_for(q)
+    ft = _FieldTables(spec)
+    rng = np.random.default_rng(100 + q)
+    A = rng.integers(0, q, (8, 2000)).astype(np.uint8)
+    B = rng.integers(0, q, (8, 2000)).astype(np.uint8)
+    C = np.array(_zorn_product_digits(ft, A, B))
+    det = ft.det(A)
+    for k in range(A.shape[1]):
+        m1 = ZornMatrix.from_reps(spec, A[:, k])
+        m2 = ZornMatrix.from_reps(spec, B[:, k])
+        assert tuple(C[:, k].tolist()) == (m1 * m2).to_reps()
+        assert int(det[k]) == m1.det().rep
+
+
+def test_kernel_refuses_fields_beyond_its_index_range():
+    with pytest.raises(CapExceeded):
+        _FieldTables(field_for(17))
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -168,3 +199,126 @@ def test_small_loop_table_is_materialized(paige2):
     I = rng.integers(0, 120, 500)
     J = rng.integers(0, 120, 500)
     assert np.array_equal(T[I, J], paige2.mul_vec(I, J))
+
+
+# The Zorn product as it was computed with two-dimensional int64 tables,
+# kept as a reference: the flat fused tables must reproduce it byte for byte.
+
+class _FrozenTables:
+    def __init__(self, spec):
+        q = spec.q
+        self.q = q
+        self.MUL = np.array(spec._mul, dtype=np.int64)
+        self.ADD = np.array(spec._add, dtype=np.int64)
+        self.SUB = np.array([[spec.sub(x, y) for y in range(q)] for x in range(q)],
+                            dtype=np.int64)
+        self.NEG = np.array(spec._neg, dtype=np.int64)
+
+    def dot3(self, U, V):
+        MUL, ADD = self.MUL, self.ADD
+        return ADD[ADD[MUL[U[0], V[0]], MUL[U[1], V[1]]], MUL[U[2], V[2]]]
+
+    def cross3(self, U, V):
+        MUL, SUB = self.MUL, self.SUB
+        return (SUB[MUL[U[1], V[2]], MUL[U[2], V[1]]],
+                SUB[MUL[U[2], V[0]], MUL[U[0], V[2]]],
+                SUB[MUL[U[0], V[1]], MUL[U[1], V[0]]])
+
+
+def _frozen_product_digits(ft, A, B):
+    MUL, ADD, SUB = ft.MUL, ft.ADD, ft.SUB
+    a, al, be, b = A[0], A[1:4], A[4:7], A[7]
+    c, ga, de, d = B[0], B[1:4], B[4:7], B[7]
+    bxd = ft.cross3(be, de)
+    axg = ft.cross3(al, ga)
+    e = ADD[MUL[a, c], ft.dot3(al, de)]
+    f = ADD[ft.dot3(be, ga), MUL[b, d]]
+    top = tuple(SUB[ADD[MUL[a, ga[k]], MUL[d, al[k]]], bxd[k]] for k in range(3))
+    bot = tuple(ADD[ADD[MUL[c, be[k]], MUL[b, de[k]]], axg[k]] for k in range(3))
+    return (e,) + top + bot + (f,)
+
+
+def _frozen_elems(q):
+    spec = field_for(q)
+    ft = _FrozenTables(spec)
+    codes = np.arange(q ** 8, dtype=np.int64)
+    digits = tuple((codes // q ** (7 - k)) % q for k in range(8))
+    det = ft.SUB[ft.MUL[digits[0], digits[7]], ft.dot3(digits[1:4], digits[4:7])]
+    unit_codes = codes[det == spec.one.rep]
+    if q % 2:
+        neg_code = sum(ft.NEG[digits[k]][det == spec.one.rep] * q ** (7 - k)
+                       for k in range(8))
+        unit_codes = unit_codes[unit_codes < neg_code]
+    ident_code = spec.one.rep * q ** 7 + spec.one.rep
+    rest = unit_codes[unit_codes != ident_code]
+    ordered = np.concatenate([[ident_code], np.sort(rest)])
+    elems = np.empty((ordered.shape[0], 8), dtype=np.int16)
+    for k in range(8):
+        elems[:, k] = (ordered // q ** (7 - k)) % q
+    return elems
+
+
+class _FrozenPaigeLoop(PaigeLoop):
+    def _build_lookup(self):
+        self._old = _FrozenTables(self.spec)
+        self._strides = self.q ** np.arange(7, -1, -1, dtype=np.int64)
+        lookup = np.full(self.q ** 8, -1, dtype=np.int32)
+        E = self.elems.astype(np.int64)
+        lookup[E @ self._strides] = np.arange(self.n, dtype=np.int32)
+        if self.q % 2:
+            lookup[self._old.NEG[E] @ self._strides] = np.arange(self.n, dtype=np.int32)
+        return lookup
+
+    def mul_vec(self, I, J):
+        I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
+        if self._table is not None:
+            return self._table[I, J]
+        A = self.elems[I].astype(np.int64)
+        B = self.elems[J].astype(np.int64)
+        prod = _frozen_product_digits(self._old, tuple(A[..., k] for k in range(8)),
+                                      tuple(B[..., k] for k in range(8)))
+        code = prod[0]
+        for k in range(1, 8):
+            code = code * self.q + prod[k]
+        return self._lookup[code].astype(np.int64)
+
+    def inv_array(self):
+        if self._inv_of is None:
+            E = self.elems.astype(np.int64)
+            NEG = self._old.NEG
+            rows = np.stack([E[:, 7], NEG[E[:, 1]], NEG[E[:, 2]], NEG[E[:, 3]],
+                             NEG[E[:, 4]], NEG[E[:, 5]], NEG[E[:, 6]], E[:, 0]], axis=1)
+            self._inv_of = self._lookup[rows @ self._strides].astype(np.int64)
+        return self._inv_of
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_build_matches_frozen_enumeration(q):
+    loop = build_paige_loop(q)
+    frozen = _frozen_elems(q)
+    assert loop.elems.dtype == frozen.dtype
+    assert loop.elems.tobytes() == frozen.tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_products_match_frozen_kernel(q):
+    loop = build_paige_loop(q, element_cap=paige_loop_order(q))
+    frozen = _FrozenPaigeLoop(loop.spec, loop.elems)
+    assert np.array_equal(loop._lookup, frozen._lookup)
+    rng = np.random.default_rng(200 + q)
+    I = rng.integers(0, loop.n, 20_000)
+    J = rng.integers(0, loop.n, 20_000)
+    new, old = loop.mul_vec(I, J), frozen.mul_vec(I, J)
+    assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+    assert loop.inv_array().tobytes() == frozen.inv_array().tobytes()
+
+
+def test_mstar3_pipeline_matches_frozen_kernel():
+    loop = build_paige_loop(3)
+    frozen = _FrozenPaigeLoop(loop.spec, _frozen_elems(3))
+    reports = [inner_orbits(lp, policy="randomized") for lp in (loop, frozen)]
+    assert reports[0].class_of.tobytes() == reports[1].class_of.tobytes()
+    assert reports[0].samples == reports[1].samples
+    tables = [compute_character_table(intersection_numbers(loop_scheme(lp, r)))
+              for lp, r in zip((loop, frozen), reports)]
+    assert tables[0].P.tobytes() == tables[1].P.tobytes()
