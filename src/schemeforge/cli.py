@@ -273,7 +273,7 @@ def _cmd_paige_build(args, cfg: RunConfig):
 def _pipeline_table(q: int, cfg: RunConfig, policy: str) -> chartab.CharacterTable:
     loop = zorn.build_paige_loop(q, element_cap=cfg.element_cap)
     orbits = loopcore.inner_orbits(loop, policy=policy, seed=cfg.seed)
-    sch = loopcore.loop_scheme(loop, class_of=orbits.class_of)
+    sch = loopcore.loop_scheme(loop, class_of=orbits)
     return chartab.compute_character_table(sch, seed=cfg.seed,
                                            tol_eigen=cfg.tol_eigen)
 
@@ -322,7 +322,7 @@ def _load_loop(args, cfg: RunConfig) -> loopcore.LoopStructure:
 def _cmd_scheme_loop_scheme(args, cfg: RunConfig):
     loop = _load_loop(args, cfg)
     orbits = loopcore.inner_orbits(loop, policy=args.policy, seed=cfg.seed)
-    sch = loopcore.loop_scheme(loop, class_of=orbits.class_of)
+    sch = loopcore.loop_scheme(loop, class_of=orbits)
     return 0, _render_scheme(sch, cfg)
 
 

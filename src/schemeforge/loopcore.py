@@ -3,12 +3,26 @@ and the association scheme a commutative-by-orbits loop carries.
 
 Elements are integer indices 0..n-1 with the identity at index 0.  The scheme
 relation is rel(u, v) = class of v / u, where the classes are the orbits of
-the inner mapping group (the stabilizer of the identity inside the group
-generated by all left and right translations).
+the inner mapping group Inn(L), the stabilizer of the identity inside the
+multiplication group Mlt(L) generated by all left and right translations.
+The scheme is then the orbital scheme of the transitive group Mlt(L).
+
+Large loops get their orbits from a randomized refinement: random inner
+maps, each applied to every point at once, join points into components,
+and every component lies inside one orbit.  A loop may bound the orbits
+from above by an invariant partition, a partition known to be a union of
+inner orbits.  For the Paige loops M*(q) that is the trace partition: inner
+maps fix 1 and preserve the norm ab - alpha.beta, hence its polar form
+with 1, the trace a + b (up to sign for odd q, where elements are taken
+mod -1).  Once the components refine the invariant partition with as many
+classes, both equal the orbit partition, and the certificate is exact.  A
+component that crosses two invariant classes, or a map budget spent short
+of the count, proves the invariant wrong and raises CertificationFailed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +31,14 @@ from .config import (DEFAULT_RELATION_CAP, DEFAULT_SEED, DENSE_RELATION_LIMIT,
                      EXACT_ORBIT_CAP, MOUFANG_EXHAUSTIVE_LIMIT)
 from .errors import (CapExceeded, CertificationFailed, IndexOutOfRange,
                      ParseError)
-from .permgroup import Permutation, PermutationGroup, pair_orbits
+from .permgroup import (Permutation, PermutationGroup, min_label_components,
+                        pair_orbits)
 from .scheme import AssociationScheme, _class_dtype, verify_scheme_axioms
 
-MAX_ROUNDS = 10             # randomized refinement rounds before giving up
+MAP_BUDGET = 64             # whole-point inner maps before the refinement gives up
+QUIET_MAPS = 3              # maps in a row without a merge that end an unbounded round
 VERIFY_SEED_OFFSET = 101    # certificate seed offset from the sampling seed
+BLOCK_PRODUCTS = 1 << 16    # loop products per block of a long product or dense build
 
 
 class LoopStructure:
@@ -51,6 +68,11 @@ class LoopStructure:
 
     def table(self) -> np.ndarray | None:
         """Full multiplication table when affordable, else None."""
+        return None
+
+    def invariant_partition(self) -> np.ndarray | None:
+        """Canonical labels of a partition known to be a union of inner
+        orbits, or None; it makes the randomized refinement exact."""
         return None
 
     def scheme_source(self) -> dict | None:
@@ -345,8 +367,10 @@ class InnerOrbitReport:
     class_of: np.ndarray
     n_classes: int
     policy: str        # "exact" or "randomized"
-    samples: int       # sampled inner-map applications (randomized only)
-    certified: bool    # randomized results carry a sampled-axioms certificate
+    samples: int       # inner-map point applications (randomized only)
+    certified: bool    # every returned partition carries a certificate
+    certificate: str   # "exact" (proved orbits) or "sampled" (sampled axioms)
+    rounds: int        # whole-point inner maps applied (randomized only)
 
     @property
     def class_sizes(self) -> list[int]:
@@ -354,20 +378,20 @@ class InnerOrbitReport:
 
 
 def _canonical_labels(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel so class 0 holds index 0, the rest ordered by (size, min)."""
-    _, inverse = np.unique(raw, return_inverse=True)
-    count = int(inverse.max()) + 1
-    sizes = np.bincount(inverse, minlength=count)
-    order = np.argsort(inverse, kind="stable")
-    firsts = order[np.searchsorted(inverse[order], np.arange(count))]
-    ident_class = int(inverse[0])
-    rest = sorted((c for c in range(count) if c != ident_class),
-                  key=lambda c: (int(sizes[c]), int(firsts[c])))
-    relabel = np.empty(count, dtype=np.int64)
-    relabel[ident_class] = 0
-    for new, old in enumerate(rest, start=1):
-        relabel[old] = new
-    return relabel[inverse], count
+    """Relabel so class 0 holds index 0, the rest ordered by (size, min).
+
+    raw holds non-negative class ids no larger than its length.
+    """
+    sizes = np.bincount(raw)
+    firsts = np.full(sizes.shape[0], raw.shape[0])
+    np.minimum.at(firsts, raw, np.arange(raw.shape[0]))
+    used = np.flatnonzero(sizes)
+    rest = used[used != raw[0]]
+    rest = rest[np.lexsort((firsts[rest], sizes[rest]))]
+    relabel = np.empty(sizes.shape[0], dtype=np.int64)
+    relabel[raw[0]] = 0
+    relabel[rest] = np.arange(1, rest.shape[0] + 1)
+    return relabel[raw], used.shape[0]
 
 
 def _inner_orbits_exact(loop: LoopStructure) -> InnerOrbitReport:
@@ -385,104 +409,80 @@ def _inner_orbits_exact(loop: LoopStructure) -> InnerOrbitReport:
     # of v / u, so restricting to pair codes 0..n-1 reads the classes off
     fiber = orbit_id[:n]
     class_of, count = _canonical_labels(fiber)
-    return InnerOrbitReport(class_of, count, "exact", 0, True)
+    return InnerOrbitReport(class_of, count, "exact", 0, True, "exact", 0)
 
 
-def _flatten_parent(parent: np.ndarray):
-    while True:
-        p2 = parent[parent]
-        if np.array_equal(p2, parent):
-            return
-        parent[:] = p2
+def _blocks(shape: tuple) -> list[slice]:
+    """Slices along axis 0 of an array of the given shape, each holding at
+    most BLOCK_PRODUCTS entries (at least one row)."""
+    step = max(1, BLOCK_PRODUCTS // math.prod(shape[1:]))
+    return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
 
 
-def _find_root(parent: np.ndarray, a: int) -> int:
-    while parent[a] != a:
-        parent[a] = parent[parent[a]]
-        a = int(parent[a])
-    return a
-
-
-def _union_batch(parent: np.ndarray, A: np.ndarray, B: np.ndarray) -> int:
-    ra, rb = parent[A], parent[B]
-    mask = ra != rb
-    if not mask.any():
-        return 0
-    lo = np.minimum(ra[mask], rb[mask])
-    hi = np.maximum(ra[mask], rb[mask])
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    merged = 0
-    for a, b in pairs:
-        ra_, rb_ = _find_root(parent, int(a)), _find_root(parent, int(b))
-        if ra_ != rb_:
-            parent[max(ra_, rb_)] = min(ra_, rb_)
-            merged += 1
-    if merged:
-        _flatten_parent(parent)
-    return merged
-
-
-def _sampled_inner_images(loop: LoopStructure, kinds: np.ndarray,
-                          X: np.ndarray, Y: np.ndarray,
+def _sampled_inner_images(loop: LoopStructure, kind: int, x, y,
                           Z: np.ndarray) -> np.ndarray:
-    """Per-sample images under T(x), L(x,y), R(x,y), chosen by kinds."""
-    W = np.empty(Z.shape[0], dtype=np.int64)
-    for kind in range(3):
-        mask = kinds == kind
-        if not mask.any():
-            continue
-        x, y, z = X[mask], Y[mask], Z[mask]
-        if kind == 0:
-            W[mask] = loop.left_div_vec(x, loop.mul_vec(z, x))
-        elif kind == 1:
-            xy = loop.mul_vec(x, y)
-            W[mask] = loop.left_div_vec(xy, loop.mul_vec(x, loop.mul_vec(y, z)))
-        else:
-            xy = loop.mul_vec(x, y)
-            W[mask] = loop.right_div_vec(loop.mul_vec(loop.mul_vec(z, x), y), xy)
-    return W
+    """Images of the points Z under T(x), L(x, y) or R(x, y) for kind 0, 1
+    or 2; x and y broadcast against Z."""
+    if kind == 0:
+        return loop.left_div_vec(x, loop.mul_vec(Z, x))
+    xy = loop.mul_vec(x, y)
+    if kind == 1:
+        return loop.left_div_vec(xy, loop.mul_vec(x, loop.mul_vec(y, Z)))
+    return loop.right_div_vec(loop.mul_vec(loop.mul_vec(Z, x), y), xy)
 
 
 def _inner_orbits_randomized(loop: LoopStructure, seed: int) -> InnerOrbitReport:
-    """Union-find refinement driven by single-point inner-map samples.
+    """Refinement by random inner maps applied to every point at once.
 
-    Each sample draws a map (T, L or R), uniform parameters x, y, and a
-    uniform point z, then unions z with its image.  A round ends once 3n
-    consecutive samples cause no merge; the partition is then certified by
-    a sampled scheme-axioms check, and undermerge sends us back to sampling.
+    Each map draws a kind (T, L or R) and uniform parameters x, y; its
+    n point images join components, labelled by their smallest point.
+    With an invariant partition the loop stops once the components refine
+    it with the same class count (certificate "exact").  Without one, a
+    round ends after QUIET_MAPS maps in a row merge nothing, and a sampled
+    scheme-axioms check certifies the partition or sends it back to
+    refining (certificate "sampled").
     """
     n = loop.n
     rng = np.random.default_rng(seed)
-    parent = np.arange(n, dtype=np.int64)
-    target = 3 * n
-    block = min(4096, target)
-    samples = 0
-    for round_no in range(MAX_ROUNDS):
-        stable = 0
-        while stable < target:
-            kinds = rng.integers(0, 3, size=block)
-            X = rng.integers(0, n, size=block)
-            Y = np.where(kinds > 0, rng.integers(0, n, size=block), 0)
-            Z = rng.integers(0, n, size=block)
-            W = _sampled_inner_images(loop, kinds, X, Y, Z)
-            samples += block
-            # parent stays flattened, so parent[v] is already the root
-            diff = np.flatnonzero(parent[Z] != parent[W])
-            if diff.size == 0:
-                stable += block
-                continue
-            _union_batch(parent, Z[diff], W[diff])
-            stable = block - 1 - int(diff[-1])
-        class_of, count = _canonical_labels(parent)
+    bound = loop.invariant_partition()
+    points = np.arange(n)
+    label = points
+    count = n
+    quiet = checks = 0
+    for rounds in range(1, MAP_BUDGET + 1):
+        kind = int(rng.integers(0, 3))
+        x, y = rng.integers(0, n, size=2)
+        image = _sampled_inner_images(loop, kind, x, y, points)
+        label = min_label_components(label, [(points, image)])
+        merged = count - int(np.count_nonzero(label == points))
+        count -= merged
+        if bound is not None:
+            crossed = np.flatnonzero(bound[label] != bound)
+            if crossed.size:
+                z = int(crossed[0])
+                raise CertificationFailed(
+                    f"inner maps join points {int(label[z])} and {z}, which lie "
+                    f"in different classes of the invariant partition")
+            if count == int(bound.max()) + 1:
+                class_of, _ = _canonical_labels(label)
+                return InnerOrbitReport(class_of, count, "randomized",
+                                        rounds * n, True, "exact", rounds)
+            continue
+        quiet = 0 if merged else quiet + 1
+        if quiet < QUIET_MAPS:
+            continue
+        quiet = 0
+        class_of, _ = _canonical_labels(label)
         candidate = loop_scheme(loop, class_of=class_of)
-        report = verify_scheme_axioms(candidate, seed=seed + VERIFY_SEED_OFFSET + round_no)
+        report = verify_scheme_axioms(candidate, seed=seed + VERIFY_SEED_OFFSET + checks)
+        checks += 1
         if report.passed:
-            return InnerOrbitReport(class_of, count, "randomized",
-                                    samples, True)
-        # undermerged: the sampled certificate failed, keep sampling
+            return InnerOrbitReport(class_of, count, "randomized", rounds * n,
+                                    True, "sampled", rounds)
+        # undermerged: the sampled certificate failed, keep refining
     raise CertificationFailed(
-        f"inner-orbit refinement did not stabilize after {MAX_ROUNDS} rounds "
-        f"({samples} sampled inner maps)")
+        f"inner-orbit refinement reached {count} classes after {MAP_BUDGET} "
+        f"whole-point inner maps without a certificate")
 
 
 def inner_orbits(loop: LoopStructure, policy: str = "auto",
@@ -491,8 +491,19 @@ def inner_orbits(loop: LoopStructure, policy: str = "auto",
 
     policy "exact" runs a pair-orbit computation under all translations
     (quadratic memory, small loops only), "randomized" refines a partition
-    with random inner maps until a sampled scheme-axioms certificate passes,
-    and "auto" picks exact for n <= 256.
+    with random inner maps applied to all points at once, and "auto" picks
+    exact for n <= 256.
+
+    The randomized refinement is exact when the loop has an invariant
+    partition: for M*(q) the trace classes, a + b up to sign for odd q,
+    with the identity split off.  Inner maps fix 1 and preserve the norm,
+    so each trace class is a union of orbits, while joined components lie
+    inside orbits.  Equal class counts therefore prove both partitions equal
+    to the orbit partition, with no sampling (certificate "exact").  A
+    component crossing two trace classes, or MAP_BUDGET maps without
+    reaching their count, raises CertificationFailed.  Loops without an
+    invariant (TableLoop) are certified by a sampled scheme-axioms check
+    (certificate "sampled").
     """
     if policy == "auto":
         policy = "exact" if loop.n <= 256 else "randomized"
@@ -513,11 +524,16 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
     that.  Passing class_of (an array or an InnerOrbitReport) skips the
     orbit computation; it is reused both by the certification step of the
     randomized policy and by callers that already hold a certified partition.
+    A report with an exact certificate marks the scheme orbital (the
+    orbital scheme of Mlt(L)), so its intersection numbers are read from
+    the identity row; a bare array gets the representative scan.
     """
     n = loop.n
     if class_of is None:
-        class_of = inner_orbits(loop, policy=policy, seed=seed).class_of
-    elif isinstance(class_of, InnerOrbitReport):
+        class_of = inner_orbits(loop, policy=policy, seed=seed)
+    orbital = False
+    if isinstance(class_of, InnerOrbitReport):
+        orbital = class_of.certificate == "exact"
         class_of = class_of.class_of
     class_of = np.asarray(class_of, dtype=np.int64)
     if class_of.shape != (n,):
@@ -533,18 +549,17 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
         source["class_of"] = class_of.tolist()
     else:
         source = {"kind": "loop-scheme", "n": n}
-    if n <= dense_limit and n * n <= relation_cap:
-        if isinstance(loop, TableLoop):
-            matrix = class_of[loop._rdiv].T
-        else:
-            matrix = np.empty((n, n), dtype=np.int64)
-            Z = np.arange(n)
-            for u in range(n):
-                matrix[u] = class_of[loop.right_div_vec(Z, u)]
-        return AssociationScheme.from_matrix(matrix.astype(_class_dtype(d)),
-                                             source=source)
     Z = np.arange(n)
     dtype = _class_dtype(d)
+    if n <= dense_limit and n * n <= relation_cap:
+        if isinstance(loop, TableLoop):
+            matrix = class_of[loop._rdiv].T.astype(dtype)
+        else:
+            matrix = np.empty((n, n), dtype=dtype)
+            for rows in _blocks((n, n)):
+                matrix[rows] = class_of[loop.right_div_vec(Z, Z[rows, None])]
+        return AssociationScheme.from_matrix(matrix, source=source,
+                                             orbital=orbital)
 
     def row_fn(u: int) -> np.ndarray:
         return class_of[loop.right_div_vec(Z, u)].astype(dtype)
@@ -557,4 +572,4 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
 
     return AssociationScheme(n, d, valencies, np.asarray(transpose_map),
                              row_fn=row_fn, col_fn=col_fn, point_fn=point_fn,
-                             source=source)
+                             source=source, orbital=orbital)

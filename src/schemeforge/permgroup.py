@@ -315,39 +315,19 @@ class PermutationGroup:
         """Conjugacy classes as sorted index lists, ordered by (size, minimal index).
 
         The classes are the connected components of the maps
-        x -> C_s[x] = index(s^-1 * x * s) over the generators s.  Labels
-        start as the element indices and take the minimum along every C_s
-        and its inverse, with pointer jumping, until they settle on the
-        smallest index of each component.  No multiplication table is
-        built.  Raises ValueError when some s^-1 * x * s is not in the
-        element list.
+        x -> C_s[x] = index(s^-1 * x * s) over the generators s, labelled
+        by min_label_components.  No multiplication table is built.
+        Raises ValueError when some s^-1 * x * s is not in the element
+        list.
         """
         if self._classes is None:
             self.require_enumerated()
-            n = len(self.elements)
             imgs = self._images()
-            ident = np.arange(n)
-            maps = []
-            for s in self.generators:
-                # (s^-1 * x * s).images = s.images[x.images[s^-1.images]]
-                conj = self._rows_to_indices(
-                    s.as_array()[imgs[:, s.inverse().as_array()]])
-                back = np.empty_like(conj)
-                back[conj] = ident
-                maps += [conj, back]
-            label = ident
-            while True:
-                lower = label
-                for m in maps:
-                    lower = np.minimum(lower, label[m])
-                while True:
-                    jumped = lower[lower]
-                    if np.array_equal(jumped, lower):
-                        break
-                    lower = jumped
-                if np.array_equal(lower, label):
-                    break
-                label = lower
+            ident = np.arange(len(self.elements))
+            # (s^-1 * x * s).images = s.images[x.images[s^-1.images]]
+            edges = [(ident, self._rows_to_indices(s.as_array()[imgs[:, s.inverse().as_array()]]))
+                     for s in self.generators]
+            label = min_label_components(ident, edges)
             order = np.argsort(label, kind="stable")
             roots, starts, sizes = np.unique(label[order], return_index=True,
                                              return_counts=True)
@@ -410,6 +390,33 @@ def point_orbit(gen_arrays: np.ndarray, n: int, start: int = 0) -> np.ndarray:
         seen[new] = True
         frontier = new
     return np.flatnonzero(seen)
+
+
+def min_label_components(label: np.ndarray, edges) -> np.ndarray:
+    """Smallest index in each connected component of the graph that joins
+    A[k] to B[k] for every pair of index arrays (A, B) in edges, and every
+    x to label[x].
+
+    label[x] must be the smallest point of a set holding x that is already
+    known to be joined (so label[label] == label); the identity labelling
+    starts from singletons.  Each pass hooks the label at either end of an
+    edge onto the smaller label at the other end, then pointer jumping
+    flattens the hooks, until no edge joins two labels.
+    """
+    while True:
+        lower = label.copy()
+        for A, B in edges:
+            a, b = label[A], label[B]
+            np.minimum.at(lower, a, b)
+            np.minimum.at(lower, b, a)
+        while True:
+            jumped = lower[lower]
+            if np.array_equal(jumped, lower):
+                break
+            lower = jumped
+        if np.array_equal(lower, label):
+            return label
+        label = lower
 
 
 def pair_orbits(gen_arrays: np.ndarray, n: int) -> tuple[np.ndarray, int]:

@@ -4,7 +4,9 @@ A scheme on n points with d+1 classes stores its relation either as a dense
 n x n class-index matrix or as row, column and point functions for sizes
 where the matrix would not fit.  Intersection numbers are counted from
 representative pairs; disagreement between representatives is the definitive
-signal that the input partition is not a scheme.
+signal that the input partition is not a scheme.  An orbital scheme (its
+classes are the orbits of a transitive group on pairs) has the same counts
+at every pair of a class, so they are read from the pairs (0, y).
 """
 
 from __future__ import annotations
@@ -24,10 +26,15 @@ def _class_dtype(d: int):
 
 
 class AssociationScheme:
-    """Partition of X x X into classes R_0..R_d with R_0 the diagonal."""
+    """Partition of X x X into classes R_0..R_d with R_0 the diagonal.
+
+    orbital is True only when the classes are known to be the orbits of a
+    group acting transitively on the points.
+    """
 
     def __init__(self, n, d, valencies, transpose_map, matrix=None,
-                 row_fn=None, col_fn=None, point_fn=None, source=None):
+                 row_fn=None, col_fn=None, point_fn=None, source=None,
+                 orbital=False):
         self.n = int(n)
         self.d = int(d)
         self.valencies = np.asarray(valencies, dtype=np.int64)
@@ -41,11 +48,12 @@ class AssociationScheme:
         self._col_fn = col_fn
         self._point_fn = point_fn
         self.source = source
+        self.orbital = orbital
         if matrix is None and None in (row_fn, col_fn, point_fn):
             raise ValueError("need either a dense matrix or row, column and point functions")
 
     @classmethod
-    def from_matrix(cls, matrix, source=None) -> "AssociationScheme":
+    def from_matrix(cls, matrix, source=None, orbital=False) -> "AssociationScheme":
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"relation matrix must be square, got {matrix.shape}")
@@ -59,7 +67,8 @@ class AssociationScheme:
             hits = np.flatnonzero(row0 == i)
             if hits.size:
                 transpose[i] = matrix[hits[0], 0]
-        return cls(n, d, valencies, transpose, matrix=matrix, source=source)
+        return cls(n, d, valencies, transpose, matrix=matrix, source=source,
+                   orbital=orbital)
 
     # relation access
 
@@ -185,11 +194,36 @@ def _collect_representatives(scheme: AssociationScheme):
     return reps
 
 
-def _counts_for_pair(scheme: AssociationScheme, x: int, y: int, d: int) -> np.ndarray:
-    i_vec = scheme.rel_row(x).astype(np.int64)
-    j_vec = scheme.rel_col(y).astype(np.int64)
-    counts = np.bincount(i_vec * (d + 1) + j_vec, minlength=(d + 1) ** 2)
-    return counts.reshape(d + 1, d + 1)
+def _pair_counts(row: np.ndarray, col: np.ndarray, d: int) -> np.ndarray:
+    """[i, j] = #{z : row[z] = i, col[z] = j} for the row of x and column of y."""
+    codes = row.astype(np.int64) * (d + 1) + col.astype(np.int64)
+    return np.bincount(codes, minlength=(d + 1) ** 2).reshape(d + 1, d + 1)
+
+
+def _record(tensor: np.ndarray, h: int, counts: np.ndarray, x: int, y: int) -> None:
+    """Store the counts of pair (x, y) as p_ij^h, or check them against the
+    counts already stored for class h."""
+    if tensor[h, 0, 0] < 0:
+        tensor[h] = counts
+    elif not np.array_equal(tensor[h], counts):
+        raise NotAScheme(
+            f"class {h}: intersection numbers at pair ({x}, {y}) "
+            f"disagree with an earlier representative")
+
+
+def _identity_row_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
+    """p_ij^h of an orbital scheme from the pair (0, y_h), one y_h per class,
+    each checked at one more pair of its class in row 1."""
+    d, n = scheme.d, scheme.n
+    tensor = np.full((d + 1, d + 1, d + 1), -1, dtype=np.int64)
+    for x in (0, min(1, n - 1)):
+        row = scheme.rel_row(x)
+        classes, first = np.unique(row, return_index=True)
+        if classes.shape[0] != d + 1:
+            raise NotAScheme(f"row {x} meets only classes {classes.tolist()} of 0..{d}")
+        for h, y in zip(classes.tolist(), first.tolist()):
+            _record(tensor, h, _pair_counts(row, scheme.rel_col(y), d), x, y)
+    return IntersectionNumbers(tensor, scheme.valencies, n)
 
 
 def intersection_numbers(scheme: AssociationScheme,
@@ -197,9 +231,14 @@ def intersection_numbers(scheme: AssociationScheme,
     """Count p_ij^h from representative pairs of each class.
 
     Every representative of a class must give identical counts; a mismatch
-    raises NotAScheme naming the offending class and pair.  Schemes with at
-    most `exhaustive_limit` points are checked over all n^2 pairs.
+    raises NotAScheme naming the offending class and pair.  An orbital
+    scheme is read from the identity row with one cross-check pair per
+    class.  Other schemes with at most `exhaustive_limit` points are
+    checked over all n^2 pairs, and larger ones at REPS_PER_CLASS pairs
+    per class from the first rows.
     """
+    if scheme.orbital:
+        return _identity_row_numbers(scheme)
     d, n = scheme.d, scheme.n
     tensor = np.full((d + 1, d + 1, d + 1), -1, dtype=np.int64)
 
@@ -213,25 +252,14 @@ def intersection_numbers(scheme: AssociationScheme,
             flat = (np.arange(n, dtype=np.int64) * span)[None, :] + codes
             counts = np.bincount(flat.ravel(), minlength=n * span).reshape(n, d + 1, d + 1)
             for y in range(n):
-                h = int(row[y])
-                if tensor[h, 0, 0] < 0:
-                    tensor[h] = counts[y]
-                elif not np.array_equal(tensor[h], counts[y]):
-                    raise NotAScheme(
-                        f"class {h}: intersection numbers at pair ({x}, {y}) "
-                        f"disagree with an earlier representative")
+                _record(tensor, int(row[y]), counts[y], x, y)
         return IntersectionNumbers(tensor, scheme.valencies, n)
 
     reps = _collect_representatives(scheme)
     for h in range(d + 1):
         for x, y in reps[h]:
-            counts = _counts_for_pair(scheme, x, y, d)
-            if tensor[h, 0, 0] < 0:
-                tensor[h] = counts
-            elif not np.array_equal(tensor[h], counts):
-                raise NotAScheme(
-                    f"class {h}: intersection numbers at pair ({x}, {y}) "
-                    f"disagree with an earlier representative")
+            counts = _pair_counts(scheme.rel_row(x), scheme.rel_col(y), d)
+            _record(tensor, h, counts, x, y)
     return IntersectionNumbers(tensor, scheme.valencies, n)
 
 

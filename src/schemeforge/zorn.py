@@ -34,7 +34,7 @@ import numpy as np
 from .config import element_cap_default
 from .errors import CapExceeded, ParseError, SingularMatrix
 from .gf import FieldSpec, Vec3, field_for
-from .loopcore import LoopStructure
+from .loopcore import BLOCK_PRODUCTS, LoopStructure, _blocks, _canonical_labels
 
 
 class ZornMatrix:
@@ -243,11 +243,21 @@ class PaigeLoop(LoopStructure):
 
     # loop interface
 
+    def _products(self, I, J) -> np.ndarray:
+        prod = _zorn_product_digits(self._ft, self._digits(I), self._digits(J))
+        return self._lookup.take(self._ft.codes(prod)).astype(np.int64)
+
     def mul_vec(self, I, J):
         if self._table is not None:
             return self._table[I, J]
-        prod = _zorn_product_digits(self._ft, self._digits(I), self._digits(J))
-        return self._lookup.take(self._ft.codes(prod)).astype(np.int64)
+        I, J = np.broadcast_arrays(I, J)
+        if I.size <= BLOCK_PRODUCTS:
+            return self._products(I, J)
+        # blocks keep the kernel's temporaries in cache
+        out = np.empty(I.shape, dtype=np.int64)
+        for rows in _blocks(I.shape):
+            out[rows] = self._products(I[rows], J[rows])
+        return out
 
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:
@@ -274,12 +284,26 @@ class PaigeLoop(LoopStructure):
 
     def table(self) -> np.ndarray | None:
         if self._table is None and self.n <= self.TABLE_LIMIT:
-            rows = np.empty((self.n, self.n), dtype=np.int32)
+            table = np.empty((self.n, self.n), dtype=np.int32)
             Z = np.arange(self.n)
-            for i in range(self.n):
-                rows[i] = self.mul_vec(np.full(self.n, i), Z)
-            self._table = rows
+            for rows in _blocks((self.n, self.n)):
+                table[rows] = self.mul_vec(Z[rows, None], Z)
+            self._table = table
         return self._table
+
+    def invariant_partition(self) -> np.ndarray:
+        """Trace classes, canonically labelled: a + b, taken up to sign for
+        odd q, with the identity in a class of its own.  Inner maps fix 1
+        and preserve the norm ab - alpha.beta, so they preserve the trace
+        (Paige 1956; Nagy and Vojtechovsky 2003) and every trace class is a
+        union of inner orbits."""
+        D = self._digits(np.arange(self.n))
+        trace = self._ft.add(D[0], D[7])
+        if self.q % 2:
+            trace = np.minimum(trace, self._ft.NEG.take(trace))
+        raw = trace.astype(np.int64) + 1
+        raw[0] = 0
+        return _canonical_labels(raw)[0]
 
     def scheme_source(self) -> dict:
         return {"kind": "paige-loop-scheme", "q": self.q}

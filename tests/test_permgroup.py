@@ -6,7 +6,8 @@ from schemeforge.errors import (CapExceeded, NotEnumerated, NotSubgroup,
 from schemeforge.permgroup import (CosetAction, Permutation, PermutationGroup,
                                    closure, coset_action, cyclic,
                                    double_cosets, group_scheme, is_subgroup,
-                                   load_generators, orbitals,
+                                   load_generators, min_label_components,
+                                   orbitals,
                                    parse_generator_line, parse_generators,
                                    psl2, regular_action, sl2, stabilizer,
                                    symmetric)
@@ -144,6 +145,36 @@ def _bfs_classes(group):
 def test_conjugacy_classes_match_bfs_reference(make, arg):
     group = make(arg)
     assert group.conjugacy_classes() == _bfs_classes(group)
+
+
+def _smallest_in_component(n, pairs):
+    """Reference labels: union-find over the edge list, one edge at a time."""
+    parent = list(range(n))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+    for a, b in pairs:
+        ra, rb = root(a), root(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return np.array([root(x) for x in range(n)])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_min_label_components_matches_union_find(seed):
+    rng = np.random.default_rng(seed)
+    n = 300
+    first = [(rng.integers(n, size=40), rng.integers(n, size=40))]
+    second = [(np.arange(n), rng.permutation(n)) if seed % 2 else
+              (rng.integers(n, size=25), rng.integers(n, size=25))]
+    # joining the first edges, then the second on top of those labels,
+    # is the same as joining both at once
+    label = min_label_components(np.arange(n), first)
+    both = [pair for A, B in first + second for pair in zip(A, B)]
+    want = _smallest_in_component(n, both)
+    assert np.array_equal(min_label_components(label, second), want)
+    assert np.array_equal(min_label_components(np.arange(n), first + second), want)
 
 
 @pytest.mark.parametrize("make,arg", [(psl2, 7), (sl2, 5), (symmetric, 5)],
