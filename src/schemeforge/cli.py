@@ -118,6 +118,9 @@ def _rebuild_functional_scheme(data: dict, cfg: RunConfig):
         loop = zorn.build_paige_loop(int(source["q"]), element_cap=cfg.element_cap)
         class_of = np.asarray(source["class_of"], dtype=np.int64)
         built = loopcore.loop_scheme(loop, class_of=class_of)
+        # the recorded certificate is taken as written, like a stored matrix
+        if "certificate" in source:
+            built.source["certificate"] = source["certificate"]
     else:
         raise ParseError(f"cannot rebuild a scheme from source kind {kind!r}")
     if built.n != int(data["n"]) or built.d != int(data["d"]):

@@ -8,21 +8,23 @@ multiplication group Mlt(L) generated by all left and right translations.
 The scheme is then the orbital scheme of the transitive group Mlt(L).
 
 Large loops get their orbits from a randomized refinement: random inner
-maps, each applied to every point at once, join points into components,
-and every component lies inside one orbit.  A loop may bound the orbits
-from above by an invariant partition, a partition known to be a union of
-inner orbits.  For the Paige loops M*(q) that is the trace partition: inner
-maps fix 1 and preserve the norm ab - alpha.beta, hence its polar form
-with 1, the trace a + b (up to sign for odd q, where elements are taken
-mod -1).  Once the components refine the invariant partition with as many
-classes, both equal the orbit partition, and the certificate is exact.  A
-component that crosses two invariant classes, or a map budget spent short
-of the count, proves the invariant wrong and raises CertificationFailed.
+maps applied to every point join points into components, and every
+component lies inside one orbit.  A loop may bound the orbits from above by
+an invariant partition, a partition known to be a union of inner orbits.
+For the Paige loops M*(q) that is the trace partition: inner maps fix 1 and
+preserve the norm ab - alpha.beta, hence its polar form with 1, the trace
+a + b (up to sign for odd q, where elements are taken mod -1).  Each round
+then applies one random inner map to all points; once the components refine
+the invariant partition with as many classes, both equal the orbit
+partition, and the certificate is exact.  A component that crosses two
+invariant classes, or a round budget spent short of the count, proves the
+invariant wrong and raises CertificationFailed.  Without an invariant each
+round gives every point a random inner map of its own, and a sampled
+scheme-axioms check certifies the result once rounds stop merging.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +33,13 @@ from .config import (DEFAULT_RELATION_CAP, DEFAULT_SEED, DENSE_RELATION_LIMIT,
                      EXACT_ORBIT_CAP, MOUFANG_EXHAUSTIVE_LIMIT)
 from .errors import (CapExceeded, CertificationFailed, IndexOutOfRange,
                      ParseError)
-from .permgroup import (Permutation, PermutationGroup, min_label_components,
-                        pair_orbits)
+from .permgroup import (Permutation, PermutationGroup, canonical_labels,
+                        min_label_components, pair_orbits)
 from .scheme import AssociationScheme, _class_dtype, verify_scheme_axioms
 
-MAP_BUDGET = 64             # whole-point inner maps before the refinement gives up
-QUIET_MAPS = 3              # maps in a row without a merge that end an unbounded round
+ROUND_BUDGET = 64           # refinement rounds before the refinement gives up
+QUIET_ROUNDS = 3            # rounds in a row without a merge before a sampled check
 VERIFY_SEED_OFFSET = 101    # certificate seed offset from the sampling seed
-BLOCK_PRODUCTS = 1 << 16    # loop products per block of a long product or dense build
 
 
 class LoopStructure:
@@ -370,28 +371,11 @@ class InnerOrbitReport:
     samples: int       # inner-map point applications (randomized only)
     certified: bool    # every returned partition carries a certificate
     certificate: str   # "exact" (proved orbits) or "sampled" (sampled axioms)
-    rounds: int        # whole-point inner maps applied (randomized only)
+    rounds: int        # refinement rounds, each over all n points (randomized only)
 
     @property
     def class_sizes(self) -> list[int]:
         return np.bincount(self.class_of, minlength=self.n_classes).tolist()
-
-
-def _canonical_labels(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    """Relabel so class 0 holds index 0, the rest ordered by (size, min).
-
-    raw holds non-negative class ids no larger than its length.
-    """
-    sizes = np.bincount(raw)
-    firsts = np.full(sizes.shape[0], raw.shape[0])
-    np.minimum.at(firsts, raw, np.arange(raw.shape[0]))
-    used = np.flatnonzero(sizes)
-    rest = used[used != raw[0]]
-    rest = rest[np.lexsort((firsts[rest], sizes[rest]))]
-    relabel = np.empty(sizes.shape[0], dtype=np.int64)
-    relabel[raw[0]] = 0
-    relabel[rest] = np.arange(1, rest.shape[0] + 1)
-    return relabel[raw], used.shape[0]
 
 
 def _inner_orbits_exact(loop: LoopStructure) -> InnerOrbitReport:
@@ -408,21 +392,21 @@ def _inner_orbits_exact(loop: LoopStructure) -> InnerOrbitReport:
     # the orbit of (u, v) meets the fiber {(0, z)} exactly in the inner orbit
     # of v / u, so restricting to pair codes 0..n-1 reads the classes off
     fiber = orbit_id[:n]
-    class_of, count = _canonical_labels(fiber)
+    class_of, count = canonical_labels(fiber)
     return InnerOrbitReport(class_of, count, "exact", 0, True, "exact", 0)
 
 
-def _blocks(shape: tuple) -> list[slice]:
-    """Slices along axis 0 of an array of the given shape, each holding at
-    most BLOCK_PRODUCTS entries (at least one row)."""
-    step = max(1, BLOCK_PRODUCTS // math.prod(shape[1:]))
-    return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
-
-
-def _sampled_inner_images(loop: LoopStructure, kind: int, x, y,
+def _sampled_inner_images(loop: LoopStructure, kind, x, y,
                           Z: np.ndarray) -> np.ndarray:
     """Images of the points Z under T(x), L(x, y) or R(x, y) for kind 0, 1
-    or 2; x and y broadcast against Z."""
+    or 2, with x and y broadcast against Z.  Arrays of kinds, x and y, one
+    entry per point, apply a map of its own to each point."""
+    if np.ndim(kind):
+        W = np.empty(Z.shape[0], dtype=np.int64)
+        for k in range(3):
+            mask = kind == k
+            W[mask] = _sampled_inner_images(loop, k, x[mask], y[mask], Z[mask])
+        return W
     if kind == 0:
         return loop.left_div_vec(x, loop.mul_vec(Z, x))
     xy = loop.mul_vec(x, y)
@@ -432,15 +416,16 @@ def _sampled_inner_images(loop: LoopStructure, kind: int, x, y,
 
 
 def _inner_orbits_randomized(loop: LoopStructure, seed: int) -> InnerOrbitReport:
-    """Refinement by random inner maps applied to every point at once.
+    """Refinement by random inner maps, each round over all n points.
 
-    Each map draws a kind (T, L or R) and uniform parameters x, y; its
-    n point images join components, labelled by their smallest point.
-    With an invariant partition the loop stops once the components refine
-    it with the same class count (certificate "exact").  Without one, a
-    round ends after QUIET_MAPS maps in a row merge nothing, and a sampled
-    scheme-axioms check certifies the partition or sends it back to
-    refining (certificate "sampled").
+    A round's n point images join components, labelled by their smallest
+    point.  With an invariant partition a round applies one map (kind T, L
+    or R, uniform parameters x, y) to every point, and the loop stops once
+    the components refine the invariant with the same class count
+    (certificate "exact").  Without one, every point draws its own kind,
+    x and y, so a round is n independent samples; after QUIET_ROUNDS
+    rounds in a row merge nothing, a sampled scheme-axioms check certifies
+    the partition or sends it back to refining (certificate "sampled").
     """
     n = loop.n
     rng = np.random.default_rng(seed)
@@ -449,9 +434,13 @@ def _inner_orbits_randomized(loop: LoopStructure, seed: int) -> InnerOrbitReport
     label = points
     count = n
     quiet = checks = 0
-    for rounds in range(1, MAP_BUDGET + 1):
-        kind = int(rng.integers(0, 3))
-        x, y = rng.integers(0, n, size=2)
+    for rounds in range(1, ROUND_BUDGET + 1):
+        if bound is not None:
+            kind = int(rng.integers(0, 3))
+            x, y = rng.integers(0, n, size=2)
+        else:
+            kind = rng.integers(0, 3, size=n)
+            x, y = rng.integers(0, n, size=(2, n))
         image = _sampled_inner_images(loop, kind, x, y, points)
         label = min_label_components(label, [(points, image)])
         merged = count - int(np.count_nonzero(label == points))
@@ -464,15 +453,15 @@ def _inner_orbits_randomized(loop: LoopStructure, seed: int) -> InnerOrbitReport
                     f"inner maps join points {int(label[z])} and {z}, which lie "
                     f"in different classes of the invariant partition")
             if count == int(bound.max()) + 1:
-                class_of, _ = _canonical_labels(label)
+                class_of, _ = canonical_labels(label)
                 return InnerOrbitReport(class_of, count, "randomized",
                                         rounds * n, True, "exact", rounds)
             continue
         quiet = 0 if merged else quiet + 1
-        if quiet < QUIET_MAPS:
+        if quiet < QUIET_ROUNDS:
             continue
         quiet = 0
-        class_of, _ = _canonical_labels(label)
+        class_of, _ = canonical_labels(label)
         candidate = loop_scheme(loop, class_of=class_of)
         report = verify_scheme_axioms(candidate, seed=seed + VERIFY_SEED_OFFSET + checks)
         checks += 1
@@ -481,8 +470,8 @@ def _inner_orbits_randomized(loop: LoopStructure, seed: int) -> InnerOrbitReport
                                     True, "sampled", rounds)
         # undermerged: the sampled certificate failed, keep refining
     raise CertificationFailed(
-        f"inner-orbit refinement reached {count} classes after {MAP_BUDGET} "
-        f"whole-point inner maps without a certificate")
+        f"inner-orbit refinement reached {count} classes after {ROUND_BUDGET} "
+        f"rounds without a certificate")
 
 
 def inner_orbits(loop: LoopStructure, policy: str = "auto",
@@ -491,7 +480,7 @@ def inner_orbits(loop: LoopStructure, policy: str = "auto",
 
     policy "exact" runs a pair-orbit computation under all translations
     (quadratic memory, small loops only), "randomized" refines a partition
-    with random inner maps applied to all points at once, and "auto" picks
+    with rounds of random inner maps over all points, and "auto" picks
     exact for n <= 256.
 
     The randomized refinement is exact when the loop has an invariant
@@ -500,7 +489,7 @@ def inner_orbits(loop: LoopStructure, policy: str = "auto",
     so each trace class is a union of orbits, while joined components lie
     inside orbits.  Equal class counts therefore prove both partitions equal
     to the orbit partition, with no sampling (certificate "exact").  A
-    component crossing two trace classes, or MAP_BUDGET maps without
+    component crossing two trace classes, or ROUND_BUDGET rounds without
     reaching their count, raises CertificationFailed.  Loops without an
     invariant (TableLoop) are certified by a sampled scheme-axioms check
     (certificate "sampled").
@@ -524,16 +513,17 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
     that.  Passing class_of (an array or an InnerOrbitReport) skips the
     orbit computation; it is reused both by the certification step of the
     randomized policy and by callers that already hold a certified partition.
-    A report with an exact certificate marks the scheme orbital (the
-    orbital scheme of Mlt(L)), so its intersection numbers are read from
-    the identity row; a bare array gets the representative scan.
+    A report's certificate is recorded in the scheme's source.  With an
+    exact certificate the classes are the orbits of the transitive group
+    Mlt(L), and intersection_numbers reads the scheme from its identity
+    row; a bare array gets the representative scan.
     """
     n = loop.n
     if class_of is None:
         class_of = inner_orbits(loop, policy=policy, seed=seed)
-    orbital = False
+    certificate = None
     if isinstance(class_of, InnerOrbitReport):
-        orbital = class_of.certificate == "exact"
+        certificate = class_of.certificate
         class_of = class_of.class_of
     class_of = np.asarray(class_of, dtype=np.int64)
     if class_of.shape != (n,):
@@ -549,17 +539,16 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
         source["class_of"] = class_of.tolist()
     else:
         source = {"kind": "loop-scheme", "n": n}
+    if certificate is not None:
+        source["certificate"] = certificate
     Z = np.arange(n)
     dtype = _class_dtype(d)
     if n <= dense_limit and n * n <= relation_cap:
         if isinstance(loop, TableLoop):
             matrix = class_of[loop._rdiv].T.astype(dtype)
         else:
-            matrix = np.empty((n, n), dtype=dtype)
-            for rows in _blocks((n, n)):
-                matrix[rows] = class_of[loop.right_div_vec(Z, Z[rows, None])]
-        return AssociationScheme.from_matrix(matrix, source=source,
-                                             orbital=orbital)
+            matrix = class_of.astype(dtype).take(loop.right_div_vec(Z, Z[:, None]))
+        return AssociationScheme.from_matrix(matrix, source=source)
 
     def row_fn(u: int) -> np.ndarray:
         return class_of[loop.right_div_vec(Z, u)].astype(dtype)
@@ -572,4 +561,4 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
 
     return AssociationScheme(n, d, valencies, np.asarray(transpose_map),
                              row_fn=row_fn, col_fn=col_fn, point_fn=point_fn,
-                             source=source, orbital=orbital)
+                             source=source)

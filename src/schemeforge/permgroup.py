@@ -419,6 +419,25 @@ def min_label_components(label: np.ndarray, edges) -> np.ndarray:
         label = lower
 
 
+def canonical_labels(raw: np.ndarray) -> tuple[np.ndarray, int]:
+    """Relabel a partition so class 0 holds index 0 and the other classes
+    follow in (size, smallest member) order; returns the labels and the
+    class count.
+
+    raw holds non-negative class ids no larger than its length.
+    """
+    sizes = np.bincount(raw)
+    firsts = np.full(sizes.shape[0], raw.shape[0])
+    np.minimum.at(firsts, raw, np.arange(raw.shape[0]))
+    used = np.flatnonzero(sizes)
+    rest = used[used != raw[0]]
+    rest = rest[np.lexsort((firsts[rest], sizes[rest]))]
+    relabel = np.empty(sizes.shape[0], dtype=np.int64)
+    relabel[raw[0]] = 0
+    relabel[rest] = np.arange(1, rest.shape[0] + 1)
+    return relabel[raw], used.shape[0]
+
+
 def pair_orbits(gen_arrays: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """Orbit ids of the diagonal action on pairs, in first-touch order.
 

@@ -19,6 +19,7 @@ from .config import DEFAULT_SEED, DENSE_RELATION_LIMIT
 from .errors import InvalidFusion, NotAScheme
 
 REPS_PER_CLASS = 3      # representative pairs whose counts must agree per class
+LOOP_SCHEME_KINDS = ("loop-scheme", "paige-loop-scheme")   # source kinds of loop schemes
 
 
 def _class_dtype(d: int):
@@ -26,15 +27,10 @@ def _class_dtype(d: int):
 
 
 class AssociationScheme:
-    """Partition of X x X into classes R_0..R_d with R_0 the diagonal.
-
-    orbital is True only when the classes are known to be the orbits of a
-    group acting transitively on the points.
-    """
+    """Partition of X x X into classes R_0..R_d with R_0 the diagonal."""
 
     def __init__(self, n, d, valencies, transpose_map, matrix=None,
-                 row_fn=None, col_fn=None, point_fn=None, source=None,
-                 orbital=False):
+                 row_fn=None, col_fn=None, point_fn=None, source=None):
         self.n = int(n)
         self.d = int(d)
         self.valencies = np.asarray(valencies, dtype=np.int64)
@@ -48,12 +44,11 @@ class AssociationScheme:
         self._col_fn = col_fn
         self._point_fn = point_fn
         self.source = source
-        self.orbital = orbital
         if matrix is None and None in (row_fn, col_fn, point_fn):
             raise ValueError("need either a dense matrix or row, column and point functions")
 
     @classmethod
-    def from_matrix(cls, matrix, source=None, orbital=False) -> "AssociationScheme":
+    def from_matrix(cls, matrix, source=None) -> "AssociationScheme":
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"relation matrix must be square, got {matrix.shape}")
@@ -67,8 +62,17 @@ class AssociationScheme:
             hits = np.flatnonzero(row0 == i)
             if hits.size:
                 transpose[i] = matrix[hits[0], 0]
-        return cls(n, d, valencies, transpose, matrix=matrix, source=source,
-                   orbital=orbital)
+        return cls(n, d, valencies, transpose, matrix=matrix, source=source)
+
+    @property
+    def orbital(self) -> bool:
+        """True when the source records a loop scheme built from exactly
+        certified inner orbits: its classes are then the orbits of the
+        transitive multiplication group on pairs."""
+        source = self.source
+        return (isinstance(source, dict)
+                and source.get("kind") in LOOP_SCHEME_KINDS
+                and source.get("certificate") == "exact")
 
     # relation access
 
@@ -103,12 +107,15 @@ class AssociationScheme:
         kind = "dense" if self.is_dense else "functional"
         return f"AssociationScheme(n={self.n}, d={self.d}, {kind})"
 
-    # serialization; functional schemes need a source descriptor to round-trip
+    # serialization; functional schemes need a source descriptor to round-trip,
+    # and orbital dense ones keep theirs next to the matrix
 
     def to_json(self) -> dict:
         body = {"n": self.n, "d": self.d, "valencies": self.valencies.tolist()}
         if self.is_dense:
             body["relations"] = {"matrix": self._matrix.astype(int).tolist()}
+            if self.orbital:
+                body["relations"]["source"] = self.source
         elif self.source is not None:
             body["relations"] = {"source": self.source}
         else:
@@ -120,7 +127,7 @@ class AssociationScheme:
         rel = data["relations"]
         if "matrix" not in rel:
             raise ValueError("only matrix-backed scheme JSON can be loaded here")
-        built = cls.from_matrix(np.asarray(rel["matrix"]))
+        built = cls.from_matrix(np.asarray(rel["matrix"]), source=rel.get("source"))
         if built.n != int(data["n"]) or built.d != int(data["d"]):
             raise ValueError("scheme JSON header disagrees with its matrix")
         if built.valencies.tolist() != [int(v) for v in data["valencies"]]:

@@ -34,7 +34,10 @@ import numpy as np
 from .config import element_cap_default
 from .errors import CapExceeded, ParseError, SingularMatrix
 from .gf import FieldSpec, Vec3, field_for
-from .loopcore import BLOCK_PRODUCTS, LoopStructure, _blocks, _canonical_labels
+from .loopcore import LoopStructure
+from .permgroup import canonical_labels
+
+BLOCK_PRODUCTS = 1 << 16    # products per block of a long product, sized for cache
 
 
 class ZornMatrix:
@@ -193,6 +196,13 @@ def _zorn_product_digits(ft: _FieldTables, A, B):
     return (e, *top, *bot, f)
 
 
+def _row_blocks(shape: tuple) -> list[slice]:
+    """Slices along axis 0 of an array of the given shape, each holding at
+    most BLOCK_PRODUCTS entries (at least one row)."""
+    step = max(1, BLOCK_PRODUCTS // math.prod(shape[1:]))
+    return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
+
+
 class PaigeLoop(LoopStructure):
     """The simple Moufang loop of unit vector matrices over GF(q), mod signs.
 
@@ -243,21 +253,31 @@ class PaigeLoop(LoopStructure):
 
     # loop interface
 
-    def _products(self, I, J) -> np.ndarray:
+    def _kernel(self, I, J) -> np.ndarray:
         prod = _zorn_product_digits(self._ft, self._digits(I), self._digits(J))
         return self._lookup.take(self._ft.codes(prod)).astype(np.int64)
+
+    def _products(self, I, J, out=None) -> np.ndarray:
+        """Broadcast products I * J.  Above BLOCK_PRODUCTS, or when out is
+        given, they run in blocks of rows along axis 0, written into out, so
+        the kernel's temporaries stay in cache; an operand that does not
+        vary along axis 0 goes to every block unsliced."""
+        I, J = np.asarray(I), np.asarray(J)
+        shape = np.broadcast_shapes(I.shape, J.shape)
+        if out is None:
+            if math.prod(shape) <= BLOCK_PRODUCTS:
+                return self._kernel(I, J)
+            out = np.empty(shape, dtype=np.int64)
+        sliced = [A.ndim == len(shape) and A.shape[0] > 1 for A in (I, J)]
+        for rows in _row_blocks(shape):
+            out[rows] = self._kernel(I[rows] if sliced[0] else I,
+                                     J[rows] if sliced[1] else J)
+        return out
 
     def mul_vec(self, I, J):
         if self._table is not None:
             return self._table[I, J]
-        I, J = np.broadcast_arrays(I, J)
-        if I.size <= BLOCK_PRODUCTS:
-            return self._products(I, J)
-        # blocks keep the kernel's temporaries in cache
-        out = np.empty(I.shape, dtype=np.int64)
-        for rows in _blocks(I.shape):
-            out[rows] = self._products(I[rows], J[rows])
-        return out
+        return self._products(I, J)
 
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:
@@ -284,11 +304,9 @@ class PaigeLoop(LoopStructure):
 
     def table(self) -> np.ndarray | None:
         if self._table is None and self.n <= self.TABLE_LIMIT:
-            table = np.empty((self.n, self.n), dtype=np.int32)
             Z = np.arange(self.n)
-            for rows in _blocks((self.n, self.n)):
-                table[rows] = self.mul_vec(Z[rows, None], Z)
-            self._table = table
+            self._table = self._products(Z[:, None], Z,
+                                         out=np.empty((self.n, self.n), dtype=np.int32))
         return self._table
 
     def invariant_partition(self) -> np.ndarray:
@@ -303,7 +321,7 @@ class PaigeLoop(LoopStructure):
             trace = np.minimum(trace, self._ft.NEG.take(trace))
         raw = trace.astype(np.int64) + 1
         raw[0] = 0
-        return _canonical_labels(raw)[0]
+        return canonical_labels(raw)[0]
 
     def scheme_source(self) -> dict:
         return {"kind": "paige-loop-scheme", "q": self.q}

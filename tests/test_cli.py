@@ -146,6 +146,16 @@ def test_loop_scheme_and_compute(capsys, tmp_path):
     assert json.loads(out)["n"] == 120
 
 
+@pytest.mark.parametrize("q", [2, 4], ids=["dense", "functional"])
+def test_loop_scheme_reloads_as_orbital(capsys, q):
+    from schemeforge.cli import _load_scheme
+    from schemeforge.config import RunConfig
+    rc, out, _ = run_cli(capsys, "scheme", "loop-scheme", "--q", str(q))
+    assert rc == 0
+    assert json.loads(out)["relations"]["source"]["certificate"] == "exact"
+    assert _load_scheme(out, RunConfig()).orbital
+
+
 def test_double_coset_subcommand(capsys):
     rc, out, _ = run_cli(capsys, "chartable", "double-coset",
                          "--symmetric", "3", "--stab", "2")

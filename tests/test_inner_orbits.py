@@ -2,6 +2,7 @@
 and the blocked products and dense builds behind them."""
 
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -10,11 +11,12 @@ import pytest
 from schemeforge.chartab import (closed_form_mstar, compare_tables,
                                  compute_character_table)
 from schemeforge.errors import CertificationFailed, NotAScheme
-from schemeforge.loopcore import (BLOCK_PRODUCTS, TableLoop, inner_orbits,
-                                  loop_from_group, loop_scheme)
-from schemeforge.permgroup import psl2
+from schemeforge.loopcore import (TableLoop, inner_orbits, loop_from_group,
+                                  loop_scheme)
+from schemeforge.permgroup import psl2, symmetric
 from schemeforge.scheme import AssociationScheme, intersection_numbers
-from schemeforge.zorn import PaigeLoop, build_paige_loop, paige_loop_order
+from schemeforge.zorn import (BLOCK_PRODUCTS, PaigeLoop, build_paige_loop,
+                              paige_loop_order)
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -110,6 +112,20 @@ def test_table_loop_gets_sampled_certificate(paige2):
     assert group_report.class_sizes == [1, 12, 12, 15, 20]
 
 
+@pytest.mark.parametrize("group", [psl2, symmetric],
+                         ids=["psl2(5)", "symmetric(4)"])
+def test_group_loop_refinement_matches_exact_policy(group):
+    # in a group loop L(x, y) and R(x, y) are the identity and T(x) is
+    # conjugation, and every partition into orbits of a subgroup of Inn(G)
+    # is a scheme, so the sampled check cannot catch an undermerged round
+    loop = loop_from_group(group(5 if group is psl2 else 4))
+    exact = inner_orbits(loop, policy="exact").class_of
+    for seed in range(20):
+        report = inner_orbits(loop, policy="randomized", seed=seed)
+        assert report.certificate == "sampled"
+        assert np.array_equal(report.class_of, exact), seed
+
+
 def test_exact_policy_reports_exact(paige2):
     report = inner_orbits(paige2, policy="exact")
     assert (report.certificate, report.rounds, report.samples) == ("exact", 0, 0)
@@ -140,9 +156,20 @@ def test_bare_partition_keeps_representative_scan(paige3):
 
 def test_identity_row_cross_check_refuses_a_non_scheme(paige3):
     class_of = inner_orbits(paige3).class_of
-    matrix = loop_scheme(paige3, _swap_members(class_of, 100)).dense_matrix()
+    bad = loop_scheme(paige3, _swap_members(class_of, 100))
+    bad.source["certificate"] = "exact"         # a false record of exact orbits
+    assert bad.orbital
     with pytest.raises(NotAScheme):
-        intersection_numbers(AssociationScheme.from_matrix(matrix, orbital=True))
+        intersection_numbers(bad)
+
+
+def test_orbital_record_survives_json(paige2):
+    scheme = loop_scheme(paige2, inner_orbits(paige2))
+    again = AssociationScheme.from_json(json.loads(json.dumps(scheme.to_json())))
+    assert scheme.orbital and again.orbital
+    assert again.source == scheme.source
+    bare = loop_scheme(paige2, inner_orbits(paige2).class_of)
+    assert not AssociationScheme.from_json(bare.to_json()).orbital
 
 
 def test_identity_row_reads(paige3):
@@ -190,6 +217,22 @@ def test_long_products_match_short_ones():
     assert np.array_equal(rows[4], loop.mul_vec(np.full(loop.n, I[4]), J[:loop.n]))
     x = np.int64(1234)
     assert np.array_equal(loop.mul_vec(x, J), loop.mul_vec(np.full(size, x), J))
+
+
+def test_operands_reach_the_kernel_unbroadcast(paige3):
+    loop = PaigeLoop(paige3.spec, paige3.elems)         # no table: products only
+    shapes = []
+    digits = loop._digits
+    loop._digits = lambda I: shapes.append(np.shape(I)) or digits(I)
+    x, Z = np.int64(7), np.arange(loop.n)
+    loop.mul_vec(x, Z)                                  # one block
+    assert shapes == [(), (loop.n,)]
+    shapes.clear()
+    loop.mul_vec(x, np.tile(Z, 3 * BLOCK_PRODUCTS // loop.n))  # several blocks
+    assert len(shapes) > 2 and shapes[0::2] == [()] * (len(shapes) // 2)
+    shapes.clear()
+    loop.mul_vec(Z[:, None], Z)                         # rows sliced, Z whole
+    assert len(shapes) > 2 and shapes[1::2] == [(loop.n,)] * (len(shapes) // 2)
 
 
 @pytest.mark.slow
