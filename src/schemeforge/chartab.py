@@ -470,9 +470,8 @@ def group_character_table(group: PermutationGroup,
 def permutation_character(action: CosetAction) -> np.ndarray:
     """Fixed-point counts of the coset action on conjugacy class
     representatives, i.e. the character of the induced trivial character."""
-    classes = action.parent.conjugacy_classes()
-    return np.array([action.fixed_points(c[0]) for c in classes],
-                    dtype=np.float64)
+    reps = [c[0] for c in action.parent.conjugacy_classes()]
+    return action.fixed_points(reps).astype(np.float64)
 
 
 def _constituent_multiplicities(group: PermutationGroup,

@@ -109,24 +109,49 @@ def _load_table(text: str) -> chartab.CharacterTable:
     raise ParseError("expected character-table JSON or CSV")
 
 
-def _rebuild_functional_scheme(data: dict, cfg: RunConfig):
-    source = data.get("relations", {}).get("source")
+def _recipe_ints(source: dict, key: str, ndim: int) -> np.ndarray:
+    """Field `key` of a recipe as an ndim-dimensional integer array."""
+    try:
+        value = np.asarray(source[key])
+        if value.dtype.kind in "iu" and value.ndim == ndim:
+            return value
+    except (KeyError, ValueError):      # missing, or ragged nesting
+        pass
+    raise ParseError(f"{source.get('kind')} recipe needs {key!r} as integers in {ndim} dimensions")
+
+
+def _rebuild_functional_scheme(source, cfg: RunConfig) -> scheme_mod.AssociationScheme:
+    """Rebuild a homogeneous scheme from the recipe in its JSON source."""
     if not isinstance(source, dict):
-        raise ParseError("scheme JSON has neither a matrix nor a source descriptor")
+        raise ParseError("scheme JSON has neither a matrix nor a source recipe")
     kind = source.get("kind")
+    if kind == "fusion":
+        cells = source.get("cells")
+        if not isinstance(cells, list) or not all(
+                isinstance(cell, list) and all(type(c) is int for c in cell) for cell in cells):
+            raise ParseError("fusion recipe needs 'cells' as a list of integer lists")
+        return scheme_mod.fuse(_rebuild_functional_scheme(source.get("base"), cfg), cells)
+    class_of = _recipe_ints(source, "class_of", 1)
+    if kind == "group-scheme":
+        gens = _recipe_ints(source, "generators", 2)
+        if gens.size == 0 or np.any(np.sort(gens, axis=1) != np.arange(gens.shape[1])):
+            raise ParseError("group-scheme generators must be image lists of permutations")
+        built = permgroup.group_scheme(permgroup.closure(gens.tolist()))
+        if built.source["class_of"] != class_of.tolist():
+            raise ParseError("stored class_of is not the conjugacy classes of the generators")
+        return built
     if kind == "paige-loop-scheme":
-        loop = zorn.build_paige_loop(int(source["q"]), element_cap=cfg.element_cap)
-        class_of = np.asarray(source["class_of"], dtype=np.int64)
-        built = loopcore.loop_scheme(loop, class_of=class_of)
-        # the recorded certificate is taken as written, like a stored matrix
-        if "certificate" in source:
-            built.source["certificate"] = source["certificate"]
+        loop = zorn.build_paige_loop(int(_recipe_ints(source, "q", 0)),
+                                     element_cap=cfg.element_cap)
+    elif kind == "loop-scheme":
+        loop = loopcore.TableLoop(_recipe_ints(source, "table", 2))
     else:
         raise ParseError(f"cannot rebuild a scheme from source kind {kind!r}")
-    if built.n != int(data["n"]) or built.d != int(data["d"]):
-        raise ParseError("scheme JSON header disagrees with its rebuilt relation")
-    if built.valencies.tolist() != [int(v) for v in data["valencies"]]:
-        raise ParseError("scheme JSON valencies disagree with its rebuilt relation")
+    built = loopcore.loop_scheme(loop, class_of=class_of)
+    # a Paige loop's recorded certificate is taken as written, like a stored
+    # matrix; a table loop's is dropped, so its scheme gets the full scan
+    if kind == "paige-loop-scheme" and "certificate" in source:
+        built.source["certificate"] = source["certificate"]
     return built
 
 
@@ -137,9 +162,14 @@ def _load_scheme(text: str, cfg: RunConfig) -> scheme_mod.AssociationScheme:
     if not stripped.startswith("{"):
         raise ParseError("expected scheme JSON or CSV")
     data = json.loads(text)
-    if "matrix" in data.get("relations", {}):
+    relations = data.get("relations") if isinstance(data.get("relations"), dict) else {}
+    if "matrix" in relations:
         return scheme_mod.AssociationScheme.from_json(data)
-    return _rebuild_functional_scheme(data, cfg)
+    built = _rebuild_functional_scheme(relations.get("source"), cfg)
+    if [built.n, built.d, built.valencies.tolist()] != [
+            data.get("n"), data.get("d"), data.get("valencies")]:
+        raise ParseError("scheme JSON n, d or valencies disagree with its rebuilt relation")
+    return built
 
 
 def _resolve_group(args: argparse.Namespace, cfg: RunConfig) -> permgroup.PermutationGroup:
@@ -222,7 +252,7 @@ def _render_scheme(sch: scheme_mod.AssociationScheme, cfg: RunConfig) -> str:
     lines = [f"scheme: n={sch.n}, d={sch.d}",
              "valencies: " + " ".join(str(int(k)) for k in sch.valencies),
              "transpose: " + " ".join(str(int(t)) for t in sch.transpose_map)]
-    if sch.is_dense and sch.n <= 64:
+    if sch.n <= 64:
         for row in sch.dense_matrix():
             lines.append("  " + " ".join(str(int(c)) for c in row))
     return "\n".join(lines) + "\n"
@@ -299,14 +329,13 @@ def _cmd_group(args, cfg: RunConfig):
 
 def _cmd_scheme_orbitals(args, cfg: RunConfig):
     group = _resolve_group(args, cfg)
-    sch = permgroup.orbitals(group, n_points=args.points,
-                             relation_cap=cfg.relation_cap)
+    sch = permgroup.orbitals(group, n_points=args.points)
     return 0, _render_scheme(sch, cfg)
 
 
 def _cmd_scheme_group_scheme(args, cfg: RunConfig):
     group = _resolve_group(args, cfg)
-    sch = permgroup.group_scheme(group, relation_cap=cfg.relation_cap)
+    sch = permgroup.group_scheme(group)
     return 0, _render_scheme(sch, cfg)
 
 

@@ -11,8 +11,6 @@ DEFAULT_SEED = 0xA55C
 DEFAULT_ELEMENT_CAP = 50_000          # loop elements
 DEFAULT_CLOSURE_CAP = 200_000         # group closure
 DEFAULT_RELATION_CAP = 300_000_000    # n^2 entries of a relation
-DENSE_RELATION_LIMIT = 8192           # schemes at or below this size store a dense matrix
-EXACT_ORBIT_CAP = 2000                # exact pair-orbit policy allowed up to this loop size
 MOUFANG_EXHAUSTIVE_LIMIT = 150        # exhaustive identity checks allowed up to this size
 
 # tolerances
@@ -47,14 +45,13 @@ class RunConfig:
 
     seed: int = DEFAULT_SEED
     element_cap: int = field(default_factory=element_cap_default)
-    relation_cap: int = DEFAULT_RELATION_CAP
     tol_eigen: float = DEFAULT_TOL_EIGEN
     tol_compare: float = DEFAULT_TOL_COMPARE
     tol_square: float = DEFAULT_TOL_SQUARE
     output_format: str = "json"
 
     def __post_init__(self):
-        if self.element_cap <= 0 or self.relation_cap <= 0:
+        if self.element_cap <= 0:
             raise ValueError("size caps must be positive")
         for name in ("tol_eigen", "tol_compare", "tol_square"):
             tol = getattr(self, name)

@@ -29,14 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (DEFAULT_RELATION_CAP, DEFAULT_SEED, DENSE_RELATION_LIMIT,
-                     EXACT_ORBIT_CAP, MOUFANG_EXHAUSTIVE_LIMIT)
+from .config import DEFAULT_SEED, MOUFANG_EXHAUSTIVE_LIMIT
 from .errors import (CapExceeded, CertificationFailed, IndexOutOfRange,
                      ParseError)
 from .permgroup import (Permutation, PermutationGroup, canonical_labels,
                         min_label_components, pair_orbits)
-from .scheme import AssociationScheme, _class_dtype, verify_scheme_axioms
+from .scheme import AssociationScheme, verify_scheme_axioms
 
+PAIR_ORBIT_LIMIT = 256      # largest loop the exact pair-orbit policy takes
 ROUND_BUDGET = 64           # refinement rounds before the refinement gives up
 QUIET_ROUNDS = 3            # rounds in a row without a merge before a sampled check
 VERIFY_SEED_OFFSET = 101    # certificate seed offset from the sampling seed
@@ -76,10 +76,11 @@ class LoopStructure:
         orbits, or None; it makes the randomized refinement exact."""
         return None
 
-    def scheme_source(self) -> dict | None:
-        """Provenance descriptor letting a function-backed scheme rebuild
-        this loop; None when the loop has no recipe beyond its table."""
-        return None
+    def scheme_source(self) -> dict:
+        """Recipe that rebuilds this loop, kept in the source of its scheme:
+        by default the multiplication table, as an array that to_json turns
+        into lists."""
+        return {"kind": "loop-scheme", "table": self.table()}
 
 
 class TableLoop(LoopStructure):
@@ -380,9 +381,9 @@ class InnerOrbitReport:
 
 def _inner_orbits_exact(loop: LoopStructure) -> InnerOrbitReport:
     n = loop.n
-    if n > EXACT_ORBIT_CAP:
-        raise CapExceeded(f"exact inner orbits cap is {EXACT_ORBIT_CAP}, "
-                          f"loop has {n} elements")
+    if n > PAIR_ORBIT_LIMIT:
+        raise CapExceeded(f"the exact policy takes loops of at most {PAIR_ORBIT_LIMIT} "
+                          f"elements, this one has {n}; use the randomized policy")
     T = loop.table()
     if T is None:
         raise CapExceeded("exact inner orbits need a materialized table")
@@ -479,9 +480,9 @@ def inner_orbits(loop: LoopStructure, policy: str = "auto",
     """Orbits of the inner mapping group on the loop's index set.
 
     policy "exact" runs a pair-orbit computation under all translations
-    (quadratic memory, small loops only), "randomized" refines a partition
-    with rounds of random inner maps over all points, and "auto" picks
-    exact for n <= 256.
+    (quadratic memory; CapExceeded above PAIR_ORBIT_LIMIT points),
+    "randomized" refines a partition with rounds of random inner maps over
+    all points, and "auto" picks exact up to PAIR_ORBIT_LIMIT points.
 
     The randomized refinement is exact when the loop has an invariant
     partition: for M*(q) the trace classes, a + b up to sign for odd q,
@@ -495,7 +496,7 @@ def inner_orbits(loop: LoopStructure, policy: str = "auto",
     (certificate "sampled").
     """
     if policy == "auto":
-        policy = "exact" if loop.n <= 256 else "randomized"
+        policy = "exact" if loop.n <= PAIR_ORBIT_LIMIT else "randomized"
     if policy == "exact":
         return _inner_orbits_exact(loop)
     if policy == "randomized":
@@ -504,21 +505,19 @@ def inner_orbits(loop: LoopStructure, policy: str = "auto",
 
 
 def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
-                policy: str = "auto", seed: int = DEFAULT_SEED,
-                dense_limit: int = DENSE_RELATION_LIMIT,
-                relation_cap: int = DEFAULT_RELATION_CAP) -> AssociationScheme:
-    """Scheme with rel(u, v) = inner-orbit class of v / u.
+                policy: str = "auto", seed: int = DEFAULT_SEED) -> AssociationScheme:
+    """Homogeneous scheme over loop.right_div_vec: rel(u, v) = inner-orbit
+    class of v / u.
 
-    Dense matrix up to dense_limit points, a function-backed relation above
-    that.  Passing class_of (an array or an InnerOrbitReport) skips the
-    orbit computation; it is reused both by the certification step of the
-    randomized policy and by callers that already hold a certified partition.
-    A report's certificate is recorded in the scheme's source.  With an
-    exact certificate the classes are the orbits of the transitive group
-    Mlt(L), and intersection_numbers reads the scheme from its identity
-    row; a bare array gets the representative scan.
+    Passing class_of (an array or an InnerOrbitReport) skips the orbit
+    computation; it is reused both by the certification step of the
+    randomized policy and by callers that already hold a certified
+    partition.  The source holds the loop's recipe and class_of, and a
+    report's certificate.  With an exact certificate the classes are the
+    orbits of the transitive group Mlt(L), and intersection_numbers reads
+    the scheme from its identity row; a bare array gets the representative
+    scan.
     """
-    n = loop.n
     if class_of is None:
         class_of = inner_orbits(loop, policy=policy, seed=seed)
     certificate = None
@@ -526,39 +525,9 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
         certificate = class_of.certificate
         class_of = class_of.class_of
     class_of = np.asarray(class_of, dtype=np.int64)
-    if class_of.shape != (n,):
+    if class_of.shape != (loop.n,):
         raise ValueError("class_of must assign a class to every loop element")
-    d = int(class_of.max())
-    valencies = np.bincount(class_of, minlength=d + 1)
-    order = np.argsort(class_of, kind="stable")
-    firsts = order[np.searchsorted(class_of[order], np.arange(d + 1))]
-    transpose_map = class_of[loop.inv_vec(firsts)]
-    recipe = loop.scheme_source()
-    if recipe is not None:
-        source = dict(recipe)
-        source["class_of"] = class_of.tolist()
-    else:
-        source = {"kind": "loop-scheme", "n": n}
+    source = dict(loop.scheme_source(), class_of=class_of.tolist())
     if certificate is not None:
         source["certificate"] = certificate
-    Z = np.arange(n)
-    dtype = _class_dtype(d)
-    if n <= dense_limit and n * n <= relation_cap:
-        if isinstance(loop, TableLoop):
-            matrix = class_of[loop._rdiv].T.astype(dtype)
-        else:
-            matrix = class_of.astype(dtype).take(loop.right_div_vec(Z, Z[:, None]))
-        return AssociationScheme.from_matrix(matrix, source=source)
-
-    def row_fn(u: int) -> np.ndarray:
-        return class_of[loop.right_div_vec(Z, u)].astype(dtype)
-
-    def col_fn(v: int) -> np.ndarray:
-        return class_of[loop.right_div_vec(v, Z)].astype(dtype)
-
-    def point_fn(u: int, v: int) -> int:
-        return class_of[loop.right_div_vec(v, u)]
-
-    return AssociationScheme(n, d, valencies, np.asarray(transpose_map),
-                             row_fn=row_fn, col_fn=col_fn, point_fn=point_fn,
-                             source=source)
+    return AssociationScheme.homogeneous(class_of, loop.right_div_vec, source=source)

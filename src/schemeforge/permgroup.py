@@ -231,7 +231,8 @@ class PermutationGroup:
         return self._images_matrix
 
     def _rows_to_indices(self, rows: np.ndarray) -> np.ndarray:
-        """Map image rows back to element indices via a sorted void-key view."""
+        """Map image rows (..., degree) back to element indices, shaped like
+        rows[..., 0], via a sorted void-key view."""
         imgs = self._images()
         if self._sorted_keys is None:
             keys = np.ascontiguousarray(imgs).view(
@@ -244,29 +245,36 @@ class PermutationGroup:
         keys, order = self._sorted_keys
         rows = np.ascontiguousarray(rows.astype(imgs.dtype, copy=False))
         probe = rows.view(np.dtype((np.void, rows.dtype.itemsize * self.degree))).ravel()
-        pos = np.searchsorted(keys, probe)
-        if np.any(pos >= keys.shape[0]) or np.any(keys[np.minimum(pos, keys.shape[0] - 1)] != probe):
+        found = order[np.minimum(np.searchsorted(keys, probe), keys.shape[0] - 1)]
+        found = found.reshape(rows.shape[:-1])
+        if (imgs[found] != rows).any():
             raise ValueError("row is not an element of this group")
-        return order[pos]
+        return found
 
     # index-level operations
 
     def mul_idx(self, i: int, j: int) -> int:
-        if self._mul_table is not None:
-            return int(self._mul_table[i, j])
-        self.require_enumerated()
-        prod = self.elements[i] * self.elements[j]
-        return self._index[prod.images]
+        return int(self.mul(i, j))
 
     def inv_idx(self, i: int) -> int:
         return int(self.inv_array()[i])
 
     def inv_array(self) -> np.ndarray:
         if self._inv_array is None:
-            self.require_enumerated()
-            self._inv_array = np.array(
-                [self._index[e.inverse().images] for e in self.elements], dtype=np.int64)
+            # the image row of e^-1 is the argsort of the image row of e
+            self._inv_array = self._rows_to_indices(np.argsort(self._images(), axis=1))
         return self._inv_array
+
+    def mul(self, A, B) -> np.ndarray:
+        """Index of A * B for broadcast index arrays A and B: the image row
+        of a * b (a first) is b.images[a.images]."""
+        A, B = np.asarray(A), np.asarray(B)
+        imgs = self._images()
+        return self._rows_to_indices(imgs[B[..., None], imgs[A]])
+
+    def div(self, V, U) -> np.ndarray:
+        """Index of U^-1 * V for broadcast index arrays V and U."""
+        return self.mul(self.inv_array()[np.asarray(U)], V)
 
     def mul_table(self, limit: int = 4096) -> np.ndarray:
         """Index-level multiplication table: table[i, j] = index(e_i * e_j), int32.
@@ -487,14 +495,13 @@ def pair_orbits(gen_arrays: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     return orbit_id, next_id
 
 
-def orbitals(group: PermutationGroup, n_points: int | None = None,
-             relation_cap: int = DEFAULT_RELATION_CAP) -> AssociationScheme:
+def orbitals(group: PermutationGroup, n_points: int | None = None) -> AssociationScheme:
     """Scheme of the orbits of a transitive group on ordered pairs of points."""
     n = group.degree
     if n_points is not None and n_points != n:
         raise ValueError(f"group acts on {n} points, not {n_points}")
-    if n * n > relation_cap:
-        raise CapExceeded(f"{n}^2 relation entries exceed the cap {relation_cap}")
+    if n * n > DEFAULT_RELATION_CAP:
+        raise CapExceeded(f"{n}^2 relation entries exceed the cap {DEFAULT_RELATION_CAP}")
     gen_arrays = np.array([g.images for g in group.generators], dtype=np.int64)
     if point_orbit(gen_arrays, n).shape[0] != n:
         raise NotTransitive("orbital scheme requires a transitive action")
@@ -510,21 +517,20 @@ def orbitals(group: PermutationGroup, n_points: int | None = None,
     return AssociationScheme.from_matrix(matrix, source={"kind": "orbitals"})
 
 
-def group_scheme(group: PermutationGroup,
-                 relation_cap: int = DEFAULT_RELATION_CAP) -> AssociationScheme:
-    """Scheme of a finite group: (x, y) lies in class i when y x^-1 sits in
-    the i-th conjugacy class."""
+def group_scheme(group: PermutationGroup) -> AssociationScheme:
+    """Scheme of a finite group: (x, y) lies in class i when x^-1 y sits in
+    the i-th conjugacy class; homogeneous over group.div.
+
+    The classes are the orbits of G x G on pairs, (x, y) -> (a^-1 x b,
+    a^-1 y b), so the source records certificate "exact" next to the
+    generators and class_of.
+    """
     group.require_enumerated()
-    n = group.order
-    if n * n > relation_cap:
-        raise CapExceeded(f"{n}^2 relation entries exceed the cap {relation_cap}")
-    d = len(group.conjugacy_classes()) - 1
-    class_of = group.class_of_array().astype(_class_dtype(d))
-    inv = group.inv_array()
-    table = group.mul_table(limit=math.isqrt(relation_cap))
-    # matrix[x, y] = class(x^-1 y), and x^-1 y = x^-1 (y x^-1) x is conjugate to y x^-1
-    matrix = class_of[table][inv]
-    return AssociationScheme.from_matrix(matrix, source={"kind": "group-scheme"})
+    class_of = group.class_of_array()
+    source = {"kind": "group-scheme",
+              "generators": [list(g.images) for g in group.generators],
+              "class_of": class_of.tolist(), "certificate": "exact"}
+    return AssociationScheme.homogeneous(class_of, group.div, source=source)
 
 
 # subgroups, cosets, double cosets
@@ -532,11 +538,12 @@ def group_scheme(group: PermutationGroup,
 
 def is_subgroup(group: PermutationGroup, members) -> bool:
     group.require_enumerated()
-    idx = sorted(set(int(m) for m in members))
-    if not idx or idx[0] != 0:
+    idx = np.unique(np.fromiter(members, dtype=np.int64))
+    if idx.size == 0 or idx[0] != 0:
         return False
-    mem = set(idx)
-    return all(group.mul_idx(a, b) in mem for a in idx for b in idx)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[idx] = True
+    return bool(inside[group.mul(idx[:, None], idx[None, :])].all())
 
 
 def stabilizer(group: PermutationGroup, point: int) -> list[int]:
@@ -562,17 +569,15 @@ def double_cosets(group: PermutationGroup, subgroup) -> DoubleCosetDecomposition
     H = sorted(set(int(h) for h in subgroup))
     if not is_subgroup(group, H):
         raise NotSubgroup("double cosets need a subgroup given by element indices")
-    n = group.order
-    seen = np.zeros(n, dtype=bool)
+    H_arr = np.asarray(H)
+    seen = np.zeros(group.order, dtype=bool)
     parts = []
-    for g in range(n):
+    for g in range(group.order):
         if seen[g]:
             continue
-        Hg = {group.mul_idx(h, g) for h in H}
-        part = {group.mul_idx(x, h) for x in Hg for h in H}
-        members = sorted(part)
-        seen[members] = True
-        parts.append(members)
+        part = np.unique(group.mul(group.mul(H_arr, g)[:, None], H_arr[None, :]))
+        seen[part] = True
+        parts.append(part.tolist())
     parts.sort(key=lambda p: (len(p), p[0]))
     if parts[0] != H:
         raise NotSubgroup("double coset containing the identity is not H itself")
@@ -594,10 +599,10 @@ class CosetAction:
     def n_points(self) -> int:
         return len(self.point_reps)
 
-    def fixed_points(self, element_idx: int) -> int:
-        g = int(element_idx)
-        return sum(1 for p, r in enumerate(self.point_reps)
-                   if int(self.coset_of[self.parent.mul_idx(r, g)]) == p)
+    def fixed_points(self, element_idx) -> np.ndarray:
+        """Coset points fixed by each of the broadcast element indices."""
+        moved = self.coset_of[self.parent.mul(self.point_reps, np.asarray(element_idx)[..., None])]
+        return np.count_nonzero(moved == np.arange(self.n_points), axis=-1)
 
 
 def coset_action(group: PermutationGroup, subgroup) -> CosetAction:
@@ -606,21 +611,16 @@ def coset_action(group: PermutationGroup, subgroup) -> CosetAction:
     H = sorted(set(int(h) for h in subgroup))
     if not is_subgroup(group, H):
         raise NotSubgroup("coset action needs a subgroup given by element indices")
-    n = group.order
-    coset_of = np.full(n, -1, dtype=np.int64)
+    H_arr = np.asarray(H)
+    coset_of = np.full(group.order, -1, dtype=np.int64)
     reps = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        pid = len(reps)
-        for h in H:
-            coset_of[group.mul_idx(h, x)] = pid
-        reps.append(x)
-    images = []
-    for g in group.generator_indices():
-        images.append(Permutation(
-            tuple(int(coset_of[group.mul_idx(r, g)]) for r in reps)))
-    action = PermutationGroup(images)
+    for x in range(group.order):
+        if coset_of[x] < 0:
+            coset_of[group.mul(H_arr, x)] = len(reps)
+            reps.append(x)
+    moved = coset_of[group.mul(np.asarray(reps)[None, :],
+                               np.asarray(group.generator_indices())[:, None])]
+    action = PermutationGroup([Permutation(row) for row in moved.tolist()])
     return CosetAction(group, tuple(H), action, coset_of, reps)
 
 
@@ -647,10 +647,8 @@ def symmetric(n: int) -> PermutationGroup:
 def regular_action(group: PermutationGroup) -> PermutationGroup:
     """Generators of G acting on G itself by right translation."""
     group.require_enumerated()
-    n = group.order
-    gens = [Permutation(tuple(group.mul_idx(x, g) for x in range(n)))
-            for g in group.generator_indices()]
-    return PermutationGroup(gens)
+    return PermutationGroup([Permutation(group.mul(np.arange(group.order), g).tolist())
+                             for g in group.generator_indices()])
 
 
 def _transvection_mats(spec):

@@ -1,12 +1,16 @@
 """Association schemes: relation storage, intersection numbers, axioms, fusion.
 
-A scheme on n points with d+1 classes stores its relation either as a dense
-n x n class-index matrix or as row, column and point functions for sizes
-where the matrix would not fit.  Intersection numbers are counted from
-representative pairs; disagreement between representatives is the definitive
-signal that the input partition is not a scheme.  An orbital scheme (its
-classes are the orbits of a transitive group on pairs) has the same counts
-at every pair of a class, so they are read from the pairs (0, y).
+Inputs that are matrices (orbital schemes, complete graphs, CSV, matrix
+JSON) keep a dense n x n class matrix.  Loop and group schemes are
+homogeneous: base-row classes class_of and a vectorized division
+div(V, U) = V / U give rel(u, v) = class_of[div(v, u)], rows, columns,
+valencies and the transpose map, and their JSON is the recipe in their
+source.  Intersection numbers are counted from representative pairs;
+disagreement between representatives is the definitive signal that the
+input partition is not a scheme.  An orbital scheme (its source records
+certificate "exact": its classes are the orbits of a transitive group on
+pairs) has the same counts at every pair of a class, so they are read from
+the pairs (0, y).
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_SEED, DENSE_RELATION_LIMIT
-from .errors import InvalidFusion, NotAScheme
+from .config import DEFAULT_RELATION_CAP, DEFAULT_SEED
+from .errors import CapExceeded, InvalidFusion, NotAScheme
 
 REPS_PER_CLASS = 3      # representative pairs whose counts must agree per class
-LOOP_SCHEME_KINDS = ("loop-scheme", "paige-loop-scheme")   # source kinds of loop schemes
 
 
 def _class_dtype(d: int):
@@ -27,10 +30,11 @@ def _class_dtype(d: int):
 
 
 class AssociationScheme:
-    """Partition of X x X into classes R_0..R_d with R_0 the diagonal."""
+    """Partition of X x X into classes R_0..R_d with R_0 the diagonal,
+    built by from_matrix (dense) or homogeneous (class_of and div)."""
 
     def __init__(self, n, d, valencies, transpose_map, matrix=None,
-                 row_fn=None, col_fn=None, point_fn=None, source=None):
+                 class_of=None, div=None, source=None):
         self.n = int(n)
         self.d = int(d)
         self.valencies = np.asarray(valencies, dtype=np.int64)
@@ -39,13 +43,12 @@ class AssociationScheme:
             raise ValueError("valencies must have one entry per class")
         if self.transpose_map.shape != (self.d + 1,):
             raise ValueError("transpose map must have one entry per class")
+        if matrix is None and (class_of is None or div is None):
+            raise ValueError("need either a dense matrix or class_of and div")
         self._matrix = matrix
-        self._row_fn = row_fn
-        self._col_fn = col_fn
-        self._point_fn = point_fn
+        self._class_of = class_of
+        self._div = div
         self.source = source
-        if matrix is None and None in (row_fn, col_fn, point_fn):
-            raise ValueError("need either a dense matrix or row, column and point functions")
 
     @classmethod
     def from_matrix(cls, matrix, source=None) -> "AssociationScheme":
@@ -64,15 +67,26 @@ class AssociationScheme:
                 transpose[i] = matrix[hits[0], 0]
         return cls(n, d, valencies, transpose, matrix=matrix, source=source)
 
+    @classmethod
+    def homogeneous(cls, class_of, div, source=None) -> "AssociationScheme":
+        """rel(u, v) = class_of[div(v, u)], where div(V, U) = V / U takes
+        broadcast index arrays and the point 0 is the identity.  The
+        transpose of class h is the class of 0 / y_h for its first member
+        y_h."""
+        class_of = np.asarray(class_of, dtype=np.int64)
+        d = int(class_of.max())
+        valencies = np.bincount(class_of, minlength=d + 1)
+        firsts = np.unique(class_of, return_index=True)[1]
+        transpose = class_of[div(np.zeros_like(firsts), firsts)]
+        return cls(class_of.shape[0], d, valencies, transpose,
+                   class_of=class_of.astype(_class_dtype(d)), div=div, source=source)
+
     @property
     def orbital(self) -> bool:
-        """True when the source records a loop scheme built from exactly
-        certified inner orbits: its classes are then the orbits of the
-        transitive multiplication group on pairs."""
-        source = self.source
-        return (isinstance(source, dict)
-                and source.get("kind") in LOOP_SCHEME_KINDS
-                and source.get("certificate") == "exact")
+        """True when the source records certificate "exact": the classes are
+        then the orbits of a transitive group on pairs (Mlt(L) for proved
+        inner orbits of a loop, G x G for the conjugacy classes of G)."""
+        return isinstance(self.source, dict) and self.source.get("certificate") == "exact"
 
     # relation access
 
@@ -83,43 +97,45 @@ class AssociationScheme:
     def rel(self, x: int, y: int) -> int:
         if self._matrix is not None:
             return int(self._matrix[x, y])
-        return int(self._point_fn(x, y))
+        return int(self._class_of[self._div(np.int64(y), np.int64(x))])
 
     def rel_row(self, x: int) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix[x]
-        return self._row_fn(x)
+        return self._class_of[self._div(np.arange(self.n), np.int64(x))]
 
     def rel_col(self, y: int) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix[:, y]
-        return self._col_fn(y)
+        return self._class_of[self._div(np.int64(y), np.arange(self.n))]
 
     def dense_matrix(self) -> np.ndarray:
+        """The n x n class matrix.  A homogeneous scheme builds it row by
+        row, and refuses above DEFAULT_RELATION_CAP cells."""
         if self._matrix is not None:
             return self._matrix
-        mat = np.empty((self.n, self.n), dtype=_class_dtype(self.d))
+        if self.n * self.n > DEFAULT_RELATION_CAP:
+            raise CapExceeded(f"{self.n}^2 relation entries exceed the cap "
+                              f"{DEFAULT_RELATION_CAP}")
+        mat = np.empty((self.n, self.n), dtype=self._class_of.dtype)
         for x in range(self.n):
             mat[x] = self.rel_row(x)
         return mat
 
     def __repr__(self):
-        kind = "dense" if self.is_dense else "functional"
+        kind = "dense" if self.is_dense else "homogeneous"
         return f"AssociationScheme(n={self.n}, d={self.d}, {kind})"
 
-    # serialization; functional schemes need a source descriptor to round-trip,
-    # and orbital dense ones keep theirs next to the matrix
+    # serialization: a dense scheme writes its matrix, a homogeneous one its recipe
 
     def to_json(self) -> dict:
         body = {"n": self.n, "d": self.d, "valencies": self.valencies.tolist()}
         if self.is_dense:
             body["relations"] = {"matrix": self._matrix.astype(int).tolist()}
-            if self.orbital:
-                body["relations"]["source"] = self.source
         elif self.source is not None:
-            body["relations"] = {"source": self.source}
+            body["relations"] = {"source": _plain(self.source)}
         else:
-            raise ValueError("functional scheme without a source descriptor cannot be serialized")
+            raise ValueError("homogeneous scheme without a source recipe cannot be serialized")
         return body
 
     @classmethod
@@ -127,12 +143,19 @@ class AssociationScheme:
         rel = data["relations"]
         if "matrix" not in rel:
             raise ValueError("only matrix-backed scheme JSON can be loaded here")
-        built = cls.from_matrix(np.asarray(rel["matrix"]), source=rel.get("source"))
+        built = cls.from_matrix(np.asarray(rel["matrix"]))
         if built.n != int(data["n"]) or built.d != int(data["d"]):
             raise ValueError("scheme JSON header disagrees with its matrix")
         if built.valencies.tolist() != [int(v) for v in data["valencies"]]:
             raise ValueError("scheme JSON valencies disagree with its matrix")
         return built
+
+
+def _plain(value):
+    """A source recipe with its arrays turned into (nested) lists."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
 
 
 class IntersectionNumbers:
@@ -342,13 +365,14 @@ def verify_scheme_axioms(scheme: AssociationScheme, max_rows: int = 40,
     return SchemeReport(passed=not failures, failures=failures, intersection=inter)
 
 
-def fuse(scheme: AssociationScheme, cells,
-         dense_limit: int = DENSE_RELATION_LIMIT) -> AssociationScheme:
+def fuse(scheme: AssociationScheme, cells) -> AssociationScheme:
     """Merge classes along a partition of {0..d}; the result must again be a scheme.
 
-    Cell validation (class 0 isolated, transpose closure, true partition) and
-    the representative-independence check of the fused intersection numbers
-    all raise InvalidFusion on failure.
+    A dense scheme fuses to a dense one; a homogeneous one keeps its
+    division and remaps class_of.  Cell validation (class 0 isolated,
+    transpose closure, true partition) and the representative-independence
+    check of the fused intersection numbers all raise InvalidFusion on
+    failure.
     """
     d = scheme.d
     norm = [tuple(sorted(int(c) for c in cell)) for cell in cells]
@@ -372,25 +396,12 @@ def fuse(scheme: AssociationScheme, cells,
     for new, cell in enumerate(norm):
         for c in cell:
             remap[c] = new
-    new_d = len(norm) - 1
-    new_k = np.array([int(scheme.valencies[list(cell)].sum()) for cell in norm], dtype=np.int64)
-    new_tm = np.array([remap[tm[cell[0]]] for cell in norm], dtype=np.int64)
-
-    if scheme.is_dense and scheme.n <= dense_limit:
-        fused = AssociationScheme.from_matrix(
-            remap[scheme.dense_matrix().astype(np.int64)].astype(_class_dtype(new_d)))
-        fused.source = {"kind": "fusion", "cells": [list(c) for c in norm],
-                        "base": scheme.source}
+    source = {"kind": "fusion", "cells": [list(c) for c in norm], "base": scheme.source}
+    if scheme.is_dense:
+        fused = AssociationScheme.from_matrix(remap[scheme.dense_matrix()], source=source)
     else:
-        cast = remap.astype(_class_dtype(new_d))
-        row_fn = lambda x: cast[scheme.rel_row(x).astype(np.int64)]  # noqa: E731
-        col_fn = lambda y: cast[scheme.rel_col(y).astype(np.int64)]  # noqa: E731
-        point_fn = lambda x, y: cast[scheme.rel(x, y)]  # noqa: E731
-        fused = AssociationScheme(
-            scheme.n, new_d, new_k, new_tm, row_fn=row_fn, col_fn=col_fn,
-            point_fn=point_fn,
-            source={"kind": "fusion", "cells": [list(c) for c in norm],
-                    "base": scheme.source})
+        fused = AssociationScheme.homogeneous(remap[scheme._class_of], scheme._div,
+                                              source=source)
 
     report = verify_scheme_axioms(fused)
     if not report.passed:
@@ -407,11 +418,7 @@ def complete_graph_scheme(n: int) -> AssociationScheme:
 
 
 def scheme_to_csv(scheme: AssociationScheme) -> str:
-    """Labeled-row CSV of a dense scheme; functional schemes have no cell
-    matrix to dump, use JSON with a source descriptor instead."""
-    if not scheme.is_dense:
-        raise ValueError("CSV export needs a dense relation matrix; "
-                         "use JSON for function-backed schemes")
+    """Labeled-row CSV of the scheme's dense_matrix()."""
     lines = ["kind,scheme",
              f"n,{scheme.n}",
              f"d,{scheme.d}",

@@ -7,8 +7,13 @@ import pytest
 
 from schemeforge.chartab import (CharacterTable, closed_form_mstar,
                                  compute_character_table)
-from schemeforge.cli import main
-from schemeforge.permgroup import group_scheme, psl2
+from schemeforge.cli import _load_scheme, main
+from schemeforge.config import RunConfig
+from schemeforge.errors import ParseError
+from schemeforge.loopcore import loop_scheme
+from schemeforge.permgroup import cyclic, group_scheme, psl2
+from schemeforge.scheme import fuse, intersection_numbers
+from schemeforge.zorn import build_paige_loop
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +127,138 @@ def test_fuse_valid_and_invalid(capsys, tmp_path):
     assert rc == 1
     payload = json.loads(err.splitlines()[-1])
     assert payload["error"]["kind"] == "InvalidFusion"
+
+
+Z4_RENDERINGS = {
+    "csv": "kind,scheme\nn,4\nd,3\nvalencies,1,1,1,1\n"
+           "R,0,1,2,3\nR,3,0,1,2\nR,2,3,0,1\nR,1,2,3,0\n",
+    "text": "scheme: n=4, d=3\nvalencies: 1 1 1 1\ntranspose: 0 3 2 1\n"
+            "  0 1 2 3\n  3 0 1 2\n  2 3 0 1\n  1 2 3 0\n",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(Z4_RENDERINGS))
+def test_group_scheme_renderings_are_pinned(capsys, fmt):
+    rc, out, _ = run_cli(capsys, "scheme", "group-scheme", "--cyclic", "4",
+                         "--format", fmt)
+    assert rc == 0
+    assert out == Z4_RENDERINGS[fmt]
+
+
+def test_psl2_16_scheme_json_reaches_the_oracle(capsys, tmp_path):
+    scheme_file, table_file, oracle_file = (
+        str(tmp_path / name) for name in ("x16.json", "t16.json", "o16.json"))
+    assert run_cli(capsys, "scheme", "group-scheme", "--psl2", "16",
+                   "--out", scheme_file)[0] == 0
+    assert (tmp_path / "x16.json").stat().st_size < 1_000_000
+    assert run_cli(capsys, "chartable", "compute", "--scheme", scheme_file,
+                   "--out", table_file)[0] == 0
+    assert run_cli(capsys, "chartable", "oracle-psl2", "--q", "16",
+                   "--out", oracle_file)[0] == 0
+    rc, out, _ = run_cli(capsys, "chartable", "compare", "--table", table_file,
+                         "--other", oracle_file)
+    assert rc == 0
+    assert json.loads(out)["matched"] is True
+
+
+def test_fused_group_scheme_reloads(capsys, tmp_path):
+    rc, out, _ = run_cli(capsys, "scheme", "group-scheme", "--cyclic", "4")
+    base = tmp_path / "z4.json"
+    base.write_text(out)
+    rc, out, _ = run_cli(capsys, "scheme", "fuse", "--scheme", str(base),
+                         "--cells", "1,3")
+    assert rc == 0
+    assert json.loads(out)["relations"]["source"]["kind"] == "fusion"
+    fused = tmp_path / "z4fused.json"
+    fused.write_text(out)
+    rc, out, _ = run_cli(capsys, "chartable", "compute", "--scheme", str(fused))
+    assert rc == 0
+    want = compute_character_table(fuse(group_scheme(cyclic(4)), [[0], [1, 3], [2]]))
+    assert json.loads(out) == json.loads(json.dumps(want.to_json()))
+
+
+def test_table_loop_scheme_reloads(capsys, tmp_path):
+    table = build_paige_loop(2).table()
+    path = tmp_path / "m2.loop"
+    path.write_text(f"{table.shape[0]}\n" + "\n".join(
+        " ".join(str(v) for v in row) for row in table.tolist()) + "\n")
+    rc, out, _ = run_cli(capsys, "scheme", "loop-scheme", "--loop", str(path))
+    assert rc == 0
+    source = json.loads(out)["relations"]["source"]
+    assert source["kind"] == "loop-scheme" and source["table"] == table.tolist()
+    again = _load_scheme(out, RunConfig())
+    # the written certificate is "exact" (exact policy at n = 120), but a
+    # table loop's is not trusted on reload: the full scan checks the scheme
+    assert source["certificate"] == "exact" and not again.orbital
+    want = loop_scheme(build_paige_loop(2))
+    assert np.array_equal(intersection_numbers(again).tensor,
+                          intersection_numbers(want).tensor)
+
+
+def test_group_scheme_recipe_is_checked_on_load(capsys):
+    rc, out, _ = run_cli(capsys, "scheme", "group-scheme", "--symmetric", "3")
+    assert _load_scheme(out, RunConfig()).orbital
+    data = json.loads(out)
+    class_of = data["relations"]["source"]["class_of"]
+    i = class_of.index(1)
+    j = class_of.index(2)
+    class_of[i], class_of[j] = class_of[j], class_of[i]     # same valencies
+    with pytest.raises(ParseError, match="conjugacy classes"):
+        _load_scheme(json.dumps(data), RunConfig())
+    data = json.loads(out)
+    data["valencies"] = [1, 3, 2]
+    with pytest.raises(ParseError, match="valencies"):
+        _load_scheme(json.dumps(data), RunConfig())
+
+
+Z4_TABLE = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+RECIPES = {
+    "group-scheme": ["scheme", "group-scheme", "--cyclic", "4"],
+    "paige-loop-scheme": ["scheme", "loop-scheme", "--q", "2"],
+    "fusion": None,         # the Z4 group scheme fused along {1, 3}
+    "loop-scheme": {"n": 4, "d": 3, "valencies": [1, 1, 1, 1], "relations": {
+        "source": {"kind": "loop-scheme", "table": Z4_TABLE, "class_of": [0, 1, 2, 3]}}},
+}
+BAD_FIELDS = {"group-scheme": {"generators": [5, "x", [[0, 1], [1]]],
+                               "class_of": [3, [[0]], [0.5, 1, 2, 3]]},
+              "paige-loop-scheme": {"q": [[2], "2", 2.0], "class_of": [None]},
+              "fusion": {"cells": [5, [1, [3]], [["1"]]], "base": [7]},
+              "loop-scheme": {"table": [[0, 1], Z4_TABLE[0], [[True] * 4] * 4],
+                              "class_of": [{"a": 1}]}}
+
+
+def _recipe_json(capsys, tmp_path, kind) -> dict:
+    argv = RECIPES[kind]
+    if isinstance(argv, dict):
+        return json.loads(json.dumps(argv))
+    if argv is None:
+        base = tmp_path / "z4.json"
+        base.write_text(run_cli(capsys, *RECIPES["group-scheme"])[1])
+        argv = ["scheme", "fuse", "--scheme", str(base), "--cells", "1,3"]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_FIELDS))
+def test_malformed_recipes_exit_2_with_a_parse_error(capsys, tmp_path, kind):
+    good = _recipe_json(capsys, tmp_path, kind)
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(good))
+    assert run_cli(capsys, "chartable", "compute", "--scheme", str(path))[0] == 0
+    for field, bad_values in BAD_FIELDS[kind].items():
+        for value in [KeyError] + bad_values:
+            data = json.loads(json.dumps(good))
+            if value is KeyError:
+                del data["relations"]["source"][field]
+            else:
+                data["relations"]["source"][field] = value
+            path.write_text(json.dumps(data))
+            rc, _, err = run_cli(capsys, "chartable", "compute", "--scheme", str(path),
+                                 "--json-errors")
+            assert rc == 2, (field, value)
+            assert json.loads(err.splitlines()[-1])["error"]["kind"] == "ParseError", \
+                (field, value)
 
 
 def test_scheme_verify_subcommand(capsys, tmp_path):

@@ -10,11 +10,13 @@ import pytest
 
 from schemeforge.chartab import (closed_form_mstar, compare_tables,
                                  compute_character_table)
-from schemeforge.errors import CertificationFailed, NotAScheme
+from schemeforge.cli import _load_scheme
+from schemeforge.config import RunConfig
+from schemeforge.errors import CapExceeded, CertificationFailed, NotAScheme
 from schemeforge.loopcore import (TableLoop, inner_orbits, loop_from_group,
                                   loop_scheme)
 from schemeforge.permgroup import psl2, symmetric
-from schemeforge.scheme import AssociationScheme, intersection_numbers
+from schemeforge.scheme import intersection_numbers
 from schemeforge.zorn import (BLOCK_PRODUCTS, PaigeLoop, build_paige_loop,
                               paige_loop_order)
 
@@ -132,6 +134,13 @@ def test_exact_policy_reports_exact(paige2):
     assert loop_scheme(paige2, report).orbital
 
 
+def test_exact_policy_refuses_loops_above_its_limit(paige3):
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceeded, match="randomized"):
+        inner_orbits(paige3, policy="exact")         # n = 1080
+    assert time.perf_counter() - t0 < 1.0
+
+
 def _swap_members(class_of: np.ndarray, count: int) -> np.ndarray:
     """class_of with `count` points of class 1 and of class 2 exchanged:
     same valencies, but no longer a scheme."""
@@ -165,16 +174,15 @@ def test_identity_row_cross_check_refuses_a_non_scheme(paige3):
 
 def test_orbital_record_survives_json(paige2):
     scheme = loop_scheme(paige2, inner_orbits(paige2))
-    again = AssociationScheme.from_json(json.loads(json.dumps(scheme.to_json())))
+    again = _load_scheme(json.dumps(scheme.to_json()), RunConfig())
     assert scheme.orbital and again.orbital
     assert again.source == scheme.source
     bare = loop_scheme(paige2, inner_orbits(paige2).class_of)
-    assert not AssociationScheme.from_json(bare.to_json()).orbital
+    assert not _load_scheme(json.dumps(bare.to_json()), RunConfig()).orbital
 
 
 def test_identity_row_reads(paige3):
-    scheme = loop_scheme(paige3, inner_orbits(paige3, policy="randomized"),
-                         dense_limit=0)
+    scheme = loop_scheme(paige3, inner_orbits(paige3, policy="randomized"))
     counted = {"row": 0, "col": 0}
     for kind in counted:
         inner = getattr(scheme, f"rel_{kind}")
@@ -196,11 +204,14 @@ def test_dense_builds_match_single_rows(paige3):
         assert np.array_equal(table[u], paige3.mul_vec(np.full(paige3.n, u), Z))
     fresh = PaigeLoop(paige3.spec, paige3.elems)      # no table: products only
     class_of = inner_orbits(paige3).class_of
-    dense = loop_scheme(fresh, class_of)
-    functional = loop_scheme(fresh, class_of, dense_limit=0)
-    assert dense.is_dense and dense.dense_matrix().dtype == np.uint8
+    scheme = loop_scheme(fresh, class_of)
+    dense = scheme.dense_matrix()
+    assert dense.dtype == np.uint8
     for u in rows:
-        assert np.array_equal(dense.rel_row(u), functional.rel_row(u))
+        # rel(u, v) is the class of v / u, the x with table[x, u] = v
+        want = class_of[np.argsort(table[:, u])]
+        assert np.array_equal(scheme.rel_row(u), want)
+        assert np.array_equal(dense[u], want)
 
 
 def test_long_products_match_short_ones():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from schemeforge.chartab import (closed_form_psl2, compare_tables,
+                                 compute_character_table)
 from schemeforge.errors import (CapExceeded, NotEnumerated, NotSubgroup,
                                 NotTransitive, ParseError, SchemeForgeError)
 from schemeforge.permgroup import (CosetAction, Permutation, PermutationGroup,
@@ -11,6 +13,7 @@ from schemeforge.permgroup import (CosetAction, Permutation, PermutationGroup,
                                    parse_generator_line, parse_generators,
                                    psl2, regular_action, sl2, stabilizer,
                                    symmetric)
+from schemeforge.scheme import AssociationScheme, intersection_numbers
 
 
 def test_permutation_composition_order():
@@ -286,6 +289,54 @@ def test_group_scheme_s7_matches_cycle_types():
         assert types[rel] == _cycle_type(g.elements[y] * g.elements[x].inverse())
 
 
+def _dense_group_scheme(group):
+    """Reference relation class(x^-1 y) from the multiplication table."""
+    class_of = group.class_of_array()
+    return AssociationScheme.from_matrix(class_of[group.mul_table()][group.inv_array()])
+
+
+@pytest.mark.parametrize("make", [
+    *[(symmetric, n) for n in range(3, 7)],
+    *[(cyclic, n) for n in range(2, 13)],
+    *[(psl2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)],
+    *[(sl2, q) for q in (2, 3, 4, 5)],
+], ids=lambda m: f"{m[0].__name__}({m[1]})")
+def test_group_scheme_identity_rows_match_dense_reference(make):
+    group = make[0](make[1])
+    scheme = group_scheme(group)
+    assert scheme.orbital and not scheme.is_dense
+    dense = _dense_group_scheme(group)
+    assert np.array_equal(scheme.valencies, dense.valencies)
+    assert np.array_equal(scheme.transpose_map, dense.transpose_map)
+    for x in (0, 1, group.order - 1):
+        assert np.array_equal(scheme.rel_row(x), dense.rel_row(x))
+        assert np.array_equal(scheme.rel_col(x), dense.rel_col(x))
+    got = intersection_numbers(scheme).tensor
+    assert np.array_equal(got, intersection_numbers(dense).tensor)
+
+
+def test_group_division_matches_composition():
+    g = psl2(5)
+    rng = np.random.default_rng(3)
+    V, U = rng.integers(0, g.order, (2, 50))
+    got = g.div(V[:, None], U[None, :])
+    assert got.shape == (50, 50)
+    for i in range(0, 50, 7):
+        for j in range(0, 50, 5):
+            want = g.elements[int(U[j])].inverse() * g.elements[int(V[i])]
+            assert g.elements[int(got[i, j])] == want
+    with pytest.raises(ValueError):
+        g._rows_to_indices(np.array([1, 0, 2, 3, 4, 5]))   # a transposition
+
+
+@pytest.mark.slow
+def test_psl2_32_group_scheme_reaches_closed_form():
+    # n = 32,736: no n x n array is built on the way to the table
+    scheme = group_scheme(psl2(32))
+    table = compute_character_table(scheme)
+    assert compare_tables(table, closed_form_psl2(32), tol=1e-8).matched
+
+
 def test_is_subgroup():
     s3 = symmetric(3)
     assert is_subgroup(s3, stabilizer(s3, 2))
@@ -336,6 +387,33 @@ def test_coset_action_matches_natural_action():
     act = coset_action(s3, stabilizer(s3, 2))
     scheme = orbitals(act.group)
     assert scheme.n == 3 and scheme.d == 1
+
+
+@pytest.mark.parametrize("make, point", [((psl2, 5), 0), ((symmetric, 4), 3),
+                                         ((sl2, 3), 1)])
+def test_coset_helpers_match_composition(make, point):
+    group = make[0](make[1])
+    H = stabilizer(group, point)
+
+    def prod(a, b):
+        return group.element_index(group.elements[a] * group.elements[b])
+
+    assert all(group.mul_idx(a, b) == prod(a, b) for a in H for b in range(group.order))
+    dec = double_cosets(group, H)
+    want = {frozenset(prod(prod(h, g), k) for h in H for k in H) for g in range(group.order)}
+    assert {frozenset(p) for p in dec.parts} == want
+    act = coset_action(group, H)
+    for x in range(group.order):     # the right coset Hx is one point
+        assert {int(act.coset_of[prod(h, x)]) for h in H} == {int(act.coset_of[x])}
+    assert act.n_points == group.order // len(H)
+    every = np.arange(group.order)
+    fixed = [sum(act.coset_of[prod(r, g)] == p for p, r in enumerate(act.point_reps))
+             for g in every]
+    assert act.fixed_points(every).tolist() == fixed
+    assert [int(act.fixed_points(g)) for g in (0, 1, group.order - 1)] == [
+        fixed[0], fixed[1], fixed[-1]]
+    for gen, s in zip(regular_action(group).generators, group.generator_indices()):
+        assert gen.images == tuple(prod(x, s) for x in range(group.order))
 
 
 def test_regular_action():

@@ -146,9 +146,11 @@ def test_fusion_record_keeps_cells():
 
 
 def test_scheme_json_roundtrip():
+    from schemeforge.cli import _load_scheme
+    from schemeforge.config import RunConfig
     scheme = group_scheme(symmetric(3))
     data = scheme.to_json()
-    again = AssociationScheme.from_json(json.loads(json.dumps(data)))
+    again = _load_scheme(json.dumps(data), RunConfig())
     assert again.n == scheme.n and again.d == scheme.d
     assert np.array_equal(again.dense_matrix(), scheme.dense_matrix())
 
@@ -178,7 +180,7 @@ def test_scheme_csv_rejects_header_mismatch():
 def test_functional_scheme_matches_dense(mstar2_scheme, paige2):
     from schemeforge.loopcore import inner_orbits, loop_scheme
     report = inner_orbits(paige2, policy="exact")
-    functional = loop_scheme(paige2, report, dense_limit=10)
+    functional = loop_scheme(paige2, report)
     assert not functional.is_dense
     assert np.array_equal(functional.dense_matrix(),
                           mstar2_scheme.dense_matrix())
@@ -189,8 +191,7 @@ def test_functional_scheme_matches_dense(mstar2_scheme, paige2):
 
 def test_functional_scheme_serializes_through_source(paige2):
     from schemeforge.loopcore import inner_orbits, loop_scheme
-    functional = loop_scheme(paige2, inner_orbits(paige2, policy="exact"),
-                             dense_limit=10)
+    functional = loop_scheme(paige2, inner_orbits(paige2, policy="exact"))
     data = functional.to_json()
     assert data["relations"]["source"]["kind"] == "paige-loop-scheme"
     assert data["relations"]["source"]["q"] == 2
@@ -199,8 +200,7 @@ def test_functional_scheme_serializes_through_source(paige2):
 
 def test_functional_rel_matches_dense(mstar2_scheme, paige2):
     from schemeforge.loopcore import inner_orbits, loop_scheme
-    functional = loop_scheme(paige2, inner_orbits(paige2, policy="exact"),
-                             dense_limit=10)
+    functional = loop_scheme(paige2, inner_orbits(paige2, policy="exact"))
     fused = fuse(functional, [[0], list(range(1, functional.d + 1))])
     assert not fused.is_dense
     dense = mstar2_scheme.dense_matrix()
@@ -212,12 +212,15 @@ def test_functional_rel_matches_dense(mstar2_scheme, paige2):
 
 def test_function_backed_rel_reads_one_entry():
     mat = complete_graph_scheme(4).dense_matrix()
+    sizes = []
 
-    def no_rows(_):
-        raise AssertionError("rel read a whole row or column")
+    def div(V, U):
+        sizes.append(np.broadcast(V, U).size)
+        return (np.asarray(V) - np.asarray(U)) % 4
 
-    sch = AssociationScheme(4, 1, [1, 3], [0, 1], row_fn=no_rows, col_fn=no_rows,
-                            point_fn=lambda x, y: mat[x, y])
+    sch = AssociationScheme.homogeneous([0, 1, 1, 1], div)
+    sizes.clear()
     assert [sch.rel(x, y) for x in range(4) for y in range(4)] == mat.ravel().tolist()
+    assert sizes == [1] * 16, "rel read a whole row or column"
     with pytest.raises(ValueError):
-        AssociationScheme(4, 1, [1, 3], [0, 1], row_fn=no_rows, col_fn=no_rows)
+        AssociationScheme(4, 1, [1, 3], [0, 1], class_of=np.array([0, 1, 1, 1]))
