@@ -20,6 +20,9 @@ from .errors import (CapExceeded, NotEnumerated, NotSubgroup, NotTransitive,
 from .gf import field_for
 from .scheme import AssociationScheme, _class_dtype
 
+CLOSURE_SLICE_BYTES = 1 << 24     # products of one closure frontier slice
+PAIR_SLICE_IMAGES = 4_000_000     # pair codes gathered per pair-orbit slice
+
 
 class Permutation:
     """Immutable permutation stored as a tuple of images."""
@@ -29,6 +32,13 @@ class Permutation:
     def __init__(self, images):
         images = tuple(int(i) for i in images)
         self.images = images
+
+    @classmethod
+    def _of_ints(cls, images: tuple) -> "Permutation":
+        """Wrap a tuple that already holds Python ints, without converting."""
+        perm = object.__new__(cls)
+        perm.images = images
+        return perm
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -178,23 +188,20 @@ class PermutationGroup:
     generators do not reach from the identity.
     """
 
-    def __init__(self, generators, elements=None, index=None):
-        gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
-        if not gens:
-            raise ValueError("a permutation group needs at least one generator")
-        deg = gens[0].degree
-        if any(g.degree != deg for g in gens):
-            raise ValueError("generators act on different point sets")
+    def __init__(self, generators, elements=None, images=None):
+        gens = _as_permutations(generators)
         self.generators = tuple(gens)
-        self.degree = deg
+        self.degree = gens[0].degree
         self.elements: list[Permutation] | None = elements
-        self._index: dict[tuple, int] | None = index
-        if elements is not None and index is None:
+        self._index: dict[tuple, int] | None = None
+        if elements is not None:
             self._index = {e.images: i for i, e in enumerate(elements)}
         self._mul_table: np.ndarray | None = None
         self._inv_array: np.ndarray | None = None
         self._classes: list[list[int]] | None = None
-        self._images_matrix: np.ndarray | None = None
+        # the image rows of the elements in the point dtype; closure hands
+        # over the matrix it searched with
+        self._images_matrix: np.ndarray | None = images
         self._sorted_keys = None
 
     @property
@@ -220,14 +227,11 @@ class PermutationGroup:
 
     # vectorized image-row lookup
 
-    def _point_dtype(self):
-        return np.uint8 if self.degree <= 255 else np.uint16
-
     def _images(self) -> np.ndarray:
         if self._images_matrix is None:
             self.require_enumerated()
             self._images_matrix = np.array(
-                [e.images for e in self.elements], dtype=self._point_dtype())
+                [e.images for e in self.elements], dtype=_point_dtype(self.degree))
         return self._images_matrix
 
     def _rows_to_indices(self, rows: np.ndarray) -> np.ndarray:
@@ -356,32 +360,70 @@ class PermutationGroup:
         return f"PermutationGroup(degree={self.degree}, order={size})"
 
 
-def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
-    """Breadth-first closure under right multiplication by the generators.
+def _point_dtype(degree: int):
+    """Smallest unsigned dtype that holds the points 0..degree-1."""
+    if degree <= 0xFF:
+        return np.uint8
+    return np.uint16 if degree <= 0xFFFF else np.uint32
 
-    Element order is deterministic: identity first, then discovery order.
-    """
+
+def _as_permutations(generators) -> list[Permutation]:
     gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
     if not gens:
-        raise ValueError("need at least one generator")
-    deg = gens[0].degree
-    if any(g.degree != deg for g in gens):
+        raise ValueError("a permutation group needs at least one generator")
+    if any(g.degree != gens[0].degree for g in gens):
         raise ValueError("generators act on different point sets")
-    ident = Permutation.identity(deg)
-    elements = [ident]
-    index = {ident.images: 0}
-    head = 0
-    while head < len(elements):
-        x = elements[head]
-        head += 1
-        for s in gens:
-            y = x * s
-            if y.images not in index:
-                if len(elements) >= cap:
-                    raise CapExceeded(f"group closure exceeded the cap of {cap} elements")
-                index[y.images] = len(elements)
-                elements.append(y)
-    return PermutationGroup(gens, elements, index)
+    return gens
+
+
+def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
+    """Closure under right multiplication by the generators.
+
+    Element order is deterministic: the identity, then breadth-first
+    discovery order, that of a queue that appends each new x * s for x in
+    queue order and s in generator order.
+
+    The search is level-synchronous on image rows in the point dtype.  The
+    frontier, the elements first reached at the last level, is a
+    (k, degree) array taken in slices whose products fill at most
+    CLOSURE_SLICE_BYTES.
+    One gather S[:, slice] of the generator rows gives every product x * s
+    of a slice, in (x, s) order.  Repeats within the slice are dropped by
+    np.unique on void row keys with return_index, which keeps first
+    occurrences; rows met before, at an earlier level or slice, are
+    dropped by searchsorted in the sorted keys of every element so far.
+    Raises CapExceeded once the group passes `cap` elements.
+    """
+    gens = _as_permutations(generators)
+    deg = gens[0].degree
+    S = np.array([g.images for g in gens], dtype=_point_dtype(deg))
+    key = np.dtype((np.void, S.itemsize * deg))
+    slice_len = max(1, CLOSURE_SLICE_BYTES // S.nbytes)
+    frontier = np.arange(deg, dtype=S.dtype)[None, :]
+    levels = [frontier]
+    known = frontier.view(key).ravel()      # sorted keys of all elements so far
+    total = 1
+    while frontier.shape[0]:
+        found = []
+        for start in range(0, frontier.shape[0], slice_len):
+            piece = frontier[start:start + slice_len]
+            # products[x, s] = S[s][piece[x]], the image row of x * s
+            products = np.ascontiguousarray(S[:, piece].swapaxes(0, 1)).reshape(-1, deg)
+            keys, first = np.unique(products.view(key).ravel(), return_index=True)
+            at = np.searchsorted(known, keys)
+            fresh = known[np.minimum(at, known.shape[0] - 1)] != keys
+            total += int(np.count_nonzero(fresh))
+            if total > cap:
+                raise CapExceeded(f"group closure exceeded the cap of {cap} elements")
+            known = np.insert(known, at[fresh], keys[fresh])
+            found.append(products[np.sort(first[fresh])])
+        frontier = np.concatenate(found)
+        levels.append(frontier)
+    images = np.concatenate(levels)
+    elements = []
+    for start in range(0, images.shape[0], 4096):  # keeps the lists of tolist small
+        elements += map(Permutation._of_ints, map(tuple, images[start:start + 4096].tolist()))
+    return PermutationGroup(gens, elements, images)
 
 
 # point and pair orbits
@@ -450,14 +492,26 @@ def pair_orbits(gen_arrays: np.ndarray, n: int) -> tuple[np.ndarray, int]:
     """Orbit ids of the diagonal action on pairs, in first-touch order.
 
     Returns (orbit_id array of length n*n indexed by u*n+v, orbit count).
-    Orbit ids increase with the smallest pair code they contain.
+    Orbit ids increase with the smallest pair code they contain: a cursor
+    scans for the smallest unvisited code and floods its orbit.  The flood
+    takes the frontier in slices.  For each pair (u, v) of a slice it
+    gathers row u of by_row and row v of by_point, the contiguous (point,
+    generator) transpose of gen_arrays, and adds them into the image codes
+    u^s * n + v^s.  It drops the codes already visited, then deduplicates
+    the rest with orbit_id itself as the stamp array: every candidate
+    writes -2 minus its position, and the entries that read back their own
+    stamp are the distinct new codes.
     """
-    gens = np.asarray(gen_arrays, dtype=np.int64)
+    by_point = np.ascontiguousarray(np.asarray(gen_arrays, dtype=np.int64).T)
+    by_row = by_point * n
     total = n * n
     orbit_id = np.full(total, -1, dtype=np.int64)
     next_id = 0
     cursor = 0
     chunk = 1 << 16
+    # the frontier is expanded in slices so the gather stays bounded even
+    # when thousands of generators meet a frontier of n^2 scale
+    slice_len = max(1, PAIR_SLICE_IMAGES // by_point.shape[1])
     while cursor < total:
         if orbit_id[cursor] >= 0:
             pos = cursor
@@ -473,17 +527,17 @@ def pair_orbits(gen_arrays: np.ndarray, n: int) -> tuple[np.ndarray, int]:
                 break
         orbit_id[cursor] = next_id
         frontier = np.array([cursor], dtype=np.int64)
-        # the frontier is expanded in slices so the gather stays bounded
-        # even when thousands of generators meet a frontier of n^2 scale
-        slice_len = max(1, 4_000_000 // gens.shape[0])
         while frontier.size:
             parts = []
             for start in range(0, frontier.size, slice_len):
-                piece = frontier[start:start + slice_len]
-                u, v = np.divmod(piece, n)
-                imgs = (gens[:, u] * n + gens[:, v]).ravel()
-                imgs = np.unique(imgs)
-                new = imgs[orbit_id[imgs] < 0]
+                u, v = np.divmod(frontier[start:start + slice_len], n)
+                imgs = by_row[u]
+                imgs += by_point[v]
+                imgs = imgs.ravel()
+                imgs = imgs[orbit_id[imgs] < 0]
+                stamps = -2 - np.arange(imgs.shape[0])
+                orbit_id[imgs] = stamps
+                new = imgs[orbit_id[imgs] == stamps]
                 if new.size:
                     orbit_id[new] = next_id
                     parts.append(new)

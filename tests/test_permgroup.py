@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from schemeforge import permgroup
 from schemeforge.chartab import (closed_form_psl2, compare_tables,
                                  compute_character_table)
 from schemeforge.errors import (CapExceeded, NotEnumerated, NotSubgroup,
                                 NotTransitive, ParseError, SchemeForgeError)
+from schemeforge.loopcore import inner_orbits, loop_from_group
 from schemeforge.permgroup import (CosetAction, Permutation, PermutationGroup,
                                    closure, coset_action, cyclic,
                                    double_cosets, group_scheme, is_subgroup,
                                    load_generators, min_label_components,
-                                   orbitals,
+                                   orbitals, pair_orbits,
                                    parse_generator_line, parse_generators,
                                    psl2, regular_action, sl2, stabilizer,
                                    symmetric)
@@ -81,6 +83,70 @@ def test_closure_orders():
 def test_closure_cap():
     with pytest.raises(CapExceeded):
         closure(symmetric(6).generators, cap=100)
+
+
+def _frozen_bfs(generators, cap=10**9):
+    """Image tuples of the breadth-first closure that the array-frontier
+    search replaced: a queue over Permutation objects, appending each new
+    x * s for x in queue order and s in generator order."""
+    gens = list(generators)
+    ident = Permutation.identity(gens[0].degree)
+    elements = [ident]
+    index = {ident.images: 0}
+    head = 0
+    while head < len(elements):
+        x = elements[head]
+        head += 1
+        for s in gens:
+            y = x * s
+            if y.images not in index:
+                if len(elements) >= cap:
+                    raise CapExceeded(f"group closure exceeded the cap of {cap} elements")
+                index[y.images] = len(elements)
+                elements.append(y)
+    return [e.images for e in elements]
+
+
+def _generator_sets(tmp_path):
+    d4_file = tmp_path / "d4.gens"
+    d4_file.write_text("(0 1 2 3)\n(0 2)\n")
+    s4 = symmetric(4).generators
+    g5 = psl2(5)
+    sets = {"cyclic(1)": cyclic(1).generators, "cyclic(12)": cyclic(12).generators,
+            "D4 file": load_generators(d4_file),
+            "repeated and identity": [s4[0], Permutation.identity(4), s4[0], s4[1]],
+            "regular PSL(2,5)": regular_action(g5).generators,
+            "coset PSL(2,5)": coset_action(g5, stabilizer(g5, 0)).group.generators}
+    sets.update({f"S{n}": symmetric(n).generators for n in range(3, 8)})
+    sets.update({f"PSL(2,{q})": psl2(q).generators for q in (2, 3, 4, 5, 7, 8, 9, 16)})
+    sets.update({f"SL(2,{q})": sl2(q).generators for q in (2, 3, 4, 5)})
+    return sets
+
+
+@pytest.mark.parametrize("slice_bytes", [None, 1])
+def test_closure_matches_frozen_bfs(tmp_path, monkeypatch, slice_bytes):
+    if slice_bytes is not None:     # one frontier row per slice
+        monkeypatch.setattr(permgroup, "CLOSURE_SLICE_BYTES", slice_bytes)
+    for name, gens in _generator_sets(tmp_path).items():
+        want = _frozen_bfs(gens)
+        group = closure(gens)
+        assert [e.images for e in group.elements] == want, name
+        assert group._images().tolist() == [list(w) for w in want], name
+    gens = psl2(5).generators
+    assert closure(gens, cap=60).order == 60
+    with pytest.raises(CapExceeded):
+        closure(gens, cap=59)
+    with pytest.raises(CapExceeded):
+        _frozen_bfs(gens, cap=59)
+
+
+def test_closure_above_uint16_points():
+    # points up to 70,000 need the uint32 point dtype
+    group = closure([Permutation.from_cycles([[0, 1, 70000]], 70001)])
+    assert group.order == 3
+    assert group._images().dtype == np.uint32
+    assert len(group.conjugacy_classes()) == 3
+    assert group_scheme(group).d == 2
 
 
 def test_mul_idx_matches_composition():
@@ -414,6 +480,76 @@ def test_coset_helpers_match_composition(make, point):
         fixed[0], fixed[1], fixed[-1]]
     for gen, s in zip(regular_action(group).generators, group.generator_indices()):
         assert gen.images == tuple(prod(x, s) for x in range(group.order))
+
+
+def _frozen_pair_orbits(gen_arrays, n):
+    """The pair-orbit flood that the stamp dedup replaced: np.unique over
+    every gathered code of a slice, then a visited filter."""
+    gens = np.asarray(gen_arrays, dtype=np.int64)
+    total = n * n
+    orbit_id = np.full(total, -1, dtype=np.int64)
+    next_id = 0
+    cursor = 0
+    chunk = 1 << 16
+    while cursor < total:
+        if orbit_id[cursor] >= 0:
+            pos = cursor
+            while pos < total:
+                seg = orbit_id[pos:pos + chunk]
+                hits = np.flatnonzero(seg < 0)
+                if hits.size:
+                    pos += int(hits[0])
+                    break
+                pos += seg.shape[0]
+            cursor = pos
+            if cursor >= total:
+                break
+        orbit_id[cursor] = next_id
+        frontier = np.array([cursor], dtype=np.int64)
+        slice_len = max(1, 4_000_000 // gens.shape[0])
+        while frontier.size:
+            parts = []
+            for start in range(0, frontier.size, slice_len):
+                piece = frontier[start:start + slice_len]
+                u, v = np.divmod(piece, n)
+                imgs = (gens[:, u] * n + gens[:, v]).ravel()
+                imgs = np.unique(imgs)
+                new = imgs[orbit_id[imgs] < 0]
+                if new.size:
+                    orbit_id[new] = next_id
+                    parts.append(new)
+            if parts:
+                frontier = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            else:
+                frontier = np.empty(0, dtype=np.int64)
+        next_id += 1
+    return orbit_id, next_id
+
+
+def _translations(T):
+    return np.vstack([T, T.T])
+
+
+@pytest.mark.parametrize("slice_images", [None, 1])
+def test_pair_orbits_matches_frozen_kernel(paige2, monkeypatch, slice_images):
+    if slice_images is not None:    # one frontier pair per slice
+        monkeypatch.setattr(permgroup, "PAIR_SLICE_IMAGES", slice_images)
+    g5 = psl2(5)
+    cases = [(_translations(paige2.table()), paige2.n)]
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        cases.append((np.array([s.images for s in psl2(q).generators]), q + 1))
+    regular = np.array([s.images for s in regular_action(g5).generators])
+    cases.append((regular, 60))
+    cases.append((_translations(loop_from_group(g5).table()), 60))
+    for gen_arrays, n in cases:
+        orbit_id, count = pair_orbits(gen_arrays, n)
+        want_id, want_count = _frozen_pair_orbits(gen_arrays, n)
+        assert count == want_count
+        assert np.array_equal(orbit_id, want_id)
+    # right translation is regular: each of the 60 orbits on pairs holds
+    # one (0, v), so past code 59 the cursor scans only visited codes
+    assert pair_orbits(regular, 60)[1] == 60
+    assert inner_orbits(paige2, policy="exact").class_sizes == [1, 56, 63]
 
 
 def test_regular_action():
