@@ -10,14 +10,14 @@ closed-form reference tables.
 from .config import DEFAULT_SEED, RunConfig
 from .errors import SchemeForgeError
 from .gf import FieldSpec, field_for
-from .zorn import ZornMatrix, PaigeLoop, build_paige_loop, paige_loop_order
+from .zorn import PaigeLoop, build_paige_loop, paige_loop_order
 from .permgroup import (Permutation, PermutationGroup, closure, cyclic,
                         symmetric, psl2, sl2, load_generators, orbitals,
                         group_scheme, coset_action, double_cosets, stabilizer)
 from .loopcore import (LoopStructure, TableLoop, quasigroup_check,
                        moufang_check, associativity_counterexample,
-                       multiplication_group_generators, inner_orbits,
-                       loop_scheme, load_loop_table, loop_from_group)
+                       inner_orbits, loop_scheme, load_loop_table,
+                       loop_from_group)
 from .scheme import (AssociationScheme, IntersectionNumbers,
                      intersection_numbers, verify_scheme_axioms, fuse,
                      complete_graph_scheme)
@@ -33,13 +33,13 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_SEED", "RunConfig", "SchemeForgeError",
     "FieldSpec", "field_for",
-    "ZornMatrix", "PaigeLoop", "build_paige_loop", "paige_loop_order",
+    "PaigeLoop", "build_paige_loop", "paige_loop_order",
     "Permutation", "PermutationGroup", "closure", "cyclic", "symmetric",
     "psl2", "sl2", "load_generators", "orbitals", "group_scheme",
     "coset_action", "double_cosets", "stabilizer",
     "LoopStructure", "TableLoop", "quasigroup_check", "moufang_check",
-    "associativity_counterexample", "multiplication_group_generators",
-    "inner_orbits", "loop_scheme", "load_loop_table", "loop_from_group",
+    "associativity_counterexample", "inner_orbits", "loop_scheme",
+    "load_loop_table", "loop_from_group",
     "AssociationScheme", "IntersectionNumbers", "intersection_numbers",
     "verify_scheme_axioms", "fuse", "complete_graph_scheme",
     "CharacterTable", "GroupCharacterTable", "compute_character_table",

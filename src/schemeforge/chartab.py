@@ -534,7 +534,6 @@ def double_coset_table(group: PermutationGroup, subgroup,
 
     The result is cross-checked against the table computed from the orbital
     scheme of the coset action; disagreement raises MismatchWithOrbitalTable."""
-    group.require_enumerated()
     H = sorted(set(int(h) for h in subgroup))
     action = coset_action(group, H)
     if gct is None:

@@ -23,8 +23,7 @@ from .errors import (CapExceeded, CertificationFailed, DegenerateCombination,
                      InvalidFusion, MismatchWithOrbitalTable, NonCommutative,
                      NonPositiveMultiplicity, NotAScheme, NotEnumerated,
                      NotGroupScheme, NotMultiplicityFree, NotSubgroup,
-                     NotTransitive, ParseError, SingularMatrix, SpecMismatch,
-                     UnsupportedField, UnsupportedQ)
+                     NotTransitive, ParseError, UnsupportedField, UnsupportedQ)
 
 # failures of a computation or certificate -> exit 1
 VERIFICATION_ERRORS = (NotAScheme, InvalidFusion, NonCommutative,
@@ -35,8 +34,8 @@ VERIFICATION_ERRORS = (NotAScheme, InvalidFusion, NonCommutative,
 # bad arguments, malformed files, out-of-scope requests -> exit 2
 USAGE_ERRORS = (ParseError, UnsupportedField, UnsupportedQ, CapExceeded,
                 IndexOutOfRange, NotTransitive, NotSubgroup, NotEnumerated,
-                SpecMismatch, DivisionByZero, SingularMatrix, OSError,
-                ValueError, KeyError, json.JSONDecodeError)
+                DivisionByZero, OSError, ValueError, KeyError,
+                json.JSONDecodeError)
 
 
 class _Exit(Exception):
@@ -211,18 +210,15 @@ def _resolve_subgroup(group: permgroup.PermutationGroup,
                       args: argparse.Namespace) -> list[int]:
     if (args.sub is None) == (args.stab is None):
         raise _Exit(2, "pick exactly one subgroup source: --sub FILE or --stab POINT")
-    group.require_enumerated()
     if args.stab is not None:
         return permgroup.stabilizer(group, args.stab)
     gens = permgroup.load_generators(args.sub, degree=group.degree)
     sub = permgroup.closure(gens)
-    index = {g.images: i for i, g in enumerate(group.elements)}
-    members = []
-    for element in sub.elements:
-        if element.images not in index:
-            raise NotSubgroup("subgroup file contains a permutation outside the group")
-        members.append(index[element.images])
-    return sorted(members)
+    try:
+        members = group.rows_to_indices(sub._images())
+    except ValueError:
+        raise NotSubgroup("subgroup file contains a permutation outside the group") from None
+    return sorted(members.tolist())
 
 
 # rendering
@@ -268,7 +264,6 @@ def _render_loop(loop: zorn.PaigeLoop, cfg: RunConfig) -> str:
 
 def _render_group(group: permgroup.PermutationGroup, cfg: RunConfig) -> str:
     if cfg.output_format == "json":
-        group.require_enumerated()
         return _dump_json({"degree": group.degree, "order": group.order,
                            "generators": [list(g.images) for g in group.generators]})
     if cfg.output_format == "text":

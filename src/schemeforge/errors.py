@@ -9,10 +9,6 @@ class SchemeForgeError(Exception):
 
 # finite field arithmetic
 
-class SpecMismatch(SchemeForgeError):
-    """Operands belong to different field specifications."""
-
-
 class DivisionByZero(SchemeForgeError):
     """Inversion or division by the zero element."""
 
@@ -22,10 +18,6 @@ class UnsupportedField(SchemeForgeError):
 
 
 # Zorn matrices and Paige loops
-
-class SingularMatrix(SchemeForgeError):
-    """Inverse requested for a vector matrix with determinant zero."""
-
 
 class CapExceeded(SchemeForgeError):
     """An enumeration would exceed the configured size cap."""

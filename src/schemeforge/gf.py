@@ -1,11 +1,12 @@
-"""Exact arithmetic in small finite fields GF(p^r), plus 3-vectors over them.
+"""Exact arithmetic in small finite fields GF(p^r), as table lookups.
 
-An element of GF(p^r) is encoded as an integer in [0, q): its base-p digits,
-lowest degree first, are the coefficients of the residue polynomial modulo a
-fixed monic irreducible of degree r.  Construction precomputes log/antilog
-tables from a multiplicative generator and full q x q operation tables, so
-every arithmetic operation afterwards is an exact integer table lookup.
-Supported orders are q = p^r <= 256 with r <= 8.
+An element of GF(p^r) is its table index, an integer in [0, q): its base-p
+digits, lowest degree first, are the coefficients of the residue polynomial
+modulo a fixed monic irreducible of degree r.  Construction precomputes
+log/antilog tables from a multiplicative generator and full q x q operation
+tables, so every arithmetic operation afterwards is an exact lookup, on
+whole index arrays through the numpy tables or on one index through the
+integer methods.  Supported orders are q = p^r <= 256 with r <= 8.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivisionByZero, SpecMismatch, UnsupportedField
+from .errors import DivisionByZero, UnsupportedField
 
 MAX_ORDER = 256
 MAX_DEGREE = 8
@@ -130,10 +131,9 @@ def _lex_smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
 class FieldSpec:
     """Tables-backed GF(p^r).
 
-    Public integer-level methods (add, mul, ...) take and return encodings in
-    [0, q).  The numpy tables (add_t, mul_t, ...) support vectorized fancy
-    indexing; the plain-list mirrors (_add, _mul, ...) are faster for scalar
-    hot loops.
+    The numpy tables (add_t, mul_t, ...) take index arrays by fancy
+    indexing; the integer methods (add, mul, ...) take and return single
+    indices in [0, q), looked up in the same tables.
     """
 
     def __init__(self, p: int, r: int = 1, modulus=None):
@@ -237,13 +237,6 @@ class FieldSpec:
         inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
         self.inv_t = inv  # inv[0] stays 0; scalar paths raise before using it
 
-        # plain-list mirrors for scalar hot paths
-        self._add = self.add_t.tolist()
-        self._sub = self.sub_t.tolist()
-        self._mul = mul.tolist()
-        self._neg = self.neg_t.tolist()
-        self._inv = inv.tolist()
-
     # integer-level arithmetic
 
     def _check(self, *xs: int):
@@ -253,25 +246,25 @@ class FieldSpec:
 
     def add(self, x: int, y: int) -> int:
         self._check(x, y)
-        return self._add[x][y]
+        return int(self.add_t[x, y])
 
     def sub(self, x: int, y: int) -> int:
         self._check(x, y)
-        return self._sub[x][y]
+        return int(self.sub_t[x, y])
 
     def mul(self, x: int, y: int) -> int:
         self._check(x, y)
-        return self._mul[x][y]
+        return int(self.mul_t[x, y])
 
     def neg(self, x: int) -> int:
         self._check(x)
-        return self._neg[x]
+        return int(self.neg_t[x])
 
     def inv(self, x: int) -> int:
         self._check(x)
         if x == 0:
             raise DivisionByZero(f"zero has no inverse in GF({self.q})")
-        return self._inv[x]
+        return int(self.inv_t[x])
 
     def div(self, x: int, y: int) -> int:
         return self.mul(x, self.inv(y))
@@ -285,25 +278,6 @@ class FieldSpec:
         if self.q == 2:
             return 1
         return int(self.exp_t[(int(self.log_t[x]) * e) % (self.q - 1)])
-
-    # wrappers
-
-    def element(self, rep) -> "FieldElement":
-        return FieldElement(self, _rep(self, rep))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self):
-        return [FieldElement(self, i) for i in range(self.q)]
-
-    def vec3(self, x, y, z) -> "Vec3":
-        return Vec3(self, _rep(self, x), _rep(self, y), _rep(self, z))
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.key == other.key
@@ -330,168 +304,3 @@ def field_for(q: int) -> FieldSpec:
     p, r = factor_prime_power(q)
     return FieldSpec(p, r)
 
-
-def _rep(spec: FieldSpec, v) -> int:
-    if isinstance(v, FieldElement):
-        if v.spec.key != spec.key:
-            raise SpecMismatch("element belongs to a different field")
-        return v.rep
-    v = int(v)
-    spec._check(v)
-    return v
-
-
-class FieldElement:
-    """A single field element bound to its FieldSpec."""
-
-    __slots__ = ("spec", "rep")
-
-    def __init__(self, spec: FieldSpec, rep: int):
-        self.spec = spec
-        self.rep = int(rep)
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec.key != self.spec.key:
-                raise SpecMismatch(
-                    f"operands from different fields: {self.spec!r} vs {other.spec!r}")
-            return other.rep
-        if isinstance(other, int):
-            self.spec._check(other)
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec._add[self.rep][o])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec._sub[self.rep][o])
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec._mul[self.rep][o])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.div(self.rep, o))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec._neg[self.rep])
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.rep, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.rep))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.spec.key == other.spec.key and self.rep == other.rep
-        if isinstance(other, int):
-            return self.rep == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.spec.key, self.rep))
-
-    def __bool__(self):
-        return self.rep != 0
-
-    def __int__(self):
-        return self.rep
-
-    def __repr__(self):
-        return f"GF{self.spec.q}({self.rep})"
-
-
-class Vec3:
-    """Length-3 vector over a FieldSpec with dot and cross products."""
-
-    __slots__ = ("spec", "reps")
-
-    def __init__(self, spec: FieldSpec, x: int, y: int, z: int):
-        spec._check(x, y, z)
-        self.spec = spec
-        self.reps = (x, y, z)
-
-    @property
-    def x(self) -> FieldElement:
-        return FieldElement(self.spec, self.reps[0])
-
-    @property
-    def y(self) -> FieldElement:
-        return FieldElement(self.spec, self.reps[1])
-
-    @property
-    def z(self) -> FieldElement:
-        return FieldElement(self.spec, self.reps[2])
-
-    def _coerce(self, other) -> "Vec3":
-        if not isinstance(other, Vec3):
-            raise TypeError(f"expected Vec3, got {type(other).__name__}")
-        if other.spec.key != self.spec.key:
-            raise SpecMismatch("vectors over different fields")
-        return other
-
-    def dot(self, other) -> FieldElement:
-        o = self._coerce(other)
-        s = self.spec
-        a, b, c = self.reps
-        d, e, f = o.reps
-        m = s._mul
-        acc = s._add[m[a][d]][m[b][e]]
-        return FieldElement(s, s._add[acc][m[c][f]])
-
-    def cross(self, other) -> "Vec3":
-        o = self._coerce(other)
-        s = self.spec
-        a1, a2, a3 = self.reps
-        b1, b2, b3 = o.reps
-        m, sb = s._mul, s._sub
-        return Vec3(s,
-                    sb[m[a2][b3]][m[a3][b2]],
-                    sb[m[a3][b1]][m[a1][b3]],
-                    sb[m[a1][b2]][m[a2][b1]])
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        s = self.spec
-        return Vec3(s, *(s._add[a][b] for a, b in zip(self.reps, o.reps)))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        s = self.spec
-        return Vec3(s, *(s._sub[a][b] for a, b in zip(self.reps, o.reps)))
-
-    def __neg__(self):
-        s = self.spec
-        return Vec3(s, *(s._neg[a] for a in self.reps))
-
-    def scale(self, c) -> "Vec3":
-        s = self.spec
-        cr = _rep(s, c)
-        return Vec3(s, *(s._mul[cr][a] for a in self.reps))
-
-    def __eq__(self, other):
-        return (isinstance(other, Vec3) and other.spec.key == self.spec.key
-                and other.reps == self.reps)
-
-    def __hash__(self):
-        return hash((self.spec.key, self.reps))
-
-    def __repr__(self):
-        return f"Vec3{self.reps}"

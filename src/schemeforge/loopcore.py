@@ -32,7 +32,7 @@ import numpy as np
 from .config import DEFAULT_SEED, MOUFANG_EXHAUSTIVE_LIMIT
 from .errors import (CapExceeded, CertificationFailed, IndexOutOfRange,
                      ParseError)
-from .permgroup import (Permutation, PermutationGroup, canonical_labels,
+from .permgroup import (PermutationGroup, canonical_labels,
                         min_label_components, pair_orbits)
 from .scheme import AssociationScheme, verify_scheme_axioms
 
@@ -233,7 +233,6 @@ def load_loop_table(path) -> TableLoop:
 
 
 def loop_from_group(group: PermutationGroup) -> TableLoop:
-    group.require_enumerated()
     return TableLoop(group.mul_table().astype(np.int64))
 
 
@@ -344,21 +343,6 @@ def associativity_counterexample(loop: LoopStructure, samples: int = 20_000,
             return (int(X[k]), int(Y[k]), int(Z[k]))
         remaining -= take
     return None
-
-
-def multiplication_group_generators(loop: LoopStructure,
-                                    limit: int = 4096) -> list[Permutation]:
-    """All left and right translations as permutations of the index set."""
-    n = loop.n
-    if n > limit:
-        raise CapExceeded(f"translation generators for n={n} exceed the limit {limit}")
-    Z = np.arange(n)
-    gens = []
-    for x in range(n):
-        gens.append(Permutation(loop.mul_vec(np.full(n, x), Z)))   # L(x)
-    for x in range(n):
-        gens.append(Permutation(loop.mul_vec(Z, np.full(n, x))))   # R(x)
-    return gens
 
 
 # inner-mapping orbits

@@ -18,9 +18,10 @@ from .config import DEFAULT_CLOSURE_CAP, DEFAULT_RELATION_CAP
 from .errors import (CapExceeded, NotEnumerated, NotSubgroup, NotTransitive,
                      ParseError)
 from .gf import field_for
-from .scheme import AssociationScheme, _class_dtype
+from .scheme import AssociationScheme, index_dtype
 
 CLOSURE_SLICE_BYTES = 1 << 24     # products of one closure frontier slice
+MUL_TABLE_LIMIT = 4096            # largest group mul_table tabulates
 PAIR_SLICE_IMAGES = 4_000_000     # pair codes gathered per pair-orbit slice
 
 
@@ -32,13 +33,6 @@ class Permutation:
     def __init__(self, images):
         images = tuple(int(i) for i in images)
         self.images = images
-
-    @classmethod
-    def _of_ints(cls, images: tuple) -> "Permutation":
-        """Wrap a tuple that already holds Python ints, without converting."""
-        perm = object.__new__(cls)
-        perm.images = images
-        return perm
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -172,11 +166,13 @@ def load_generators(path, degree: int | None = None) -> list[Permutation]:
 
 
 class PermutationGroup:
-    """Generators plus, when enumerated, the full ordered element list.
+    """Generators plus, when enumerated, the image matrix: row k holds the
+    images of the points under element k, in the point dtype.
 
     Enumeration order is canonical: identity first, then breadth-first
-    discovery order of `closure`.  Index-level helpers (mul_idx, inv_idx)
-    require enumeration.
+    discovery order of `closure`.  Every element-level operation works on
+    the rows; `rows_to_indices` maps image rows back to element indices,
+    and `elements` builds Permutation objects from the rows on request.
 
     The multiplication table and the conjugacy classes are built from the
     Cayley graph.  For each generator s, one lookup of all n elements gives
@@ -184,63 +180,59 @@ class PermutationGroup:
     table follow the left-Cayley recurrence: if e_i = s * e_p then
     table[i] = L_s[table[p]].  The classes are the connected components of
     the C_s maps.  Every lookup is a membership check: a product outside the
-    element list raises ValueError, as does an element list that the
+    image matrix raises ValueError, as does an image matrix that the
     generators do not reach from the identity.
     """
 
-    def __init__(self, generators, elements=None, images=None):
+    def __init__(self, generators, images=None):
         gens = _as_permutations(generators)
         self.generators = tuple(gens)
         self.degree = gens[0].degree
-        self.elements: list[Permutation] | None = elements
-        self._index: dict[tuple, int] | None = None
-        if elements is not None:
-            self._index = {e.images: i for i, e in enumerate(elements)}
+        self._images_matrix: np.ndarray | None = None
+        if images is not None:
+            self._images_matrix = np.ascontiguousarray(
+                images, dtype=index_dtype(self.degree))
         self._mul_table: np.ndarray | None = None
         self._inv_array: np.ndarray | None = None
         self._classes: list[list[int]] | None = None
-        # the image rows of the elements in the point dtype; closure hands
-        # over the matrix it searched with
-        self._images_matrix: np.ndarray | None = images
         self._sorted_keys = None
 
     @property
     def enumerated(self) -> bool:
-        return self.elements is not None
+        return self._images_matrix is not None
 
     @property
     def order(self) -> int:
-        self.require_enumerated()
-        return len(self.elements)
+        return self._images().shape[0]
+
+    @property
+    def elements(self) -> list[Permutation]:
+        """The elements as Permutations, built from the image rows on each
+        access and not kept."""
+        return [Permutation(row) for row in self._images().tolist()]
 
     def require_enumerated(self):
-        if self.elements is None:
+        if self._images_matrix is None:
             raise NotEnumerated("operation requires the enumerated element list; "
                                 "build the group with closure()")
 
-    def element_index(self, perm: Permutation) -> int:
-        self.require_enumerated()
-        try:
-            return self._index[perm.images]
-        except KeyError:
-            raise ValueError(f"{perm!r} is not an element of this group") from None
-
-    # vectorized image-row lookup
-
     def _images(self) -> np.ndarray:
-        if self._images_matrix is None:
-            self.require_enumerated()
-            self._images_matrix = np.array(
-                [e.images for e in self.elements], dtype=_point_dtype(self.degree))
+        self.require_enumerated()
         return self._images_matrix
 
-    def _rows_to_indices(self, rows: np.ndarray) -> np.ndarray:
+    def element_index(self, perm: Permutation) -> int:
+        if perm.degree != self.degree:
+            raise ValueError(f"{perm!r} acts on {perm.degree} points, "
+                             f"the group on {self.degree}")
+        return int(self.rows_to_indices(perm.as_array()))
+
+    def rows_to_indices(self, rows: np.ndarray) -> np.ndarray:
         """Map image rows (..., degree) back to element indices, shaped like
-        rows[..., 0], via a sorted void-key view."""
+        rows[..., 0], via a sorted void-key view.  Raises ValueError for a
+        row that is not an element."""
         imgs = self._images()
         if self._sorted_keys is None:
-            keys = np.ascontiguousarray(imgs).view(
-                np.dtype((np.void, imgs.dtype.itemsize * self.degree))).ravel()
+            keys = imgs.view(np.dtype((np.void, imgs.dtype.itemsize * self.degree))).ravel()
             order = np.argsort(keys)
             keys = keys[order]
             if np.any(keys[1:] == keys[:-1]):
@@ -266,7 +258,7 @@ class PermutationGroup:
     def inv_array(self) -> np.ndarray:
         if self._inv_array is None:
             # the image row of e^-1 is the argsort of the image row of e
-            self._inv_array = self._rows_to_indices(np.argsort(self._images(), axis=1))
+            self._inv_array = self.rows_to_indices(np.argsort(self._images(), axis=1))
         return self._inv_array
 
     def mul(self, A, B) -> np.ndarray:
@@ -274,30 +266,31 @@ class PermutationGroup:
         of a * b (a first) is b.images[a.images]."""
         A, B = np.asarray(A), np.asarray(B)
         imgs = self._images()
-        return self._rows_to_indices(imgs[B[..., None], imgs[A]])
+        return self.rows_to_indices(imgs[B[..., None], imgs[A]])
 
     def div(self, V, U) -> np.ndarray:
         """Index of U^-1 * V for broadcast index arrays V and U."""
         return self.mul(self.inv_array()[np.asarray(U)], V)
 
-    def mul_table(self, limit: int = 4096) -> np.ndarray:
+    def mul_table(self) -> np.ndarray:
         """Index-level multiplication table: table[i, j] = index(e_i * e_j), int32.
 
         Rows follow the left-Cayley recurrence.  A breadth-first tree from
         the identity along k -> L_s[k] = index(s * e_k) reaches e_i = s * e_p
         from e_p, and then table[i] = L_s[table[p]], since
         s * e_p * e_j = s * (e_p * e_j): one gather per row.  Raises
-        CapExceeded above `limit` elements, and ValueError when some s * e_k
-        is not in the element list or the tree misses a listed element.
+        CapExceeded above MUL_TABLE_LIMIT elements, and ValueError when some
+        s * e_k is not in the element list or the tree misses a listed
+        element.
         """
         if self._mul_table is None:
-            self.require_enumerated()
-            n = len(self.elements)
-            if n > limit:
-                raise CapExceeded(f"multiplication table for {n} elements exceeds limit {limit}")
+            n = self.order
+            if n > MUL_TABLE_LIMIT:
+                raise CapExceeded(f"multiplication table for {n} elements exceeds "
+                                  f"limit {MUL_TABLE_LIMIT}")
             imgs = self._images()
             # (s * e_k).images = imgs[k][s.images], all k at once
-            left = [self._rows_to_indices(imgs[:, s.as_array()]).astype(np.int32)
+            left = [self.rows_to_indices(imgs[:, s.as_array()]).astype(np.int32)
                     for s in self.generators]
             root = self.element_index(Permutation.identity(self.degree))
             table = np.empty((n, n), dtype=np.int32)
@@ -320,8 +313,8 @@ class PermutationGroup:
         return self._mul_table
 
     def generator_indices(self) -> list[int]:
-        self.require_enumerated()
-        return [self._index[g.images] for g in self.generators]
+        return self.rows_to_indices(
+            np.array([g.images for g in self.generators])).tolist()
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Conjugacy classes as sorted index lists, ordered by (size, minimal index).
@@ -333,11 +326,10 @@ class PermutationGroup:
         list.
         """
         if self._classes is None:
-            self.require_enumerated()
             imgs = self._images()
-            ident = np.arange(len(self.elements))
+            ident = np.arange(self.order)
             # (s^-1 * x * s).images = s.images[x.images[s^-1.images]]
-            edges = [(ident, self._rows_to_indices(s.as_array()[imgs[:, s.inverse().as_array()]]))
+            edges = [(ident, self.rows_to_indices(s.as_array()[imgs[:, s.inverse().as_array()]]))
                      for s in self.generators]
             label = min_label_components(ident, edges)
             order = np.argsort(label, kind="stable")
@@ -356,15 +348,8 @@ class PermutationGroup:
         return out
 
     def __repr__(self):
-        size = len(self.elements) if self.enumerated else "?"
+        size = self.order if self.enumerated else "?"
         return f"PermutationGroup(degree={self.degree}, order={size})"
-
-
-def _point_dtype(degree: int):
-    """Smallest unsigned dtype that holds the points 0..degree-1."""
-    if degree <= 0xFF:
-        return np.uint8
-    return np.uint16 if degree <= 0xFFFF else np.uint32
 
 
 def _as_permutations(generators) -> list[Permutation]:
@@ -396,7 +381,7 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
     """
     gens = _as_permutations(generators)
     deg = gens[0].degree
-    S = np.array([g.images for g in gens], dtype=_point_dtype(deg))
+    S = np.array([g.images for g in gens], dtype=index_dtype(deg))
     key = np.dtype((np.void, S.itemsize * deg))
     slice_len = max(1, CLOSURE_SLICE_BYTES // S.nbytes)
     frontier = np.arange(deg, dtype=S.dtype)[None, :]
@@ -419,11 +404,7 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
             found.append(products[np.sort(first[fresh])])
         frontier = np.concatenate(found)
         levels.append(frontier)
-    images = np.concatenate(levels)
-    elements = []
-    for start in range(0, images.shape[0], 4096):  # keeps the lists of tolist small
-        elements += map(Permutation._of_ints, map(tuple, images[start:start + 4096].tolist()))
-    return PermutationGroup(gens, elements, images)
+    return PermutationGroup(gens, images=np.concatenate(levels))
 
 
 # point and pair orbits
@@ -559,15 +540,10 @@ def orbitals(group: PermutationGroup, n_points: int | None = None) -> Associatio
     gen_arrays = np.array([g.images for g in group.generators], dtype=np.int64)
     if point_orbit(gen_arrays, n).shape[0] != n:
         raise NotTransitive("orbital scheme requires a transitive action")
-    orbit_id, count = pair_orbits(gen_arrays, n)
-    sizes = np.bincount(orbit_id, minlength=count)
-    # orbit 0 is the orbit of (0,0), i.e. the diagonal; keep it first
-    rest = sorted(range(1, count), key=lambda o: (int(sizes[o]), o))
-    relabel = np.empty(count, dtype=np.int64)
-    relabel[0] = 0
-    for new, old in enumerate(rest, start=1):
-        relabel[old] = new
-    matrix = relabel[orbit_id].reshape(n, n).astype(_class_dtype(count - 1))
+    # orbit ids grow with their smallest pair code, so the canonical order
+    # (diagonal first, then size, smallest pair) is the order of (size, id)
+    labels, count = canonical_labels(pair_orbits(gen_arrays, n)[0])
+    matrix = labels.reshape(n, n).astype(index_dtype(count))
     return AssociationScheme.from_matrix(matrix, source={"kind": "orbitals"})
 
 
@@ -579,7 +555,6 @@ def group_scheme(group: PermutationGroup) -> AssociationScheme:
     a^-1 y b), so the source records certificate "exact" next to the
     generators and class_of.
     """
-    group.require_enumerated()
     class_of = group.class_of_array()
     source = {"kind": "group-scheme",
               "generators": [list(g.images) for g in group.generators],
@@ -601,8 +576,9 @@ def is_subgroup(group: PermutationGroup, members) -> bool:
 
 
 def stabilizer(group: PermutationGroup, point: int) -> list[int]:
-    group.require_enumerated()
-    return [i for i, e in enumerate(group.elements) if e.images[point] == point]
+    if not 0 <= point < group.degree:
+        raise ValueError(f"point {point} outside 0..{group.degree - 1}")
+    return np.flatnonzero(group._images()[:, point] == point).tolist()
 
 
 @dataclass
@@ -619,7 +595,6 @@ class DoubleCosetDecomposition:
 def double_cosets(group: PermutationGroup, subgroup) -> DoubleCosetDecomposition:
     """Partition of the group into H g H parts, ordered by (size, min index);
     part 0 is H itself."""
-    group.require_enumerated()
     H = sorted(set(int(h) for h in subgroup))
     if not is_subgroup(group, H):
         raise NotSubgroup("double cosets need a subgroup given by element indices")
@@ -661,7 +636,6 @@ class CosetAction:
 
 def coset_action(group: PermutationGroup, subgroup) -> CosetAction:
     """Action of G on the right cosets Hx, points ordered by minimal element."""
-    group.require_enumerated()
     H = sorted(set(int(h) for h in subgroup))
     if not is_subgroup(group, H):
         raise NotSubgroup("coset action needs a subgroup given by element indices")
@@ -700,7 +674,6 @@ def symmetric(n: int) -> PermutationGroup:
 
 def regular_action(group: PermutationGroup) -> PermutationGroup:
     """Generators of G acting on G itself by right translation."""
-    group.require_enumerated()
     return PermutationGroup([Permutation(group.mul(np.arange(group.order), g).tolist())
                              for g in group.generator_indices()])
 
@@ -716,29 +689,25 @@ def _transvection_mats(spec):
 
 
 def _projective_perm(spec, mat) -> Permutation:
+    """The action of mat on the points [1 : t] (index t) and [0 : 1]
+    (index q) of the projective line: [x : y] -> [xa + yc : xb + yd]."""
     a, b, c, d = mat
     q = spec.q
-    mul, add, div = spec._mul, spec._add, spec.div
-    images = []
-    for t in range(q):                     # the point [1 : t]
-        u = add[a][mul[t][c]]
-        v = add[b][mul[t][d]]
-        images.append(q if u == 0 else div(v, u))
-    images.append(q if c == 0 else div(d, c))   # the point [0 : 1]
-    return Permutation(images)
+    t = np.arange(q)
+    u = np.append(spec.add_t[a, spec.mul_t[t, c]], c)
+    v = np.append(spec.add_t[b, spec.mul_t[t, d]], d)
+    ratio = spec.mul_t[v, spec.inv_t[u]].astype(np.int64)    # v / u
+    return Permutation(np.where(u == 0, q, ratio))
 
 
 def _vector_perm(spec, mat) -> Permutation:
+    """The action of mat on the nonzero vectors (u, v), index u*q + v - 1."""
     a, b, c, d = mat
     q = spec.q
-    mul, add = spec._mul, spec._add
-    images = []
-    for code in range(q * q - 1):
-        u, v = divmod(code + 1, q)
-        nu = add[mul[u][a]][mul[v][c]]
-        nv = add[mul[u][b]][mul[v][d]]
-        images.append(nu * q + nv - 1)
-    return Permutation(images)
+    u, v = np.divmod(np.arange(1, q * q), q)
+    nu = spec.add_t[spec.mul_t[u, a], spec.mul_t[v, c]].astype(np.int64)
+    nv = spec.add_t[spec.mul_t[u, b], spec.mul_t[v, d]]
+    return Permutation(nu * q + nv - 1)
 
 
 def psl2(q: int, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:

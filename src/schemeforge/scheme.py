@@ -23,10 +23,17 @@ from .config import DEFAULT_RELATION_CAP, DEFAULT_SEED
 from .errors import CapExceeded, InvalidFusion, NotAScheme
 
 REPS_PER_CLASS = 3      # representative pairs whose counts must agree per class
+EXHAUSTIVE_LIMIT = 300  # non-orbital schemes up to this size are checked at all pairs
+VERIFY_ROWS = 40        # rows verify_scheme_axioms reads of a scheme above 600 points
 
 
-def _class_dtype(d: int):
-    return np.uint8 if d < 255 else np.uint16
+def index_dtype(count: int):
+    """Smallest unsigned dtype that holds the indices 0..count-1: the class
+    ids of a scheme with count classes, or the points of a permutation of
+    degree count."""
+    if count <= 0xFF:
+        return np.uint8
+    return np.uint16 if count <= 0xFFFF else np.uint32
 
 
 class AssociationScheme:
@@ -57,7 +64,7 @@ class AssociationScheme:
             raise ValueError(f"relation matrix must be square, got {matrix.shape}")
         n = matrix.shape[0]
         d = int(matrix.max())
-        matrix = matrix.astype(_class_dtype(d), copy=False)
+        matrix = matrix.astype(index_dtype(d + 1), copy=False)
         valencies = np.bincount(matrix[0].astype(np.int64), minlength=d + 1)
         transpose = np.arange(d + 1, dtype=np.int64)
         row0 = matrix[0]
@@ -79,7 +86,7 @@ class AssociationScheme:
         firsts = np.unique(class_of, return_index=True)[1]
         transpose = class_of[div(np.zeros_like(firsts), firsts)]
         return cls(class_of.shape[0], d, valencies, transpose,
-                   class_of=class_of.astype(_class_dtype(d)), div=div, source=source)
+                   class_of=class_of.astype(index_dtype(d + 1)), div=div, source=source)
 
     @property
     def orbital(self) -> bool:
@@ -256,14 +263,13 @@ def _identity_row_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
     return IntersectionNumbers(tensor, scheme.valencies, n)
 
 
-def intersection_numbers(scheme: AssociationScheme,
-                         exhaustive_limit: int = 300) -> IntersectionNumbers:
+def intersection_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
     """Count p_ij^h from representative pairs of each class.
 
     Every representative of a class must give identical counts; a mismatch
     raises NotAScheme naming the offending class and pair.  An orbital
     scheme is read from the identity row with one cross-check pair per
-    class.  Other schemes with at most `exhaustive_limit` points are
+    class.  Other schemes with at most EXHAUSTIVE_LIMIT points are
     checked over all n^2 pairs, and larger ones at REPS_PER_CLASS pairs
     per class from the first rows.
     """
@@ -272,7 +278,7 @@ def intersection_numbers(scheme: AssociationScheme,
     d, n = scheme.d, scheme.n
     tensor = np.full((d + 1, d + 1, d + 1), -1, dtype=np.int64)
 
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_LIMIT:
         mat = scheme.dense_matrix().astype(np.int64)
         span = (d + 1) ** 2
         for x in range(n):
@@ -305,7 +311,7 @@ class SchemeReport:
         return self.passed
 
 
-def verify_scheme_axioms(scheme: AssociationScheme, max_rows: int = 40,
+def verify_scheme_axioms(scheme: AssociationScheme,
                          seed: int = DEFAULT_SEED) -> SchemeReport:
     """Check diagonal class, row regularity, transpose closure and
     representative independence of the intersection numbers."""
@@ -322,7 +328,7 @@ def verify_scheme_axioms(scheme: AssociationScheme, max_rows: int = 40,
         rows = range(n)
     else:
         rng = np.random.default_rng(seed)
-        extra = rng.choice(n - 3, size=min(max_rows, n) - 3, replace=False) + 3
+        extra = rng.choice(n - 3, size=VERIFY_ROWS - 3, replace=False) + 3
         rows = [0, 1, 2] + sorted(int(r) for r in extra)
 
     class_reps: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]

@@ -1,4 +1,5 @@
-"""Zorn vector matrices over GF(q) and the simple Moufang loops inside them.
+"""Zorn vector matrices over GF(q) as digit rows, and the simple Moufang
+loops inside them.
 
 A vector matrix is [a, alpha; beta, b] with scalars a, b in GF(q) and row
 vectors alpha, beta in GF(q)^3.  The product rule mixes dot and cross
@@ -17,12 +18,14 @@ Loop elements are stored as rows of eight base-q digits
 single integer code with digit 'a' most significant, so lexicographic order
 on rows equals numeric order on codes.
 
-Whole-array products run on flat uint8 field tables: ADD and SUB indexed by
-x*q + y, and the fused tables MADD[a,b,c,d] = ab + cd and
-MSUB[a,b,c,d] = ab - cd indexed by ((a*q + b)*q + c)*q + d.  Every digit of
-a product is one ADD or SUB of two fused lookups, 24 lookups per product;
-the same tables give determinants, inverses and packed codes.  Digits are
-uint8, so the indices fit uint8 and uint16 for every q <= 16.
+A vector matrix is only ever such a digit row, or one column of eight
+uint8 digit arrays inside a kernel; no object wraps a single matrix.
+Products run on flat uint8 field tables: ADD and SUB indexed by x*q + y,
+and the fused tables MADD[a,b,c,d] = ab + cd and MSUB[a,b,c,d] = ab - cd
+indexed by ((a*q + b)*q + c)*q + d.  Every digit of a product is one ADD
+or SUB of two fused lookups, 24 lookups per product; the same tables give
+determinants, inverses and packed codes.  Digits are uint8, so the indices
+fit uint8 and uint16 for every q <= 16.
 """
 
 from __future__ import annotations
@@ -32,87 +35,12 @@ import math
 import numpy as np
 
 from .config import element_cap_default
-from .errors import CapExceeded, ParseError, SingularMatrix
-from .gf import FieldSpec, Vec3, field_for
+from .errors import CapExceeded, ParseError
+from .gf import FieldSpec, field_for
 from .loopcore import LoopStructure
 from .permgroup import canonical_labels
 
 BLOCK_PRODUCTS = 1 << 16    # products per block of a long product, sized for cache
-
-
-class ZornMatrix:
-    """Scalar vector matrix; slow but readable, used for spot checks."""
-
-    __slots__ = ("spec", "a", "alpha", "beta", "b")
-
-    def __init__(self, spec: FieldSpec, a, alpha, beta, b):
-        self.spec = spec
-        self.a = spec.element(a)
-        self.alpha = alpha if isinstance(alpha, Vec3) else spec.vec3(*alpha)
-        self.beta = beta if isinstance(beta, Vec3) else spec.vec3(*beta)
-        self.b = spec.element(b)
-
-    @classmethod
-    def identity(cls, spec: FieldSpec) -> "ZornMatrix":
-        return cls(spec, spec.one, (0, 0, 0), (0, 0, 0), spec.one)
-
-    @classmethod
-    def from_reps(cls, spec: FieldSpec, reps) -> "ZornMatrix":
-        reps = tuple(int(r) for r in reps)
-        if len(reps) != 8:
-            raise ValueError("a vector matrix needs eight digits")
-        return cls(spec, reps[0], reps[1:4], reps[4:7], reps[7])
-
-    def to_reps(self) -> tuple:
-        return ((self.a.rep,) + self.alpha.reps + self.beta.reps + (self.b.rep,))
-
-    def det(self):
-        return self.a * self.b - self.alpha.dot(self.beta)
-
-    def __mul__(self, other: "ZornMatrix") -> "ZornMatrix":
-        a, al, be, b = self.a, self.alpha, self.beta, self.b
-        c, ga, de, d = other.a, other.alpha, other.beta, other.b
-        return ZornMatrix(
-            self.spec,
-            a * c + al.dot(de),
-            ga.scale(a) + al.scale(d) - be.cross(de),
-            be.scale(c) + de.scale(b) + al.cross(ga),
-            be.dot(ga) + b * d,
-        )
-
-    def inverse(self) -> "ZornMatrix":
-        det = self.det()
-        if not det:
-            raise SingularMatrix("vector matrix with determinant 0 has no inverse")
-        s = det.inverse()
-        return ZornMatrix(self.spec, self.b * s, -self.alpha.scale(s),
-                          -self.beta.scale(s), self.a * s)
-
-    def __neg__(self) -> "ZornMatrix":
-        return ZornMatrix(self.spec, -self.a, -self.alpha, -self.beta, -self.b)
-
-    def __eq__(self, other):
-        return (isinstance(other, ZornMatrix) and self.spec == other.spec
-                and self.to_reps() == other.to_reps())
-
-    def __hash__(self):
-        return hash((self.spec, self.to_reps()))
-
-    def __repr__(self):
-        r = self.to_reps()
-        return f"ZornMatrix(q={self.spec.q}, {r[0]}, {r[1:4]}, {r[4:7]}, {r[7]})"
-
-
-def zorn_mul(m1: ZornMatrix, m2: ZornMatrix) -> ZornMatrix:
-    return m1 * m2
-
-
-def zorn_det(m: ZornMatrix):
-    return m.det()
-
-
-def zorn_inv(m: ZornMatrix) -> ZornMatrix:
-    return m.inverse()
 
 
 def paige_loop_order(q: int) -> int:
@@ -239,18 +167,6 @@ class PaigeLoop(LoopStructure):
             lookup[self._ft.codes(self._ft.NEG.take(D))] = np.arange(self.n, dtype=np.int32)
         return lookup
 
-    # vector matrix views
-
-    def matrix(self, i: int) -> ZornMatrix:
-        return ZornMatrix.from_reps(self.spec, self.elems[i])
-
-    def index_of(self, mat: ZornMatrix) -> int:
-        code = self._ft.codes(np.array(mat.to_reps(), dtype=np.uint8))
-        idx = int(self._lookup[code])
-        if idx < 0:
-            raise ValueError("matrix is not a unit vector matrix of this loop")
-        return idx
-
     # loop interface
 
     def _kernel(self, I, J) -> np.ndarray:
@@ -350,10 +266,10 @@ class PaigeLoop(LoopStructure):
             raise ParseError("elements must be rows of eight base-q digits")
         ft = _FieldTables(spec)
         D = np.ascontiguousarray(elems.T, dtype=np.uint8)
-        if not np.all(ft.det(D) == spec.one.rep):
+        if not np.all(ft.det(D) == 1):
             raise ParseError("every element must have determinant 1")
         ident = np.zeros(8, dtype=np.int64)
-        ident[0] = ident[7] = spec.one.rep
+        ident[0] = ident[7] = 1
         if not np.array_equal(elems[0], ident):
             raise ParseError("element 0 must be the identity matrix")
         codes = ft.codes(D)
@@ -378,11 +294,11 @@ def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
     # digit k varies along axis k of a q^8 grid, so C order is code order
     grid = [np.arange(q, dtype=np.uint8).reshape((q,) + (1,) * (7 - k))
             for k in range(8)]
-    unit_codes = np.flatnonzero(ft.det(grid) == spec.one.rep)
+    unit_codes = np.flatnonzero(ft.det(grid) == 1)
     if q % 2:
         neg_code = ft.codes([ft.NEG.take(g) for g in grid]).ravel()[unit_codes]
         unit_codes = unit_codes[unit_codes < neg_code]
-    ident_code = spec.one.rep * q ** 7 + spec.one.rep
+    ident_code = q ** 7 + 1
     rest = unit_codes[unit_codes != ident_code]
     ordered = np.concatenate([[ident_code], np.sort(rest)])
     if ordered.shape[0] != n:

@@ -311,6 +311,25 @@ def test_double_coset_with_subgroup_file(capsys, tmp_path):
     assert json.loads(out)["double_coset_sizes"] == [2, 4]
 
 
+def test_double_coset_subgroup_outside_the_group_exits_2(capsys, tmp_path):
+    sub = tmp_path / "swap.gens"
+    sub.write_text("(0 1)\n")
+    rc, _, err = run_cli(capsys, "chartable", "double-coset", "--cyclic", "4",
+                         "--sub", str(sub), "--json-errors")
+    assert rc == 2
+    assert json.loads(err.splitlines()[-1])["error"]["kind"] == "NotSubgroup"
+
+
+@pytest.mark.parametrize("point", ["99", "-1"])
+def test_double_coset_stab_outside_the_points_exits_2(capsys, point):
+    rc, _, err = run_cli(capsys, "chartable", "double-coset", "--psl2", "5",
+                         "--stab", point, "--json-errors")
+    assert rc == 2
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["kind"] == "ValueError"
+    assert f"point {point} outside 0..5" in error["detail"]
+
+
 def test_transfer_subcommand(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "scheme", "group-scheme", "--cyclic", "4")
     scheme_file = tmp_path / "z4.json"

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schemeforge.errors import DivisionByZero, UnsupportedField
-from schemeforge.gf import (FieldSpec, Vec3, factor_prime_power, field_for,
-                            is_prime)
+from schemeforge.gf import FieldSpec, factor_prime_power, field_for, is_prime
 
 
 def test_is_prime_small_values():
@@ -103,40 +102,33 @@ def test_encoding_range_checked():
         F.mul(-1, 2)
 
 
-def test_field_element_arithmetic():
-    F = field_for(9)
-    a, b = F.element(5), F.element(7)
-    assert (a + b).rep == F.add(5, 7)
-    assert (a - b).rep == F.sub(5, 7)
-    assert (a * b).rep == F.mul(5, 7)
-    assert (a / b).rep == F.div(5, 7)
-    assert (-a).rep == F.neg(5)
-    assert a.inverse().rep == F.inv(5)
-    assert (a + 1).rep == F.add(5, 1)
-    assert a != b
-    assert F.element(5) == a
-    assert bool(F.zero) is False and bool(F.one) is True
+def _dot(F, U, V):
+    """Dot products of the 3-vectors U[:, k] and V[:, k] through the tables."""
+    return F.add_t[F.add_t[F.mul_t[U[0], V[0]], F.mul_t[U[1], V[1]]], F.mul_t[U[2], V[2]]]
 
 
-def test_vec3_dot_cross_gf3():
+def _cross(F, U, V):
+    return np.array([F.sub_t[F.mul_t[U[i], V[j]], F.mul_t[U[j], V[i]]]
+                     for i, j in ((1, 2), (2, 0), (0, 1))])
+
+
+def test_dot_cross_gf3():
     F = field_for(3)
-    u = F.vec3(1, 2, 0)
-    v = F.vec3(0, 1, 2)
-    assert u.dot(v).rep == 2
-    assert u.cross(v).reps == (1, 1, 1)
+    u, v = np.array([1, 2, 0]), np.array([0, 1, 2])
+    assert _dot(F, u, v) == 2
+    assert _cross(F, u, v).tolist() == [1, 1, 1]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_cross_product_identities(q):
     F = field_for(q)
     rng = np.random.default_rng(7)
-    for _ in range(50):
-        u = F.vec3(*rng.integers(0, q, 3))
-        v = F.vec3(*rng.integers(0, q, 3))
-        assert u.cross(v) == -(v.cross(u))
-        assert u.dot(u.cross(v)).rep == 0
-        assert v.dot(u.cross(v)).rep == 0
-        assert u.cross(u).reps == (0, 0, 0)
+    U, V = rng.integers(0, q, (2, 3, 50))
+    uxv = _cross(F, U, V)
+    assert np.array_equal(uxv, F.neg_t[_cross(F, V, U)])
+    assert not _dot(F, U, uxv).any()
+    assert not _dot(F, V, uxv).any()
+    assert not _cross(F, U, U).any()
 
 
 def test_field_spec_json_roundtrip():

@@ -5,9 +5,8 @@ from schemeforge.errors import CapExceeded, ParseError
 from schemeforge.loopcore import (InnerOrbitReport, TableLoop,
                                   associativity_counterexample, inner_orbits,
                                   loop_from_group, loop_scheme,
-                                  moufang_check,
-                                  multiplication_group_generators,
-                                  parse_loop_table, quasigroup_check)
+                                  moufang_check, parse_loop_table,
+                                  quasigroup_check)
 from schemeforge.permgroup import closure, cyclic, group_scheme, symmetric
 from schemeforge.zorn import build_paige_loop
 
@@ -126,16 +125,6 @@ def test_associativity_counterexample_for_paige_loops(paige2, paige3):
 def test_associativity_counterexample_none_for_groups():
     loop = loop_from_group(symmetric(3))
     assert associativity_counterexample(loop) is None
-
-
-def test_multiplication_group_generators(paige2):
-    gens = multiplication_group_generators(paige2)
-    assert len(gens) == 2 * paige2.n
-    # L(0) and R(0) are the identity
-    assert gens[0].is_identity
-    assert gens[paige2.n].is_identity
-    arr = np.array([g.images for g in gens])
-    assert all(np.array_equal(np.sort(row), np.arange(paige2.n)) for row in arr)
 
 
 @pytest.mark.parametrize("make", [lambda: symmetric(3), lambda: cyclic(4),

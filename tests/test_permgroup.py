@@ -6,6 +6,7 @@ from schemeforge.chartab import (closed_form_psl2, compare_tables,
                                  compute_character_table)
 from schemeforge.errors import (CapExceeded, NotEnumerated, NotSubgroup,
                                 NotTransitive, ParseError, SchemeForgeError)
+from schemeforge.gf import field_for
 from schemeforge.loopcore import inner_orbits, loop_from_group
 from schemeforge.permgroup import (CosetAction, Permutation, PermutationGroup,
                                    closure, coset_action, cyclic,
@@ -151,10 +152,11 @@ def test_closure_above_uint16_points():
 
 def test_mul_idx_matches_composition():
     g = symmetric(4)
+    els = g.elements
     rng = np.random.default_rng(4)
     for _ in range(50):
         a, b = rng.integers(0, g.order, 2)
-        assert g.elements[g.mul_idx(int(a), int(b))] == g.elements[int(a)] * g.elements[int(b)]
+        assert els[g.mul_idx(int(a), int(b))] == els[int(a)] * els[int(b)]
     inv = g.inv_array()
     for a in range(g.order):
         assert g.mul_idx(a, int(inv[a])) == 0
@@ -187,6 +189,7 @@ def test_cyclic_group_classes_are_singletons():
 def _bfs_classes(group):
     """Reference classes: a breadth-first search from each unassigned element
     under conjugation by the generators, composing Permutations directly."""
+    els = group.elements
     assigned = set()
     classes = []
     for g in range(group.order):
@@ -196,7 +199,7 @@ def _bfs_classes(group):
         assigned.add(g)
         for x in orbit:
             for s in group.generators:
-                y = group.element_index(s.inverse() * group.elements[x] * s)
+                y = group.element_index(s.inverse() * els[x] * s)
                 if y not in assigned:
                     assigned.add(y)
                     orbit.append(y)
@@ -261,28 +264,28 @@ def test_mul_table_matches_composition(make, arg):
                          ids=["symmetric-4", "psl2-7"])
 def test_incomplete_element_list_is_refused(make, arg):
     gens = make(arg).generators
-    short = closure(gens).elements[:-1]
+    short = closure(gens)._images()[:-1]
     with pytest.raises(ValueError):
-        PermutationGroup(gens, elements=short).mul_table()
+        PermutationGroup(gens, images=short).mul_table()
     with pytest.raises(ValueError):
-        PermutationGroup(gens, elements=short).conjugacy_classes()
+        PermutationGroup(gens, images=short).conjugacy_classes()
 
 
 def test_repeated_element_is_refused():
     gens = symmetric(4).generators
-    els = closure(gens).elements
-    listed = els[:-1] + [els[1]]
+    rows = closure(gens)._images()
+    listed = np.concatenate([rows[:-1], rows[1:2]])
     with pytest.raises(ValueError):
-        PermutationGroup(gens, elements=listed).mul_table()
+        PermutationGroup(gens, images=listed).mul_table()
     with pytest.raises(ValueError):
-        PermutationGroup(gens, elements=listed).conjugacy_classes()
+        PermutationGroup(gens, images=listed).conjugacy_classes()
 
 
 def test_mul_table_refuses_elements_the_generators_miss():
     # S3 is closed under the swap, but the swap alone generates only 2 of it
     s3 = symmetric(3)
     with pytest.raises(ValueError):
-        PermutationGroup([s3.generators[0]], elements=s3.elements).mul_table()
+        PermutationGroup([s3.generators[0]], images=s3._images()).mul_table()
 
 
 def test_orbitals_two_transitive_action():
@@ -300,6 +303,29 @@ def test_orbitals_cyclic_rotation_action():
         for y in range(4):
             assert mat[x, y] == mat[0, (y - x) % 4]
     assert scheme.transpose_map.tolist() == [0, 3, 2, 1]
+
+
+def _frozen_orbital_matrix(group):
+    """The orbit relabel that canonical_labels replaced: orbit 0 (the
+    diagonal) first, then the others sorted by (size, orbit id)."""
+    n = group.degree
+    gen_arrays = np.array([g.images for g in group.generators], dtype=np.int64)
+    orbit_id, count = pair_orbits(gen_arrays, n)
+    sizes = np.bincount(orbit_id, minlength=count)
+    rest = sorted(range(1, count), key=lambda o: (int(sizes[o]), o))
+    relabel = np.empty(count, dtype=np.int64)
+    relabel[0] = 0
+    for new, old in enumerate(rest, start=1):
+        relabel[old] = new
+    return relabel[orbit_id].reshape(n, n)
+
+
+def test_orbitals_relabel_matches_frozen_sort():
+    groups = [psl2(q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)]
+    groups += [symmetric(5), regular_action(psl2(5))]
+    for group in groups:
+        got = orbitals(group).dense_matrix()
+        assert np.array_equal(got, _frozen_orbital_matrix(group)), group
 
 
 def test_orbitals_requires_transitivity():
@@ -343,16 +369,17 @@ def test_group_scheme_s7_matches_cycle_types():
     # n = 5040 lies above the 4096 default of mul_table; the relation of
     # (x, y) is the class of y x^-1, which in S7 is fixed by its cycle type
     g = symmetric(7)
+    els = g.elements
     mat = group_scheme(g).dense_matrix()
     assert mat.shape == (5040, 5040)
     types = {}
     for cid, members in enumerate(g.conjugacy_classes()):
-        types[cid] = _cycle_type(g.elements[members[0]])
+        types[cid] = _cycle_type(els[members[0]])
     assert len(set(types.values())) == 15
     rng = np.random.default_rng(7)
     for x, y in rng.integers(0, g.order, (200, 2)).tolist():
         rel = int(mat[x, y])
-        assert types[rel] == _cycle_type(g.elements[y] * g.elements[x].inverse())
+        assert types[rel] == _cycle_type(els[y] * els[x].inverse())
 
 
 def _dense_group_scheme(group):
@@ -383,16 +410,17 @@ def test_group_scheme_identity_rows_match_dense_reference(make):
 
 def test_group_division_matches_composition():
     g = psl2(5)
+    els = g.elements
     rng = np.random.default_rng(3)
     V, U = rng.integers(0, g.order, (2, 50))
     got = g.div(V[:, None], U[None, :])
     assert got.shape == (50, 50)
     for i in range(0, 50, 7):
         for j in range(0, 50, 5):
-            want = g.elements[int(U[j])].inverse() * g.elements[int(V[i])]
-            assert g.elements[int(got[i, j])] == want
+            want = els[int(U[j])].inverse() * els[int(V[i])]
+            assert els[int(got[i, j])] == want
     with pytest.raises(ValueError):
-        g._rows_to_indices(np.array([1, 0, 2, 3, 4, 5]))   # a transposition
+        g.rows_to_indices(np.array([1, 0, 2, 3, 4, 5]))   # a transposition
 
 
 @pytest.mark.slow
@@ -418,6 +446,38 @@ def test_stabilizer_sizes():
     s4 = symmetric(4)
     assert len(stabilizer(s4, 3)) == 6
     assert len(stabilizer(psl2(4), 0)) == 12
+
+
+@pytest.mark.parametrize("make,arg", [(symmetric, 4), (psl2, 7), (sl2, 3)],
+                         ids=["symmetric-4", "psl2-7", "sl2-3"])
+def test_stabilizer_matches_element_scan(make, arg):
+    group = make(arg)
+    els = group.elements
+    for point in range(group.degree):
+        assert stabilizer(group, point) == [
+            i for i, e in enumerate(els) if e.images[point] == point]
+
+
+@pytest.mark.parametrize("point", [6, 99, -1])
+def test_stabilizer_refuses_points_outside_the_action(point):
+    with pytest.raises(ValueError, match=r"outside 0\.\.5"):
+        stabilizer(psl2(5), point)
+
+
+def test_element_index_refuses_non_members():
+    g = psl2(5)
+    assert g.element_index(g.elements[7]) == 7
+    with pytest.raises(ValueError):
+        g.element_index(Permutation((1, 0, 2, 3, 4, 5)))    # a transposition
+    with pytest.raises(ValueError):
+        g.element_index(Permutation.identity(7))             # another degree
+
+
+def test_elements_are_built_from_the_image_rows():
+    g = symmetric(4)
+    assert [e.images for e in g.elements] == [tuple(r) for r in g._images().tolist()]
+    assert g.elements is not g.elements     # built on each access, not kept
+    assert g.generator_indices() == [g.element_index(s) for s in g.generators]
 
 
 def test_double_cosets_s3():
@@ -460,9 +520,10 @@ def test_coset_action_matches_natural_action():
 def test_coset_helpers_match_composition(make, point):
     group = make[0](make[1])
     H = stabilizer(group, point)
+    els = group.elements
 
     def prod(a, b):
-        return group.element_index(group.elements[a] * group.elements[b])
+        return group.element_index(els[a] * els[b])
 
     assert all(group.mul_idx(a, b) == prod(a, b) for a in H for b in range(group.order))
     dec = double_cosets(group, H)
@@ -560,6 +621,42 @@ def test_regular_action():
     assert scheme.d == 3
 
 
+def _frozen_projective_images(spec, mat):
+    """The point loop that built PSL(2,q) generators before the table gathers."""
+    a, b, c, d = mat
+    q = spec.q
+    images = []
+    for t in range(q):                     # the point [1 : t]
+        u = spec.add(a, spec.mul(t, c))
+        v = spec.add(b, spec.mul(t, d))
+        images.append(q if u == 0 else spec.div(v, u))
+    images.append(q if c == 0 else spec.div(d, c))   # the point [0 : 1]
+    return tuple(images)
+
+
+def _frozen_vector_images(spec, mat):
+    a, b, c, d = mat
+    q = spec.q
+    images = []
+    for code in range(q * q - 1):
+        u, v = divmod(code + 1, q)
+        nu = spec.add(spec.mul(u, a), spec.mul(v, c))
+        nv = spec.add(spec.mul(u, b), spec.mul(v, d))
+        images.append(nu * q + nv - 1)
+    return tuple(images)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 64, 256])
+def test_generator_images_match_frozen_loops(q):
+    spec = field_for(q)
+    for mat in permgroup._transvection_mats(spec) + [(1, 1, 1, 0)]:
+        assert (permgroup._projective_perm(spec, mat).images
+                == _frozen_projective_images(spec, mat)), mat
+        if q <= 64:
+            assert (permgroup._vector_perm(spec, mat).images
+                    == _frozen_vector_images(spec, mat)), mat
+
+
 @pytest.mark.parametrize("q,order", [(2, 6), (3, 12), (4, 60), (5, 60),
                                      (7, 168), (8, 504), (9, 360)])
 def test_psl2_orders(q, order):
@@ -583,4 +680,9 @@ def test_group_requires_enumeration_for_index_ops():
     assert not g.enumerated
     with pytest.raises(NotEnumerated):
         g.require_enumerated()
+    for op in (group_scheme, loop_from_group, regular_action,
+               lambda g: g.elements, lambda g: stabilizer(g, 0),
+               lambda g: double_cosets(g, [0]), lambda g: g.element_index(g.generators[0])):
+        with pytest.raises(NotEnumerated):
+            op(g)
     assert closure(g.generators).enumerated

@@ -184,7 +184,7 @@ def test_functional_scheme_matches_dense(mstar2_scheme, paige2):
     assert not functional.is_dense
     assert np.array_equal(functional.dense_matrix(),
                           mstar2_scheme.dense_matrix())
-    inter_f = intersection_numbers(functional, exhaustive_limit=10)
+    inter_f = intersection_numbers(functional)
     inter_d = intersection_numbers(mstar2_scheme)
     assert np.array_equal(inter_f.tensor, inter_d.tensor)
 
@@ -224,3 +224,11 @@ def test_function_backed_rel_reads_one_entry():
     assert sizes == [1] * 16, "rel read a whole row or column"
     with pytest.raises(ValueError):
         AssociationScheme(4, 1, [1, 3], [0, 1], class_of=np.array([0, 1, 1, 1]))
+
+
+def test_class_ids_above_uint16_do_not_wrap():
+    # 70,000 classes need the uint32 class dtype, as 70,001 points do
+    n = 70_000
+    sch = AssociationScheme.homogeneous(np.arange(n), lambda V, U: (V - U) % n)
+    assert sch.rel(0, 69_999) == 69_999
+    assert np.array_equal(sch.rel_row(0), np.arange(n))

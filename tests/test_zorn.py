@@ -2,73 +2,108 @@ import numpy as np
 import pytest
 
 from schemeforge.chartab import compute_character_table
-from schemeforge.errors import CapExceeded, ParseError, SingularMatrix
+from schemeforge.errors import CapExceeded, ParseError
 from schemeforge.gf import field_for
 from schemeforge.loopcore import inner_orbits, loop_scheme
 from schemeforge.scheme import intersection_numbers
-from schemeforge.zorn import (PaigeLoop, ZornMatrix, _FieldTables,
-                              _zorn_product_digits, build_paige_loop,
-                              paige_loop_order, zorn_det, zorn_inv, zorn_mul)
+from schemeforge.zorn import (PaigeLoop, _FieldTables, _zorn_product_digits,
+                              build_paige_loop, paige_loop_order)
+
+IDENTITY = (1, 0, 0, 0, 0, 0, 0, 1)
 
 
-def random_matrix(spec, rng):
-    return ZornMatrix.from_reps(spec, rng.integers(0, spec.q, 8))
+# A scalar reference for the kernel, one field operation at a time through
+# the integer API of FieldSpec, written from the product rule in the zorn
+# module docstring.  A vector matrix is a digit row (a, alpha, beta, b).
+
+def _dot(spec, u, v):
+    return spec.add(spec.add(spec.mul(u[0], v[0]), spec.mul(u[1], v[1])),
+                    spec.mul(u[2], v[2]))
+
+
+def _cross(spec, u, v):
+    return [spec.sub(spec.mul(u[i], v[j]), spec.mul(u[j], v[i]))
+            for i, j in ((1, 2), (2, 0), (0, 1))]
+
+
+def oracle_product(spec, m1, m2):
+    add, mul, sub = spec.add, spec.mul, spec.sub
+    a, al, be, b = m1[0], m1[1:4], m1[4:7], m1[7]
+    c, ga, de, d = m2[0], m2[1:4], m2[4:7], m2[7]
+    bxd, axg = _cross(spec, be, de), _cross(spec, al, ga)
+    # a gamma + d alpha - beta x delta  and  c beta + b delta + alpha x gamma
+    top = [sub(add(mul(a, ga[k]), mul(d, al[k])), bxd[k]) for k in range(3)]
+    bot = [add(add(mul(c, be[k]), mul(b, de[k])), axg[k]) for k in range(3)]
+    return (add(mul(a, c), _dot(spec, al, de)), *top, *bot,
+            add(_dot(spec, be, ga), mul(b, d)))
+
+
+def oracle_det(spec, m):
+    return spec.sub(spec.mul(m[0], m[7]), _dot(spec, m[1:4], m[4:7]))
+
+
+def _digits(column):
+    return tuple(int(x) for x in column)
+
+
+def _index_of_digits(loop, digits):
+    """Index of the element whose digit row is digits, or for odd q its
+    negation, found by searching loop.elems."""
+    rows = [digits]
+    if loop.q % 2:
+        rows.append([loop.spec.neg(x) for x in digits])
+    for row in rows:
+        hit = np.flatnonzero((loop.elems == np.asarray(row)).all(axis=1))
+        if hit.size:
+            return int(hit[0])
+    raise AssertionError(f"{digits} is not an element of the loop")
 
 
 def test_product_matches_hand_computation_gf2():
-    spec = field_for(2)
-    m1 = ZornMatrix(spec, 1, (1, 0, 1), (0, 1, 1), 0)
-    m2 = ZornMatrix(spec, 1, (0, 1, 0), (1, 1, 0), 1)
-    assert (m1 * m2).to_reps() == (0, 0, 0, 0, 1, 1, 0, 1)
-    assert m1.det().rep == 1
-    assert m2.det().rep == 0
+    ft = _FieldTables(field_for(2))
+    m1 = np.array([1, 1, 0, 1, 0, 1, 1, 0], dtype=np.uint8)
+    m2 = np.array([1, 0, 1, 0, 1, 1, 0, 1], dtype=np.uint8)
+    assert _digits(_zorn_product_digits(ft, m1, m2)) == (0, 0, 0, 0, 1, 1, 0, 1)
+    assert int(ft.det(m1)) == 1
+    assert int(ft.det(m2)) == 0
+
+
+def _random_stacks(q, count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, q, (8, count)).astype(np.uint8)
 
 
 def test_identity_is_neutral():
-    spec = field_for(3)
-    e = ZornMatrix.identity(spec)
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        m = random_matrix(spec, rng)
-        assert (e * m).to_reps() == m.to_reps()
-        assert (m * e).to_reps() == m.to_reps()
+    ft = _FieldTables(field_for(3))
+    M = _random_stacks(3, 100, 11)
+    E = np.array(IDENTITY, dtype=np.uint8)[:, None]
+    assert np.array_equal(np.array(_zorn_product_digits(ft, E, M)), M)
+    assert np.array_equal(np.array(_zorn_product_digits(ft, M, E)), M)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_determinant_is_multiplicative(q):
     spec = field_for(q)
-    rng = np.random.default_rng(q)
-    for _ in range(10_000):
-        m1 = random_matrix(spec, rng)
-        m2 = random_matrix(spec, rng)
-        assert zorn_det(zorn_mul(m1, m2)) == m1.det() * m2.det()
+    ft = _FieldTables(spec)
+    A, B = _random_stacks(q, 10_000, q), _random_stacks(q, 10_000, q + 20)
+    det_ab = ft.det(_zorn_product_digits(ft, A, B))
+    assert np.array_equal(det_ab, spec.mul_t[ft.det(A), ft.det(B)])
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_inverse_of_unit_matrices(q):
+    # the inverse of [a, alpha; beta, b] is [b, -alpha; -beta, a] / det
     spec = field_for(q)
-    e = ZornMatrix.identity(spec)
-    rng = np.random.default_rng(q + 40)
-    found = 0
-    while found < 200:
-        m = random_matrix(spec, rng)
-        if not m.det():
-            continue
-        found += 1
-        w = zorn_inv(m)
-        assert (m * w).to_reps() == e.to_reps()
-        assert (w * m).to_reps() == e.to_reps()
-
-
-def test_singular_matrix_has_no_inverse():
-    spec = field_for(2)
-    with pytest.raises(SingularMatrix):
-        ZornMatrix(spec, 1, (0, 1, 0), (1, 1, 0), 1).inverse()
-
-
-def test_from_reps_needs_eight_digits():
-    with pytest.raises(ValueError):
-        ZornMatrix.from_reps(field_for(2), (1, 0, 0))
+    ft = _FieldTables(spec)
+    M = _random_stacks(q, 1000, q + 40)
+    M = M[:, ft.det(M) != 0][:, :200]
+    assert M.shape[1] == 200
+    s = spec.inv_t[ft.det(M)]
+    scaled = spec.mul_t[M, s]
+    W = np.concatenate([scaled[7:], spec.neg_t[scaled[1:7]], scaled[:1]])
+    E = np.broadcast_to(np.array(IDENTITY, dtype=np.uint8)[:, None], M.shape)
+    assert np.array_equal(np.array(_zorn_product_digits(ft, M, W)), E)
+    assert np.array_equal(np.array(_zorn_product_digits(ft, W, M)), E)
 
 
 @pytest.mark.parametrize("q,order", [(2, 120), (3, 1080), (4, 16320), (5, 39000)])
@@ -79,11 +114,10 @@ def test_paige_loop_order_formula(q, order):
 def test_build_paige_loop_q2(paige2):
     assert paige2.n == 120
     spec = paige2.spec
-    ident = ZornMatrix.identity(spec)
-    assert paige2.matrix(0).to_reps() == ident.to_reps()
+    assert _digits(paige2.elems[0]) == IDENTITY
     # every element is a unit vector matrix and rows are distinct
     for i in range(paige2.n):
-        assert paige2.matrix(i).det().rep == 1
+        assert oracle_det(spec, _digits(paige2.elems[i])) == 1
     codes = paige2.elems.astype(np.int64) @ (2 ** np.arange(7, -1, -1))
     assert np.unique(codes).shape[0] == 120
 
@@ -95,8 +129,8 @@ def test_loop_product_agrees_with_matrix_product(paige2, paige3):
         J = rng.integers(0, loop.n, 300)
         K = loop.mul_vec(I, J)
         for i, j, k in zip(I[:100], J[:100], K[:100]):
-            prod = loop.matrix(int(i)) * loop.matrix(int(j))
-            assert loop.index_of(prod) == int(k)
+            prod = oracle_product(loop.spec, _digits(loop.elems[i]), _digits(loop.elems[j]))
+            assert _index_of_digits(loop, prod) == int(k)
         # a scalar operand broadcasts against an array, and two give a scalar
         assert np.array_equal(loop.mul_vec(int(I[0]), J),
                               loop.mul_vec(np.full(300, I[0]), J))
@@ -114,10 +148,9 @@ def test_kernel_matches_scalar_product(q):
     C = np.array(_zorn_product_digits(ft, A, B))
     det = ft.det(A)
     for k in range(A.shape[1]):
-        m1 = ZornMatrix.from_reps(spec, A[:, k])
-        m2 = ZornMatrix.from_reps(spec, B[:, k])
-        assert tuple(C[:, k].tolist()) == (m1 * m2).to_reps()
-        assert int(det[k]) == m1.det().rep
+        m1, m2 = _digits(A[:, k]), _digits(B[:, k])
+        assert _digits(C[:, k]) == oracle_product(spec, m1, m2)
+        assert int(det[k]) == oracle_det(spec, m1)
 
 
 def test_kernel_refuses_fields_beyond_its_index_range():
@@ -144,10 +177,14 @@ def test_right_division_is_product_with_inverse(paige3):
     lhs = paige3.right_div_vec(A, B)
     rhs = paige3.mul_vec(A, paige3.inv_vec(B))
     assert np.array_equal(lhs, rhs)
-    # spot check against inversion of the matrix itself
+    # spot check against inversion of the matrix itself: with unit
+    # determinant the inverse of [a, alpha; beta, b] is [b, -alpha; -beta, a]
+    spec = paige3.spec
     for pos in range(25):
-        w = paige3.matrix(int(A[pos])) * paige3.matrix(int(B[pos])).inverse()
-        assert paige3.index_of(w) == int(lhs[pos])
+        a, b = _digits(paige3.elems[A[pos]]), _digits(paige3.elems[B[pos]])
+        b_inv = (b[7], *(spec.neg(x) for x in b[1:7]), b[0])
+        w = oracle_product(spec, a, b_inv)
+        assert _index_of_digits(paige3, w) == int(lhs[pos])
 
 
 def test_inverse_indices_are_two_sided(paige2):
@@ -208,11 +245,11 @@ class _FrozenTables:
     def __init__(self, spec):
         q = spec.q
         self.q = q
-        self.MUL = np.array(spec._mul, dtype=np.int64)
-        self.ADD = np.array(spec._add, dtype=np.int64)
+        self.MUL = spec.mul_t.astype(np.int64)
+        self.ADD = spec.add_t.astype(np.int64)
         self.SUB = np.array([[spec.sub(x, y) for y in range(q)] for x in range(q)],
                             dtype=np.int64)
-        self.NEG = np.array(spec._neg, dtype=np.int64)
+        self.NEG = spec.neg_t.astype(np.int64)
 
     def dot3(self, U, V):
         MUL, ADD = self.MUL, self.ADD
@@ -244,12 +281,12 @@ def _frozen_elems(q):
     codes = np.arange(q ** 8, dtype=np.int64)
     digits = tuple((codes // q ** (7 - k)) % q for k in range(8))
     det = ft.SUB[ft.MUL[digits[0], digits[7]], ft.dot3(digits[1:4], digits[4:7])]
-    unit_codes = codes[det == spec.one.rep]
+    unit_codes = codes[det == 1]
     if q % 2:
-        neg_code = sum(ft.NEG[digits[k]][det == spec.one.rep] * q ** (7 - k)
+        neg_code = sum(ft.NEG[digits[k]][det == 1] * q ** (7 - k)
                        for k in range(8))
         unit_codes = unit_codes[unit_codes < neg_code]
-    ident_code = spec.one.rep * q ** 7 + spec.one.rep
+    ident_code = q ** 7 + 1
     rest = unit_codes[unit_codes != ident_code]
     ordered = np.concatenate([[ident_code], np.sort(rest)])
     elems = np.empty((ordered.shape[0], 8), dtype=np.int16)
