@@ -29,7 +29,8 @@ from .errors import (DegenerateCombination, EigensolverFailure,
 from .gf import factor_prime_power
 from .permgroup import (CosetAction, PermutationGroup, coset_action,
                         double_cosets, group_scheme, orbitals)
-from .scheme import AssociationScheme, IntersectionNumbers, intersection_numbers
+from .scheme import (AssociationScheme, IntersectionNumbers, intersection_numbers,
+                     read_labeled_rows)
 
 MAX_TRIES = 20      # random combinations tried before EigensolverFailure
 
@@ -98,14 +99,14 @@ def multiplicities(P, valencies, n) -> np.ndarray:
     return m
 
 
-def _row_sort_keys(P: np.ndarray, decimals: int = 6) -> np.ndarray:
-    scale = 10 ** decimals
-    re = np.round(P.real * scale).astype(np.int64)
-    im = np.round(P.imag * scale).astype(np.int64)
-    keys = np.empty((P.shape[0], 2 * P.shape[1]), dtype=np.int64)
-    keys[:, 0::2] = re
-    keys[:, 1::2] = im
-    return keys
+def _lead_then_lexicographic(P: np.ndarray, lead: int) -> list[int]:
+    """Row order of P: row lead (the valency row) first, the rest in
+    lexicographic order of their entries rounded to 6 decimals, real and
+    imaginary parts interleaved."""
+    others = [i for i in range(P.shape[0]) if i != lead]
+    parts = np.stack([P[others].real, P[others].imag], axis=2)
+    keys = np.round(parts * 10 ** 6).astype(np.int64).reshape(-1, 2 * P.shape[1])
+    return [lead] + [others[int(i)] for i in np.lexsort(keys.T[::-1])]
 
 
 def compute_character_table(source, seed: int = DEFAULT_SEED,
@@ -164,14 +165,10 @@ def compute_character_table(source, seed: int = DEFAULT_SEED,
             if abs(m.sum() - n) > 1e-6 * n:
                 raise DegenerateCombination(
                     f"multiplicities sum to {m.sum():.6f}, expected {n}")
-            # valency row first, the rest in lexicographic order
             perron = int(np.argmin(np.abs(W - k[None, :]).max(axis=1)))
             if np.abs(W[perron] - k).max() > 1e-6 * max(1.0, k.max()):
                 raise DegenerateCombination("no row matches the valencies")
-            others = [i for i in range(d1) if i != perron]
-            keys = _row_sort_keys(W[others])
-            order = np.lexsort(keys.T[::-1])
-            rows = [perron] + [others[int(i)] for i in order]
+            rows = _lead_then_lexicographic(W, perron)
             P = W[rows]
             P[:, 0] = 1.0
             return CharacterTable(P, inter.valencies, m[rows], n)
@@ -437,17 +434,16 @@ class GroupCharacterTable:
                 and self.row_orthogonality_residual() <= tol)
 
 
-def transfer_to_group_table(table: CharacterTable,
-                            tol_square: float = DEFAULT_TOL_SQUARE) -> GroupCharacterTable:
+def transfer_to_group_table(table: CharacterTable) -> GroupCharacterTable:
     """T = diag(f) P diag(1/k) with f_i = sqrt(m_i).
 
-    Requires every multiplicity to be a perfect square within tol_square;
+    Requires every multiplicity to be a perfect square within DEFAULT_TOL_SQUARE;
     schemes whose relations do not come from conjugacy classes of a group
     fail that test and are rejected."""
     m = table.multiplicities
     f = np.sqrt(m).round()
     bad = np.abs(f * f - m).max()
-    if bad > tol_square:
+    if bad > DEFAULT_TOL_SQUARE:
         raise NotGroupScheme(
             f"multiplicities are not perfect squares (worst deviation {bad:.2e}); "
             "the scheme does not come from a group")
@@ -477,16 +473,22 @@ def permutation_character(action: CosetAction) -> np.ndarray:
 def _constituent_multiplicities(group: PermutationGroup,
                                 gct: GroupCharacterTable,
                                 theta: np.ndarray) -> np.ndarray:
+    """Multiplicity of each irreducible character of gct in the character
+    theta, as integers; EigensolverFailure when they are not integral
+    within 1e-6."""
     sizes = np.array([len(c) for c in group.conjugacy_classes()],
                      dtype=np.float64)
-    return (gct.T.conj() * sizes[None, :]) @ theta / group.order
+    raw = (gct.T.conj() * sizes[None, :]) @ theta / group.order
+    rounded = np.round(raw.real)
+    if np.abs(raw.imag).max() > 1e-6 or np.abs(raw.real - rounded).max() > 1e-6:
+        raise EigensolverFailure("constituent multiplicities are not integral")
+    return rounded.astype(np.int64)
 
 
 @dataclass
 class GelfandReport:
     passed: bool
     multiplicities: list
-    raw: np.ndarray
 
     def __bool__(self):
         return self.passed
@@ -494,24 +496,15 @@ class GelfandReport:
 
 def gelfand_check(group: PermutationGroup, subgroup,
                   gct: GroupCharacterTable | None = None,
-                  seed: int = DEFAULT_SEED,
-                  tol: float = 1e-6) -> GelfandReport:
+                  seed: int = DEFAULT_SEED) -> GelfandReport:
     """Whether the induced trivial character is multiplicity-free.
 
     Pass gct to reuse an already computed group character table."""
     action = coset_action(group, subgroup)
     if gct is None:
         gct = group_character_table(group, seed=seed)
-    raw = _constituent_multiplicities(group, gct, permutation_character(action))
-    if np.abs(raw.imag).max() > tol:
-        raise EigensolverFailure("constituent multiplicities came out complex")
-    vals = raw.real
-    rounded = np.round(vals)
-    if np.abs(vals - rounded).max() > tol:
-        raise EigensolverFailure("constituent multiplicities are not integral")
-    ints = rounded.astype(np.int64)
-    return GelfandReport(bool(np.all((ints == 0) | (ints == 1))),
-                         ints.tolist(), vals)
+    ints = _constituent_multiplicities(group, gct, permutation_character(action))
+    return GelfandReport(bool(np.all((ints == 0) | (ints == 1))), ints.tolist())
 
 
 @dataclass
@@ -539,13 +532,8 @@ def double_coset_table(group: PermutationGroup, subgroup,
     if gct is None:
         gct = group_character_table(group, seed=seed)
     theta = permutation_character(action)
-    raw = _constituent_multiplicities(group, gct, theta)
     if rho_selection is None:
-        rounded = np.round(raw.real)
-        if (np.abs(raw.imag).max() > 1e-6
-                or np.abs(raw.real - rounded).max() > 1e-6):
-            raise EigensolverFailure("constituent multiplicities are not integral")
-        ints = rounded.astype(np.int64)
+        ints = _constituent_multiplicities(group, gct, theta)
         if np.any(ints > 1):
             raise NotMultiplicityFree(
                 "the induced trivial character has a repeated constituent; "
@@ -566,12 +554,8 @@ def double_coset_table(group: PermutationGroup, subgroup,
     h_size = len(H)
     rows = gct.T[selection]                       # characters as rows
     P = (rows @ counts.T) / h_size
-    # row order: trivial character first, others lexicographic
-    triv = int(np.argmin(np.abs(rows - 1.0).max(axis=1)))
-    others = [i for i in range(len(selection)) if i != triv]
-    keys = _row_sort_keys(P[others])
-    order = np.lexsort(keys.T[::-1])
-    perm = [triv] + [others[int(i)] for i in order]
+    # the trivial character gives the valency row
+    perm = _lead_then_lexicographic(P, int(np.argmin(np.abs(rows - 1.0).max(axis=1))))
     P = P[perm]
     valencies = np.array([len(p) // h_size for p in dc.parts], dtype=np.int64)
     mults = gct.degrees[selection][perm].astype(np.float64)
@@ -709,38 +693,15 @@ def table_to_csv(table: CharacterTable) -> str:
 
 
 def table_from_csv(text: str) -> CharacterTable:
-    n = None
-    valencies = None
-    mults = None
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        label, _, rest = line.partition(",")
-        try:
-            if label == "kind":
-                if rest.strip() != "character-table":
-                    raise ParseError(f"unexpected kind {rest.strip()!r}",
-                                     line=lineno)
-            elif label == "n":
-                n = int(rest)
-            elif label == "valencies":
-                valencies = [int(tok) for tok in rest.split(",")]
-            elif label == "multiplicities":
-                mults = [float(tok) for tok in rest.split(",")]
-            elif label == "P":
-                rows.append([parse_complex(tok) for tok in rest.split(",")])
-            else:
-                raise ParseError(f"unknown row label {label!r}", line=lineno)
-        except ValueError:
-            raise ParseError(f"bad numeric field in {label!r} row",
-                             line=lineno) from None
-    if n is None or valencies is None or mults is None or not rows:
-        raise ParseError("table CSV is missing n, valencies, multiplicities or P rows")
-    if any(len(r) != len(rows) for r in rows):
+    rows = read_labeled_rows(text, "character-table", {
+        "n": int, "valencies": lambda f: [int(tok) for tok in f.split(",")],
+        "multiplicities": lambda f: [float(tok) for tok in f.split(",")],
+        "P": lambda f: [parse_complex(tok) for tok in f.split(",")]})
+    P = rows["P"]
+    if any(len(r) != len(P) for r in P):
         raise ParseError("table CSV P rows do not form a square matrix")
-    return CharacterTable(np.array(rows, dtype=np.complex128),
-                          valencies, mults, n)
+    return CharacterTable(np.array(P, dtype=np.complex128), rows["valencies"][-1],
+                          rows["multiplicities"][-1], rows["n"][-1])
 
 
 def table_to_latex(table: CharacterTable, digits: int = 6) -> str:

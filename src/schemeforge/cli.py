@@ -19,8 +19,8 @@ from . import chartab, loopcore, permgroup, scheme as scheme_mod, zorn
 from .config import (DEFAULT_SEED, DEFAULT_TOL_COMPARE, DEFAULT_TOL_EIGEN,
                      OUTPUT_FORMATS, RunConfig, element_cap_default)
 from .errors import (CapExceeded, CertificationFailed, DegenerateCombination,
-                     DivisionByZero, EigensolverFailure, IndexOutOfRange,
-                     InvalidFusion, MismatchWithOrbitalTable, NonCommutative,
+                     DivisionByZero, EigensolverFailure, InvalidFusion,
+                     MismatchWithOrbitalTable, NonCommutative,
                      NonPositiveMultiplicity, NotAScheme, NotEnumerated,
                      NotGroupScheme, NotMultiplicityFree, NotSubgroup,
                      NotTransitive, ParseError, UnsupportedField, UnsupportedQ)
@@ -33,9 +33,8 @@ VERIFICATION_ERRORS = (NotAScheme, InvalidFusion, NonCommutative,
                        CertificationFailed)
 # bad arguments, malformed files, out-of-scope requests -> exit 2
 USAGE_ERRORS = (ParseError, UnsupportedField, UnsupportedQ, CapExceeded,
-                IndexOutOfRange, NotTransitive, NotSubgroup, NotEnumerated,
-                DivisionByZero, OSError, ValueError, KeyError,
-                json.JSONDecodeError)
+                NotTransitive, NotSubgroup, NotEnumerated, DivisionByZero,
+                OSError, ValueError, KeyError, json.JSONDecodeError)
 
 
 class _Exit(Exception):
@@ -437,7 +436,7 @@ def _cmd_chartable_compare(args, cfg: RunConfig):
 
 def _cmd_chartable_transfer(args, cfg: RunConfig):
     table = _load_table(_read_text(args, "--table", args.table))
-    gct = chartab.transfer_to_group_table(table, tol_square=cfg.tol_square)
+    gct = chartab.transfer_to_group_table(table)
     payload = {
         "T": [[{"re": float(z.real), "im": float(z.imag)} for z in row]
               for row in gct.T],

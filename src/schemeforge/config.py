@@ -47,13 +47,12 @@ class RunConfig:
     element_cap: int = field(default_factory=element_cap_default)
     tol_eigen: float = DEFAULT_TOL_EIGEN
     tol_compare: float = DEFAULT_TOL_COMPARE
-    tol_square: float = DEFAULT_TOL_SQUARE
     output_format: str = "json"
 
     def __post_init__(self):
         if self.element_cap <= 0:
             raise ValueError("size caps must be positive")
-        for name in ("tol_eigen", "tol_compare", "tol_square"):
+        for name in ("tol_eigen", "tol_compare"):
             tol = getattr(self, name)
             if not (0 < tol < 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2), got {tol}")

@@ -23,10 +23,6 @@ class CapExceeded(SchemeForgeError):
     """An enumeration would exceed the configured size cap."""
 
 
-class IndexOutOfRange(SchemeForgeError):
-    """Element index outside the enumerated range."""
-
-
 # permutation groups
 
 class NotTransitive(SchemeForgeError):

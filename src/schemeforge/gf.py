@@ -136,7 +136,7 @@ class FieldSpec:
     indices in [0, q), looked up in the same tables.
     """
 
-    def __init__(self, p: int, r: int = 1, modulus=None):
+    def __init__(self, p: int, r: int = 1):
         if not is_prime(p):
             raise UnsupportedField(f"characteristic {p} is not prime")
         if not (1 <= r <= MAX_DEGREE):
@@ -147,22 +147,7 @@ class FieldSpec:
         self.p = p
         self.r = r
         self.q = q
-        if modulus is None:
-            modulus = BUILTIN_MODULI.get(q) or _lex_smallest_irreducible(p, r)
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != r + 1:
-            raise ValueError(f"modulus must have degree {r}: expected {r + 1} coefficients")
-        if modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
-        if any(not (0 <= c < p) for c in modulus):
-            raise ValueError(f"modulus coefficients must lie in [0, {p})")
-        if r == 1:
-            # any monic linear polynomial defines the prime field
-            pass
-        elif not _poly_is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over GF({p})")
-        self.modulus = modulus
-        self.key = (p, r, modulus)
+        self.modulus = BUILTIN_MODULI.get(q) or _lex_smallest_irreducible(p, r)
         self._build_tables()
 
     # construction
@@ -279,23 +264,8 @@ class FieldSpec:
             return 1
         return int(self.exp_t[(int(self.log_t[x]) * e) % (self.q - 1)])
 
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
     def __repr__(self):
         return f"FieldSpec(p={self.p}, r={self.r}, modulus={list(self.modulus)})"
-
-    # serialization
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "r": self.r, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FieldSpec":
-        return cls(int(data["p"]), int(data["r"]), data["modulus"])
 
 
 @lru_cache(maxsize=None)

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_SEED, MOUFANG_EXHAUSTIVE_LIMIT
-from .errors import (CapExceeded, CertificationFailed, IndexOutOfRange,
-                     ParseError)
+from .errors import CapExceeded, CertificationFailed, ParseError
 from .permgroup import (PermutationGroup, canonical_labels,
                         min_label_components, pair_orbits)
 from .scheme import AssociationScheme, verify_scheme_axioms
@@ -64,9 +63,6 @@ class LoopStructure:
     def right_div_vec(self, A, B) -> np.ndarray:
         raise NotImplementedError
 
-    def inv_vec(self, I) -> np.ndarray:
-        raise NotImplementedError
-
     def table(self) -> np.ndarray | None:
         """Full multiplication table when affordable, else None."""
         return None
@@ -87,21 +83,12 @@ class TableLoop(LoopStructure):
     """Loop given by an explicit n x n table over indices 0..n-1."""
 
     def __init__(self, table):
+        report = quasigroup_check(table)
+        if not report:
+            where = f" at cell {report.cell}" if report.cell is not None else ""
+            raise ValueError(f"not a loop table: {report.failure}{where}")
         table = np.asarray(table, dtype=np.int64)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise ValueError("loop table must be square")
-        n = table.shape[0]
-        if n == 0:
-            raise ValueError("loop table must be nonempty")
-        if table.min() < 0 or table.max() >= n:
-            raise IndexOutOfRange(f"table entries must lie in 0..{n - 1}")
-        ident = np.arange(n)
-        if not (np.array_equal(table[0], ident) and np.array_equal(table[:, 0], ident)):
-            raise ValueError("index 0 must be a two-sided identity")
-        if not (np.all(np.sort(table, axis=1) == ident) and
-                np.all(np.sort(table, axis=0) == ident[:, None])):
-            raise ValueError("table is not a quasigroup: some row or column repeats an entry")
-        self.n = n
+        self.n = table.shape[0]
         self._table = table
         # _ldiv[a, b] = x with a * x = b; _rdiv[a, b] = x with x * b = a
         self._ldiv = np.argsort(table, axis=1)
@@ -118,9 +105,6 @@ class TableLoop(LoopStructure):
 
     def right_div_vec(self, A, B):
         return self._rdiv[A, B]
-
-    def inv_vec(self, I):
-        return self._ldiv[np.asarray(I), 0]
 
     def table(self):
         return self._table
@@ -268,47 +252,49 @@ class MoufangReport:
         return self.passed
 
 
-def moufang_check(loop: LoopStructure, samples: int = 100_000,
-                  seed: int = DEFAULT_SEED,
-                  exhaustive: bool | None = None) -> MoufangReport:
-    """Check the four Moufang identities, exhaustively for small loops and on
-    seeded random triples otherwise."""
+def _first_violation(loop: LoopStructure, identities, samples: int, seed: int):
+    """First triple that breaks one of identities(m), as (mode, triples
+    checked per identity, (text, x, y, z) or None).
+
+    Loops of at most MOUFANG_EXHAUSTIVE_LIMIT elements are checked at every
+    triple on their table, so None is then a proof.  Larger ones are
+    checked on seeded random triples in blocks of 2^15.
+    """
     n = loop.n
-    if exhaustive is None:
-        exhaustive = n <= MOUFANG_EXHAUSTIVE_LIMIT
-    if exhaustive:
+    if n <= MOUFANG_EXHAUSTIVE_LIMIT:
         T = loop.table()
         if T is None:
-            raise CapExceeded("exhaustive Moufang check needs a materialized table")
-        m = lambda a, b: T[a, b]
-        X = np.arange(n).reshape(-1, 1, 1)
-        Y = np.arange(n).reshape(1, -1, 1)
-        Z = np.arange(n).reshape(1, 1, -1)
-        for text, lhs, rhs in _moufang_identities(m):
-            L, R = lhs(X, Y, Z), rhs(X, Y, Z)
-            if not np.array_equal(L, R):
-                x, y, z = np.argwhere(L != R)[0]
-                return MoufangReport(False, "exhaustive", n ** 3,
-                                     (text, int(x), int(y), int(z)))
-        return MoufangReport(True, "exhaustive", n ** 3, None)
-    rng = np.random.default_rng(seed)
-    m = loop.mul_vec
-    remaining = samples
-    block = 1 << 15
-    while remaining > 0:
-        take = min(block, remaining)
-        X = rng.integers(0, n, size=take)
-        Y = rng.integers(0, n, size=take)
-        Z = rng.integers(0, n, size=take)
-        for text, lhs, rhs in _moufang_identities(m):
-            L, R = lhs(X, Y, Z), rhs(X, Y, Z)
-            bad = np.flatnonzero(L != R)
-            if bad.size:
-                k = int(bad[0])
-                return MoufangReport(False, "sampled", samples,
-                                     (text, int(X[k]), int(Y[k]), int(Z[k])))
-        remaining -= take
-    return MoufangReport(True, "sampled", samples, None)
+            raise CapExceeded("exhaustive identity check needs a materialized table")
+        mode, checked, m = "exhaustive", n ** 3, (lambda a, b: T[a, b])
+        blocks = [np.ogrid[:n, :n, :n]]
+    else:
+        mode, checked, m = "sampled", samples, loop.mul_vec
+        rng = np.random.default_rng(seed)
+        # X, Y and Z drawn in turn for each block, so the stream is fixed by the seed
+        takes = (min(1 << 15, samples - done) for done in range(0, samples, 1 << 15))
+        blocks = ([rng.integers(0, n, size=take) for _ in range(3)] for take in takes)
+    for X, Y, Z in blocks:
+        for text, lhs, rhs in identities(m):
+            bad = lhs(X, Y, Z) != rhs(X, Y, Z)
+            if bad.any():
+                at = tuple(np.argwhere(bad)[0])
+                x, y, z = (int(np.broadcast_to(V, bad.shape)[at]) for V in (X, Y, Z))
+                return mode, checked, (text, x, y, z)
+    return mode, checked, None
+
+
+def moufang_check(loop: LoopStructure, samples: int = 100_000,
+                  seed: int = DEFAULT_SEED) -> MoufangReport:
+    """Check the four Moufang identities, exhaustively for small loops and on
+    seeded random triples otherwise."""
+    mode, checked, witness = _first_violation(loop, _moufang_identities, samples, seed)
+    return MoufangReport(witness is None, mode, checked, witness)
+
+
+def _associativity_identity(m):
+    return [("(x*y)*z = x*(y*z)",
+             lambda x, y, z: m(m(x, y), z),
+             lambda x, y, z: m(x, m(y, z)))]
 
 
 def associativity_counterexample(loop: LoopStructure, samples: int = 20_000,
@@ -318,31 +304,8 @@ def associativity_counterexample(loop: LoopStructure, samples: int = 20_000,
     Small loops are scanned exhaustively, so None is then a proof of
     associativity; for large loops None only reports a failed search.
     """
-    n = loop.n
-    m = loop.mul_vec
-    if n <= MOUFANG_EXHAUSTIVE_LIMIT and loop.table() is not None:
-        T = loop.table()
-        X = np.arange(n).reshape(-1, 1, 1)
-        Y = np.arange(n).reshape(1, -1, 1)
-        Z = np.arange(n).reshape(1, 1, -1)
-        L, R = T[T[X, Y], Z], T[X, T[Y, Z]]
-        if np.array_equal(L, R):
-            return None
-        x, y, z = np.argwhere(L != R)[0]
-        return (int(x), int(y), int(z))
-    rng = np.random.default_rng(seed)
-    remaining = samples
-    while remaining > 0:
-        take = min(1 << 15, remaining)
-        X = rng.integers(0, n, size=take)
-        Y = rng.integers(0, n, size=take)
-        Z = rng.integers(0, n, size=take)
-        bad = np.flatnonzero(m(m(X, Y), Z) != m(X, m(Y, Z)))
-        if bad.size:
-            k = int(bad[0])
-            return (int(X[k]), int(Y[k]), int(Z[k]))
-        remaining -= take
-    return None
+    witness = _first_violation(loop, _associativity_identity, samples, seed)[2]
+    return None if witness is None else witness[1:]
 
 
 # inner-mapping orbits

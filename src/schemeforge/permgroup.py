@@ -249,12 +249,6 @@ class PermutationGroup:
 
     # index-level operations
 
-    def mul_idx(self, i: int, j: int) -> int:
-        return int(self.mul(i, j))
-
-    def inv_idx(self, i: int) -> int:
-        return int(self.inv_array()[i])
-
     def inv_array(self) -> np.ndarray:
         if self._inv_array is None:
             # the image row of e^-1 is the argsort of the image row of e
@@ -410,19 +404,6 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
 # point and pair orbits
 
 
-def point_orbit(gen_arrays: np.ndarray, n: int, start: int = 0) -> np.ndarray:
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = np.array([start], dtype=np.int64)
-    while frontier.size:
-        imgs = gen_arrays[:, frontier].ravel()
-        imgs = np.unique(imgs)
-        new = imgs[~seen[imgs]]
-        seen[new] = True
-        frontier = new
-    return np.flatnonzero(seen)
-
-
 def min_label_components(label: np.ndarray, edges) -> np.ndarray:
     """Smallest index in each connected component of the graph that joins
     A[k] to B[k] for every pair of index arrays (A, B) in edges, and every
@@ -538,13 +519,17 @@ def orbitals(group: PermutationGroup, n_points: int | None = None) -> Associatio
     if n * n > DEFAULT_RELATION_CAP:
         raise CapExceeded(f"{n}^2 relation entries exceed the cap {DEFAULT_RELATION_CAP}")
     gen_arrays = np.array([g.images for g in group.generators], dtype=np.int64)
-    if point_orbit(gen_arrays, n).shape[0] != n:
+    # transitive when the generator maps join every point to 0
+    points = np.arange(n)
+    if min_label_components(points, [(points, g) for g in gen_arrays]).any():
         raise NotTransitive("orbital scheme requires a transitive action")
     # orbit ids grow with their smallest pair code, so the canonical order
     # (diagonal first, then size, smallest pair) is the order of (size, id)
     labels, count = canonical_labels(pair_orbits(gen_arrays, n)[0])
     matrix = labels.reshape(n, n).astype(index_dtype(count))
-    return AssociationScheme.from_matrix(matrix, source={"kind": "orbitals"})
+    # the classes are the orbits of a transitive group on pairs
+    return AssociationScheme.from_matrix(matrix, source={"kind": "orbitals",
+                                                         "certificate": "exact"})
 
 
 def group_scheme(group: PermutationGroup) -> AssociationScheme:

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_RELATION_CAP, DEFAULT_SEED
-from .errors import CapExceeded, InvalidFusion, NotAScheme
+from .errors import CapExceeded, InvalidFusion, NotAScheme, ParseError
 
-REPS_PER_CLASS = 3      # representative pairs whose counts must agree per class
+REPS_PER_CLASS = 3      # rows read, one pair per class each, of a non-orbital scheme
 EXHAUSTIVE_LIMIT = 300  # non-orbital schemes up to this size are checked at all pairs
 VERIFY_ROWS = 40        # rows verify_scheme_axioms reads of a scheme above 600 points
 
@@ -91,8 +91,9 @@ class AssociationScheme:
     @property
     def orbital(self) -> bool:
         """True when the source records certificate "exact": the classes are
-        then the orbits of a transitive group on pairs (Mlt(L) for proved
-        inner orbits of a loop, G x G for the conjugacy classes of G)."""
+        then the orbits of a transitive group on pairs (the group itself for
+        orbitals, Mlt(L) for proved inner orbits of a loop, G x G for the
+        conjugacy classes of G)."""
         return isinstance(self.source, dict) and self.source.get("certificate") == "exact"
 
     # relation access
@@ -208,29 +209,6 @@ class IntersectionNumbers:
         return self._commutes
 
 
-def _collect_representatives(scheme: AssociationScheme):
-    """Deterministic representative pairs: scan rows upward, first hit per class."""
-    d = scheme.d
-    reps: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
-    missing = d + 1
-    limit = min(scheme.n, max(4 * REPS_PER_CLASS, 32))
-    for x in range(scheme.n):
-        row = scheme.rel_row(x)
-        classes, first = np.unique(row, return_index=True)
-        for h, y in zip(classes.tolist(), first.tolist()):
-            bucket = reps[h]
-            if len(bucket) < REPS_PER_CLASS:
-                bucket.append((x, int(y)))
-                if len(bucket) == REPS_PER_CLASS:
-                    missing -= 1
-        if missing == 0 or x + 1 >= limit:
-            break
-    empty = [h for h in range(d + 1) if not reps[h]]
-    if empty:
-        raise NotAScheme(f"classes {empty} have no representative pair in the scanned rows")
-    return reps
-
-
 def _pair_counts(row: np.ndarray, col: np.ndarray, d: int) -> np.ndarray:
     """[i, j] = #{z : row[z] = i, col[z] = j} for the row of x and column of y."""
     codes = row.astype(np.int64) * (d + 1) + col.astype(np.int64)
@@ -248,37 +226,22 @@ def _record(tensor: np.ndarray, h: int, counts: np.ndarray, x: int, y: int) -> N
             f"disagree with an earlier representative")
 
 
-def _identity_row_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
-    """p_ij^h of an orbital scheme from the pair (0, y_h), one y_h per class,
-    each checked at one more pair of its class in row 1."""
-    d, n = scheme.d, scheme.n
-    tensor = np.full((d + 1, d + 1, d + 1), -1, dtype=np.int64)
-    for x in (0, min(1, n - 1)):
-        row = scheme.rel_row(x)
-        classes, first = np.unique(row, return_index=True)
-        if classes.shape[0] != d + 1:
-            raise NotAScheme(f"row {x} meets only classes {classes.tolist()} of 0..{d}")
-        for h, y in zip(classes.tolist(), first.tolist()):
-            _record(tensor, h, _pair_counts(row, scheme.rel_col(y), d), x, y)
-    return IntersectionNumbers(tensor, scheme.valencies, n)
-
-
 def intersection_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
     """Count p_ij^h from representative pairs of each class.
 
     Every representative of a class must give identical counts; a mismatch
-    raises NotAScheme naming the offending class and pair.  An orbital
-    scheme is read from the identity row with one cross-check pair per
-    class.  Other schemes with at most EXHAUSTIVE_LIMIT points are
-    checked over all n^2 pairs, and larger ones at REPS_PER_CLASS pairs
-    per class from the first rows.
+    raises NotAScheme naming the offending class and pair.  Non-orbital
+    schemes with at most EXHAUSTIVE_LIMIT points are checked over all n^2
+    pairs.  Every other scheme is read from its first rows, one pair per
+    class in each: the first column of the class in that row.  An orbital
+    scheme has the same counts at every pair of a class, so rows 0 and 1
+    suffice (a count and its cross-check); others read REPS_PER_CLASS
+    rows.  In a scheme every row meets every class, so a row that misses
+    one raises NotAScheme too.
     """
-    if scheme.orbital:
-        return _identity_row_numbers(scheme)
     d, n = scheme.d, scheme.n
     tensor = np.full((d + 1, d + 1, d + 1), -1, dtype=np.int64)
-
-    if n <= EXHAUSTIVE_LIMIT:
+    if n <= EXHAUSTIVE_LIMIT and not scheme.orbital:
         mat = scheme.dense_matrix().astype(np.int64)
         span = (d + 1) ** 2
         for x in range(n):
@@ -291,11 +254,14 @@ def intersection_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
                 _record(tensor, int(row[y]), counts[y], x, y)
         return IntersectionNumbers(tensor, scheme.valencies, n)
 
-    reps = _collect_representatives(scheme)
-    for h in range(d + 1):
-        for x, y in reps[h]:
-            counts = _pair_counts(scheme.rel_row(x), scheme.rel_col(y), d)
-            _record(tensor, h, counts, x, y)
+    quota = 2 if scheme.orbital else REPS_PER_CLASS
+    rows = [scheme.rel_row(x) for x in range(min(n, quota))]
+    for x, row in enumerate(rows):
+        classes, first = np.unique(row, return_index=True)
+        if classes.shape[0] != d + 1:
+            raise NotAScheme(f"row {x} meets only classes {classes.tolist()} of 0..{d}")
+        for h, y in zip(classes.tolist(), first.tolist()):
+            _record(tensor, h, _pair_counts(row, scheme.rel_col(y), d), x, y)
     return IntersectionNumbers(tensor, scheme.valencies, n)
 
 
@@ -434,34 +400,41 @@ def scheme_to_csv(scheme: AssociationScheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scheme_from_csv(text: str) -> AssociationScheme:
-    from .errors import ParseError
-    n = d = None
-    valencies = None
-    rows = []
+def read_labeled_rows(text: str, kind: str, parsers: dict) -> dict[str, list]:
+    """Fields of a labeled-row CSV: a "kind,<kind>" line and lines
+    "label,fields" whose fields parsers[label] parses.  Returns the parsed
+    lines of each label in file order.  Another kind, an unknown label, a
+    field that does not parse and a label with no line raise ParseError."""
+    found: dict[str, list] = {label: [] for label in parsers}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         label, _, rest = line.partition(",")
-        try:
-            if label == "kind":
-                if rest.strip() != "scheme":
-                    raise ParseError(f"unexpected kind {rest.strip()!r}", line=lineno)
-            elif label == "n":
-                n = int(rest)
-            elif label == "d":
-                d = int(rest)
-            elif label == "valencies":
-                valencies = [int(tok) for tok in rest.split(",")]
-            elif label == "R":
-                rows.append([int(tok) for tok in rest.split(",")])
-            else:
-                raise ParseError(f"unknown row label {label!r}", line=lineno)
-        except ValueError:
-            raise ParseError(f"bad integer field in {label!r} row", line=lineno) from None
-    if n is None or d is None or valencies is None or not rows:
-        raise ParseError("scheme CSV is missing n, d, valencies or R rows")
-    built = AssociationScheme.from_matrix(np.asarray(rows))
-    if built.n != n or built.d != d or built.valencies.tolist() != valencies:
+        if label == "kind":
+            if rest.strip() != kind:
+                raise ParseError(f"unexpected kind {rest.strip()!r}", line=lineno)
+        elif label not in parsers:
+            raise ParseError(f"unknown row label {label!r}", line=lineno)
+        else:
+            try:
+                found[label].append(parsers[label](rest))
+            except ValueError:
+                raise ParseError(f"bad numeric field in {label!r} row", line=lineno) from None
+    missing = [label for label, lines in found.items() if not lines]
+    if missing:
+        raise ParseError(f"{kind} CSV has no {', '.join(missing)} rows")
+    return found
+
+
+def _ints(fields: str) -> list[int]:
+    return [int(tok) for tok in fields.split(",")]
+
+
+def scheme_from_csv(text: str) -> AssociationScheme:
+    rows = read_labeled_rows(text, "scheme", {"n": int, "d": int, "valencies": _ints,
+                                              "R": _ints})
+    built = AssociationScheme.from_matrix(np.asarray(rows["R"]))
+    if [built.n, built.d, built.valencies.tolist()] != [
+            rows["n"][-1], rows["d"][-1], rows["valencies"][-1]]:
         raise ParseError("scheme CSV header disagrees with its matrix")
     return built

@@ -94,8 +94,8 @@ def test_criterion_01_loop_orders(record):
 def test_criterion_02_moufang_certification(record):
     loops, _ = _loops()
     t0 = time.perf_counter()
-    exhaustive = moufang_check(loops[2], exhaustive=True)
-    sampled = {q: moufang_check(loops[q], samples=100_000, exhaustive=False)
+    exhaustive = moufang_check(loops[2])
+    sampled = {q: moufang_check(loops[q], samples=100_000)
                for q in (3, 4, 5)}
     witnesses = {q: associativity_counterexample(loops[q]) for q in (2, 3, 4, 5)}
     elapsed = time.perf_counter() - t0

@@ -16,7 +16,8 @@ from schemeforge.chartab import (CharacterTable, closed_form_mstar,
                                  transfer_to_group_table,
                                  verify_candidate_table, verify_orthogonality)
 from schemeforge.config import DEFAULT_SEED
-from schemeforge.errors import (MismatchWithOrbitalTable, NonCommutative,
+from schemeforge.errors import (EigensolverFailure, MismatchWithOrbitalTable,
+                                NonCommutative,
                                 NonPositiveMultiplicity, NotGroupScheme,
                                 NotMultiplicityFree, ParseError, UnsupportedQ)
 from schemeforge.permgroup import (cyclic, group_scheme, orbitals, psl2,
@@ -458,3 +459,47 @@ def test_latex_and_text_rendering():
     txt = table_to_text(compute_character_table(group_scheme(cyclic(3))))
     assert "i" in txt  # complex entries rendered
     assert "m" in txt and "k" in txt
+
+
+def _table(P, valencies) -> CharacterTable:
+    P = np.asarray(P, dtype=np.complex128)
+    return CharacterTable(P, valencies, np.ones(P.shape[0]), 7)
+
+
+def test_compare_tables_backtracks_from_a_dead_end():
+    # row 1 of s fits rows 2 and 3 of t; pairing it with row 2 first leaves
+    # row 3 of s without a column map consistent with the pairings so far
+    P = [[1, -1, -1, 0], [1, 1, -1, 1], [1, -1, -2, 1], [1, -2, -1, 1]]
+    t = _table(P, [1, 2, 2, 2])
+    s = _table(np.asarray(P)[[0, 3, 2, 1]][:, [0, 2, 1, 3]], [1, 2, 2, 2])
+    res = compare_tables(s, t)
+    assert res.matched and res.max_diff == 0
+    assert res.row_perm.tolist() == [0, 3, 2, 1]
+    assert res.col_perm.tolist() == [0, 2, 1, 3]
+
+
+def test_compare_tables_rejects_rows_that_fit_only_one_at_a_time():
+    # each row of s equals a row of t up to swapping columns 1 and 2, but
+    # row 1 needs the swap and row 2 forbids it
+    t = _table([[1, 2, 3], [1, 5, 7], [1, 8, 9]], [1, 2, 2])
+    s = _table([[1, 2, 3], [1, 7, 5], [1, 8, 9]], [1, 2, 2])
+    res = compare_tables(s, t)
+    assert not res.matched
+    assert res.row_perm is None and res.max_diff == 0
+
+
+def test_compute_character_table_gives_up_after_max_tries(monkeypatch):
+    from schemeforge import chartab
+    monkeypatch.setattr(chartab, "EIGENVALUE_COLLISION_TOL", float("inf"))
+    with pytest.raises(EigensolverFailure, match=f"after {chartab.MAX_TRIES} tries"):
+        compute_character_table(complete_graph_scheme(4))
+
+
+def test_constituent_multiplicities_must_be_integral():
+    s3 = symmetric(3)
+    gct = group_character_table(s3)
+    gct.T = gct.T * 0.5
+    with pytest.raises(EigensolverFailure, match="not integral"):
+        gelfand_check(s3, stabilizer(s3, 2), gct=gct)
+    with pytest.raises(EigensolverFailure, match="not integral"):
+        double_coset_table(s3, stabilizer(s3, 2), gct=gct)

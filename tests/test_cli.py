@@ -507,3 +507,65 @@ def test_group_from_file_roundtrip(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "group", "psl2", "--q", "5")
     assert rc == 0
     assert json.loads(out)["order"] == 60
+
+
+def test_verify_reads_the_table_from_stdin(capsys, monkeypatch):
+    import io
+    rc, out, _ = run_cli(capsys, "chartable", "oracle-psl2", "--q", "4")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+    rc, out, _ = run_cli(capsys, "chartable", "verify", "--stdin")
+    assert rc == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_verify_reads_a_csv_table(capsys, tmp_path):
+    rc, out, _ = run_cli(capsys, "chartable", "oracle-mstar", "--q", "2", "--format", "csv")
+    path = tmp_path / "m2.csv"
+    path.write_text(out)
+    rc, out, _ = run_cli(capsys, "chartable", "verify", "--table", str(path))
+    assert rc == 0
+    assert json.loads(out)["passed"] is True
+
+
+def test_compute_reads_a_csv_scheme(capsys, tmp_path):
+    rc, out, _ = run_cli(capsys, "scheme", "orbitals", "--psl2", "5", "--format", "csv")
+    path = tmp_path / "o5.csv"
+    path.write_text(out)
+    rc, out, _ = run_cli(capsys, "chartable", "compute", "--scheme", str(path))
+    assert rc == 0
+    from schemeforge.permgroup import orbitals
+    want = compute_character_table(orbitals(psl2(5)))
+    assert np.abs(CharacterTable.from_json(json.loads(out)).P - want.P).max() < 1e-12
+
+
+def test_group_text_output_is_a_generator_file(capsys, tmp_path):
+    rc, out, _ = run_cli(capsys, "group", "psl2", "--q", "5", "--format", "text")
+    assert rc == 0
+    path = tmp_path / "psl2_5.gens"
+    path.write_text(out)
+    rc, out, _ = run_cli(capsys, "group", "from-file", "--gens", str(path))
+    assert rc == 0
+    data = json.loads(out)
+    assert (data["degree"], data["order"]) == (6, 60)
+
+
+def test_group_sl2(capsys):
+    rc, out, _ = run_cli(capsys, "group", "sl2", "--q", "3")
+    assert rc == 0
+    data = json.loads(out)
+    assert (data["degree"], data["order"]) == (8, 24)
+
+
+def test_paige_loop_json_exports_and_builds_a_scheme(capsys, tmp_path):
+    rc, out, _ = run_cli(capsys, "paige", "build", "--q", "2")
+    path = tmp_path / "loop.json"
+    path.write_text(out)
+    rc, out, _ = run_cli(capsys, "export", "--in", str(path), "--format", "text")
+    assert rc == 0
+    assert out == "paige loop: q=2 order=120\n"
+    rc, out, _ = run_cli(capsys, "scheme", "loop-scheme", "--loop", str(path))
+    assert rc == 0
+    data = json.loads(out)
+    assert data["valencies"] == [1, 56, 63]
+    assert data["relations"]["source"]["kind"] == "paige-loop-scheme"
+    assert data["relations"]["source"]["certificate"] == "exact"

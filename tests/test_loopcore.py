@@ -84,7 +84,7 @@ def test_parse_loop_table_rejects_non_loop():
 
 def test_moufang_fails_for_order5_loop():
     loop = TableLoop(np.array(LOOP5))
-    report = moufang_check(loop, exhaustive=True)
+    report = moufang_check(loop)
     assert not report.passed
     assert report.mode == "exhaustive"
     text, x, y, z = report.counterexample
@@ -98,18 +98,18 @@ def test_moufang_fails_for_order5_loop():
 
 def test_moufang_holds_for_groups():
     for group in (symmetric(3), cyclic(7)):
-        report = moufang_check(loop_from_group(group), exhaustive=True)
+        report = moufang_check(loop_from_group(group))
         assert report.passed
         assert report.triples_checked == group.order ** 3
 
 
 def test_moufang_holds_for_paige_loop_exhaustive(paige2):
-    report = moufang_check(paige2, exhaustive=True)
+    report = moufang_check(paige2)
     assert report.passed and report.mode == "exhaustive"
 
 
 def test_moufang_sampled_mode(paige3):
-    report = moufang_check(paige3, samples=20_000, exhaustive=False)
+    report = moufang_check(paige3, samples=20_000)
     assert report.passed and report.mode == "sampled"
     assert report.triples_checked == 20_000
 
@@ -186,3 +186,26 @@ def test_loop_scheme_accepts_class_array(paige2):
     direct = loop_scheme(paige2, report.class_of)
     via_report = loop_scheme(paige2, report)
     assert np.array_equal(direct.dense_matrix(), via_report.dense_matrix())
+
+
+@pytest.mark.parametrize("table,failure", [
+    ([[0, 1]], "square and nonempty"),
+    (np.zeros((0, 0), dtype=int), "square and nonempty"),
+    ([[0, 5], [1, 0]], "entry outside 0..1 at cell (0, 1)"),
+    ([[0, 1], [1, 1]], "repeated entry in a row at cell (1, 1)"),
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "repeated entry in a column"),
+    ([[1, 0], [0, 1]], "row 0 is not the identity"),
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "column 0 is not the identity"),
+])
+def test_table_loop_rejects_non_loops(table, failure):
+    with pytest.raises(ValueError, match="not a loop table") as err:
+        TableLoop(table)
+    assert failure in str(err.value)
+    assert quasigroup_check(np.asarray(table)).failure in str(err.value)
+
+
+def test_associativity_counterexample_for_order5_loop():
+    loop = TableLoop(np.array(LOOP5))
+    x, y, z = associativity_counterexample(loop)
+    assert (x, y, z) == (1, 1, 2)
+    assert loop.mul(loop.mul(x, y), z) != loop.mul(x, loop.mul(y, z))

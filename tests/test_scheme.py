@@ -156,10 +156,19 @@ def test_scheme_json_roundtrip():
 
 
 def test_scheme_json_header_checked():
-    data = group_scheme(symmetric(3)).to_json()
-    data["valencies"] = [1, 3, 2]
-    with pytest.raises(ValueError):
+    from schemeforge.cli import _load_scheme
+    from schemeforge.config import RunConfig
+    from schemeforge.errors import ParseError
+    data = orbitals(cyclic(5)).to_json()
+    assert "matrix" in data["relations"]
+    data["valencies"] = [1, 2, 1, 1]
+    with pytest.raises(ValueError, match="valencies disagree with its matrix"):
         AssociationScheme.from_json(data)
+    recipe = group_scheme(symmetric(3)).to_json()
+    assert "source" in recipe["relations"]
+    recipe["valencies"] = [1, 3, 2]
+    with pytest.raises(ParseError, match="disagree with its rebuilt relation"):
+        _load_scheme(json.dumps(recipe), RunConfig())
 
 
 def test_scheme_csv_roundtrip():
@@ -232,3 +241,48 @@ def test_class_ids_above_uint16_do_not_wrap():
     sch = AssociationScheme.homogeneous(np.arange(n), lambda V, U: (V - U) % n)
     assert sch.rel(0, 69_999) == 69_999
     assert np.array_equal(sch.rel_row(0), np.arange(n))
+
+
+def test_verify_axioms_reports_valency_failures():
+    mat = complete_graph_scheme(3).dense_matrix()
+    report = verify_scheme_axioms(AssociationScheme(3, 1, [2, 2], [0, 1], matrix=mat))
+    assert not report.passed
+    assert "diagonal class has valency 2, expected 1" in report.failures
+    assert "valencies sum to 4, expected n=3" in report.failures
+
+
+def test_verify_axioms_reports_transpose_failures():
+    s3 = group_scheme(symmetric(3))          # valencies 1, 2, 3, all classes symmetric
+    mat = s3.dense_matrix()
+    k = s3.valencies
+    report = verify_scheme_axioms(AssociationScheme(6, 2, k, [0, 1, 1], matrix=mat))
+    assert "transpose map [0, 1, 1] is not a permutation of the classes" in report.failures
+    report = verify_scheme_axioms(AssociationScheme(6, 2, k, [0, 2, 1], matrix=mat))
+    assert "valency of class 1 differs from its transpose 2" in report.failures
+    assert any(f.endswith("but transpose of class 1 is 2") for f in report.failures)
+    z3 = orbitals(cyclic(3))                 # classes 1 and 2 are each other's transpose
+    report = verify_scheme_axioms(AssociationScheme(3, 2, [1, 1, 1], [0, 1, 2],
+                                                    matrix=z3.dense_matrix()))
+    assert not report.passed
+    assert report.failures[0].endswith("but transpose of class 1 is 1")
+
+
+def test_orbitals_are_orbital_and_read_from_two_rows():
+    sch = orbitals(psl2(7))
+    assert sch.orbital and sch.source["certificate"] == "exact"
+    bare = AssociationScheme.from_matrix(sch.dense_matrix())
+    assert not bare.orbital
+    reads = []
+    row = sch.rel_row
+    sch.rel_row = lambda x: reads.append(x) or row(x)
+    assert np.array_equal(intersection_numbers(sch).tensor,
+                          intersection_numbers(bare).tensor)
+    assert reads == [0, 1]
+
+
+def test_scan_rejects_a_row_that_misses_a_class():
+    # an orbital record on a partition whose row 1 misses class 2
+    mat = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    sch = AssociationScheme.from_matrix(mat, source={"certificate": "exact"})
+    with pytest.raises(NotAScheme, match=r"row 1 meets only classes \[0, 1\] of 0..2"):
+        intersection_numbers(sch)
