@@ -563,9 +563,10 @@ def double_coset_table(group: PermutationGroup, subgroup,
     orbital_table = compute_character_table(orbitals(action.group), seed=seed)
     match = compare_tables(table, orbital_table, tol=tol)
     if not match.matched:
+        gap = ("no matching within tol" if match.max_diff is None
+               else f"best deviation {match.max_diff:.2e}")
         raise MismatchWithOrbitalTable(
-            "double-coset table disagrees with the orbital-scheme table "
-            f"(best deviation {match.max_diff:.2e})")
+            f"double-coset table disagrees with the orbital-scheme table ({gap})")
     return DoubleCosetTable(table, [int(selection[i]) for i in perm], theta,
                             dc.sizes, match)
 
@@ -578,7 +579,7 @@ class MatchResult:
     matched: bool
     row_perm: np.ndarray | None   # P1[i, j] ~ P2[row_perm[i], col_perm[j]]
     col_perm: np.ndarray | None
-    max_diff: float
+    max_diff: float | None
 
     def __bool__(self):
         return self.matched
@@ -598,13 +599,15 @@ def compare_tables(t1: CharacterTable, t2: CharacterTable,
     each one fits on its own; a row that fits none rejects the match at once.
 
     On success max_diff is the largest entrywise deviation under the
-    returned permutations.  On a failed match it is the largest, over rows
-    of t1, of the deviation from the closest row of t2 under that row's own
-    best column map: a finite lower bound on the deviation of every
-    matching.  Tables of different order, size or valencies give inf."""
+    returned permutations.  When some row of t1 fits no row of t2 it is the
+    largest, over rows of t1, of the deviation from the closest row of t2
+    under that row's own best column map: a finite lower bound on the
+    deviation of every matching.  It is None when no finite bound is
+    known: for tables of different order, size or valencies, and when
+    every row fits on its own but no matching within tol exists."""
     k1, k2 = t1.valencies, t2.valencies
     if t1.d != t2.d or t1.n != t2.n or sorted(k1.tolist()) != sorted(k2.tolist()):
-        return MatchResult(False, None, None, float("inf"))
+        return MatchResult(False, None, None, None)
     d1 = t1.d + 1
     P1, P2 = t1.P, t2.P
     same_k = k1[:, None] == k2[None, :]
@@ -617,9 +620,8 @@ def compare_tables(t1: CharacterTable, t2: CharacterTable,
         row_gap[i] = gap.min(axis=2).max(axis=1)
     mdiff = np.abs(t1.multiplicities[:, None] - t2.multiplicities[None, :])
     fits = (row_gap <= tol) & (mdiff <= tol * max(t1.n, 1))
-    lower_bound = float(row_gap.min(axis=1).max())
     if not fits.any(axis=1).all():
-        return MatchResult(False, None, None, lower_bound)
+        return MatchResult(False, None, None, float(row_gap.min(axis=1).max()))
     order = np.argsort(fits.sum(axis=1), kind="stable").tolist()
     sigma = np.full(d1, -1, dtype=np.int64)
     used = np.zeros(d1, dtype=bool)
@@ -643,7 +645,7 @@ def compare_tables(t1: CharacterTable, t2: CharacterTable,
 
     tau = pair(0, same_k)
     if tau is None:
-        return MatchResult(False, None, None, lower_bound)
+        return MatchResult(False, None, None, None)
     worst = float(np.abs(P1 - P2[sigma][:, tau]).max())
     return MatchResult(True, sigma, tau, worst)
 

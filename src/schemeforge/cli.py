@@ -424,10 +424,8 @@ def _cmd_chartable_compare(args, cfg: RunConfig):
     table = _load_table(_read_text(args, "--table", args.table))
     other = _load_table(_read_file(args.other))
     match = chartab.compare_tables(table, other, tol=cfg.tol_compare)
-    # tables of different order, size or valencies have no finite distance;
-    # strict JSON has no token for inf, so that case is written as null
-    max_diff = match.max_diff if np.isfinite(match.max_diff) else None
-    payload = {"matched": match.matched, "max_diff": max_diff}
+    # a mismatch with no known bound on the deviation is written as null
+    payload = {"matched": match.matched, "max_diff": match.max_diff}
     if match.matched:
         payload["row_perm"] = [int(i) for i in match.row_perm]
         payload["col_perm"] = [int(j) for j in match.col_perm]

@@ -170,18 +170,11 @@ class PermutationGroup:
     images of the points under element k, in the point dtype.
 
     Enumeration order is canonical: identity first, then breadth-first
-    discovery order of `closure`.  Every element-level operation works on
-    the rows; `rows_to_indices` maps image rows back to element indices,
-    and `elements` builds Permutation objects from the rows on request.
-
-    The multiplication table and the conjugacy classes are built from the
-    Cayley graph.  For each generator s, one lookup of all n elements gives
-    L_s[k] = index(s * e_k) and C_s[x] = index(s^-1 * x * s).  Rows of the
-    table follow the left-Cayley recurrence: if e_i = s * e_p then
-    table[i] = L_s[table[p]].  The classes are the connected components of
-    the C_s maps.  Every lookup is a membership check: a product outside the
-    image matrix raises ValueError, as does an image matrix that the
-    generators do not reach from the identity.
+    discovery order of `closure`.  Elements are found by walking their base
+    images through the tables of `_build_levels`, so a product gathers only
+    the base images.  The listed rows are checked once, there: products,
+    inverses and conjugates of listed elements need no check, and rows from
+    outside (`rows_to_indices`, `element_index`) are compared in full.
     """
 
     def __init__(self, generators, images=None):
@@ -192,10 +185,9 @@ class PermutationGroup:
         if images is not None:
             self._images_matrix = np.ascontiguousarray(
                 images, dtype=index_dtype(self.degree))
-        self._mul_table: np.ndarray | None = None
+        self._levels: list[tuple[int, np.ndarray]] | None = None
         self._inv_array: np.ndarray | None = None
         self._classes: list[list[int]] | None = None
-        self._sorted_keys = None
 
     @property
     def enumerated(self) -> bool:
@@ -220,6 +212,11 @@ class PermutationGroup:
         self.require_enumerated()
         return self._images_matrix
 
+    def _lookup_levels(self) -> list[tuple[int, np.ndarray]]:
+        if self._levels is None:
+            self._levels = _build_levels(self._images(), self.generators)
+        return self._levels
+
     def element_index(self, perm: Permutation) -> int:
         if perm.degree != self.degree:
             raise ValueError(f"{perm!r} acts on {perm.degree} points, "
@@ -228,83 +225,38 @@ class PermutationGroup:
 
     def rows_to_indices(self, rows: np.ndarray) -> np.ndarray:
         """Map image rows (..., degree) back to element indices, shaped like
-        rows[..., 0], via a sorted void-key view.  Raises ValueError for a
-        row that is not an element."""
-        imgs = self._images()
-        if self._sorted_keys is None:
-            keys = imgs.view(np.dtype((np.void, imgs.dtype.itemsize * self.degree))).ravel()
-            order = np.argsort(keys)
-            keys = keys[order]
-            if np.any(keys[1:] == keys[:-1]):
-                raise ValueError("the element list repeats an element")
-            self._sorted_keys = (keys, order)
-        keys, order = self._sorted_keys
-        rows = np.ascontiguousarray(rows.astype(imgs.dtype, copy=False))
-        probe = rows.view(np.dtype((np.void, rows.dtype.itemsize * self.degree))).ravel()
-        found = order[np.minimum(np.searchsorted(keys, probe), keys.shape[0] - 1)]
-        found = found.reshape(rows.shape[:-1])
-        if (imgs[found] != rows).any():
-            raise ValueError("row is not an element of this group")
-        return found
+        rows[..., 0].  Raises ValueError for a row that is not an element."""
+        return _find_rows(self._lookup_levels(), self._images(), np.asarray(rows))
 
     # index-level operations
 
     def inv_array(self) -> np.ndarray:
         if self._inv_array is None:
-            # the image row of e^-1 is the argsort of the image row of e
-            self._inv_array = self.rows_to_indices(np.argsort(self._images(), axis=1))
+            imgs = self._images()
+            # e^-1 sends p to the point that e sends to p
+            self._inv_array = _walk(self._lookup_levels(),
+                                    lambda p: np.argmax(imgs == p, axis=1))
         return self._inv_array
 
     def mul(self, A, B) -> np.ndarray:
-        """Index of A * B for broadcast index arrays A and B: the image row
-        of a * b (a first) is b.images[a.images]."""
+        """Index of A * B for broadcast index arrays A and B: a * b (a
+        first) sends p to b.images[a.images[p]]."""
         A, B = np.asarray(A), np.asarray(B)
         imgs = self._images()
-        return self.rows_to_indices(imgs[B[..., None], imgs[A]])
+        return _walk(self._lookup_levels(), lambda p: imgs[B, imgs[A, p]])
 
     def div(self, V, U) -> np.ndarray:
         """Index of U^-1 * V for broadcast index arrays V and U."""
         return self.mul(self.inv_array()[np.asarray(U)], V)
 
     def mul_table(self) -> np.ndarray:
-        """Index-level multiplication table: table[i, j] = index(e_i * e_j), int32.
-
-        Rows follow the left-Cayley recurrence.  A breadth-first tree from
-        the identity along k -> L_s[k] = index(s * e_k) reaches e_i = s * e_p
-        from e_p, and then table[i] = L_s[table[p]], since
-        s * e_p * e_j = s * (e_p * e_j): one gather per row.  Raises
-        CapExceeded above MUL_TABLE_LIMIT elements, and ValueError when some
-        s * e_k is not in the element list or the tree misses a listed
-        element.
-        """
-        if self._mul_table is None:
-            n = self.order
-            if n > MUL_TABLE_LIMIT:
-                raise CapExceeded(f"multiplication table for {n} elements exceeds "
-                                  f"limit {MUL_TABLE_LIMIT}")
-            imgs = self._images()
-            # (s * e_k).images = imgs[k][s.images], all k at once
-            left = [self.rows_to_indices(imgs[:, s.as_array()]).astype(np.int32)
-                    for s in self.generators]
-            root = self.element_index(Permutation.identity(self.degree))
-            table = np.empty((n, n), dtype=np.int32)
-            table[root] = np.arange(n)
-            reached = bytearray(n)
-            reached[root] = 1
-            tree = [root]
-            hops = [(L, L.tolist()) for L in left]
-            for p in tree:
-                for L, hop in hops:
-                    i = hop[p]
-                    if not reached[i]:
-                        reached[i] = 1
-                        np.take(L, table[p], out=table[i])
-                        tree.append(i)
-            if len(tree) != n:
-                raise ValueError(f"the generators reach {len(tree)} of the "
-                                 f"{n} listed elements from the identity")
-            self._mul_table = table
-        return self._mul_table
+        """Index-level multiplication table: table[i, j] = index(e_i * e_j),
+        int32.  Raises CapExceeded above MUL_TABLE_LIMIT elements."""
+        n = self.order
+        if n > MUL_TABLE_LIMIT:
+            raise CapExceeded(f"multiplication table for {n} elements exceeds "
+                              f"limit {MUL_TABLE_LIMIT}")
+        return self.mul(np.arange(n)[:, None], np.arange(n)).astype(np.int32)
 
     def generator_indices(self) -> list[int]:
         return self.rows_to_indices(
@@ -316,15 +268,16 @@ class PermutationGroup:
         The classes are the connected components of the maps
         x -> C_s[x] = index(s^-1 * x * s) over the generators s, labelled
         by min_label_components.  No multiplication table is built.
-        Raises ValueError when some s^-1 * x * s is not in the element
-        list.
         """
         if self._classes is None:
             imgs = self._images()
+            levels = self._lookup_levels()
             ident = np.arange(self.order)
-            # (s^-1 * x * s).images = s.images[x.images[s^-1.images]]
-            edges = [(ident, self.rows_to_indices(s.as_array()[imgs[:, s.inverse().as_array()]]))
-                     for s in self.generators]
+            edges = []
+            for s in self.generators:
+                fwd, back = s.as_array(), s.inverse().as_array()
+                # s^-1 * x * s sends p to s.images[x.images[s^-1.images[p]]]
+                edges.append((ident, _walk(levels, lambda p: fwd[imgs[:, back[p]]])))
             label = min_label_components(ident, edges)
             order = np.argsort(label, kind="stable")
             roots, starts, sizes = np.unique(label[order], return_index=True,
@@ -335,15 +288,70 @@ class PermutationGroup:
         return self._classes
 
     def class_of_array(self) -> np.ndarray:
-        classes = self.conjugacy_classes()
         out = np.empty(self.order, dtype=np.int64)
-        for cid, members in enumerate(classes):
+        for cid, members in enumerate(self.conjugacy_classes()):
             out[members] = cid
         return out
 
     def __repr__(self):
         size = self.order if self.enumerated else "?"
         return f"PermutationGroup(degree={self.degree}, order={size})"
+
+
+def _walk(levels, column):
+    """Element index, or -1, of the base images column(p) of base points p."""
+    code = 0
+    for p, table in levels:
+        code = table[code, column(p)]
+    return code
+
+
+def _find_rows(levels, imgs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # taken mod degree any integer row walks; the full compare rejects strays
+    found = _walk(levels, lambda p: rows[..., p] % imgs.shape[1])
+    if (found < 0).any() or (imgs[found] != rows).any():
+        raise ValueError("row is not an element of this group")
+    return found
+
+
+def _build_levels(imgs: np.ndarray, generators) -> list[tuple[int, np.ndarray]]:
+    """The (base point, table) levels of the element lookup.
+
+    The base takes the points in order whose image column splits the rows
+    further, and always the first, until every row stands alone.  A level's
+    table maps (prefix code, image of its point) to the next code, or -1,
+    and its last row is all -1; the last level gives the element index.
+    The rows are checked once: ValueError unless no row repeats, row 0 is
+    the identity, each generator maps the rows onto rows (compared in full)
+    and the generators reach every row from row 0.
+    """
+    n, deg = imgs.shape
+    code = np.zeros(n, dtype=np.intp)
+    count = 1
+    levels = []
+    for p in range(deg):
+        keys, nxt = np.unique(code * deg + imgs[:, p], return_inverse=True)
+        if levels and keys.shape[0] == count:
+            continue
+        table = np.full((count + 1, deg), -1, dtype=np.intp)
+        count = keys.shape[0]
+        table[code, imgs[:, p]] = np.arange(n) if count == n else nxt
+        levels.append((p, table))
+        code = nxt.reshape(n)
+        if count == n:
+            break
+    if count < n:
+        raise ValueError("the element list repeats an element")
+    if (imgs[0] != np.arange(deg)).any():
+        raise ValueError("element 0 is not the identity")
+    every = np.arange(n)
+    # x -> x * s, whose image row is s.images[x.images]
+    right = [(every, _find_rows(levels, imgs, np.asarray(s.images, dtype=imgs.dtype)[imgs]))
+             for s in generators]
+    if min_label_components(every, right).any():
+        raise ValueError("the generators do not reach every listed element "
+                         "from the identity")
+    return levels
 
 
 def _as_permutations(generators) -> list[Permutation]:
@@ -643,10 +651,7 @@ def coset_action(group: PermutationGroup, subgroup) -> CosetAction:
 def cyclic(n: int) -> PermutationGroup:
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
-    if n == 1:
-        return closure([Permutation.identity(1)])
-    gen = Permutation(tuple((i + 1) % n for i in range(n)))
-    return closure([gen])
+    return closure([Permutation(tuple((i + 1) % n for i in range(n)))])
 
 
 def symmetric(n: int) -> PermutationGroup:
@@ -665,12 +670,7 @@ def regular_action(group: PermutationGroup) -> PermutationGroup:
 
 def _transvection_mats(spec):
     xs = [spec.pow(spec.generator, i) for i in range(spec.r)]
-    mats = []
-    for x in xs:
-        mats.append((1, x, 0, 1))   # upper
-    for x in xs:
-        mats.append((1, 0, x, 1))   # lower
-    return mats
+    return [(1, x, 0, 1) for x in xs] + [(1, 0, x, 1) for x in xs]   # upper, lower
 
 
 def _projective_perm(spec, mat) -> Permutation:

@@ -351,6 +351,15 @@ def test_double_coset_table_rejects_wrong_constituents():
         double_coset_table(s3, stabilizer(s3, 2), rho_selection=[0, 2])
 
 
+def test_double_coset_mismatch_without_a_bound_names_no_number(monkeypatch):
+    from schemeforge import chartab
+    monkeypatch.setattr(chartab, "compare_tables",
+                        lambda *a, **k: chartab.MatchResult(False, None, None, None))
+    s3 = symmetric(3)
+    with pytest.raises(MismatchWithOrbitalTable, match=r"\(no matching within tol\)$"):
+        double_coset_table(s3, stabilizer(s3, 2))
+
+
 def test_compare_tables_identity():
     t = closed_form_psl2(4)
     res = compare_tables(t, t)
@@ -403,7 +412,7 @@ def test_compare_tables_rejects_perturbed_entry(q):
 
 def test_compare_tables_rejects_dimension_mismatch():
     res = compare_tables(closed_form_psl2(2), closed_form_psl2(4))
-    assert not res.matched
+    assert not res.matched and res.max_diff is None
 
 
 def test_format_and_parse_complex():
@@ -485,7 +494,8 @@ def test_compare_tables_rejects_rows_that_fit_only_one_at_a_time():
     s = _table([[1, 2, 3], [1, 7, 5], [1, 8, 9]], [1, 2, 2])
     res = compare_tables(s, t)
     assert not res.matched
-    assert res.row_perm is None and res.max_diff == 0
+    # no matching within tol, and no finite bound on the deviation known
+    assert res.row_perm is None and res.max_diff is None
 
 
 def test_compute_character_table_gives_up_after_max_tries(monkeypatch):

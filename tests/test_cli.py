@@ -401,6 +401,23 @@ def test_compare_mismatch_is_strict_json(capsys, tmp_path):
     assert payload == {"matched": False, "max_diff": None}
 
 
+def test_compare_rows_that_fit_only_one_at_a_time_give_null(capsys, tmp_path):
+    # each row of s equals a row of t up to swapping columns 1 and 2, but
+    # row 1 needs the swap and row 2 forbids it
+    paths = []
+    for name, P in (("s", [[1, 2, 3], [1, 7, 5], [1, 8, 9]]),
+                    ("t", [[1, 2, 3], [1, 5, 7], [1, 8, 9]])):
+        table = CharacterTable(np.asarray(P, dtype=np.complex128), [1, 2, 2],
+                               np.ones(3), 7)
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(table.to_json()))
+    rc, out, _ = run_cli(capsys, "chartable", "compare", "--table", str(paths[0]),
+                         "--other", str(paths[1]))
+    assert rc == 1
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload == {"matched": False, "max_diff": None}
+
+
 def test_export_roundtrip_table(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "chartable", "oracle-mstar", "--q", "4")
     original = json.loads(out)

@@ -281,11 +281,22 @@ def test_repeated_element_is_refused():
         PermutationGroup(gens, images=listed).conjugacy_classes()
 
 
+def test_element_list_must_start_at_the_identity():
+    gens = symmetric(4).generators
+    rolled = np.roll(closure(gens)._images(), 1, axis=0)
+    with pytest.raises(ValueError, match="not the identity"):
+        PermutationGroup(gens, images=rolled).conjugacy_classes()
+
+
 def test_mul_table_refuses_elements_the_generators_miss():
     # S3 is closed under the swap, but the swap alone generates only 2 of it
     s3 = symmetric(3)
     with pytest.raises(ValueError):
         PermutationGroup([s3.generators[0]], images=s3._images()).mul_table()
+    with pytest.raises(ValueError):
+        PermutationGroup([s3.generators[0]], images=s3._images()).conjugacy_classes()
+    with pytest.raises(ValueError):
+        group_scheme(PermutationGroup([s3.generators[0]], images=s3._images()))
 
 
 def test_orbitals_two_transitive_action():
@@ -366,8 +377,8 @@ def _cycle_type(perm):
 
 
 def test_group_scheme_s7_matches_cycle_types():
-    # n = 5040 lies above the 4096 default of mul_table; the relation of
-    # (x, y) is the class of y x^-1, which in S7 is fixed by its cycle type
+    # the relation of (x, y) is the class of y x^-1, which in S7 is fixed
+    # by its cycle type
     g = symmetric(7)
     els = g.elements
     mat = group_scheme(g).dense_matrix()
@@ -408,8 +419,19 @@ def test_group_scheme_identity_rows_match_dense_reference(make):
     assert np.array_equal(got, intersection_numbers(dense).tensor)
 
 
-def test_group_division_matches_composition():
-    g = psl2(5)
+def _c2_power(k):
+    """(C2)^k as k disjoint transpositions on 2k points: intransitive, with
+    a base of k points."""
+    return closure([Permutation.from_cycles([[2 * i, 2 * i + 1]], 2 * k)
+                    for i in range(k)])
+
+
+@pytest.mark.parametrize("make,arg", [(psl2, 5), (symmetric, 6), (sl2, 4),
+                                      (cyclic, 12), (_c2_power, 14)],
+                         ids=["psl2-5", "symmetric-6", "sl2-4", "cyclic-12",
+                              "c2-power-14"])
+def test_group_division_matches_composition(make, arg):
+    g = make(arg)
     els = g.elements
     rng = np.random.default_rng(3)
     V, U = rng.integers(0, g.order, (2, 50))
@@ -419,8 +441,6 @@ def test_group_division_matches_composition():
         for j in range(0, 50, 5):
             want = els[int(U[j])].inverse() * els[int(V[i])]
             assert els[int(got[i, j])] == want
-    with pytest.raises(ValueError):
-        g.rows_to_indices(np.array([1, 0, 2, 3, 4, 5]))   # a transposition
 
 
 @pytest.mark.slow
@@ -429,6 +449,14 @@ def test_psl2_32_group_scheme_reaches_closed_form():
     scheme = group_scheme(psl2(32))
     table = compute_character_table(scheme)
     assert compare_tables(table, closed_form_psl2(32), tol=1e-8).matched
+
+
+@pytest.mark.slow
+def test_psl2_64_group_scheme_reaches_closed_form():
+    # n = 262,080 lies above the default closure cap
+    scheme = group_scheme(psl2(64, cap=262_080))
+    table = compute_character_table(scheme)
+    assert compare_tables(table, closed_form_psl2(64), tol=1e-8).matched
 
 
 def test_is_subgroup():
@@ -471,6 +499,14 @@ def test_element_index_refuses_non_members():
         g.element_index(Permutation((1, 0, 2, 3, 4, 5)))    # a transposition
     with pytest.raises(ValueError):
         g.element_index(Permutation.identity(7))             # another degree
+    with pytest.raises(ValueError):
+        g.rows_to_indices(np.array([1, 0, 2, 3, 4, 5]))
+    with pytest.raises(ValueError):
+        g.element_index(Permutation((7, 0, 1, 2, 3, 4)))    # a point outside 0..5
+    # agrees with the identity on the base [0, 1, 2] of PSL(2,7), which
+    # only the identity fixes pointwise
+    with pytest.raises(ValueError):
+        psl2(7).element_index(Permutation((0, 1, 2, 4, 3, 5, 6, 7)))
 
 
 def test_elements_are_built_from_the_image_rows():
