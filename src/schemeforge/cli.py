@@ -342,7 +342,7 @@ def _load_loop(args, cfg: RunConfig) -> loopcore.LoopStructure:
         text = fh.read()
     if text.lstrip().startswith("{"):
         return zorn.PaigeLoop.from_json(json.loads(text))
-    return loopcore.TableLoop(loopcore.parse_loop_table(text))
+    return loopcore.parse_loop_table(text)
 
 
 def _cmd_scheme_loop_scheme(args, cfg: RunConfig):

@@ -26,6 +26,17 @@ indexed by ((a*q + b)*q + c)*q + d.  Every digit of a product is one ADD
 or SUB of two fused lookups, 24 lookups per product; the same tables give
 determinants, inverses and packed codes.  Digits are uint8, so the indices
 fit uint8 and uint16 for every q <= 16.
+
+A code splits into two half-codes of q^4 values, (a, alpha) and (beta, b).
+The build finds the unit matrices without a q^8 array of digits or
+determinants: ab - alpha1 beta1 = alpha2 beta2 + alpha3 beta3 + 1 compares
+two factor tables, each over two digits of the high half and the whole low
+half, broadcast into a q^8 boolean mask whose set positions are the unit
+codes in ascending order.  For odd q, the q^4 table NEG4 of negated
+half-codes picks the smaller sign representative of each unit code.  Each
+half-code's four digits are gathered as one 4-byte word.  The lookup,
+inverses and trace classes start from a view of the elements' digit
+columns, with no per-element gather.
 """
 
 from __future__ import annotations
@@ -56,12 +67,19 @@ def _quad_index(q: int, w, x, y, z):
     return np.multiply(w * q + x, q * q, dtype=np.uint16, casting="unsafe") + (y * q + z)
 
 
+def _half_digits(q: int) -> np.ndarray:
+    """Digit rows (4, q^4) uint8 of the half-codes 0..q^4 - 1, digit 0 most
+    significant."""
+    return np.indices((q,) * 4, dtype=np.uint8).reshape(4, q ** 4)
+
+
 class _FieldTables:
     """GF(q) arithmetic as flat uint8 tables, for whole-array Zorn products.
 
     ADD and SUB hold x + y and x - y at x*q + y; the fused tables MADD and
     MSUB hold ab + cd and ab - cd at ((a*q + b)*q + c)*q + d; NEG holds -x
-    at x.  Arguments are uint8 digit arrays (or numpy scalars) that
+    at x, and NEG4 the half-code of the four negated digits at each
+    half-code.  Arguments are uint8 digit arrays (or numpy scalars) that
     broadcast against each other.
     """
 
@@ -76,6 +94,7 @@ class _FieldTables:
         ab = spec.mul_t.ravel()
         self.MADD = spec.add_t[ab[:, None], ab].ravel()
         self.MSUB = spec.sub_t[ab[:, None], ab].ravel()
+        self.NEG4 = _quad_index(q, *self.NEG.take(_half_digits(q)))
 
     def add(self, x, y):
         return self.ADD.take(x * self.q + y)
@@ -99,6 +118,14 @@ class _FieldTables:
         q = self.q
         return (np.multiply(_quad_index(q, *D[:4]), q ** 4, dtype=np.uint32,
                             casting="unsafe") + _quad_index(q, *D[4:]))
+
+    def neg_codes(self, codes):
+        """Codes of the digit-wise negations of the codes, as uint32: one
+        NEG4 lookup per half."""
+        q4 = self.q ** 4
+        hi, lo = np.divmod(codes, q4)
+        return (np.multiply(self.NEG4.take(hi), q4, dtype=np.uint32, casting="unsafe")
+                + self.NEG4.take(lo))
 
 
 def _zorn_product_digits(ft: _FieldTables, A, B):
@@ -146,10 +173,11 @@ class PaigeLoop(LoopStructure):
         self.spec = spec
         self.q = spec.q
         self.n = elems.shape[0]
-        self.elems = np.ascontiguousarray(elems, dtype=np.int16)
+        digits = np.ascontiguousarray(elems, dtype=np.uint8)
+        self.elems = digits.astype(np.int16)
         self._ft = _FieldTables(spec)
         # each element's eight uint8 digits as one 8-byte word: one gather per element
-        self._words = self.elems.astype(np.uint8).view(np.uint64).ravel()
+        self._words = digits.view(np.uint64).ravel()
         self._lookup = self._build_lookup()
         self._inv_of: np.ndarray | None = None
         self._table: np.ndarray | None = None
@@ -159,12 +187,17 @@ class PaigeLoop(LoopStructure):
         rows = self._words.take(I)[..., None].view(np.uint8)
         return np.ascontiguousarray(np.moveaxis(rows, -1, 0))
 
+    def _columns(self) -> np.ndarray:
+        """Digit rows (8, n) of all elements: a strided view of the digit
+        words, with no gather."""
+        return self._words.view(np.uint8).reshape(self.n, 8).T
+
     def _build_lookup(self) -> np.ndarray:
-        D = self._digits(np.arange(self.n))
+        codes = self._ft.codes(self._columns())
         lookup = np.full(self.q ** 8, -1, dtype=np.int32)
-        lookup[self._ft.codes(D)] = np.arange(self.n, dtype=np.int32)
+        lookup[codes] = np.arange(self.n, dtype=np.int32)
         if self.q % 2:
-            lookup[self._ft.codes(self._ft.NEG.take(D))] = np.arange(self.n, dtype=np.int32)
+            lookup[self._ft.neg_codes(codes)] = np.arange(self.n, dtype=np.int32)
         return lookup
 
     # loop interface
@@ -202,7 +235,7 @@ class PaigeLoop(LoopStructure):
 
     def inv_array(self) -> np.ndarray:
         if self._inv_of is None:
-            D = self._digits(np.arange(self.n))
+            D = self._columns()
             neg = self._ft.NEG.take(D[1:7])
             # unit determinant: inverse of [a, alpha; beta, b] is [b, -alpha; -beta, a]
             rows = (D[7], *neg, D[0])
@@ -231,7 +264,7 @@ class PaigeLoop(LoopStructure):
         and preserve the norm ab - alpha.beta, so they preserve the trace
         (Paige 1956; Nagy and Vojtechovsky 2003) and every trace class is a
         union of inner orbits."""
-        D = self._digits(np.arange(self.n))
+        D = self._columns()
         trace = self._ft.add(D[0], D[7])
         if self.q % 2:
             trace = np.minimum(trace, self._ft.NEG.take(trace))
@@ -274,13 +307,44 @@ class PaigeLoop(LoopStructure):
             raise ParseError("element 0 must be the identity matrix")
         codes = ft.codes(D)
         if q % 2:
-            codes = np.minimum(codes, ft.codes(ft.NEG.take(D)))
+            codes = np.minimum(codes, ft.neg_codes(codes))
         if np.unique(codes).shape[0] != expected:
             raise ParseError("elements repeat up to sign")
         return cls(spec, elems)
 
     def __repr__(self):
         return f"PaigeLoop(q={self.q}, order={self.n})"
+
+
+def _unit_rows(ft: _FieldTables, n: int) -> np.ndarray:
+    """Digit rows (n, 8) uint8 of the unit matrices, the smaller sign
+    representative for odd q, identity first and then by ascending code."""
+    q = ft.q
+    q4 = q ** 4
+    half = _half_digits(q)          # as the low half: beta1, beta2, beta3, b
+    x, y = np.indices((q, q), dtype=np.uint8)[..., None]
+    # ab - alpha.beta = 1 as (ab - alpha1 beta1) = (alpha2 beta2 + alpha3 beta3) + 1.
+    # The sides are q^6 tables over (a, alpha1, low half) and (alpha2, alpha3, low
+    # half); their mask on the code axes (a, alpha1, alpha2, alpha3, low half) has
+    # the unit codes, ascending, as its set positions, and each inner loop of the
+    # compare covers a whole low half (q^4 cells)
+    left = ft.msub(x, half[3], y, half[0])
+    right = ft.add(ft.madd(x, half[1], y, half[2]), 1)
+    codes = np.flatnonzero(left[:, :, None, None] == right)
+    if q % 2:
+        codes = codes[codes < ft.neg_codes(codes)]
+    ident_code = q ** 7 + 1
+    at = int(np.searchsorted(codes, ident_code))
+    if codes.shape[0] != n or ident_code not in codes[at:at + 1]:
+        raise RuntimeError(f"enumeration produced {codes.shape[0]} elements, "
+                           f"expected {n} with the identity among them")
+    # the identity first, the others in code order
+    codes[1:at + 1] = codes[:at]
+    codes[0] = ident_code
+    # each half-code's four digits as one 4-byte word
+    words = np.ascontiguousarray(half.T).view(np.uint32).ravel()
+    hi, lo = np.divmod(codes, q4)
+    return np.stack([words.take(hi), words.take(lo)], axis=1).view(np.uint8)
 
 
 def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
@@ -290,21 +354,4 @@ def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
     cap = element_cap_default() if element_cap is None else element_cap
     if n > cap:
         raise CapExceeded(f"loop of q={q} has {n} elements, above the cap {cap}")
-    ft = _FieldTables(spec)
-    # digit k varies along axis k of a q^8 grid, so C order is code order
-    grid = [np.arange(q, dtype=np.uint8).reshape((q,) + (1,) * (7 - k))
-            for k in range(8)]
-    unit_codes = np.flatnonzero(ft.det(grid) == 1)
-    if q % 2:
-        neg_code = ft.codes([ft.NEG.take(g) for g in grid]).ravel()[unit_codes]
-        unit_codes = unit_codes[unit_codes < neg_code]
-    ident_code = q ** 7 + 1
-    rest = unit_codes[unit_codes != ident_code]
-    ordered = np.concatenate([[ident_code], np.sort(rest)])
-    if ordered.shape[0] != n:
-        raise RuntimeError(f"enumeration produced {ordered.shape[0]} elements, "
-                           f"expected {n}")
-    elems = np.empty((n, 8), dtype=np.int16)
-    for k in range(8):
-        elems[:, k] = (ordered // q ** (7 - k)) % q
-    return PaigeLoop(spec, elems)
+    return PaigeLoop(spec, _unit_rows(_FieldTables(spec), n))

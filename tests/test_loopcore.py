@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
+from schemeforge import cli, loopcore
 from schemeforge.errors import CapExceeded, ParseError
-from schemeforge.loopcore import (InnerOrbitReport, TableLoop,
-                                  associativity_counterexample, inner_orbits,
-                                  loop_from_group, loop_scheme,
-                                  moufang_check, parse_loop_table,
+from schemeforge.loopcore import (InnerOrbitReport, MoufangReport, TableLoop,
+                                  _moufang_identities, associativity_counterexample,
+                                  inner_orbits, load_loop_table, loop_from_group,
+                                  loop_scheme, moufang_check, parse_loop_table,
                                   quasigroup_check)
 from schemeforge.permgroup import closure, cyclic, group_scheme, symmetric
-from schemeforge.zorn import build_paige_loop
+from schemeforge.zorn import PaigeLoop, build_paige_loop
 
 # smallest loop that is not a group; fails the Moufang identities
 LOOP5 = [
@@ -18,6 +19,19 @@ LOOP5 = [
     [3, 4, 1, 2, 0],
     [4, 2, 0, 1, 3],
 ]
+
+
+def _loop5_times_cyclic(m):
+    """LOOP5 x Z_m, element (a, i) at a*m + i: a non-Moufang loop of order
+    5m, sampled rather than scanned once 5m exceeds the exhaustive limit."""
+    T5 = np.array(LOOP5)
+    Zm = (np.arange(m)[:, None] + np.arange(m)) % m
+    return (T5[:, None, :, None] * m + Zm[None, :, None, :]).reshape(5 * m, 5 * m)
+
+
+def _loop_text(table):
+    table = np.asarray(table)
+    return f"{table.shape[0]}\n" + "\n".join(" ".join(map(str, row)) for row in table.tolist())
 
 
 def test_group_table_is_a_loop():
@@ -67,8 +81,9 @@ def test_quasigroup_check_out_of_range():
 def test_parse_loop_table_roundtrip():
     text = "# order five loop\n5\n" + "\n".join(" ".join(str(v) for v in row)
                                                 for row in LOOP5)
-    table = parse_loop_table(text)
-    assert np.array_equal(table, np.array(LOOP5))
+    loop = parse_loop_table(text)
+    assert isinstance(loop, TableLoop)
+    assert np.array_equal(loop.table(), np.array(LOOP5))
 
 
 def test_parse_loop_table_rejects_bad_token():
@@ -209,3 +224,66 @@ def test_associativity_counterexample_for_order5_loop():
     x, y, z = associativity_counterexample(loop)
     assert (x, y, z) == (1, 1, 2)
     assert loop.mul(loop.mul(x, y), z) != loop.mul(x, loop.mul(y, z))
+
+
+def test_moufang_reports_are_pinned():
+    # reports of the unshared identity evaluation, each product computed anew
+    assert moufang_check(TableLoop(np.array(LOOP5))) == MoufangReport(
+        False, "exhaustive", 125, ("((x*y)*x)*z = x*(y*(x*z))", 1, 0, 2))
+    sampled = moufang_check(TableLoop(_loop5_times_cyclic(32)), samples=5000, seed=7)
+    assert sampled == MoufangReport(
+        False, "sampled", 5000, ("((x*y)*x)*z = x*(y*(x*z))", 151, 110, 84))
+    report = moufang_check(build_paige_loop(2))
+    assert report == MoufangReport(True, "exhaustive", 120 ** 3, None)
+
+
+def test_moufang_identities_share_subproducts(paige3):
+    loop = PaigeLoop(paige3.spec, paige3.elems)         # no table: products only
+    calls = []
+    mul_vec = loop.mul_vec
+    loop.mul_vec = lambda I, J: calls.append(1) or mul_vec(I, J)
+    assert moufang_check(loop, samples=1 << 15).passed
+    assert len(calls) == 18                             # one full block
+    calls.clear()
+    assert moufang_check(loop, samples=(1 << 15) + 5).passed
+    assert len(calls) == 36
+
+
+def test_each_moufang_identity_matches_its_formula():
+    T = _loop5_times_cyclic(32)
+    rng = np.random.default_rng(5)
+    X, Y, Z = rng.integers(0, T.shape[0], size=(3, 4000))
+    m = lambda a, b: T[a, b]
+    formulas = [
+        (m(m(m(X, Y), X), Z), m(X, m(Y, m(X, Z)))),
+        (m(X, m(Y, m(Z, Y))), m(m(m(X, Y), Z), Y)),
+        (m(m(X, Y), m(Z, X)), m(X, m(m(Y, Z), X))),
+        (m(m(X, Y), m(Z, X)), m(m(X, m(Y, Z)), X)),
+    ]
+    shared = list(_moufang_identities(m, X, Y, Z))
+    assert len(shared) == 4
+    for (text, bad), (lhs, rhs) in zip(shared, formulas):
+        assert 0 < np.count_nonzero(bad) < bad.size, text
+        assert np.array_equal(bad, lhs != rhs), text
+
+
+def test_loop_table_file_is_checked_once(monkeypatch, tmp_path, capsys):
+    scans = []
+    check = loopcore.quasigroup_check
+    monkeypatch.setattr(loopcore, "quasigroup_check",
+                        lambda table: scans.append(1) or check(table))
+    path = tmp_path / "loop5.txt"
+    path.write_text(_loop_text(LOOP5))
+    assert np.array_equal(load_loop_table(path).table(), np.array(LOOP5))
+    assert len(scans) == 1
+    scans.clear()
+    assert cli.main(["scheme", "loop-scheme", "--loop", str(path)]) == 0
+    assert len(scans) == 1
+    capsys.readouterr()
+    # the file path names a bad table with ParseError, a direct TableLoop with ValueError
+    bad = [[0, 1], [1, 1]]
+    path.write_text(_loop_text(bad))
+    with pytest.raises(ParseError, match="repeated entry in a row at cell"):
+        load_loop_table(path)
+    with pytest.raises(ValueError, match="repeated entry in a row at cell"):
+        TableLoop(bad)

@@ -337,6 +337,36 @@ def test_build_matches_frozen_enumeration(q):
     assert loop.elems.tobytes() == frozen.tobytes()
 
 
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_build_is_sorted_unit_sign_representatives(q):
+    """Beyond the frozen enumeration's reach: the count, the identity first,
+    strictly increasing codes after it, unit determinants, the smaller sign
+    representative for odd q, and a lookup that finds each row (and its
+    negation) and nothing else.  Together these fix the element array."""
+    n = paige_loop_order(q)
+    loop = build_paige_loop(q, element_cap=n)
+    old = _FrozenTables(loop.spec)
+    assert loop.elems.dtype == np.int16 and loop.elems.shape == (n, 8)
+    assert _digits(loop.elems[0]) == IDENTITY
+    cols = [loop.elems[:, k].astype(np.int64) for k in range(8)]
+
+    def code(columns):
+        return sum(c * q ** (7 - k) for k, c in enumerate(columns))
+
+    codes = code(cols)
+    assert np.all(np.diff(codes[1:]) > 0)
+    det = old.SUB[old.MUL[cols[0], cols[7]], old.dot3(cols[1:4], cols[4:7])]
+    assert np.all(det == 1)
+    assert np.array_equal(loop._lookup[codes], np.arange(n))
+    signs = 1
+    if q % 2:
+        neg = code([old.NEG[c] for c in cols])
+        assert np.all(codes < neg)
+        assert np.array_equal(loop._lookup[neg], np.arange(n))
+        signs = 2
+    assert np.count_nonzero(loop._lookup >= 0) == signs * n
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_products_match_frozen_kernel(q):
     loop = build_paige_loop(q, element_cap=paige_loop_order(q))
