@@ -11,7 +11,7 @@ from .config import DEFAULT_SEED, RunConfig
 from .errors import SchemeForgeError
 from .gf import FieldSpec, field_for
 from .zorn import PaigeLoop, build_paige_loop, paige_loop_order
-from .permgroup import (Permutation, PermutationGroup, closure, cyclic,
+from .permgroup import (PermutationGroup, closure, cyclic,
                         symmetric, psl2, sl2, load_generators, orbitals,
                         group_scheme, coset_action, double_cosets, stabilizer)
 from .loopcore import (LoopStructure, TableLoop, quasigroup_check,
@@ -34,7 +34,7 @@ __all__ = [
     "DEFAULT_SEED", "RunConfig", "SchemeForgeError",
     "FieldSpec", "field_for",
     "PaigeLoop", "build_paige_loop", "paige_loop_order",
-    "Permutation", "PermutationGroup", "closure", "cyclic", "symmetric",
+    "PermutationGroup", "closure", "cyclic", "symmetric",
     "psl2", "sl2", "load_generators", "orbitals", "group_scheme",
     "coset_action", "double_cosets", "stabilizer",
     "LoopStructure", "TableLoop", "quasigroup_check", "moufang_check",

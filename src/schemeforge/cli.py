@@ -132,9 +132,11 @@ def _rebuild_functional_scheme(source, cfg: RunConfig) -> scheme_mod.Association
     class_of = _recipe_ints(source, "class_of", 1)
     if kind == "group-scheme":
         gens = _recipe_ints(source, "generators", 2)
-        if gens.size == 0 or np.any(np.sort(gens, axis=1) != np.arange(gens.shape[1])):
-            raise ParseError("group-scheme generators must be image lists of permutations")
-        built = permgroup.group_scheme(permgroup.closure(gens.tolist()))
+        try:
+            group = permgroup.closure(gens)
+        except ValueError as err:
+            raise ParseError(f"group-scheme generators: {err}") from None
+        built = permgroup.group_scheme(group)
         if built.source["class_of"] != class_of.tolist():
             raise ParseError("stored class_of is not the conjugacy classes of the generators")
         return built
@@ -214,7 +216,7 @@ def _resolve_subgroup(group: permgroup.PermutationGroup,
     gens = permgroup.load_generators(args.sub, degree=group.degree)
     sub = permgroup.closure(gens)
     try:
-        members = group.rows_to_indices(sub._images())
+        members = group.rows_to_indices(sub.elements)
     except ValueError:
         raise NotSubgroup("subgroup file contains a permutation outside the group") from None
     return sorted(members.tolist())
@@ -264,10 +266,10 @@ def _render_loop(loop: zorn.PaigeLoop, cfg: RunConfig) -> str:
 def _render_group(group: permgroup.PermutationGroup, cfg: RunConfig) -> str:
     if cfg.output_format == "json":
         return _dump_json({"degree": group.degree, "order": group.order,
-                           "generators": [list(g.images) for g in group.generators]})
+                           "generators": group.generators.tolist()})
     if cfg.output_format == "text":
         # the text form is itself a loadable generator file
-        lines = [" ".join(str(p) for p in g.images) for g in group.generators]
+        lines = [" ".join(map(str, row)) for row in group.generators.tolist()]
         return "\n".join(lines) + "\n"
     raise _Exit(2, "group output supports json and text only")
 

@@ -1,7 +1,8 @@
 """Permutations on {0..n-1}, small-group enumeration, orbit machinery.
 
-Composition convention: (p * q) applies p first, then q, so the image array
-of p * q is q.images[p.images].  All group actions here are right actions,
+A permutation is its image row: an integer array whose entry p is the image
+of point p.  Composition convention: p * q applies p first, then q, so the
+image row of p * q is q[p].  All group actions here are right actions,
 matching that convention (acting by a matrix product M N means acting by M
 first).
 """
@@ -25,71 +26,15 @@ MUL_TABLE_LIMIT = 4096            # largest group mul_table tabulates
 PAIR_SLICE_IMAGES = 4_000_000     # pair codes gathered per pair-orbit slice
 
 
-class Permutation:
-    """Immutable permutation stored as a tuple of images."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(int(i) for i in images)
-        self.images = images
-
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
-
-    @classmethod
-    def from_cycles(cls, cycles, degree: int) -> "Permutation":
-        images = list(range(degree))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a] = b
-        return cls(images)
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # apply self first, then other
-        o = other.images
-        return Permutation(tuple(o[i] for i in self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation(inv)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.images, dtype=np.int64)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Permutation({list(self.images)})"
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def parse_generator_line(line: str, degree: int | None = None,
-                         lineno: int | None = None) -> "Permutation | list[list[int]]":
+                         lineno: int | None = None) -> "np.ndarray | list[list[int]]":
     """One generator: either an image list '2 0 1' or cycles '(0 1 2)(3 4)'.
 
-    Cycle lines return the raw cycle lists because their degree may only be
-    known once the whole file is read.
+    An image list returns its image row.  Cycle lines return the raw cycle
+    lists because their degree may only be known once the whole file is read.
     """
     text = line.strip()
     if text.startswith("("):
@@ -120,14 +65,25 @@ def parse_generator_line(line: str, degree: int | None = None,
     if degree is not None and len(images) != degree:
         raise ParseError(f"image list has length {len(images)}, expected {degree}",
                          line=lineno)
-    if sorted(images) != list(range(len(images))):
+    try:
+        return _generator_rows([images])[0]
+    except ValueError:
         raise ParseError(f"{images} is not a permutation of 0..{len(images) - 1}",
-                         line=lineno)
-    return Permutation(images)
+                         line=lineno) from None
 
 
-def parse_generators(text: str, degree: int | None = None) -> list[Permutation]:
-    """Parse a generator file: one permutation per line, '#' comments allowed."""
+def _cycle_images(cycles, degree: int) -> list[int]:
+    """Image row of a product of disjoint cycles on the points 0..degree-1."""
+    images = list(range(degree))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a] = b
+    return images
+
+
+def parse_generators(text: str, degree: int | None = None) -> np.ndarray:
+    """Parse a generator file: one permutation per line, '#' comments
+    allowed.  Returns the (k, degree) image rows."""
     raw: list[tuple[int, object]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -140,51 +96,53 @@ def parse_generators(text: str, degree: int | None = None) -> list[Permutation]:
     if inferred is None:
         inferred = 0
         for _, item in raw:
-            if isinstance(item, Permutation):
-                inferred = max(inferred, item.degree)
+            if isinstance(item, np.ndarray):
+                inferred = max(inferred, item.shape[0])
             else:
                 inferred = max(inferred, max((p + 1 for c in item for p in c), default=1))
     gens = []
     for lineno, item in raw:
-        if isinstance(item, Permutation):
-            if item.degree != inferred:
+        if isinstance(item, np.ndarray):
+            if item.shape[0] != inferred:
                 raise ParseError(
-                    f"image list of length {item.degree} in a degree-{inferred} file",
+                    f"image list of length {item.shape[0]} in a degree-{inferred} file",
                     line=lineno)
             gens.append(item)
         else:
             top = max((p for c in item for p in c), default=-1)
             if top >= inferred:
                 raise ParseError(f"cycle point {top} outside 0..{inferred - 1}", line=lineno)
-            gens.append(Permutation.from_cycles(item, inferred))
-    return gens
+            gens.append(_cycle_images(item, inferred))
+    return _generator_rows(gens)
 
 
-def load_generators(path, degree: int | None = None) -> list[Permutation]:
+def load_generators(path, degree: int | None = None) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_generators(fh.read(), degree=degree)
 
 
 class PermutationGroup:
-    """Generators plus, when enumerated, the image matrix: row k holds the
-    images of the points under element k, in the point dtype.
+    """Generator rows plus, when enumerated, the image matrix: row k holds
+    the images of the points under element k.  Both are read-only arrays in
+    the point dtype.
 
+    The generator rows are checked on construction (`_generator_rows`).
     Enumeration order is canonical: identity first, then breadth-first
     discovery order of `closure`.  Elements are found by walking their base
     images through the tables of `_build_levels`, so a product gathers only
     the base images.  The listed rows are checked once, there: products,
     inverses and conjugates of listed elements need no check, and rows from
-    outside (`rows_to_indices`, `element_index`) are compared in full.
+    outside (`rows_to_indices`) are compared in full.
     """
 
     def __init__(self, generators, images=None):
-        gens = _as_permutations(generators)
-        self.generators = tuple(gens)
-        self.degree = gens[0].degree
+        self.generators = _generator_rows(generators)
+        self.degree = self.generators.shape[1]
         self._images_matrix: np.ndarray | None = None
         if images is not None:
             self._images_matrix = np.ascontiguousarray(
-                images, dtype=index_dtype(self.degree))
+                images, dtype=index_dtype(self.degree)).view()
+            self._images_matrix.flags.writeable = False
         self._levels: list[tuple[int, np.ndarray]] | None = None
         self._inv_array: np.ndarray | None = None
         self._classes: list[list[int]] | None = None
@@ -195,44 +153,39 @@ class PermutationGroup:
 
     @property
     def order(self) -> int:
-        return self._images().shape[0]
+        return self.elements.shape[0]
 
     @property
-    def elements(self) -> list[Permutation]:
-        """The elements as Permutations, built from the image rows on each
-        access and not kept."""
-        return [Permutation(row) for row in self._images().tolist()]
+    def elements(self) -> np.ndarray:
+        """The (order, degree) image matrix; row k is element k."""
+        self.require_enumerated()
+        return self._images_matrix
 
     def require_enumerated(self):
         if self._images_matrix is None:
             raise NotEnumerated("operation requires the enumerated element list; "
                                 "build the group with closure()")
 
-    def _images(self) -> np.ndarray:
-        self.require_enumerated()
-        return self._images_matrix
-
     def _lookup_levels(self) -> list[tuple[int, np.ndarray]]:
         if self._levels is None:
-            self._levels = _build_levels(self._images(), self.generators)
+            self._levels = _build_levels(self.elements, self.generators)
         return self._levels
 
-    def element_index(self, perm: Permutation) -> int:
-        if perm.degree != self.degree:
-            raise ValueError(f"{perm!r} acts on {perm.degree} points, "
-                             f"the group on {self.degree}")
-        return int(self.rows_to_indices(perm.as_array()))
-
-    def rows_to_indices(self, rows: np.ndarray) -> np.ndarray:
+    def rows_to_indices(self, rows) -> np.ndarray:
         """Map image rows (..., degree) back to element indices, shaped like
-        rows[..., 0].  Raises ValueError for a row that is not an element."""
-        return _find_rows(self._lookup_levels(), self._images(), np.asarray(rows))
+        rows[..., 0].  Raises ValueError for rows of another degree or a row
+        that is not an element."""
+        rows = np.atleast_1d(rows)
+        if rows.shape[-1] != self.degree:
+            raise ValueError(f"rows act on {rows.shape[-1]} points, "
+                             f"the group on {self.degree}")
+        return _find_rows(self._lookup_levels(), self.elements, rows)
 
     # index-level operations
 
     def inv_array(self) -> np.ndarray:
         if self._inv_array is None:
-            imgs = self._images()
+            imgs = self.elements
             # e^-1 sends p to the point that e sends to p
             self._inv_array = _walk(self._lookup_levels(),
                                     lambda p: np.argmax(imgs == p, axis=1))
@@ -240,9 +193,9 @@ class PermutationGroup:
 
     def mul(self, A, B) -> np.ndarray:
         """Index of A * B for broadcast index arrays A and B: a * b (a
-        first) sends p to b.images[a.images[p]]."""
+        first) sends p to b[a[p]]."""
         A, B = np.asarray(A), np.asarray(B)
-        imgs = self._images()
+        imgs = self.elements
         return _walk(self._lookup_levels(), lambda p: imgs[B, imgs[A, p]])
 
     def div(self, V, U) -> np.ndarray:
@@ -259,8 +212,7 @@ class PermutationGroup:
         return self.mul(np.arange(n)[:, None], np.arange(n)).astype(np.int32)
 
     def generator_indices(self) -> list[int]:
-        return self.rows_to_indices(
-            np.array([g.images for g in self.generators])).tolist()
+        return self.rows_to_indices(self.generators).tolist()
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Conjugacy classes as sorted index lists, ordered by (size, minimal index).
@@ -270,14 +222,14 @@ class PermutationGroup:
         by min_label_components.  No multiplication table is built.
         """
         if self._classes is None:
-            imgs = self._images()
+            imgs = self.elements
             levels = self._lookup_levels()
             ident = np.arange(self.order)
             edges = []
             for s in self.generators:
-                fwd, back = s.as_array(), s.inverse().as_array()
-                # s^-1 * x * s sends p to s.images[x.images[s^-1.images[p]]]
-                edges.append((ident, _walk(levels, lambda p: fwd[imgs[:, back[p]]])))
+                back = np.argsort(s)        # the image row of s^-1
+                # s^-1 * x * s sends p to s[x[s^-1[p]]]
+                edges.append((ident, _walk(levels, lambda p: s[imgs[:, back[p]]])))
             label = min_label_components(ident, edges)
             order = np.argsort(label, kind="stable")
             roots, starts, sizes = np.unique(label[order], return_index=True,
@@ -345,22 +297,36 @@ def _build_levels(imgs: np.ndarray, generators) -> list[tuple[int, np.ndarray]]:
     if (imgs[0] != np.arange(deg)).any():
         raise ValueError("element 0 is not the identity")
     every = np.arange(n)
-    # x -> x * s, whose image row is s.images[x.images]
-    right = [(every, _find_rows(levels, imgs, np.asarray(s.images, dtype=imgs.dtype)[imgs]))
-             for s in generators]
+    # x -> x * s, whose image row is s[x]
+    right = [(every, _find_rows(levels, imgs, s[imgs])) for s in generators]
     if min_label_components(every, right).any():
         raise ValueError("the generators do not reach every listed element "
                          "from the identity")
     return levels
 
 
-def _as_permutations(generators) -> list[Permutation]:
-    gens = [g if isinstance(g, Permutation) else Permutation(g) for g in generators]
-    if not gens:
+def _generator_rows(generators) -> np.ndarray:
+    """The generators as a read-only (k, degree) array of image rows in the
+    point dtype.  Raises ValueError for no generators, rows of different
+    lengths, or a row that is not a permutation of 0..degree-1, naming the
+    first such row."""
+    rows = [np.asarray(g) for g in generators]
+    if not rows:
         raise ValueError("a permutation group needs at least one generator")
-    if any(g.degree != gens[0].degree for g in gens):
-        raise ValueError("generators act on different point sets")
-    return gens
+    if any(r.ndim != 1 or r.shape != rows[0].shape for r in rows):
+        raise ValueError("generators must be image rows of one length")
+    S = np.stack(rows)
+    if S.dtype.kind not in "iu":
+        raise ValueError("generator rows must hold integers")
+    deg = S.shape[1]
+    bad = np.flatnonzero((np.sort(S, axis=1) != np.arange(deg)).any(axis=1))
+    if bad.size:
+        shown = np.array2string(S[bad[0]], separator=", ", threshold=16)
+        raise ValueError(f"generator row {bad[0]}, {shown}, is not a permutation "
+                         f"of 0..{deg - 1}")
+    S = S.astype(index_dtype(deg))
+    S.flags.writeable = False
+    return S
 
 
 def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
@@ -381,9 +347,8 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
     dropped by searchsorted in the sorted keys of every element so far.
     Raises CapExceeded once the group passes `cap` elements.
     """
-    gens = _as_permutations(generators)
-    deg = gens[0].degree
-    S = np.array([g.images for g in gens], dtype=index_dtype(deg))
+    S = _generator_rows(generators)
+    deg = S.shape[1]
     key = np.dtype((np.void, S.itemsize * deg))
     slice_len = max(1, CLOSURE_SLICE_BYTES // S.nbytes)
     frontier = np.arange(deg, dtype=S.dtype)[None, :]
@@ -406,7 +371,7 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
             found.append(products[np.sort(first[fresh])])
         frontier = np.concatenate(found)
         levels.append(frontier)
-    return PermutationGroup(gens, images=np.concatenate(levels))
+    return PermutationGroup(S, images=np.concatenate(levels))
 
 
 # point and pair orbits
@@ -526,14 +491,13 @@ def orbitals(group: PermutationGroup, n_points: int | None = None) -> Associatio
         raise ValueError(f"group acts on {n} points, not {n_points}")
     if n * n > DEFAULT_RELATION_CAP:
         raise CapExceeded(f"{n}^2 relation entries exceed the cap {DEFAULT_RELATION_CAP}")
-    gen_arrays = np.array([g.images for g in group.generators], dtype=np.int64)
     # transitive when the generator maps join every point to 0
     points = np.arange(n)
-    if min_label_components(points, [(points, g) for g in gen_arrays]).any():
+    if min_label_components(points, [(points, g) for g in group.generators]).any():
         raise NotTransitive("orbital scheme requires a transitive action")
     # orbit ids grow with their smallest pair code, so the canonical order
     # (diagonal first, then size, smallest pair) is the order of (size, id)
-    labels, count = canonical_labels(pair_orbits(gen_arrays, n)[0])
+    labels, count = canonical_labels(pair_orbits(group.generators, n)[0])
     matrix = labels.reshape(n, n).astype(index_dtype(count))
     # the classes are the orbits of a transitive group on pairs
     return AssociationScheme.from_matrix(matrix, source={"kind": "orbitals",
@@ -550,7 +514,7 @@ def group_scheme(group: PermutationGroup) -> AssociationScheme:
     """
     class_of = group.class_of_array()
     source = {"kind": "group-scheme",
-              "generators": [list(g.images) for g in group.generators],
+              "generators": group.generators.tolist(),
               "class_of": class_of.tolist(), "certificate": "exact"}
     return AssociationScheme.homogeneous(class_of, group.div, source=source)
 
@@ -571,7 +535,7 @@ def is_subgroup(group: PermutationGroup, members) -> bool:
 def stabilizer(group: PermutationGroup, point: int) -> list[int]:
     if not 0 <= point < group.degree:
         raise ValueError(f"point {point} outside 0..{group.degree - 1}")
-    return np.flatnonzero(group._images()[:, point] == point).tolist()
+    return np.flatnonzero(group.elements[:, point] == point).tolist()
 
 
 @dataclass
@@ -641,7 +605,7 @@ def coset_action(group: PermutationGroup, subgroup) -> CosetAction:
             reps.append(x)
     moved = coset_of[group.mul(np.asarray(reps)[None, :],
                                np.asarray(group.generator_indices())[:, None])]
-    action = PermutationGroup([Permutation(row) for row in moved.tolist()])
+    action = PermutationGroup(moved)
     return CosetAction(group, tuple(H), action, coset_of, reps)
 
 
@@ -651,21 +615,21 @@ def coset_action(group: PermutationGroup, subgroup) -> CosetAction:
 def cyclic(n: int) -> PermutationGroup:
     if n < 1:
         raise ValueError("cyclic group needs n >= 1")
-    return closure([Permutation(tuple((i + 1) % n for i in range(n)))])
+    return closure([np.roll(np.arange(n), -1)])
 
 
 def symmetric(n: int) -> PermutationGroup:
     if n < 2:
         return cyclic(1)
-    cycle = Permutation(tuple((i + 1) % n for i in range(n)))
-    swap = Permutation((1, 0) + tuple(range(2, n)))
-    return closure([swap, cycle])
+    swap = np.arange(n)
+    swap[:2] = 1, 0
+    return closure([swap, np.roll(np.arange(n), -1)])
 
 
 def regular_action(group: PermutationGroup) -> PermutationGroup:
     """Generators of G acting on G itself by right translation."""
-    return PermutationGroup([Permutation(group.mul(np.arange(group.order), g).tolist())
-                             for g in group.generator_indices()])
+    return PermutationGroup(group.mul(np.arange(group.order),
+                                      np.asarray(group.generator_indices())[:, None]))
 
 
 def _transvection_mats(spec):
@@ -673,7 +637,7 @@ def _transvection_mats(spec):
     return [(1, x, 0, 1) for x in xs] + [(1, 0, x, 1) for x in xs]   # upper, lower
 
 
-def _projective_perm(spec, mat) -> Permutation:
+def _projective_perm(spec, mat) -> np.ndarray:
     """The action of mat on the points [1 : t] (index t) and [0 : 1]
     (index q) of the projective line: [x : y] -> [xa + yc : xb + yd]."""
     a, b, c, d = mat
@@ -682,17 +646,17 @@ def _projective_perm(spec, mat) -> Permutation:
     u = np.append(spec.add_t[a, spec.mul_t[t, c]], c)
     v = np.append(spec.add_t[b, spec.mul_t[t, d]], d)
     ratio = spec.mul_t[v, spec.inv_t[u]].astype(np.int64)    # v / u
-    return Permutation(np.where(u == 0, q, ratio))
+    return np.where(u == 0, q, ratio)
 
 
-def _vector_perm(spec, mat) -> Permutation:
+def _vector_perm(spec, mat) -> np.ndarray:
     """The action of mat on the nonzero vectors (u, v), index u*q + v - 1."""
     a, b, c, d = mat
     q = spec.q
     u, v = np.divmod(np.arange(1, q * q), q)
     nu = spec.add_t[spec.mul_t[u, a], spec.mul_t[v, c]].astype(np.int64)
     nv = spec.add_t[spec.mul_t[u, b], spec.mul_t[v, d]]
-    return Permutation(nu * q + nv - 1)
+    return nu * q + nv - 1
 
 
 def psl2(q: int, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:

@@ -13,7 +13,7 @@ with determinant a b - alpha.beta.  The unit-determinant matrices form a
 Moufang loop; quotienting by the center {I, -I} gives a simple Moufang loop
 of order q^3 (q^4 - 1) / gcd(2, q - 1).
 
-Loop elements are stored as rows of eight base-q digits
+Loop elements are stored as uint8 rows of eight base-q digits
 (a, alpha1, alpha2, alpha3, beta1, beta2, beta3, b); a row packs into a
 single integer code with digit 'a' most significant, so lexicographic order
 on rows equals numeric order on codes.
@@ -174,10 +174,11 @@ class PaigeLoop(LoopStructure):
         self.q = spec.q
         self.n = elems.shape[0]
         digits = np.ascontiguousarray(elems, dtype=np.uint8)
-        self.elems = digits.astype(np.int16)
         self._ft = _FieldTables(spec)
         # each element's eight uint8 digits as one 8-byte word: one gather per element
         self._words = digits.view(np.uint64).ravel()
+        # the (n, 8) digit rows, a view of the words
+        self.elems = self._words.view(np.uint8).reshape(self.n, 8)
         self._lookup = self._build_lookup()
         self._inv_of: np.ndarray | None = None
         self._table: np.ndarray | None = None
@@ -187,13 +188,8 @@ class PaigeLoop(LoopStructure):
         rows = self._words.take(I)[..., None].view(np.uint8)
         return np.ascontiguousarray(np.moveaxis(rows, -1, 0))
 
-    def _columns(self) -> np.ndarray:
-        """Digit rows (8, n) of all elements: a strided view of the digit
-        words, with no gather."""
-        return self._words.view(np.uint8).reshape(self.n, 8).T
-
     def _build_lookup(self) -> np.ndarray:
-        codes = self._ft.codes(self._columns())
+        codes = self._ft.codes(self.elems.T)
         lookup = np.full(self.q ** 8, -1, dtype=np.int32)
         lookup[codes] = np.arange(self.n, dtype=np.int32)
         if self.q % 2:
@@ -235,7 +231,7 @@ class PaigeLoop(LoopStructure):
 
     def inv_array(self) -> np.ndarray:
         if self._inv_of is None:
-            D = self._columns()
+            D = self.elems.T
             neg = self._ft.NEG.take(D[1:7])
             # unit determinant: inverse of [a, alpha; beta, b] is [b, -alpha; -beta, a]
             rows = (D[7], *neg, D[0])
@@ -264,7 +260,7 @@ class PaigeLoop(LoopStructure):
         and preserve the norm ab - alpha.beta, so they preserve the trace
         (Paige 1956; Nagy and Vojtechovsky 2003) and every trace class is a
         union of inner orbits."""
-        D = self._columns()
+        D = self.elems.T
         trace = self._ft.add(D[0], D[7])
         if self.q % 2:
             trace = np.minimum(trace, self._ft.NEG.take(trace))
@@ -279,7 +275,7 @@ class PaigeLoop(LoopStructure):
 
     def to_json(self) -> dict:
         return {"q": self.q, "order": self.n,
-                "elements": self.elems.astype(int).tolist()}
+                "elements": self.elems.tolist()}
 
     @classmethod
     def from_json(cls, data: dict) -> "PaigeLoop":

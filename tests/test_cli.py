@@ -261,6 +261,56 @@ def test_malformed_recipes_exit_2_with_a_parse_error(capsys, tmp_path, kind):
                 (field, value)
 
 
+def test_group_scheme_recipe_names_the_generator_row_that_is_not_a_permutation(
+        capsys, tmp_path):
+    data = _recipe_json(capsys, tmp_path, "group-scheme")
+    data["relations"]["source"]["generators"] = [[1, 2, 3, 0], [1, 0, 7, 2]]
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(data))
+    rc, _, err = run_cli(capsys, "chartable", "compute", "--scheme", str(path),
+                         "--json-errors")
+    assert rc == 2
+    assert json.loads(err.splitlines()[-1])["error"] == {
+        "kind": "ParseError",
+        "detail": "group-scheme generators: generator row 1, [1, 0, 7, 2], "
+                  "is not a permutation of 0..3"}
+
+
+def test_reports_render_as_text_lines(capsys, tmp_path):
+    rc, out, _ = run_cli(capsys, "scheme", "orbitals", "--cyclic", "5")
+    scheme_path = tmp_path / "z5.json"
+    scheme_path.write_text(out)
+    rc, out, _ = run_cli(capsys, "scheme", "verify", "--scheme", str(scheme_path),
+                         "--format", "text")
+    assert rc == 0
+    assert out.splitlines() == ["passed: True", "n: 5", "d: 4", "failures: []"]
+    tables = {}
+    for oracle in ("oracle-mstar", "oracle-psl2"):
+        tables[oracle] = tmp_path / f"{oracle}.json"
+        tables[oracle].write_text(run_cli(capsys, "chartable", oracle, "--q", "2")[1])
+    compare = ["chartable", "compare", "--table", str(tables["oracle-mstar"]),
+               "--format", "text", "--other"]
+    rc, out, _ = run_cli(capsys, *compare, str(tables["oracle-mstar"]))
+    assert rc == 0
+    assert out.splitlines() == ["matched: True", "max_diff: 0.0",
+                                "row_perm: [0, 1, 2]", "col_perm: [0, 1, 2]"]
+    rc, out, _ = run_cli(capsys, *compare, str(tables["oracle-psl2"]))
+    assert rc == 1
+    assert out.splitlines() == ["matched: False", "max_diff: None"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "latex"])
+def test_reports_refuse_csv_and_latex(capsys, tmp_path, fmt):
+    rc, out, _ = run_cli(capsys, "scheme", "orbitals", "--cyclic", "5")
+    scheme_path = tmp_path / "z5.json"
+    scheme_path.write_text(out)
+    rc, out, err = run_cli(capsys, "scheme", "verify", "--scheme", str(scheme_path),
+                           "--format", fmt)
+    assert rc == 2 and out == ""
+    assert err.splitlines()[-1] == ("schemeforge: UsageError: reports support "
+                                    "json and text only")
+
+
 def test_scheme_verify_subcommand(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "scheme", "orbitals", "--cyclic", "5")
     path = tmp_path / "z5.json"

@@ -61,14 +61,16 @@ def test_randomized_orbits_and_tensors_match_pinned(q):
 
 def test_mstar7_exact_classes_and_numbers_under_a_second():
     loop = build_paige_loop(7, element_cap=paige_loop_order(7))
-    t0 = time.perf_counter()
+    # CPU time of this process: both stages are single-threaded, and load
+    # from other processes does not count
+    t0 = time.process_time()
     report = inner_orbits(loop, policy="randomized")
-    orbits_s = time.perf_counter() - t0
+    orbits_s = time.process_time() - t0
     assert report.certificate == "exact"
     assert report.class_sizes == [1, 58653, 117306, 117648, 117992]
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     inter = intersection_numbers(loop_scheme(loop, report))
-    inter_s = time.perf_counter() - t0
+    inter_s = time.process_time() - t0
     assert orbits_s < 1.0, orbits_s
     assert inter_s < 1.0, inter_s
     assert inter.commutes
