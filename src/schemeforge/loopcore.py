@@ -1,26 +1,31 @@
-"""Finite loops: multiplication tables, Moufang checks, inner-mapping orbits,
-and the association scheme a commutative-by-orbits loop carries.
+"""Finite loops: Moufang checks, inner-mapping orbits, and the association
+scheme a commutative-by-orbits loop carries.
 
-Elements are integer indices 0..n-1 with the identity at index 0.  The scheme
-relation is rel(u, v) = class of v / u, where the classes are the orbits of
-the inner mapping group Inn(L), the stabilizer of the identity inside the
-multiplication group Mlt(L) generated by all left and right translations.
-The scheme is then the orbital scheme of the transitive group Mlt(L).
+Elements are integer indices 0..n-1 with the identity at index 0.  A loop
+is its broadcast product mul_vec and two divisions; only TableLoop holds a
+table, and checks that need every product take the n x n grid of mul_vec.
+The scheme relation is rel(u, v) = class of v / u, where the classes are
+the orbits of the inner mapping group Inn(L), the stabilizer of the
+identity inside the multiplication group Mlt(L) generated by all left and
+right translations.  The scheme is then the orbital scheme of the
+transitive group Mlt(L).
 
-Large loops get their orbits from a randomized refinement: random inner
-maps applied to every point join points into components, and every
-component lies inside one orbit.  A loop may bound the orbits from above by
-an invariant partition, a partition known to be a union of inner orbits.
-For the Paige loops M*(q) that is the trace partition: inner maps fix 1 and
-preserve the norm ab - alpha.beta, hence its polar form with 1, the trace
-a + b (up to sign for odd q, where elements are taken mod -1).  Each round
-then applies one random inner map to all points; once the components refine
-the invariant partition with as many classes, both equal the orbit
-partition, and the certificate is exact.  A component that crosses two
-invariant classes, or a round budget spent short of the count, proves the
-invariant wrong and raises CertificationFailed.  Without an invariant each
-round gives every point a random inner map of its own, and a sampled
-scheme-axioms check certifies the result once rounds stop merging.
+Orbits come from a refinement: random inner maps applied to every point
+join points into components, and every component lies inside one orbit.
+A loop may bound the orbits from above by an invariant partition, a
+partition known to be a union of inner orbits.  For the Paige loops M*(q)
+that is the trace partition: inner maps fix 1 and preserve the norm
+ab - alpha.beta, hence its polar form with 1, the trace a + b (up to sign
+for odd q, where elements are taken mod -1).  Each round then applies one
+random inner map to all points; once the components refine the invariant
+partition with as many classes, both equal the orbit partition, and the
+certificate is exact.  A component that crosses two invariant classes, or
+a round budget spent short of the count, proves the invariant wrong and
+raises CertificationFailed.  Such a loop takes the refinement at every
+size.  One without an invariant takes the pair orbits of its translations
+up to PAIR_ORBIT_LIMIT points; above that each round gives every point a
+random inner map of its own, and a sampled scheme-axioms check certifies
+the result once rounds stop merging.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ class LoopStructure:
     n: int
 
     def mul(self, i: int, j: int) -> int:
-        raise NotImplementedError
+        return int(self.mul_vec(i, j))
 
     def mul_vec(self, I, J) -> np.ndarray:
         raise NotImplementedError
@@ -63,20 +68,14 @@ class LoopStructure:
     def right_div_vec(self, A, B) -> np.ndarray:
         raise NotImplementedError
 
-    def table(self) -> np.ndarray | None:
-        """Full multiplication table when affordable, else None."""
-        return None
-
     def invariant_partition(self) -> np.ndarray | None:
         """Canonical labels of a partition known to be a union of inner
         orbits, or None; it makes the randomized refinement exact."""
         return None
 
     def scheme_source(self) -> dict:
-        """Recipe that rebuilds this loop, kept in the source of its scheme:
-        by default the multiplication table, as an array that to_json turns
-        into lists."""
-        return {"kind": "loop-scheme", "table": self.table()}
+        """Recipe that rebuilds this loop, kept in the source of its scheme."""
+        raise NotImplementedError
 
 
 class TableLoop(LoopStructure):
@@ -94,9 +93,6 @@ class TableLoop(LoopStructure):
         self._ldiv = np.argsort(table, axis=1)
         self._rdiv = np.argsort(table, axis=0)
 
-    def mul(self, i, j):
-        return int(self._table[i, j])
-
     def mul_vec(self, I, J):
         return self._table[I, J]
 
@@ -108,6 +104,11 @@ class TableLoop(LoopStructure):
 
     def table(self):
         return self._table
+
+    def scheme_source(self) -> dict:
+        """The multiplication table, as an array that to_json turns into
+        lists."""
+        return {"kind": "loop-scheme", "table": self._table}
 
 
 @dataclass
@@ -157,22 +158,17 @@ def _check_table_cells(table: np.ndarray) -> QuasigroupReport:
     return QuasigroupReport(True)
 
 
-def quasigroup_check(source) -> QuasigroupReport:
-    """Latin-square property plus the two-sided identity at index 0.
+def quasigroup_check(table) -> QuasigroupReport:
+    """Latin-square property plus the two-sided identity at index 0, of a
+    raw n x n table.
 
-    Accepts a LoopStructure or a raw n x n table.  On failure the report
-    carries the first violating cell, scanning out-of-range entries, then
-    row duplicates, then column duplicates, then the identity row and
-    column.  A loop too large to tabulate raises CapExceeded.
+    On failure the report carries the first violating cell, scanning
+    out-of-range entries, then row duplicates, then column duplicates, then
+    the identity row and column.
     """
-    if isinstance(source, LoopStructure):
-        table = source.table()
-        if table is None:
-            raise CapExceeded("quasigroup check needs a materialized table")
-    else:
-        table = np.asarray(source)
-        if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
-            return QuasigroupReport(False, "table must be square and nonempty")
+    table = np.asarray(table)
+    if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
+        return QuasigroupReport(False, "table must be square and nonempty")
     return _check_table_cells(np.asarray(table, dtype=np.int64))
 
 
@@ -223,6 +219,12 @@ def loop_from_group(group: PermutationGroup) -> TableLoop:
     return TableLoop(group.mul_table().astype(np.int64))
 
 
+def _product_grid(loop: LoopStructure) -> np.ndarray:
+    """All n x n products, T[i, j] = i * j, from the loop's mul_vec."""
+    Z = np.arange(loop.n)
+    return loop.mul_vec(Z[:, None], Z)
+
+
 # Moufang and associativity checks
 
 
@@ -260,15 +262,13 @@ def _first_violation(loop: LoopStructure, identities, samples: int, seed: int):
     identities(m, X, Y, Z) yields (text, cells where the two sides
     differ) for one block of triples, one identity at a time, and is left
     at the first violation.  Loops of at most MOUFANG_EXHAUSTIVE_LIMIT
-    elements are checked at every triple on their table, so None is then a
-    proof.  Larger ones are checked on seeded random triples in blocks of
-    2^15.
+    elements are checked at every triple on their product grid, so None is
+    then a proof.  Larger ones are checked on seeded random triples in
+    blocks of 2^15.
     """
     n = loop.n
     if n <= MOUFANG_EXHAUSTIVE_LIMIT:
-        T = loop.table()
-        if T is None:
-            raise CapExceeded("exhaustive identity check needs a materialized table")
+        T = _product_grid(loop)
         mode, checked, m = "exhaustive", n ** 3, (lambda a, b: T[a, b])
         blocks = [np.ogrid[:n, :n, :n]]
     else:
@@ -332,9 +332,7 @@ def _inner_orbits_exact(loop: LoopStructure) -> InnerOrbitReport:
     if n > PAIR_ORBIT_LIMIT:
         raise CapExceeded(f"the exact policy takes loops of at most {PAIR_ORBIT_LIMIT} "
                           f"elements, this one has {n}; use the randomized policy")
-    T = loop.table()
-    if T is None:
-        raise CapExceeded("exact inner orbits need a materialized table")
+    T = _product_grid(loop)
     # rows of T are the left translations, columns the right ones
     gen_arrays = np.vstack([T, T.T])
     orbit_id, _ = pair_orbits(gen_arrays, n)
@@ -364,12 +362,14 @@ def _sampled_inner_images(loop: LoopStructure, kind, x, y,
     return loop.right_div_vec(loop.mul_vec(loop.mul_vec(Z, x), y), xy)
 
 
-def _inner_orbits_randomized(loop: LoopStructure, seed: int) -> InnerOrbitReport:
+def _inner_orbits_randomized(loop: LoopStructure, bound: np.ndarray | None,
+                             seed: int) -> InnerOrbitReport:
     """Refinement by random inner maps, each round over all n points.
 
     A round's n point images join components, labelled by their smallest
-    point.  With an invariant partition a round applies one map (kind T, L
-    or R, uniform parameters x, y) to every point, and the loop stops once
+    point.  With an invariant partition bound (the loop's
+    invariant_partition()) a round applies one map (kind T, L or R, uniform
+    parameters x, y) to every point, and the loop stops once
     the components refine the invariant with the same class count
     (certificate "exact").  Without one, every point draws its own kind,
     x and y, so a round is n independent samples; after QUIET_ROUNDS
@@ -378,7 +378,6 @@ def _inner_orbits_randomized(loop: LoopStructure, seed: int) -> InnerOrbitReport
     """
     n = loop.n
     rng = np.random.default_rng(seed)
-    bound = loop.invariant_partition()
     points = np.arange(n)
     label = points
     count = n
@@ -428,27 +427,32 @@ def inner_orbits(loop: LoopStructure, policy: str = "auto",
     """Orbits of the inner mapping group on the loop's index set.
 
     policy "exact" runs a pair-orbit computation under all translations
-    (quadratic memory; CapExceeded above PAIR_ORBIT_LIMIT points),
+    (quadratic memory; CapExceeded above PAIR_ORBIT_LIMIT points), and
     "randomized" refines a partition with rounds of random inner maps over
-    all points, and "auto" picks exact up to PAIR_ORBIT_LIMIT points.
+    all points.  "auto" takes the refinement whenever the loop has an
+    invariant partition, and otherwise the pair orbits up to
+    PAIR_ORBIT_LIMIT points.
 
-    The randomized refinement is exact when the loop has an invariant
-    partition: for M*(q) the trace classes, a + b up to sign for odd q,
-    with the identity split off.  Inner maps fix 1 and preserve the norm,
-    so each trace class is a union of orbits, while joined components lie
-    inside orbits.  Equal class counts therefore prove both partitions equal
-    to the orbit partition, with no sampling (certificate "exact").  A
+    The refinement is exact when the loop has an invariant partition: for
+    M*(q) the trace classes, a + b up to sign for odd q, with the identity
+    split off.  Inner maps fix 1 and preserve the norm, so each trace class
+    is a union of orbits, while joined components lie inside orbits.  Equal
+    class counts therefore prove both partitions equal to the orbit
+    partition, with no sampling (certificate "exact"), at every q.  A
     component crossing two trace classes, or ROUND_BUDGET rounds without
     reaching their count, raises CertificationFailed.  Loops without an
     invariant (TableLoop) are certified by a sampled scheme-axioms check
-    (certificate "sampled").
+    (certificate "sampled").  Both exact routes return the canonical labels
+    of the same orbit partition.
     """
+    bound = loop.invariant_partition()
     if policy == "auto":
-        policy = "exact" if loop.n <= PAIR_ORBIT_LIMIT else "randomized"
+        exact = bound is None and loop.n <= PAIR_ORBIT_LIMIT
+        policy = "exact" if exact else "randomized"
     if policy == "exact":
         return _inner_orbits_exact(loop)
     if policy == "randomized":
-        return _inner_orbits_randomized(loop, seed)
+        return _inner_orbits_randomized(loop, bound, seed)
     raise ValueError(f"unknown inner-orbit policy {policy!r}")
 
 

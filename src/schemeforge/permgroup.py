@@ -173,9 +173,11 @@ class PermutationGroup:
 
     def rows_to_indices(self, rows) -> np.ndarray:
         """Map image rows (..., degree) back to element indices, shaped like
-        rows[..., 0].  Raises ValueError for rows of another degree or a row
-        that is not an element."""
+        rows[..., 0].  Raises ValueError for rows that are not integers, rows
+        of another degree or a row that is not an element."""
         rows = np.atleast_1d(rows)
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must hold integers, got {rows.dtype}")
         if rows.shape[-1] != self.degree:
             raise ValueError(f"rows act on {rows.shape[-1]} points, "
                              f"the group on {self.degree}")

@@ -165,9 +165,9 @@ class PaigeLoop(LoopStructure):
     their packed digit code.  For odd q each element is stored by the
     lexicographically smaller of the two sign representatives, and the code
     lookup registers both signs so products need no canonicalization pass.
+    The loop holds no multiplication table: every product, of any size,
+    runs through the Zorn kernel in mul_vec.
     """
-
-    TABLE_LIMIT = 4096
 
     def __init__(self, spec: FieldSpec, elems: np.ndarray):
         self.spec = spec
@@ -181,7 +181,6 @@ class PaigeLoop(LoopStructure):
         self.elems = self._words.view(np.uint8).reshape(self.n, 8)
         self._lookup = self._build_lookup()
         self._inv_of: np.ndarray | None = None
-        self._table: np.ndarray | None = None
 
     def _digits(self, I) -> np.ndarray:
         """Digit rows (8,) + shape(I) of the elements I, as uint8."""
@@ -202,39 +201,28 @@ class PaigeLoop(LoopStructure):
         prod = _zorn_product_digits(self._ft, self._digits(I), self._digits(J))
         return self._lookup.take(self._ft.codes(prod)).astype(np.int64)
 
-    def _products(self, I, J, out=None) -> np.ndarray:
-        """Broadcast products I * J.  Above BLOCK_PRODUCTS, or when out is
-        given, they run in blocks of rows along axis 0, written into out, so
-        the kernel's temporaries stay in cache; an operand that does not
-        vary along axis 0 goes to every block unsliced."""
+    def mul_vec(self, I, J) -> np.ndarray:
+        """Broadcast products I * J.  Above BLOCK_PRODUCTS they run in blocks
+        of rows along axis 0, so the kernel's temporaries stay in cache; an
+        operand that does not vary along axis 0 goes to every block unsliced."""
         I, J = np.asarray(I), np.asarray(J)
         shape = np.broadcast_shapes(I.shape, J.shape)
-        if out is None:
-            if math.prod(shape) <= BLOCK_PRODUCTS:
-                return self._kernel(I, J)
-            out = np.empty(shape, dtype=np.int64)
+        if math.prod(shape) <= BLOCK_PRODUCTS:
+            return self._kernel(I, J)
+        out = np.empty(shape, dtype=np.int64)
         sliced = [A.ndim == len(shape) and A.shape[0] > 1 for A in (I, J)]
         for rows in _row_blocks(shape):
             out[rows] = self._kernel(I[rows] if sliced[0] else I,
                                      J[rows] if sliced[1] else J)
         return out
 
-    def mul_vec(self, I, J):
-        if self._table is not None:
-            return self._table[I, J]
-        return self._products(I, J)
-
-    def mul(self, i: int, j: int) -> int:
-        if self._table is not None:
-            return int(self._table[i, j])
-        return int(self.mul_vec(np.int64(i), np.int64(j)))
-
     def inv_array(self) -> np.ndarray:
         if self._inv_of is None:
             D = self.elems.T
-            neg = self._ft.NEG.take(D[1:7])
-            # unit determinant: inverse of [a, alpha; beta, b] is [b, -alpha; -beta, a]
-            rows = (D[7], *neg, D[0])
+            # unit determinant: the inverse of [a, alpha; beta, b] is
+            # [b, -alpha; -beta, a], the same element as [-b, alpha; beta, -a],
+            # whose code the lookup holds too; only two digits are negated
+            rows = (self._ft.NEG.take(D[7]), *D[1:7], self._ft.NEG.take(D[0]))
             self._inv_of = self._lookup.take(self._ft.codes(rows)).astype(np.int64)
         return self._inv_of
 
@@ -246,13 +234,6 @@ class PaigeLoop(LoopStructure):
 
     def right_div_vec(self, A, B):
         return self.mul_vec(A, self.inv_vec(B))
-
-    def table(self) -> np.ndarray | None:
-        if self._table is None and self.n <= self.TABLE_LIMIT:
-            Z = np.arange(self.n)
-            self._table = self._products(Z[:, None], Z,
-                                         out=np.empty((self.n, self.n), dtype=np.int32))
-        return self._table
 
     def invariant_partition(self) -> np.ndarray:
         """Trace classes, canonically labelled: a + b, taken up to sign for

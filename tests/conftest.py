@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from schemeforge import build_paige_loop, inner_orbits, loop_scheme
@@ -11,6 +12,13 @@ def paige2():
 @pytest.fixture(scope="session")
 def paige3():
     return build_paige_loop(3)
+
+
+@pytest.fixture(scope="session")
+def paige2_grid(paige2):
+    """Every product of M*(2): paige2_grid[i, j] = i * j."""
+    Z = np.arange(paige2.n)
+    return paige2.mul_vec(Z[:, None], Z)
 
 
 @pytest.fixture(scope="session")

@@ -177,8 +177,8 @@ def test_fused_group_scheme_reloads(capsys, tmp_path):
     assert json.loads(out) == json.loads(json.dumps(want.to_json()))
 
 
-def test_table_loop_scheme_reloads(capsys, tmp_path):
-    table = build_paige_loop(2).table()
+def test_table_loop_scheme_reloads(capsys, tmp_path, paige2_grid):
+    table = paige2_grid
     path = tmp_path / "m2.loop"
     path.write_text(f"{table.shape[0]}\n" + "\n".join(
         " ".join(str(v) for v in row) for row in table.tolist()) + "\n")

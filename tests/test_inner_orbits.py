@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from schemeforge import loopcore
 from schemeforge.chartab import (closed_form_mstar, compare_tables,
                                  compute_character_table)
 from schemeforge.cli import _load_scheme
@@ -104,8 +105,8 @@ def test_wrong_invariant_is_refused(paige3, cls):
         inner_orbits(loop, policy="randomized")
 
 
-def test_table_loop_gets_sampled_certificate(paige2):
-    loop = TableLoop(paige2.table())
+def test_table_loop_gets_sampled_certificate(paige2, paige2_grid):
+    loop = TableLoop(paige2_grid)
     report = inner_orbits(loop, policy="randomized")
     assert report.certificate == "sampled" and report.certified
     assert report.samples == report.rounds * loop.n
@@ -134,6 +135,24 @@ def test_exact_policy_reports_exact(paige2):
     report = inner_orbits(paige2, policy="exact")
     assert (report.certificate, report.rounds, report.samples) == ("exact", 0, 0)
     assert loop_scheme(paige2, report).orbital
+
+
+@pytest.mark.parametrize("q,sizes", [(2, [1, 56, 63]), (3, [1, 351, 728])])
+def test_auto_policy_takes_the_trace_bounded_refinement(q, sizes, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair orbits called for a loop with an invariant")
+    monkeypatch.setattr(loopcore, "pair_orbits", refuse)
+    loop = build_paige_loop(q)
+    report = inner_orbits(loop)
+    assert report.certificate == "exact" and report.rounds > 0
+    assert report.class_sizes == sizes
+    assert np.array_equal(report.class_of, loop.invariant_partition())
+
+
+def test_auto_policy_takes_pair_orbits_without_an_invariant(paige2, paige2_grid):
+    report = inner_orbits(TableLoop(paige2_grid))
+    assert (report.certificate, report.rounds) == ("exact", 0)
+    assert np.array_equal(report.class_of, inner_orbits(paige2).class_of)
 
 
 def test_exact_policy_refuses_loops_above_its_limit(paige3):
@@ -198,15 +217,13 @@ def test_identity_row_reads(paige3):
 
 
 def test_dense_builds_match_single_rows(paige3):
-    table = paige3.table()
     Z = np.arange(paige3.n)
+    table = paige3.mul_vec(Z[:, None], Z)
     rows = [0, 1, 500, paige3.n - 1]
-    assert table.dtype == np.int32
     for u in rows:
         assert np.array_equal(table[u], paige3.mul_vec(np.full(paige3.n, u), Z))
-    fresh = PaigeLoop(paige3.spec, paige3.elems)      # no table: products only
     class_of = inner_orbits(paige3).class_of
-    scheme = loop_scheme(fresh, class_of)
+    scheme = loop_scheme(paige3, class_of)
     dense = scheme.dense_matrix()
     assert dense.dtype == np.uint8
     for u in rows:
@@ -233,7 +250,7 @@ def test_long_products_match_short_ones():
 
 
 def test_operands_reach_the_kernel_unbroadcast(paige3):
-    loop = PaigeLoop(paige3.spec, paige3.elems)         # no table: products only
+    loop = PaigeLoop(paige3.spec, paige3.elems)         # _digits is wrapped below
     shapes = []
     digits = loop._digits
     loop._digits = lambda I: shapes.append(np.shape(I)) or digits(I)

@@ -542,6 +542,8 @@ def test_rows_to_indices_refuses_non_members():
         g.rows_to_indices(np.arange(7))                      # another degree
     with pytest.raises(ValueError, match="not an element"):
         g.rows_to_indices([7, 0, 1, 2, 3, 4])                # a point outside 0..5
+    with pytest.raises(ValueError, match="must hold integers"):
+        g.rows_to_indices([1.0, 0, 2, 3, 4, 5])              # not integers
     # agrees with the identity on the base [0, 1, 2] of PSL(2,7), which
     # only the identity fixes pointwise
     with pytest.raises(ValueError, match="not an element"):
@@ -668,11 +670,12 @@ def _translations(T):
 
 
 @pytest.mark.parametrize("slice_images", [None, 1])
-def test_pair_orbits_matches_frozen_kernel(paige2, monkeypatch, slice_images):
+def test_pair_orbits_matches_frozen_kernel(paige2, paige2_grid, monkeypatch,
+                                           slice_images):
     if slice_images is not None:    # one frontier pair per slice
         monkeypatch.setattr(permgroup, "PAIR_SLICE_IMAGES", slice_images)
     g5 = psl2(5)
-    cases = [(_translations(paige2.table()), paige2.n)]
+    cases = [(_translations(paige2_grid), paige2.n)]
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         cases.append((psl2(q).generators, q + 1))
     regular = regular_action(g5).generators

@@ -229,15 +229,6 @@ def test_loop_json_rejects_corruption(paige2):
         PaigeLoop.from_json(bad)
 
 
-def test_small_loop_table_is_materialized(paige2):
-    T = paige2.table()
-    assert T is not None and T.shape == (120, 120)
-    rng = np.random.default_rng(2)
-    I = rng.integers(0, 120, 500)
-    J = rng.integers(0, 120, 500)
-    assert np.array_equal(T[I, J], paige2.mul_vec(I, J))
-
-
 # The Zorn product as it was computed with two-dimensional int64 tables,
 # kept as a reference: the flat fused tables must reproduce it byte for byte.
 
@@ -308,8 +299,6 @@ class _FrozenPaigeLoop(PaigeLoop):
 
     def mul_vec(self, I, J):
         I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
-        if self._table is not None:
-            return self._table[I, J]
         A = self.elems[I].astype(np.int64)
         B = self.elems[J].astype(np.int64)
         prod = _frozen_product_digits(self._old, tuple(A[..., k] for k in range(8)),
@@ -378,6 +367,16 @@ def test_products_match_frozen_kernel(q):
     new, old = loop.mul_vec(I, J), frozen.mul_vec(I, J)
     assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
     assert loop.inv_array().tobytes() == frozen.inv_array().tobytes()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_inverses_match_the_six_digit_formula(q):
+    # [b, -alpha; -beta, a] with all six vector digits negated, looked up
+    loop = build_paige_loop(q, element_cap=paige_loop_order(q))
+    D = loop.elems.T
+    rows = (D[7], *loop._ft.NEG.take(D[1:7]), D[0])
+    want = loop._lookup.take(loop._ft.codes(rows)).astype(np.int64)
+    assert np.array_equal(loop.inv_array(), want)
 
 
 def test_mstar3_pipeline_matches_frozen_kernel():
