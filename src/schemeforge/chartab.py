@@ -453,10 +453,11 @@ def transfer_to_group_table(table: CharacterTable) -> GroupCharacterTable:
                                table.n)
 
 
-def group_character_table(group: PermutationGroup,
-                          seed: int = DEFAULT_SEED) -> GroupCharacterTable:
+def group_character_table(group: PermutationGroup, seed: int = DEFAULT_SEED,
+                          tol_eigen: float = DEFAULT_TOL_EIGEN) -> GroupCharacterTable:
     """Irreducible characters of a finite group via its conjugacy scheme."""
-    table = compute_character_table(group_scheme(group), seed=seed)
+    table = compute_character_table(group_scheme(group), seed=seed,
+                                    tol_eigen=tol_eigen)
     return transfer_to_group_table(table)
 
 
@@ -520,7 +521,8 @@ def double_coset_table(group: PermutationGroup, subgroup,
                        gct: GroupCharacterTable | None = None,
                        seed: int = DEFAULT_SEED,
                        tol: float = DEFAULT_TOL_COMPARE,
-                       rho_selection=None) -> DoubleCosetTable:
+                       rho_selection=None,
+                       tol_eigen: float = DEFAULT_TOL_EIGEN) -> DoubleCosetTable:
     """Character table of the coset scheme from group characters alone:
     p_j(i) = (1/|H|) sum_k |H g_j H meet C_k| rho_i(c_k), rho_i running over
     the constituents of the induced trivial character.
@@ -530,7 +532,7 @@ def double_coset_table(group: PermutationGroup, subgroup,
     H = sorted(set(int(h) for h in subgroup))
     action = coset_action(group, H)
     if gct is None:
-        gct = group_character_table(group, seed=seed)
+        gct = group_character_table(group, seed=seed, tol_eigen=tol_eigen)
     theta = permutation_character(action)
     if rho_selection is None:
         ints = _constituent_multiplicities(group, gct, theta)
@@ -560,7 +562,8 @@ def double_coset_table(group: PermutationGroup, subgroup,
     valencies = np.array([len(p) // h_size for p in dc.parts], dtype=np.int64)
     mults = gct.degrees[selection][perm].astype(np.float64)
     table = CharacterTable(P, valencies, mults, action.n_points)
-    orbital_table = compute_character_table(orbitals(action.group), seed=seed)
+    orbital_table = compute_character_table(orbitals(action.group), seed=seed,
+                                            tol_eigen=tol_eigen)
     match = compare_tables(table, orbital_table, tol=tol)
     if not match.matched:
         gap = ("no matching within tol" if match.max_diff is None

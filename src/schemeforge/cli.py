@@ -5,6 +5,9 @@ be replayed.  Exit codes: 0 success, 1 a verification failed (a residual
 exceeded its tolerance, a certificate did not hold), 2 usage or ingestion
 errors.  With --json-errors the failure reason is also written to stderr as
 {"error": {"kind": ..., "detail": ...}}.
+
+A subcommand is one declaration: its parser carries its own options and its
+handler, and the options every subcommand shares come from one parent parser.
 """
 
 from __future__ import annotations
@@ -144,7 +147,10 @@ def _rebuild_functional_scheme(source, cfg: RunConfig) -> scheme_mod.Association
         loop = zorn.build_paige_loop(int(_recipe_ints(source, "q", 0)),
                                      element_cap=cfg.element_cap)
     elif kind == "loop-scheme":
-        loop = loopcore.TableLoop(_recipe_ints(source, "table", 2))
+        try:
+            loop = loopcore.TableLoop(_recipe_ints(source, "table", 2))
+        except ValueError as err:
+            raise ParseError(f"loop-scheme table: {err}") from None
     else:
         raise ParseError(f"cannot rebuild a scheme from source kind {kind!r}")
     built = loopcore.loop_scheme(loop, class_of=class_of)
@@ -299,28 +305,16 @@ def _cmd_paige_build(args, cfg: RunConfig):
     return 0, _render_loop(loop, cfg)
 
 
-def _pipeline_table(q: int, cfg: RunConfig, policy: str) -> chartab.CharacterTable:
-    loop = zorn.build_paige_loop(q, element_cap=cfg.element_cap)
-    orbits = loopcore.inner_orbits(loop, policy=policy, seed=cfg.seed)
-    sch = loopcore.loop_scheme(loop, class_of=orbits)
-    return chartab.compute_character_table(sch, seed=cfg.seed,
-                                           tol_eigen=cfg.tol_eigen)
-
-
 def _cmd_paige_table(args, cfg: RunConfig):
-    table = _pipeline_table(args.q, cfg, args.policy)
+    loop = zorn.build_paige_loop(args.q, element_cap=cfg.element_cap)
+    sch = loopcore.loop_scheme(loop, policy=args.policy, seed=cfg.seed)
+    table = chartab.compute_character_table(sch, seed=cfg.seed,
+                                            tol_eigen=cfg.tol_eigen)
     return 0, _render_table(table, cfg)
 
 
 def _cmd_group(args, cfg: RunConfig):
-    if args.group_cmd == "psl2":
-        group = permgroup.psl2(args.q)
-    elif args.group_cmd == "sl2":
-        group = permgroup.sl2(args.q)
-    else:
-        gens = permgroup.load_generators(args.gens, degree=args.points)
-        group = permgroup.closure(gens)
-    return 0, _render_group(group, cfg)
+    return 0, _render_group(_resolve_group(args, cfg), cfg)
 
 
 def _cmd_scheme_orbitals(args, cfg: RunConfig):
@@ -340,17 +334,15 @@ def _load_loop(args, cfg: RunConfig) -> loopcore.LoopStructure:
         raise _Exit(2, "pick exactly one loop source: --q Q or --loop FILE")
     if args.q is not None:
         return zorn.build_paige_loop(args.q, element_cap=cfg.element_cap)
-    with open(args.loop, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_file(args.loop)
     if text.lstrip().startswith("{"):
         return zorn.PaigeLoop.from_json(json.loads(text))
     return loopcore.parse_loop_table(text)
 
 
 def _cmd_scheme_loop_scheme(args, cfg: RunConfig):
-    loop = _load_loop(args, cfg)
-    orbits = loopcore.inner_orbits(loop, policy=args.policy, seed=cfg.seed)
-    sch = loopcore.loop_scheme(loop, class_of=orbits)
+    sch = loopcore.loop_scheme(_load_loop(args, cfg), policy=args.policy,
+                               seed=cfg.seed)
     return 0, _render_scheme(sch, cfg)
 
 
@@ -452,7 +444,8 @@ def _cmd_chartable_double_coset(args, cfg: RunConfig):
     group = _resolve_group(args, cfg)
     members = _resolve_subgroup(group, args)
     result = chartab.double_coset_table(group, members, seed=cfg.seed,
-                                        tol=cfg.tol_compare)
+                                        tol=cfg.tol_compare,
+                                        tol_eigen=cfg.tol_eigen)
     if cfg.output_format in ("csv", "latex", "text"):
         return 0, _render_table(result.table, cfg)
     payload = {"table": result.table.to_json(),
@@ -490,132 +483,107 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schemeforge",
         description="Association schemes from groups and Paige loops, "
                     "with numerically verified character tables.")
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
+
+    def leaf(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+        # only the handler is a leaf default: the common options' actions are
+        # shared by every leaf, and so would be a default set on their dests
+        p = sub.add_parser(name, help=help, parents=[common])
+        p.set_defaults(handler=handler)
+        return p
+
     top = parser.add_subparsers(dest="command", required=True)
 
     paige = top.add_parser("paige", help="simple Moufang loops over GF(q)")
     paige_sub = paige.add_subparsers(dest="paige_cmd", required=True)
-    p_build = paige_sub.add_parser("build", help="enumerate the loop elements")
+    p_build = leaf(paige_sub, "build", _cmd_paige_build, "enumerate the loop elements")
     p_build.add_argument("--q", type=int, required=True)
-    _add_common(p_build)
-    p_table = paige_sub.add_parser(
-        "table", help="full pipeline: loop, inner orbits, scheme, table")
+    p_table = leaf(paige_sub, "table", _cmd_paige_table,
+                   "full pipeline: loop, inner orbits, scheme, table")
     p_table.add_argument("--q", type=int, required=True)
     p_table.add_argument("--policy", choices=("auto", "exact", "randomized"),
                          default="auto")
-    _add_common(p_table)
 
     group = top.add_parser("group", help="permutation group constructors")
     group_sub = group.add_subparsers(dest="group_cmd", required=True)
     for name, help_text in (("psl2", "PSL(2,q) on the projective line"),
                             ("sl2", "SL(2,q) on the nonzero vectors")):
-        g = group_sub.add_parser(name, help=help_text)
-        g.add_argument("--q", type=int, required=True)
-        _add_common(g)
-    g_file = group_sub.add_parser("from-file", help="closure of a generator file")
+        g = leaf(group_sub, name, _cmd_group, help_text)
+        g.add_argument("--q", dest=name, metavar="Q", type=int, required=True)
+    g_file = leaf(group_sub, "from-file", _cmd_group, "closure of a generator file")
     g_file.add_argument("--gens", metavar="FILE", required=True)
     g_file.add_argument("--points", type=int, default=None,
                         help="expected degree of the generator file")
-    _add_common(g_file)
 
     sch = top.add_parser("scheme", help="association scheme constructions")
     sch_sub = sch.add_subparsers(dest="scheme_cmd", required=True)
-    s_orb = sch_sub.add_parser("orbitals", help="2-orbit scheme of a transitive group")
+    s_orb = leaf(sch_sub, "orbitals", _cmd_scheme_orbitals,
+                 "2-orbit scheme of a transitive group")
     _add_group_source(s_orb, with_points=True)
-    _add_common(s_orb)
-    s_grp = sch_sub.add_parser("group-scheme", help="conjugacy scheme of a group")
+    s_grp = leaf(sch_sub, "group-scheme", _cmd_scheme_group_scheme,
+                 "conjugacy scheme of a group")
     _add_group_source(s_grp)
-    _add_common(s_grp)
-    s_loop = sch_sub.add_parser("loop-scheme", help="inner-orbit scheme of a loop")
+    s_loop = leaf(sch_sub, "loop-scheme", _cmd_scheme_loop_scheme,
+                  "inner-orbit scheme of a loop")
     s_loop.add_argument("--q", type=int, default=None,
                         help="build the simple Moufang loop over GF(q)")
     s_loop.add_argument("--loop", metavar="FILE", default=None,
                         help="loop table file or loop JSON")
     s_loop.add_argument("--policy", choices=("auto", "exact", "randomized"),
                         default="auto")
-    _add_common(s_loop)
-    s_fuse = sch_sub.add_parser("fuse", help="merge classes along a partition")
+    s_fuse = leaf(sch_sub, "fuse", _cmd_scheme_fuse, "merge classes along a partition")
     s_fuse.add_argument("--scheme", metavar="FILE", default=None)
     s_fuse.add_argument("--stdin", action="store_true",
                         help="read the scheme from stdin")
     s_fuse.add_argument("--cells", required=True,
                         help="cells separated by ';', members by ','; "
                              "unlisted classes stay singletons")
-    _add_common(s_fuse)
-    s_verify = sch_sub.add_parser("verify", help="check the scheme axioms")
+    s_verify = leaf(sch_sub, "verify", _cmd_scheme_verify, "check the scheme axioms")
     s_verify.add_argument("--scheme", metavar="FILE", default=None)
     s_verify.add_argument("--stdin", action="store_true")
-    _add_common(s_verify)
 
     chart = top.add_parser("chartable", help="character tables and verification")
     chart_sub = chart.add_subparsers(dest="chartable_cmd", required=True)
-    c_compute = chart_sub.add_parser("compute", help="table of a scheme by "
-                                                     "simultaneous diagonalization")
+    c_compute = leaf(chart_sub, "compute", _cmd_chartable_compute,
+                     "table of a scheme by simultaneous diagonalization")
     c_compute.add_argument("--scheme", metavar="FILE", default=None)
     c_compute.add_argument("--stdin", action="store_true")
-    _add_common(c_compute)
     for name, help_text in (
             ("oracle-mstar", "closed-form table of the Moufang loop scheme"),
             ("oracle-psl2", "closed-form table of the PSL(2,q) group scheme")):
-        c = chart_sub.add_parser(name, help=help_text + ", q = 2^r")
+        c = leaf(chart_sub, name, _cmd_chartable_oracle, help_text + ", q = 2^r")
         c.add_argument("--q", type=int, required=True)
-        _add_common(c)
-    c_verify = chart_sub.add_parser("verify", help="orthogonality and, with "
-                                                   "--scheme, the full candidate check")
+    c_verify = leaf(chart_sub, "verify", _cmd_chartable_verify,
+                    "orthogonality and, with --scheme, the full candidate check")
     c_verify.add_argument("--table", metavar="FILE", default=None)
     c_verify.add_argument("--stdin", action="store_true")
     c_verify.add_argument("--scheme", metavar="FILE", default=None,
                           help="verify the table against this scheme's "
                                "intersection numbers")
-    _add_common(c_verify)
-    c_compare = chart_sub.add_parser("compare", help="match two tables up to "
-                                                     "row/column permutation")
+    c_compare = leaf(chart_sub, "compare", _cmd_chartable_compare,
+                     "match two tables up to row/column permutation")
     c_compare.add_argument("--table", metavar="FILE", default=None)
     c_compare.add_argument("--stdin", action="store_true",
                            help="read the first table from stdin")
     c_compare.add_argument("--other", metavar="FILE", required=True)
-    _add_common(c_compare)
-    c_transfer = chart_sub.add_parser("transfer", help="group character table "
-                                                       "T = diag(f) P diag(1/k)")
+    c_transfer = leaf(chart_sub, "transfer", _cmd_chartable_transfer,
+                      "group character table T = diag(f) P diag(1/k)")
     c_transfer.add_argument("--table", metavar="FILE", default=None)
     c_transfer.add_argument("--stdin", action="store_true")
-    _add_common(c_transfer)
-    c_dc = chart_sub.add_parser("double-coset", help="table from double cosets "
-                                                     "and group characters")
+    c_dc = leaf(chart_sub, "double-coset", _cmd_chartable_double_coset,
+                "table from double cosets and group characters")
     _add_group_source(c_dc)
     c_dc.add_argument("--sub", metavar="FILE", default=None,
                       help="generator file for the subgroup H")
     c_dc.add_argument("--stab", type=int, default=None,
                       help="use the stabilizer of this point as H")
-    _add_common(c_dc)
 
-    exp = top.add_parser("export", help="re-emit an artifact in another format")
+    exp = leaf(top, "export", _cmd_export, "re-emit an artifact in another format")
     exp.add_argument("--in", dest="in_file", metavar="FILE", default=None)
     exp.add_argument("--stdin", action="store_true")
-    _add_common(exp)
 
     return parser
-
-
-_HANDLERS = {
-    ("paige", "build"): _cmd_paige_build,
-    ("paige", "table"): _cmd_paige_table,
-    ("group", "psl2"): _cmd_group,
-    ("group", "sl2"): _cmd_group,
-    ("group", "from-file"): _cmd_group,
-    ("scheme", "orbitals"): _cmd_scheme_orbitals,
-    ("scheme", "group-scheme"): _cmd_scheme_group_scheme,
-    ("scheme", "loop-scheme"): _cmd_scheme_loop_scheme,
-    ("scheme", "fuse"): _cmd_scheme_fuse,
-    ("scheme", "verify"): _cmd_scheme_verify,
-    ("chartable", "compute"): _cmd_chartable_compute,
-    ("chartable", "oracle-mstar"): _cmd_chartable_oracle,
-    ("chartable", "oracle-psl2"): _cmd_chartable_oracle,
-    ("chartable", "verify"): _cmd_chartable_verify,
-    ("chartable", "compare"): _cmd_chartable_compare,
-    ("chartable", "transfer"): _cmd_chartable_transfer,
-    ("chartable", "double-coset"): _cmd_chartable_double_coset,
-    ("export", None): _cmd_export,
-}
 
 
 def _report_error(args, kind: str, detail: str) -> None:
@@ -629,8 +597,6 @@ def _report_error(args, kind: str, detail: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    sub = getattr(args, f"{args.command}_cmd", None) if args.command != "export" else None
-    handler = _HANDLERS[(args.command, sub)]
     try:
         cfg = _config_from(args)
     except ValueError as exc:
@@ -638,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     _echo_header(cfg)
     try:
-        code, output = handler(args, cfg)
+        code, output = args.handler(args, cfg)
         if output is not None:
             _write_output(output, args)
         return code

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from schemeforge import cli
 from schemeforge.chartab import (CharacterTable, closed_form_mstar,
                                  compute_character_table)
 from schemeforge.cli import _load_scheme, main
@@ -223,7 +225,8 @@ BAD_FIELDS = {"group-scheme": {"generators": [5, "x", [[0, 1], [1]]],
                                "class_of": [3, [[0]], [0.5, 1, 2, 3]]},
               "paige-loop-scheme": {"q": [[2], "2", 2.0], "class_of": [None]},
               "fusion": {"cells": [5, [1, [3]], [["1"]]], "base": [7]},
-              "loop-scheme": {"table": [[0, 1], Z4_TABLE[0], [[True] * 4] * 4],
+              "loop-scheme": {"table": [[0, 1], Z4_TABLE[0], [[True] * 4] * 4,
+                                        [[0, 1], [1, 1]]],
                               "class_of": [{"a": 1}]}}
 
 
@@ -350,6 +353,15 @@ def test_double_coset_subcommand(capsys):
     data = json.loads(out)
     P = [[cell["re"] for cell in row] for row in data["table"]["P"]]
     assert np.allclose(P, [[1, 2], [1, -1]], atol=1e-10)
+
+
+def test_double_coset_eigensolves_honour_tol_eigen(capsys):
+    # at a residual tolerance no float eigensolve meets, the group table's
+    # eigensolve must fail, as `chartable compute` does for the same group
+    rc, _, err = run_cli(capsys, "chartable", "double-coset", "--psl2", "5",
+                         "--stab", "0", "--tol-eigen", "1e-30", "--json-errors")
+    assert rc == 1
+    assert json.loads(err.splitlines()[-1])["error"]["kind"] == "EigensolverFailure"
 
 
 def test_double_coset_with_subgroup_file(capsys, tmp_path):
@@ -563,6 +575,35 @@ def test_argparse_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["paige", "table"])  # --q is required
     assert exc.value.code == 2
+
+
+def _leaves(parser, path=()):
+    """(argv prefix, parser) of every subcommand that takes no further one."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+COMMON_OPTIONS = {"--seed", "--format", "--out", "--json-errors", "--tol-eigen",
+                  "--tol-compare", "--cap-elements"}
+
+
+def test_every_subcommand_declares_its_handler_and_the_common_options(capsys):
+    leaves = list(_leaves(cli.build_parser()))
+    assert len(leaves) == 18
+    handlers = {getattr(cli, name) for name in dir(cli) if name.startswith("_cmd_")}
+    for path, parser in leaves:
+        assert parser.format_help()
+        assert parser._defaults["handler"] in handlers, path
+        options = {opt for action in parser._actions for opt in action.option_strings}
+        assert COMMON_OPTIONS <= options, path
+        with pytest.raises(SystemExit) as exc:
+            main([*path, "--help"])
+        assert exc.value.code == 0, path
+        capsys.readouterr()
 
 
 def test_group_from_file_roundtrip(capsys, tmp_path):
