@@ -24,19 +24,27 @@ Products run on flat uint8 field tables: ADD and SUB indexed by x*q + y,
 and the fused tables MADD[a,b,c,d] = ab + cd and MSUB[a,b,c,d] = ab - cd
 indexed by ((a*q + b)*q + c)*q + d.  Every digit of a product is one ADD
 or SUB of two fused lookups, 24 lookups per product; the same tables give
-determinants, inverses and packed codes.  Digits are uint8, so the indices
+determinants, inverses and half-codes.  Digits are uint8, so the indices
 fit uint8 and uint16 for every q <= 16.
 
-A code splits into two half-codes of q^4 values, (a, alpha) and (beta, b).
-The build finds the unit matrices without a q^8 array of digits or
-determinants: ab - alpha1 beta1 = alpha2 beta2 + alpha3 beta3 + 1 compares
-two factor tables, each over two digits of the high half and the whole low
-half, broadcast into a q^8 boolean mask whose set positions are the unit
-codes in ascending order.  For odd q, the q^4 table NEG4 of negated
-half-codes picks the smaller sign representative of each unit code.  Each
-half-code's four digits are gathered as one 4-byte word.  The lookup,
-inverses and trace classes start from a view of the elements' digit
-columns, with no per-element gather.
+A code splits into two half-codes of q^4 values, hi = (a, alpha) and
+lo = (beta, b).  For hi != 0, ab - alpha.beta = 1 is one linear equation in
+lo with coefficients (-alpha1, -alpha2, -alpha3, a); with k the last lo
+position whose coefficient is nonzero, digit k is fixed by the digits
+before it and the three other digits are free.  So each hi != 0 holds
+exactly q^3 unit codes, in the mixed-radix order of their free digits, and
+an element's index is a closed form over q^4 tables: BASE[hi], the count
+of elements whose high half comes first, plus RANKS[OFF[hi] + lo], the
+free-digit rank in the row of k.  For odd q, hi != 0 is never its own
+negation, so an element is stored by the sign whose high half is below
+NEG4[hi] (NEG4 maps each half-code to that of its negated digits); a code
+of the other sign points through OFF to a row of ranks of negated low
+halves and through BASE to its negation's block.  The build enumerates the
+same order: for each representative hi ascending it solves digit k over
+the q^3 free-digit grid.  No table of size q^8 exists.  Each half-code's
+four digits are gathered as one 4-byte word, and the ranks, inverses and
+trace classes start from a view of the elements' digit columns, with no
+per-element gather.
 """
 
 from __future__ import annotations
@@ -76,11 +84,11 @@ def _half_digits(q: int) -> np.ndarray:
 class _FieldTables:
     """GF(q) arithmetic as flat uint8 tables, for whole-array Zorn products.
 
-    ADD and SUB hold x + y and x - y at x*q + y; the fused tables MADD and
-    MSUB hold ab + cd and ab - cd at ((a*q + b)*q + c)*q + d; NEG holds -x
-    at x, and NEG4 the half-code of the four negated digits at each
-    half-code.  Arguments are uint8 digit arrays (or numpy scalars) that
-    broadcast against each other.
+    ADD, SUB and MUL hold x + y, x - y and xy at x*q + y; the fused tables
+    MADD and MSUB hold ab + cd and ab - cd at ((a*q + b)*q + c)*q + d; NEG
+    and INV hold -x and 1/x at x (INV[0] = 0), and NEG4 the half-code of
+    the four negated digits at each half-code.  Arguments are uint8 digit
+    arrays (or numpy scalars) that broadcast against each other.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -91,13 +99,17 @@ class _FieldTables:
         self.ADD = spec.add_t.ravel()
         self.SUB = spec.sub_t.ravel()
         self.NEG = spec.neg_t
-        ab = spec.mul_t.ravel()
+        self.INV = spec.inv_t
+        self.MUL = ab = spec.mul_t.ravel()
         self.MADD = spec.add_t[ab[:, None], ab].ravel()
         self.MSUB = spec.sub_t[ab[:, None], ab].ravel()
         self.NEG4 = _quad_index(q, *self.NEG.take(_half_digits(q)))
 
     def add(self, x, y):
         return self.ADD.take(x * self.q + y)
+
+    def mul(self, x, y):
+        return self.MUL.take(x * self.q + y)
 
     def sub(self, x, y):
         return self.SUB.take(x * self.q + y)
@@ -113,19 +125,10 @@ class _FieldTables:
         return self.sub(self.msub(D[0], D[7], D[1], D[4]),
                         self.madd(D[2], D[5], D[3], D[6]))
 
-    def codes(self, D):
-        """Packed uint32 codes of the digit rows D, digit 0 most significant."""
-        q = self.q
-        return (np.multiply(_quad_index(q, *D[:4]), q ** 4, dtype=np.uint32,
-                            casting="unsafe") + _quad_index(q, *D[4:]))
-
-    def neg_codes(self, codes):
-        """Codes of the digit-wise negations of the codes, as uint32: one
-        NEG4 lookup per half."""
-        q4 = self.q ** 4
-        hi, lo = np.divmod(codes, q4)
-        return (np.multiply(self.NEG4.take(hi), q4, dtype=np.uint32, casting="unsafe")
-                + self.NEG4.take(lo))
+    def halves(self, D):
+        """Half-codes (hi, lo) of the digit rows D, as uint16, digit 0 most
+        significant."""
+        return _quad_index(self.q, *D[:4]), _quad_index(self.q, *D[4:])
 
 
 def _zorn_product_digits(ft: _FieldTables, A, B):
@@ -158,15 +161,64 @@ def _row_blocks(shape: tuple) -> list[slice]:
     return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
 
 
+def _pivots(q: int) -> np.ndarray:
+    """For each half-code hi = (a, alpha), the last low-half position k whose
+    coefficient in ab - alpha.beta = 1, (-alpha1, -alpha2, -alpha3, a), is
+    nonzero; 0 at hi = 0, which holds no unit code."""
+    a, _, alpha2, alpha3 = _half_digits(q)
+    return np.select([a != 0, alpha3 != 0, alpha2 != 0], [3, 2, 1], 0)
+
+
+def _representatives(ft: _FieldTables) -> tuple[np.ndarray, int]:
+    """The elements' high half-codes, ascending: every hi != 0 for even q,
+    the smaller of hi and its negation for odd q; and the identity's place
+    in code order, after the q^3 codes of each representative below q^3."""
+    reps = np.flatnonzero(np.arange(ft.q ** 4) <= ft.NEG4)[1:]
+    q3 = ft.q ** 3
+    return reps, q3 * int(np.searchsorted(reps, q3))
+
+
+def _rank_tables(ft: _FieldTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BASE, OFF and RANKS with BASE[hi] + RANKS[OFF[hi] + lo] the index of
+    the element whose code, up to sign for odd q, has halves hi and lo.
+
+    RANKS holds ten q^4 rows: the free-digit rank of lo for k = 0..3, then
+    k = 3 again with the identity's lo sent to index 0, and the same five
+    ranks taken at the negated lo.  OFF picks the row of hi's pivot, of its
+    sign, and of the identity's hi and its negation.  BASE counts the
+    elements whose high half is below the representative of hi, shifted by
+    one below the identity."""
+    q = ft.q
+    q3, q4 = q ** 3, q ** 4
+    reps, ident_at = _representatives(ft)
+    lo = _half_digits(q).astype(np.int32)
+    plain = np.empty((5, q4), dtype=np.int32)
+    for k in range(4):
+        x, y, z = np.delete(lo, k, axis=0)
+        plain[k] = (x * q + y) * q + z
+    plain[4] = plain[3]
+    plain[4, 1] = -ident_at         # lo of the identity, (beta, b) = (0, 1)
+    ranks = np.concatenate([plain, plain[:, ft.NEG4]]).ravel()
+    hi = np.arange(q4)
+    which = _pivots(q)
+    which[[q3, ft.NEG4[q3]]] = 4
+    off = ((hi > ft.NEG4) * 5 + which) * q4
+    first = np.zeros(q4, dtype=np.int64)
+    first[reps] = q3 * np.arange(reps.shape[0]) + (reps < q3)
+    return first[np.minimum(hi, ft.NEG4)], off, ranks
+
+
 class PaigeLoop(LoopStructure):
     """The simple Moufang loop of unit vector matrices over GF(q), mod signs.
 
     Element 0 is the identity matrix; the remaining elements are sorted by
     their packed digit code.  For odd q each element is stored by the
-    lexicographically smaller of the two sign representatives, and the code
-    lookup registers both signs so products need no canonicalization pass.
+    lexicographically smaller of the two sign representatives.  An index is
+    the closed-form rank of a code over q^4 tables, and the rank of either
+    sign is the element's index, so products need no canonicalization pass.
     The loop holds no multiplication table: every product, of any size,
-    runs through the Zorn kernel in mul_vec.
+    runs through the Zorn kernel in mul_vec.  The elements must be those
+    of _unit_rows, in its order.
     """
 
     def __init__(self, spec: FieldSpec, elems: np.ndarray):
@@ -179,7 +231,7 @@ class PaigeLoop(LoopStructure):
         self._words = digits.view(np.uint64).ravel()
         # the (n, 8) digit rows, a view of the words
         self.elems = self._words.view(np.uint8).reshape(self.n, 8)
-        self._lookup = self._build_lookup()
+        self._base, self._off, self._ranks = _rank_tables(self._ft)
         self._inv_of: np.ndarray | None = None
 
     def _digits(self, I) -> np.ndarray:
@@ -187,19 +239,22 @@ class PaigeLoop(LoopStructure):
         rows = self._words.take(I)[..., None].view(np.uint8)
         return np.ascontiguousarray(np.moveaxis(rows, -1, 0))
 
-    def _build_lookup(self) -> np.ndarray:
-        codes = self._ft.codes(self.elems.T)
-        lookup = np.full(self.q ** 8, -1, dtype=np.int32)
-        lookup[codes] = np.arange(self.n, dtype=np.int32)
-        if self.q % 2:
-            lookup[self._ft.neg_codes(codes)] = np.arange(self.n, dtype=np.int32)
-        return lookup
+    def _rank(self, D) -> np.ndarray:
+        """Indices (int64) of the elements whose digit rows, or for odd q
+        their negations, are the unit rows D."""
+        hi, lo = self._ft.halves(D)
+        # in place: each int64 temporary of a block is one allocation
+        at = self._off.take(hi)
+        at += lo
+        index = self._base.take(hi)
+        index += self._ranks.take(at)
+        return index
 
     # loop interface
 
     def _kernel(self, I, J) -> np.ndarray:
-        prod = _zorn_product_digits(self._ft, self._digits(I), self._digits(J))
-        return self._lookup.take(self._ft.codes(prod)).astype(np.int64)
+        return self._rank(_zorn_product_digits(self._ft, self._digits(I),
+                                               self._digits(J)))
 
     def mul_vec(self, I, J) -> np.ndarray:
         """Broadcast products I * J.  Above BLOCK_PRODUCTS they run in blocks
@@ -218,12 +273,16 @@ class PaigeLoop(LoopStructure):
 
     def inv_array(self) -> np.ndarray:
         if self._inv_of is None:
-            D = self.elems.T
-            # unit determinant: the inverse of [a, alpha; beta, b] is
-            # [b, -alpha; -beta, a], the same element as [-b, alpha; beta, -a],
-            # whose code the lookup holds too; only two digits are negated
-            rows = (self._ft.NEG.take(D[7]), *D[1:7], self._ft.NEG.take(D[0]))
-            self._inv_of = self._lookup.take(self._ft.codes(rows)).astype(np.int64)
+            NEG = self._ft.NEG
+            self._inv_of = np.empty(self.n, dtype=np.int64)
+            # in blocks, so the rank's temporaries stay in cache
+            for rows in _row_blocks((self.n,)):
+                D = self.elems[rows].T
+                # unit determinant: the inverse of [a, alpha; beta, b] is
+                # [b, -alpha; -beta, a], the same element as [-b, alpha; beta, -a],
+                # which the rank finds too; only two digits are negated
+                self._inv_of[rows] = self._rank((NEG.take(D[7]), *D[1:7],
+                                                 NEG.take(D[0])))
         return self._inv_of
 
     def inv_vec(self, I):
@@ -272,56 +331,63 @@ class PaigeLoop(LoopStructure):
             raise ParseError(f"order {order} does not match the loop of q={q} "
                              f"(expected {expected})")
         elems = np.asarray(elements, dtype=np.int64)
-        if elems.shape != (expected, 8) or elems.min() < 0 or elems.max() >= q:
+        if elems.shape != (expected, 8):
             raise ParseError("elements must be rows of eight base-q digits")
-        ft = _FieldTables(spec)
-        D = np.ascontiguousarray(elems.T, dtype=np.uint8)
-        if not np.all(ft.det(D) == 1):
-            raise ParseError("every element must have determinant 1")
-        ident = np.zeros(8, dtype=np.int64)
-        ident[0] = ident[7] = 1
-        if not np.array_equal(elems[0], ident):
-            raise ParseError("element 0 must be the identity matrix")
-        codes = ft.codes(D)
-        if q % 2:
-            codes = np.minimum(codes, ft.neg_codes(codes))
-        if np.unique(codes).shape[0] != expected:
-            raise ParseError("elements repeat up to sign")
-        return cls(spec, elems)
+        # indices are ranks, so only the canonical rows in their order will do
+        loop = cls(spec, _unit_rows(_FieldTables(spec)))
+        differ = np.flatnonzero(np.any(elems != loop.elems, axis=1))
+        if differ.shape[0]:
+            i = int(differ[0])
+            raise ParseError(f"element {i} is {elems[i].tolist()}, where M*({q}) "
+                             f"has {loop.elems[i].tolist()}: the elements are the "
+                             f"unit matrices, identity first, then by ascending "
+                             f"code (the smaller sign for odd q)")
+        return loop
 
     def __repr__(self):
         return f"PaigeLoop(q={self.q}, order={self.n})"
 
 
-def _unit_rows(ft: _FieldTables, n: int) -> np.ndarray:
+def _unit_rows(ft: _FieldTables) -> np.ndarray:
     """Digit rows (n, 8) uint8 of the unit matrices, the smaller sign
-    representative for odd q, identity first and then by ascending code."""
+    representative for odd q, identity first and then by ascending code.
+
+    For each representative high half (a, alpha), ascending, the q^3 low
+    halves solve lo . (-alpha1, -alpha2, -alpha3, a) = 1 for digit k, the
+    pivot: x_k = S / c_k with S = 1 + sum_{j<k} alpha_{j+1} beta_{j+1}, the
+    free digits running through their grid in mixed-radix order.  Masking
+    the alpha digits at and after k gives every pivot the same S."""
     q = ft.q
-    q4 = q ** 4
+    q3 = q ** 3
     half = _half_digits(q)          # as the low half: beta1, beta2, beta3, b
-    x, y = np.indices((q, q), dtype=np.uint8)[..., None]
-    # ab - alpha.beta = 1 as (ab - alpha1 beta1) = (alpha2 beta2 + alpha3 beta3) + 1.
-    # The sides are q^6 tables over (a, alpha1, low half) and (alpha2, alpha3, low
-    # half); their mask on the code axes (a, alpha1, alpha2, alpha3, low half) has
-    # the unit codes, ascending, as its set positions, and each inner loop of the
-    # compare covers a whole low half (q^4 cells)
-    left = ft.msub(x, half[3], y, half[0])
-    right = ft.add(ft.madd(x, half[1], y, half[2]), 1)
-    codes = np.flatnonzero(left[:, :, None, None] == right)
-    if q % 2:
-        codes = codes[codes < ft.neg_codes(codes)]
-    ident_code = q ** 7 + 1
-    at = int(np.searchsorted(codes, ident_code))
-    if codes.shape[0] != n or ident_code not in codes[at:at + 1]:
-        raise RuntimeError(f"enumeration produced {codes.shape[0]} elements, "
-                           f"expected {n} with the identity among them")
-    # the identity first, the others in code order
-    codes[1:at + 1] = codes[:at]
-    codes[0] = ident_code
+    reps, ident_at = _representatives(ft)
+    pivot = _pivots(q)[reps]
+    H = half[:, reps]
+    # c_k is a for k = 3, else -alpha_{k+1}
+    coef = H[(pivot + 1) % 4, np.arange(reps.shape[0])]
+    inv = ft.INV.take(np.where(pivot == 3, coef, ft.NEG.take(coef)))
+    alpha = np.where(np.arange(3)[:, None] < pivot, H[1:], 0).astype(np.uint8)
+    grid = np.indices((q,) * 3, dtype=np.uint8).reshape(3, q3)
+    # the low halves with digit k zero, in the order of the other digits,
+    # and the place value of digit k
+    free = np.stack([np.flatnonzero(half[k] == 0) for k in range(4)]).astype(np.uint16)
+    place = np.array([q3, q * q, q, 1], dtype=np.uint16)
     # each half-code's four digits as one 4-byte word
     words = np.ascontiguousarray(half.T).view(np.uint32).ravel()
-    hi, lo = np.divmod(codes, q4)
-    return np.stack([words.take(hi), words.take(lo)], axis=1).view(np.uint8)
+    out = np.empty((reps.shape[0], q3, 2), dtype=np.uint32)
+    out[:, :, 0] = words.take(reps)[:, None]
+    for rows in _row_blocks(out.shape[:2]):
+        a = alpha[:, rows, None]
+        S = ft.add(ft.madd(a[0], grid[0], a[1], grid[1]), ft.madd(a[2], grid[2], 1, 1))
+        x = ft.mul(S, inv[rows, None])
+        k = pivot[rows]
+        out[rows, :, 1] = words.take(free[k] + x * place[k, None])
+    # the identity first, the others in code order
+    packed = out.view(np.uint64).reshape(-1)
+    ident = packed[ident_at]
+    packed[1:ident_at + 1] = packed[:ident_at]
+    packed[0] = ident
+    return packed.view(np.uint8).reshape(-1, 8)
 
 
 def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
@@ -331,4 +397,4 @@ def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
     cap = element_cap_default() if element_cap is None else element_cap
     if n > cap:
         raise CapExceeded(f"loop of q={q} has {n} elements, above the cap {cap}")
-    return PaigeLoop(spec, _unit_rows(_FieldTables(spec), n))
+    return PaigeLoop(spec, _unit_rows(_FieldTables(spec)))

@@ -677,3 +677,17 @@ def test_paige_loop_json_exports_and_builds_a_scheme(capsys, tmp_path):
     assert data["valencies"] == [1, 56, 63]
     assert data["relations"]["source"]["kind"] == "paige-loop-scheme"
     assert data["relations"]["source"]["certificate"] == "exact"
+
+
+def test_loop_file_out_of_canonical_order_exits_2(capsys, tmp_path, paige2, paige3):
+    rows = paige2.to_json()["elements"]
+    shuffled = {**paige2.to_json(), "elements": rows[:1] + rows[:0:-1]}
+    rows = paige3.to_json()["elements"]
+    rows[2] = [paige3.spec.neg(x) for x in rows[2]]
+    negated = {**paige3.to_json(), "elements": rows}
+    for data in (shuffled, negated):
+        path = tmp_path / "loop.json"
+        path.write_text(json.dumps(data))
+        rc, out, err = run_cli(capsys, "scheme", "loop-scheme", "--loop", str(path))
+        assert rc == 2 and out == ""
+        assert "ParseError" in err

@@ -1,6 +1,13 @@
+import json
+import os
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import schemeforge
 from schemeforge.chartab import compute_character_table
 from schemeforge.errors import CapExceeded, ParseError
 from schemeforge.gf import field_for
@@ -229,6 +236,24 @@ def test_loop_json_rejects_corruption(paige2):
         PaigeLoop.from_json(bad)
 
 
+def test_loop_json_refuses_rows_out_of_canonical_order(paige2, paige3):
+    # indices are ranks of the canonical rows, so a reordered or re-signed
+    # element list would give every product a wrong index
+    good = paige2.to_json()
+    rows = good["elements"]
+    rng = np.random.default_rng(5)
+    shuffled = rows[:1] + [rows[1 + i] for i in rng.permutation(len(rows) - 1)]
+    first = next(i for i, (a, b) in enumerate(zip(shuffled, rows)) if a != b)
+    with pytest.raises(ParseError, match=f"element {first} is"):
+        PaigeLoop.from_json({**good, "elements": shuffled})
+
+    good = paige3.to_json()
+    rows = [list(r) for r in good["elements"]]
+    rows[7] = [paige3.spec.neg(x) for x in rows[7]]     # the same element, other sign
+    with pytest.raises(ParseError, match="element 7 is"):
+        PaigeLoop.from_json({**good, "elements": rows})
+
+
 # The Zorn product as it was computed with two-dimensional int64 tables,
 # kept as a reference: the flat fused tables must reproduce it byte for byte.
 
@@ -287,15 +312,19 @@ def _frozen_elems(q):
 
 
 class _FrozenPaigeLoop(PaigeLoop):
-    def _build_lookup(self):
-        self._old = _FrozenTables(self.spec)
+    """Products and inverses through the frozen tables and a q^8 code lookup
+    that registers every element's code, and for odd q its negation's."""
+
+    def __init__(self, spec, elems):
+        super().__init__(spec, elems)
+        self._old = _FrozenTables(spec)
         self._strides = self.q ** np.arange(7, -1, -1, dtype=np.int64)
         lookup = np.full(self.q ** 8, -1, dtype=np.int32)
         E = self.elems.astype(np.int64)
         lookup[E @ self._strides] = np.arange(self.n, dtype=np.int32)
         if self.q % 2:
             lookup[self._old.NEG[E] @ self._strides] = np.arange(self.n, dtype=np.int32)
-        return lookup
+        self._lookup = lookup
 
     def mul_vec(self, I, J):
         I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
@@ -318,6 +347,11 @@ class _FrozenPaigeLoop(PaigeLoop):
         return self._inv_of
 
 
+def _code(q, columns):
+    """Packed int64 codes of eight digit columns, digit 0 most significant."""
+    return sum(c * q ** (7 - k) for k, c in enumerate(columns))
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_build_matches_frozen_enumeration(q):
     loop = build_paige_loop(q)
@@ -329,38 +363,34 @@ def test_build_matches_frozen_enumeration(q):
 @pytest.mark.parametrize("q", [7, 8, 9])
 def test_build_is_sorted_unit_sign_representatives(q):
     """Beyond the frozen enumeration's reach: the count, the identity first,
-    strictly increasing codes after it, unit determinants, the smaller sign
-    representative for odd q, and a lookup that finds each row (and its
-    negation) and nothing else.  Together these fix the element array."""
+    strictly increasing codes after it, unit determinants and the smaller
+    sign representative for odd q fix the element array; the rank of each
+    row (and of its negation) is the row's index."""
     n = paige_loop_order(q)
     loop = build_paige_loop(q, element_cap=n)
     old = _FrozenTables(loop.spec)
     assert loop.elems.dtype == np.uint8 and loop.elems.shape == (n, 8)
     assert _digits(loop.elems[0]) == IDENTITY
     cols = [loop.elems[:, k].astype(np.int64) for k in range(8)]
-
-    def code(columns):
-        return sum(c * q ** (7 - k) for k, c in enumerate(columns))
-
-    codes = code(cols)
+    codes = _code(q, cols)
     assert np.all(np.diff(codes[1:]) > 0)
     det = old.SUB[old.MUL[cols[0], cols[7]], old.dot3(cols[1:4], cols[4:7])]
     assert np.all(det == 1)
-    assert np.array_equal(loop._lookup[codes], np.arange(n))
-    signs = 1
+    assert np.array_equal(loop._rank(loop.elems.T), np.arange(n))
     if q % 2:
-        neg = code([old.NEG[c] for c in cols])
-        assert np.all(codes < neg)
-        assert np.array_equal(loop._lookup[neg], np.arange(n))
-        signs = 2
-    assert np.count_nonzero(loop._lookup >= 0) == signs * n
+        assert np.all(codes < _code(q, [old.NEG[c] for c in cols]))
+        assert np.array_equal(loop._rank(loop._ft.NEG.take(loop.elems.T)), np.arange(n))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_products_match_frozen_kernel(q):
     loop = build_paige_loop(q, element_cap=paige_loop_order(q))
     frozen = _FrozenPaigeLoop(loop.spec, loop.elems)
-    assert np.array_equal(loop._lookup, frozen._lookup)
+    # the rank equals the frozen lookup on every unit code, of either sign
+    codes = np.flatnonzero(frozen._lookup >= 0)
+    assert codes.shape[0] == (2 if q % 2 else 1) * loop.n
+    digits = [((codes // q ** (7 - k)) % q).astype(np.uint8) for k in range(8)]
+    assert np.array_equal(loop._rank(digits), frozen._lookup[codes])
     rng = np.random.default_rng(200 + q)
     I = rng.integers(0, loop.n, 20_000)
     J = rng.integers(0, loop.n, 20_000)
@@ -371,11 +401,10 @@ def test_products_match_frozen_kernel(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_inverses_match_the_six_digit_formula(q):
-    # [b, -alpha; -beta, a] with all six vector digits negated, looked up
+    # [b, -alpha; -beta, a] with all six vector digits negated, ranked
     loop = build_paige_loop(q, element_cap=paige_loop_order(q))
     D = loop.elems.T
-    rows = (D[7], *loop._ft.NEG.take(D[1:7]), D[0])
-    want = loop._lookup.take(loop._ft.codes(rows)).astype(np.int64)
+    want = loop._rank((D[7], *loop._ft.NEG.take(D[1:7]), D[0]))
     assert np.array_equal(loop.inv_array(), want)
 
 
@@ -388,3 +417,57 @@ def test_mstar3_pipeline_matches_frozen_kernel():
     tables = [compute_character_table(intersection_numbers(loop_scheme(lp, r)))
               for lp, r in zip((loop, frozen), reports)]
     assert tables[0].P.tobytes() == tables[1].P.tobytes()
+
+
+# M*(11) and M*(13) are beyond a q^8 lookup; each is built in a fresh
+# process, which reports the peak resident size of the build and then
+# checks the elements block by block.
+
+def _large_build_report(q: int) -> dict:
+    n = paige_loop_order(q)
+    loop = build_paige_loop(q, element_cap=n)
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    old = _FrozenTables(loop.spec)
+    assert loop.elems.shape == (n, 8) and _digits(loop.elems[0]) == IDENTITY
+    assert q ** 8 < 2 ** 32
+    codes = np.empty(n, dtype=np.uint32)
+    step = 1 << 18
+    for start in range(0, n, step):
+        rows = loop.elems[start:start + step]
+        cols = [rows[:, k].astype(np.int64) for k in range(8)]
+        codes[start:start + step] = code = _code(q, cols)
+        det = old.SUB[old.MUL[cols[0], cols[7]], old.dot3(cols[1:4], cols[4:7])]
+        assert np.all(det == 1)
+        if q % 2:
+            assert np.all(code < _code(q, [old.NEG[c] for c in cols]))
+        assert np.array_equal(loop._rank(rows.T),
+                              np.arange(start, start + rows.shape[0]))
+    assert np.all(codes[2:] > codes[1:-1])
+    # products against the frozen product, found among the sorted codes
+    rng = np.random.default_rng(q)
+    I, J = rng.integers(0, n, 20_000), rng.integers(0, n, 20_000)
+    A, B = loop.elems[I].astype(np.int64), loop.elems[J].astype(np.int64)
+    prod = _frozen_product_digits(old, A.T, B.T)
+    code = _code(q, prod)
+    if q % 2:
+        code = np.minimum(code, _code(q, [old.NEG[c] for c in prod]))
+    want = np.searchsorted(codes[1:], code) + 1
+    want[code == codes[0]] = 0
+    assert np.array_equal(codes[want], code)
+    assert np.array_equal(loop.mul_vec(I, J), want)
+    return {"n": n, "peak_mb": peak_mb}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q,peak_mb", [(11, 600), (13, 1200)])
+def test_large_builds_are_canonical_within_memory(q, peak_mb):
+    src = os.path.dirname(os.path.dirname(schemeforge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
+    script = ("import json, sys, test_zorn; "
+              "print(json.dumps(test_zorn._large_build_report(int(sys.argv[1]))))")
+    run = subprocess.run([sys.executable, "-c", script, str(q)], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["n"] == paige_loop_order(q)
+    assert report["peak_mb"] < peak_mb
