@@ -73,6 +73,13 @@ class LoopStructure:
         orbits, or None; it makes the randomized refinement exact."""
         return None
 
+    def invariant_div_vec(self, V, U) -> np.ndarray:
+        """Elements in the same invariant_partition() class as
+        right_div_vec(V, U), for loops whose invariant_partition() is not
+        None; loop_scheme reads relations through it when the scheme's
+        classes are that partition."""
+        raise NotImplementedError
+
     def scheme_source(self) -> dict:
         """Recipe that rebuilds this loop, kept in the source of its scheme."""
         raise NotImplementedError
@@ -458,8 +465,13 @@ def inner_orbits(loop: LoopStructure, policy: str = "auto",
 
 def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
                 policy: str = "auto", seed: int = DEFAULT_SEED) -> AssociationScheme:
-    """Homogeneous scheme over loop.right_div_vec: rel(u, v) = inner-orbit
-    class of v / u.
+    """Homogeneous scheme with rel(u, v) = inner-orbit class of v / u.
+
+    When class_of is the loop's invariant_partition() (for M*(q), the trace
+    classes), relations are read through loop.invariant_div_vec, which
+    finds the class of v / u without forming it (for M*(q), from the polar
+    form of the norm); any other partition, and a loop without an
+    invariant, reads them through loop.right_div_vec.
 
     Passing class_of (an array or an InnerOrbitReport) skips the orbit
     computation; it is reused both by the certification step of the
@@ -482,4 +494,7 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
     source = dict(loop.scheme_source(), class_of=class_of.tolist())
     if certificate is not None:
         source["certificate"] = certificate
-    return AssociationScheme.homogeneous(class_of, loop.right_div_vec, source=source)
+    bound = loop.invariant_partition()
+    on_invariant = bound is not None and np.array_equal(class_of, bound)
+    div = loop.invariant_div_vec if on_invariant else loop.right_div_vec
+    return AssociationScheme.homogeneous(class_of, div, source=source)

@@ -176,7 +176,6 @@ class IntersectionNumbers:
         self.tensor = tensor
         self.valencies = np.asarray(valencies, dtype=np.int64)
         self.n = int(n)
-        self._commutes = None
 
     @property
     def d(self) -> int:
@@ -194,19 +193,13 @@ class IntersectionNumbers:
 
     @property
     def commutes(self) -> bool:
-        """Exact integer check that all B_i pairwise commute."""
-        if self._commutes is None:
-            mats = [m.astype(np.int64) for m in self.b_matrices]
-            ok = True
-            for i in range(len(mats)):
-                for j in range(i + 1, len(mats)):
-                    if not np.array_equal(mats[i] @ mats[j], mats[j] @ mats[i]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._commutes = ok
-        return self._commutes
+        """Exact check that all B_i pairwise commute, as p_ij^h = p_ji^h.
+
+        B_i is the matrix of multiplication by A_i on the basis A_0..A_d of
+        the Bose-Mesner algebra, so B_i B_j = sum_h p_ij^h B_h, and the B_h
+        are independent (B_h A_0 = A_h): the B_i commute exactly when the
+        tensor is symmetric in i and j, an O(d^3) compare."""
+        return np.array_equal(self.tensor, self.tensor.transpose(0, 2, 1))
 
 
 def _pair_counts(row: np.ndarray, col: np.ndarray, d: int) -> np.ndarray:
@@ -215,15 +208,21 @@ def _pair_counts(row: np.ndarray, col: np.ndarray, d: int) -> np.ndarray:
     return np.bincount(codes, minlength=(d + 1) ** 2).reshape(d + 1, d + 1)
 
 
-def _record(tensor: np.ndarray, h: int, counts: np.ndarray, x: int, y: int) -> None:
-    """Store the counts of pair (x, y) as p_ij^h, or check them against the
-    counts already stored for class h."""
-    if tensor[h, 0, 0] < 0:
-        tensor[h] = counts
-    elif not np.array_equal(tensor[h], counts):
+def _record_row(tensor: np.ndarray, x: int, classes: np.ndarray,
+                cols: np.ndarray, counts: np.ndarray) -> None:
+    """Record the counts of the pairs (x, cols[k]), of classes classes[k],
+    in counts[k].  The first column of each class not seen before stores
+    its counts as p_ij^h; then every column is checked against the counts
+    stored for its class, and the first that disagrees raises NotAScheme."""
+    seen, first = np.unique(classes, return_index=True)
+    new = tensor[seen, 0, 0] < 0
+    tensor[seen[new]] = counts[first[new]]
+    bad = np.flatnonzero((counts != tensor[classes]).any(axis=(1, 2)))
+    if bad.size:
+        k = int(bad[0])
         raise NotAScheme(
-            f"class {h}: intersection numbers at pair ({x}, {y}) "
-            f"disagree with an earlier representative")
+            f"class {int(classes[k])}: intersection numbers at pair "
+            f"({x}, {int(cols[k])}) disagree with an earlier representative")
 
 
 def intersection_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
@@ -250,8 +249,7 @@ def intersection_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
             codes = row[:, None] * (d + 1) + mat
             flat = (np.arange(n, dtype=np.int64) * span)[None, :] + codes
             counts = np.bincount(flat.ravel(), minlength=n * span).reshape(n, d + 1, d + 1)
-            for y in range(n):
-                _record(tensor, int(row[y]), counts[y], x, y)
+            _record_row(tensor, x, row, np.arange(n), counts)
         return IntersectionNumbers(tensor, scheme.valencies, n)
 
     quota = 2 if scheme.orbital else REPS_PER_CLASS
@@ -260,8 +258,8 @@ def intersection_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
         classes, first = np.unique(row, return_index=True)
         if classes.shape[0] != d + 1:
             raise NotAScheme(f"row {x} meets only classes {classes.tolist()} of 0..{d}")
-        for h, y in zip(classes.tolist(), first.tolist()):
-            _record(tensor, h, _pair_counts(row, scheme.rel_col(y), d), x, y)
+        counts = np.stack([_pair_counts(row, scheme.rel_col(y), d) for y in first])
+        _record_row(tensor, x, classes, first, counts)
     return IntersectionNumbers(tensor, scheme.valencies, n)
 
 

@@ -45,6 +45,10 @@ the q^3 free-digit grid.  No table of size q^8 exists.  Each half-code's
 four digits are gathered as one 4-byte word, and the ranks, inverses and
 trace classes start from a view of the elements' digit columns, with no
 per-element gather.
+
+The relations of a loop scheme on the trace classes need no product: the
+trace of v u^-1 is the polar form of the norm, a_v b_u + b_v a_u -
+alpha_v.beta_u - beta_v.alpha_u, four fused and three plain lookups.
 """
 
 from __future__ import annotations
@@ -233,6 +237,7 @@ class PaigeLoop(LoopStructure):
         self.elems = self._words.view(np.uint8).reshape(self.n, 8)
         self._base, self._off, self._ranks = _rank_tables(self._ft)
         self._inv_of: np.ndarray | None = None
+        self._traces: tuple[np.ndarray, np.ndarray] | None = None
 
     def _digits(self, I) -> np.ndarray:
         """Digit rows (8,) + shape(I) of the elements I, as uint8."""
@@ -256,20 +261,25 @@ class PaigeLoop(LoopStructure):
         return self._rank(_zorn_product_digits(self._ft, self._digits(I),
                                                self._digits(J)))
 
-    def mul_vec(self, I, J) -> np.ndarray:
-        """Broadcast products I * J.  Above BLOCK_PRODUCTS they run in blocks
-        of rows along axis 0, so the kernel's temporaries stay in cache; an
-        operand that does not vary along axis 0 goes to every block unsliced."""
+    def _blocked(self, kernel, I, J) -> np.ndarray:
+        """kernel(I, J) over broadcast index arrays.  Above BLOCK_PRODUCTS
+        entries it runs in blocks of rows along axis 0, so the kernel's
+        temporaries stay in cache; an operand that does not vary along
+        axis 0 goes to every block unsliced."""
         I, J = np.asarray(I), np.asarray(J)
         shape = np.broadcast_shapes(I.shape, J.shape)
         if math.prod(shape) <= BLOCK_PRODUCTS:
-            return self._kernel(I, J)
+            return kernel(I, J)
         out = np.empty(shape, dtype=np.int64)
         sliced = [A.ndim == len(shape) and A.shape[0] > 1 for A in (I, J)]
         for rows in _row_blocks(shape):
-            out[rows] = self._kernel(I[rows] if sliced[0] else I,
-                                     J[rows] if sliced[1] else J)
+            out[rows] = kernel(I[rows] if sliced[0] else I,
+                               J[rows] if sliced[1] else J)
         return out
+
+    def mul_vec(self, I, J) -> np.ndarray:
+        """Broadcast products I * J, in blocks above BLOCK_PRODUCTS."""
+        return self._blocked(self._kernel, I, J)
 
     def inv_array(self) -> np.ndarray:
         if self._inv_of is None:
@@ -294,19 +304,51 @@ class PaigeLoop(LoopStructure):
     def right_div_vec(self, A, B):
         return self.mul_vec(A, self.inv_vec(B))
 
+    def _trace_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical labels of the trace classes, and at each trace t
+        the first element after the identity whose trace is t up to sign;
+        both computed once per loop."""
+        if self._traces is None:
+            NEG = self._ft.NEG
+            D = self.elems.T
+            # -t = t in characteristic 2, so the minimum is t itself for even q
+            trace = self._ft.add(D[0], D[7])
+            trace = np.minimum(trace, NEG.take(trace))
+            raw = trace.astype(np.int64) + 1
+            raw[0] = 0
+            values, first = np.unique(trace[1:], return_index=True)
+            rep = np.zeros(self.q, dtype=np.int64)
+            rep[values] = first + 1
+            t = np.arange(self.q)
+            self._traces = canonical_labels(raw)[0], rep[np.minimum(t, NEG[t])]
+        return self._traces
+
     def invariant_partition(self) -> np.ndarray:
         """Trace classes, canonically labelled: a + b, taken up to sign for
         odd q, with the identity in a class of its own.  Inner maps fix 1
         and preserve the norm ab - alpha.beta, so they preserve the trace
         (Paige 1956; Nagy and Vojtechovsky 2003) and every trace class is a
         union of inner orbits."""
-        D = self.elems.T
-        trace = self._ft.add(D[0], D[7])
-        if self.q % 2:
-            trace = np.minimum(trace, self._ft.NEG.take(trace))
-        raw = trace.astype(np.int64) + 1
-        raw[0] = 0
-        return canonical_labels(raw)[0]
+        return self._trace_classes()[0]
+
+    def _polar_kernel(self, V, U) -> np.ndarray:
+        ft, A, B = self._ft, self._digits(V), self._digits(U)
+        # alpha_v.beta_u + beta_v.alpha_u, then a_v b_u + b_v a_u minus it
+        dot = ft.add(ft.add(ft.madd(A[1], B[4], A[2], B[5]),
+                            ft.madd(A[3], B[6], A[4], B[1])),
+                     ft.madd(A[5], B[2], A[6], B[3]))
+        trace = ft.sub(ft.madd(A[0], B[7], A[7], B[0]), dot)
+        return np.where(V == U, 0, self._trace_classes()[1].take(trace))
+
+    def invariant_div_vec(self, V, U) -> np.ndarray:
+        """An element in the trace class of V / U, read from the polar form
+        of the norm.  For a unit u = [c, gamma; delta, d], u^-1 is
+        [d, -gamma; -delta, c], so the trace of v u^-1 is
+        a d + b c - alpha.delta - beta.gamma: four MADD and three ADD/SUB
+        lookups on the broadcast digits, in blocks above BLOCK_PRODUCTS,
+        with no product and no rank.  V == U gives the identity; any other
+        pair the first element of its trace class."""
+        return self._blocked(self._polar_kernel, V, U)
 
     def scheme_source(self) -> dict:
         return {"kind": "paige-loop-scheme", "q": self.q}

@@ -270,9 +270,14 @@ def test_mstar8_reaches_closed_form():
     t0 = time.perf_counter()
     loop = build_paige_loop(8, element_cap=paige_loop_order(8))
     report = inner_orbits(loop, policy="randomized")
-    table = compute_character_table(intersection_numbers(loop_scheme(loop, report)))
+    scheme = loop_scheme(loop, report)
+    table = compute_character_table(intersection_numbers(scheme))
     match = compare_tables(table, closed_form_mstar(8), tol=1e-8)
     elapsed = time.perf_counter() - t0
     assert report.certificate == "exact" and report.n_classes == 9
     assert match.matched
     assert elapsed < 15.0, elapsed
+    # the relations were read from the polar form of the norm; a row of
+    # true quotients v / u agrees with them
+    Z = np.arange(loop.n)
+    assert np.array_equal(scheme.rel_row(1), report.class_of[loop.right_div_vec(Z, 1)])

@@ -196,6 +196,32 @@ def test_loop_scheme_accepts_class_array(paige2):
     assert np.array_equal(direct.dense_matrix(), via_report.dense_matrix())
 
 
+def _trace_split(loop):
+    """The trace classes of the loop with the first half of class 1 split off."""
+    labels = loop.invariant_partition().copy()
+    members = np.flatnonzero(labels == 1)
+    labels[members[: members.shape[0] // 2]] = labels.max() + 1
+    return labels
+
+
+@pytest.mark.parametrize("partition", [
+    lambda loop: np.minimum(np.arange(loop.n), 1),
+    lambda loop: loop.invariant_partition(),
+    _trace_split,
+], ids=["identity-vs-rest", "trace-classes", "split-trace-class"])
+def test_loop_scheme_relations_are_classes_of_right_quotients(paige3, partition):
+    # the trace classes are read from the polar form of the norm; every
+    # other partition needs the quotient v / u itself
+    class_of = partition(paige3)
+    scheme = loop_scheme(paige3, class_of=class_of)
+    Z = np.arange(paige3.n)
+    for x in (0, 1, 7, paige3.n - 1):
+        assert np.array_equal(scheme.rel_row(x),
+                              class_of[paige3.right_div_vec(Z, x)])
+        assert np.array_equal(scheme.rel_col(x),
+                              class_of[paige3.right_div_vec(x, Z)])
+
+
 @pytest.mark.parametrize("table,failure", [
     ([[0, 1]], "square and nonempty"),
     (np.zeros((0, 0), dtype=int), "square and nonempty"),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from schemeforge.errors import InvalidFusion, NotAScheme
-from schemeforge.permgroup import cyclic, group_scheme, orbitals, psl2, symmetric
+from schemeforge.permgroup import (cyclic, group_scheme, orbitals, psl2,
+                                   regular_action, symmetric)
 from schemeforge.scheme import (AssociationScheme, complete_graph_scheme,
                                 fuse, intersection_numbers, scheme_from_csv,
                                 scheme_to_csv, verify_scheme_axioms)
@@ -67,8 +68,67 @@ def test_representative_dependence_is_rejected():
                     [1, 0, 1],
                     [2, 1, 0]])
     scheme = AssociationScheme.from_matrix(mat)
-    with pytest.raises(NotAScheme):
+    with pytest.raises(NotAScheme) as err:
         intersection_numbers(scheme)
+    assert str(err.value) == ("class 1: intersection numbers at pair (1, 0) "
+                              "disagree with an earlier representative")
+
+
+def _pairwise_scan(mat: np.ndarray):
+    """Reference for the all-pairs scan, one pair at a time: the tensor,
+    or the NotAScheme message at the first pair whose counts disagree with
+    the first pair of its class."""
+    d = int(mat.max())
+    tensor = np.full((d + 1,) * 3, -1, dtype=np.int64)
+    for x in range(mat.shape[0]):
+        for y in range(mat.shape[0]):
+            counts = np.zeros((d + 1, d + 1), dtype=np.int64)
+            np.add.at(counts, (mat[x], mat[:, y]), 1)
+            h = mat[x, y]
+            if tensor[h, 0, 0] < 0:
+                tensor[h] = counts
+            elif not np.array_equal(tensor[h], counts):
+                return (f"class {h}: intersection numbers at pair ({x}, {y}) "
+                        f"disagree with an earlier representative")
+    return tensor
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_all_pairs_scan_matches_the_pairwise_reference(seed):
+    # a cyclic scheme with some symmetric pairs of cells relabelled: seed 0
+    # keeps the scheme, the others break it at some pair
+    rng = np.random.default_rng(seed)
+    mat = orbitals(cyclic(9)).dense_matrix().astype(np.int64)
+    for _ in range(seed):
+        x, y = rng.choice(9, size=2, replace=False)
+        mat[x, y] = mat[y, x] = rng.integers(1, mat.max() + 1)
+    want = _pairwise_scan(mat)
+    if isinstance(want, str):
+        with pytest.raises(NotAScheme) as err:
+            intersection_numbers(AssociationScheme.from_matrix(mat))
+        assert str(err.value) == want
+    else:
+        got = intersection_numbers(AssociationScheme.from_matrix(mat)).tensor
+        assert np.array_equal(got, want)
+
+
+def _b_matrices_commute(inter) -> bool:
+    """Every pair of intersection matrices B_i, B_j multiplied both ways."""
+    mats = [m.astype(np.int64) for m in inter.b_matrices]
+    return all(np.array_equal(a @ b, b @ a)
+               for i, a in enumerate(mats) for b in mats[i + 1:])
+
+
+@pytest.mark.parametrize("scheme,commutative", [
+    (lambda: group_scheme(symmetric(4)), True),
+    (lambda: group_scheme(psl2(7)), True),
+    (lambda: orbitals(regular_action(symmetric(3))), False),
+    (lambda: orbitals(regular_action(symmetric(4))), False),
+], ids=["S4", "PSL(2,7)", "S3-regular", "S4-regular"])
+def test_commutes_is_tensor_symmetry(scheme, commutative):
+    # p_ij^h = p_ji^h agrees with the B_i commuting, on schemes of both kinds
+    inter = intersection_numbers(scheme())
+    assert inter.commutes == _b_matrices_commute(inter) == commutative
 
 
 def test_verify_axioms_pass():

@@ -408,6 +408,30 @@ def test_inverses_match_the_six_digit_formula(q):
     assert np.array_equal(loop.inv_array(), want)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_polar_form_division_keeps_the_trace_class(q):
+    # invariant_div_vec reads the trace of V / U from the polar form of the
+    # norm; its element must lie in the trace class of the true quotient
+    loop = build_paige_loop(q, element_cap=paige_loop_order(q))
+    classes = loop.invariant_partition()
+
+    def same_class(V, U):
+        return np.array_equal(classes[loop.invariant_div_vec(V, U)],
+                              classes[loop.right_div_vec(V, U)])
+
+    rng = np.random.default_rng(300 + q)
+    V, U = rng.integers(0, loop.n, (2, 20_000))
+    U[:100] = V[:100]
+    assert same_class(V, U)
+    assert same_class(V, V)
+    assert np.all(loop.invariant_div_vec(V, V) == 0)
+    assert same_class(V, 0) and same_class(0, V) and same_class(0, 0)
+    for x in rng.integers(0, loop.n, 3).tolist():
+        assert same_class(V, np.int64(x))           # array x scalar: a row
+        assert same_class(np.int64(x), V)           # scalar x array: a column
+    assert same_class(V[:200, None], U[:300])       # a broadcast grid
+
+
 def test_mstar3_pipeline_matches_frozen_kernel():
     loop = build_paige_loop(3)
     frozen = _FrozenPaigeLoop(loop.spec, _frozen_elems(3))
