@@ -4,6 +4,14 @@ scheme a commutative-by-orbits loop carries.
 Elements are integer indices 0..n-1 with the identity at index 0.  A loop
 is its broadcast product mul_vec and two divisions; only TableLoop holds a
 table, and checks that need every product take the n x n grid of mul_vec.
+Words of several products (the sampled Moufang and associativity checks,
+the inner maps of the refinement) are evaluated on lifted elements: each
+operand is lifted once, the products and divisions run on lifted values,
+and only the results that are compared or kept are turned back into
+indices.  For M*(q) a lifted element is its eight digits, so a word pays
+one gather per operand and one rank per result, not one of each per
+product; for other loops lifting is the identity.  Lifted words run on
+blocks of at most LIFT_BLOCK points.
 The scheme relation is rel(u, v) = class of v / u, where the classes are
 the orbits of the inner mapping group Inn(L), the stabilizer of the
 identity inside the multiplication group Mlt(L) generated by all left and
@@ -44,6 +52,7 @@ PAIR_ORBIT_LIMIT = 256      # largest loop the exact pair-orbit policy takes
 ROUND_BUDGET = 64           # refinement rounds before the refinement gives up
 QUIET_ROUNDS = 3            # rounds in a row without a merge before a sampled check
 VERIFY_SEED_OFFSET = 101    # certificate seed offset from the sampling seed
+LIFT_BLOCK = 1 << 15        # points per block of a lifted word: checks and refinement
 
 
 class LoopStructure:
@@ -52,12 +61,35 @@ class LoopStructure:
     mul takes and returns python ints; the *_vec ops take numpy index arrays
     and broadcast.  left_div_vec(a, b) solves a * x = b; right_div_vec(a, b)
     solves x * b = a, so right_div_vec(v, u) is v / u.
+
+    The lifted interface evaluates words without an index between products:
+    lift(I) turns indices into lifted elements, times, ldiv and rdiv are
+    the product and divisions on lifted elements, and index(A) turns a
+    lifted result back into indices.  Equal elements have equal indices,
+    so words are compared through index.  The defaults lift to the indices
+    themselves and run the *_vec ops; a loop with a cheaper representation
+    between products (PaigeLoop: digit rows) overrides all five.
     """
 
     n: int
 
     def mul(self, i: int, j: int) -> int:
         return int(self.mul_vec(i, j))
+
+    def lift(self, I):
+        return np.asarray(I)
+
+    def times(self, A, B):
+        return self.mul_vec(A, B)
+
+    def ldiv(self, A, B):
+        return self.left_div_vec(A, B)
+
+    def rdiv(self, A, B):
+        return self.right_div_vec(A, B)
+
+    def index(self, A) -> np.ndarray:
+        return A
 
     def mul_vec(self, I, J) -> np.ndarray:
         raise NotImplementedError
@@ -235,20 +267,22 @@ def _product_grid(loop: LoopStructure) -> np.ndarray:
 # Moufang and associativity checks
 
 
-def _moufang_identities(m, x, y, z):
+def _moufang_identities(m, key, x, y, z):
     """The four equivalent defining identities on one block of triples, in
-    turn, as (text, cells where the two sides differ).  Each is evaluated
-    only when the one before holds, and x*y, y*z and (x*y)*(z*x) are
-    evaluated once for all of them: 18 products a triple instead of 24."""
+    turn, as (text, cells where the two sides differ).  m is the product
+    and key(w) the value by which two words compare.  Each identity is
+    evaluated only when the one before holds, and x*y, y*z and (x*y)*(z*x)
+    are evaluated once for all of them: 18 products and 7 keys a triple
+    instead of 24 and 8."""
     xy = m(x, y)
     yield ("((x*y)*x)*z = x*(y*(x*z))",
-           m(m(xy, x), z) != m(x, m(y, m(x, z))))
+           key(m(m(xy, x), z)) != key(m(x, m(y, m(x, z)))))
     yield ("x*(y*(z*y)) = ((x*y)*z)*y",
-           m(x, m(y, m(z, y))) != m(m(xy, z), y))
+           key(m(x, m(y, m(z, y)))) != key(m(m(xy, z), y)))
     yz = m(y, z)
-    xy_zx = m(xy, m(z, x))
-    yield ("(x*y)*(z*x) = x*((y*z)*x)", xy_zx != m(x, m(yz, x)))
-    yield ("(x*y)*(z*x) = (x*(y*z))*x", xy_zx != m(m(x, yz), x))
+    xy_zx = key(m(xy, m(z, x)))
+    yield ("(x*y)*(z*x) = x*((y*z)*x)", xy_zx != key(m(x, m(yz, x))))
+    yield ("(x*y)*(z*x) = (x*(y*z))*x", xy_zx != key(m(m(x, yz), x)))
 
 
 @dataclass
@@ -263,29 +297,34 @@ class MoufangReport:
 
 
 def _first_violation(loop: LoopStructure, identities, samples: int, seed: int):
-    """First triple that breaks one of identities(m), as (mode, triples
+    """First triple that breaks one of identities(m, key), as (mode, triples
     checked per identity, (text, x, y, z) or None).
 
-    identities(m, X, Y, Z) yields (text, cells where the two sides
+    identities(m, key, X, Y, Z) yields (text, cells where the two sides
     differ) for one block of triples, one identity at a time, and is left
     at the first violation.  Loops of at most MOUFANG_EXHAUSTIVE_LIMIT
     elements are checked at every triple on their product grid, so None is
     then a proof.  Larger ones are checked on seeded random triples in
-    blocks of 2^15.
+    blocks of LIFT_BLOCK, each operand lifted once and each compared word
+    ranked once.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     n = loop.n
     if n <= MOUFANG_EXHAUSTIVE_LIMIT:
         T = _product_grid(loop)
-        mode, checked, m = "exhaustive", n ** 3, (lambda a, b: T[a, b])
+        mode, checked = "exhaustive", n ** 3
+        m, key, lift = (lambda a, b: T[a, b]), (lambda w: w), (lambda w: w)
         blocks = [np.ogrid[:n, :n, :n]]
     else:
-        mode, checked, m = "sampled", samples, loop.mul_vec
+        mode, checked = "sampled", samples
+        m, key, lift = loop.times, loop.index, loop.lift
         rng = np.random.default_rng(seed)
         # X, Y and Z drawn in turn for each block, so the stream is fixed by the seed
-        takes = (min(1 << 15, samples - done) for done in range(0, samples, 1 << 15))
+        takes = (min(LIFT_BLOCK, samples - done) for done in range(0, samples, LIFT_BLOCK))
         blocks = ([rng.integers(0, n, size=take) for _ in range(3)] for take in takes)
     for X, Y, Z in blocks:
-        for text, bad in identities(m, X, Y, Z):
+        for text, bad in identities(m, key, lift(X), lift(Y), lift(Z)):
             if bad.any():
                 at = tuple(np.argwhere(bad)[0])
                 x, y, z = (int(np.broadcast_to(V, bad.shape)[at]) for V in (X, Y, Z))
@@ -296,13 +335,13 @@ def _first_violation(loop: LoopStructure, identities, samples: int, seed: int):
 def moufang_check(loop: LoopStructure, samples: int = 100_000,
                   seed: int = DEFAULT_SEED) -> MoufangReport:
     """Check the four Moufang identities, exhaustively for small loops and on
-    seeded random triples otherwise."""
+    seeded random triples otherwise; samples below 1 raise ValueError."""
     mode, checked, witness = _first_violation(loop, _moufang_identities, samples, seed)
     return MoufangReport(witness is None, mode, checked, witness)
 
 
-def _associativity_identity(m, x, y, z):
-    yield "(x*y)*z = x*(y*z)", m(m(x, y), z) != m(x, m(y, z))
+def _associativity_identity(m, key, x, y, z):
+    yield "(x*y)*z = x*(y*z)", key(m(m(x, y), z)) != key(m(x, m(y, z)))
 
 
 def associativity_counterexample(loop: LoopStructure, samples: int = 20_000,
@@ -311,6 +350,7 @@ def associativity_counterexample(loop: LoopStructure, samples: int = 20_000,
 
     Small loops are scanned exhaustively, so None is then a proof of
     associativity; for large loops None only reports a failed search.
+    samples below 1 raise ValueError.
     """
     witness = _first_violation(loop, _associativity_identity, samples, seed)[2]
     return None if witness is None else witness[1:]
@@ -350,23 +390,37 @@ def _inner_orbits_exact(loop: LoopStructure) -> InnerOrbitReport:
     return InnerOrbitReport(class_of, count, "exact", 0, True, "exact", 0)
 
 
+def _inner_word(loop: LoopStructure, kind: int, x, y, Z) -> np.ndarray:
+    """Indices of the images of the points Z under T(x), L(x, y) or R(x, y)
+    for kind 0, 1 or 2, evaluated on lifted elements and ranked once."""
+    t, X, P = loop.times, loop.lift(x), loop.lift(Z)
+    if kind == 0:
+        return loop.index(loop.ldiv(X, t(P, X)))
+    Y = loop.lift(y)
+    XY = t(X, Y)
+    if kind == 1:
+        return loop.index(loop.ldiv(XY, t(X, t(Y, P))))
+    return loop.index(loop.rdiv(t(t(P, X), Y), XY))
+
+
 def _sampled_inner_images(loop: LoopStructure, kind, x, y,
                           Z: np.ndarray) -> np.ndarray:
     """Images of the points Z under T(x), L(x, y) or R(x, y) for kind 0, 1
-    or 2, with x and y broadcast against Z.  Arrays of kinds, x and y, one
-    entry per point, apply a map of its own to each point."""
-    if np.ndim(kind):
-        W = np.empty(Z.shape[0], dtype=np.int64)
+    or 2, with x and y broadcast against Z, in blocks of LIFT_BLOCK
+    points.  Arrays of kinds, x and y, one entry per point, apply a map of
+    its own to each point."""
+    W = np.empty(Z.shape[0], dtype=np.int64)
+    per_point = np.ndim(kind) > 0
+    for start in range(0, Z.shape[0], LIFT_BLOCK):
+        rows = slice(start, start + LIFT_BLOCK)
+        if not per_point:
+            W[rows] = _inner_word(loop, kind, x, y, Z[rows])
+            continue
         for k in range(3):
-            mask = kind == k
-            W[mask] = _sampled_inner_images(loop, k, x[mask], y[mask], Z[mask])
-        return W
-    if kind == 0:
-        return loop.left_div_vec(x, loop.mul_vec(Z, x))
-    xy = loop.mul_vec(x, y)
-    if kind == 1:
-        return loop.left_div_vec(xy, loop.mul_vec(x, loop.mul_vec(y, Z)))
-    return loop.right_div_vec(loop.mul_vec(loop.mul_vec(Z, x), y), xy)
+            mask = kind[rows] == k
+            W[rows][mask] = _inner_word(loop, k, x[rows][mask], y[rows][mask],
+                                        Z[rows][mask])
+    return W
 
 
 def _inner_orbits_randomized(loop: LoopStructure, bound: np.ndarray | None,

@@ -42,9 +42,16 @@ of the other sign points through OFF to a row of ranks of negated low
 halves and through BASE to its negation's block.  The build enumerates the
 same order: for each representative hi ascending it solves digit k over
 the q^3 free-digit grid.  No table of size q^8 exists.  Each half-code's
-four digits are gathered as one 4-byte word, and the ranks, inverses and
-trace classes start from a view of the elements' digit columns, with no
+four digits are gathered as one 4-byte word, and the ranks and trace
+classes start from a view of the elements' digit columns, with no
 per-element gather.
+
+The digit rows are the loop's lifted elements: a word of several products
+and divisions gathers each operand's digits once, multiplies in digit
+space and ranks only its result.  Signs need no care on the way: the
+product is bilinear and the inverse [-b, alpha; beta, -a] linear, so an
+intermediate of either sign leads to a result of either sign, and both
+signs rank to the same index.
 
 The relations of a loop scheme on the trace classes need no product: the
 trace of v u^-1 is the polar form of the norm, a_v b_u + b_v a_u -
@@ -220,9 +227,13 @@ class PaigeLoop(LoopStructure):
     lexicographically smaller of the two sign representatives.  An index is
     the closed-form rank of a code over q^4 tables, and the rank of either
     sign is the element's index, so products need no canonicalization pass.
-    The loop holds no multiplication table: every product, of any size,
-    runs through the Zorn kernel in mul_vec.  The elements must be those
-    of _unit_rows, in its order.
+    The loop holds no multiplication table and no table of inverses.  Its
+    lifted elements are digit rows: lift gathers them, times is the Zorn
+    kernel, ldiv and rdiv multiply by the digit-space inverse (two NEG
+    lookups), and index is the rank.  mul_vec, left_div_vec and
+    right_div_vec are index(op(lift, lift)) of the same ops, in blocks of
+    BLOCK_PRODUCTS.  The elements must be those of _unit_rows, in its
+    order.
     """
 
     def __init__(self, spec: FieldSpec, elems: np.ndarray):
@@ -236,7 +247,6 @@ class PaigeLoop(LoopStructure):
         # the (n, 8) digit rows, a view of the words
         self.elems = self._words.view(np.uint8).reshape(self.n, 8)
         self._base, self._off, self._ranks = _rank_tables(self._ft)
-        self._inv_of: np.ndarray | None = None
         self._traces: tuple[np.ndarray, np.ndarray] | None = None
 
     def _digits(self, I) -> np.ndarray:
@@ -255,11 +265,29 @@ class PaigeLoop(LoopStructure):
         index += self._ranks.take(at)
         return index
 
-    # loop interface
+    # loop interface: digit rows are the lifted elements
 
-    def _kernel(self, I, J) -> np.ndarray:
-        return self._rank(_zorn_product_digits(self._ft, self._digits(I),
-                                               self._digits(J)))
+    def lift(self, I) -> np.ndarray:
+        return self._digits(I)
+
+    def times(self, A, B):
+        return _zorn_product_digits(self._ft, A, B)
+
+    def _inverse(self, A):
+        # unit determinant: the inverse of [a, alpha; beta, b] is
+        # [b, -alpha; -beta, a], the same element as [-b, alpha; beta, -a],
+        # which the rank finds too; only two digits are negated
+        NEG = self._ft.NEG
+        return (NEG.take(A[7]), *A[1:7], NEG.take(A[0]))
+
+    def ldiv(self, A, B):
+        # the loop has the inverse property: a \ b = a^-1 * b
+        return self.times(self._inverse(A), B)
+
+    def rdiv(self, A, B):
+        return self.times(A, self._inverse(B))
+
+    index = _rank
 
     def _blocked(self, kernel, I, J) -> np.ndarray:
         """kernel(I, J) over broadcast index arrays.  Above BLOCK_PRODUCTS
@@ -277,32 +305,19 @@ class PaigeLoop(LoopStructure):
                                J[rows] if sliced[1] else J)
         return out
 
+    def _lifted(self, op):
+        """The index-level op: index(op(lift(I), lift(J)))."""
+        return lambda I, J: self.index(op(self.lift(I), self.lift(J)))
+
     def mul_vec(self, I, J) -> np.ndarray:
         """Broadcast products I * J, in blocks above BLOCK_PRODUCTS."""
-        return self._blocked(self._kernel, I, J)
-
-    def inv_array(self) -> np.ndarray:
-        if self._inv_of is None:
-            NEG = self._ft.NEG
-            self._inv_of = np.empty(self.n, dtype=np.int64)
-            # in blocks, so the rank's temporaries stay in cache
-            for rows in _row_blocks((self.n,)):
-                D = self.elems[rows].T
-                # unit determinant: the inverse of [a, alpha; beta, b] is
-                # [b, -alpha; -beta, a], the same element as [-b, alpha; beta, -a],
-                # which the rank finds too; only two digits are negated
-                self._inv_of[rows] = self._rank((NEG.take(D[7]), *D[1:7],
-                                                 NEG.take(D[0])))
-        return self._inv_of
-
-    def inv_vec(self, I):
-        return self.inv_array()[np.asarray(I)]
+        return self._blocked(self._lifted(self.times), I, J)
 
     def left_div_vec(self, A, B):
-        return self.mul_vec(self.inv_vec(A), B)
+        return self._blocked(self._lifted(self.ldiv), A, B)
 
     def right_div_vec(self, A, B):
-        return self.mul_vec(A, self.inv_vec(B))
+        return self._blocked(self._lifted(self.rdiv), A, B)
 
     def _trace_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """The canonical labels of the trace classes, and at each trace t

@@ -193,6 +193,42 @@ def test_identity_row_cross_check_refuses_a_non_scheme(paige3):
         intersection_numbers(bad)
 
 
+# (sha256 of class_of, samples, rounds, certificate) of inner_orbits(policy=
+# "randomized") at two seeds, as computed when every product of an inner map
+# was its own indexed mul_vec
+TRACE_CLASSES = {
+    3: "2f2e7603efa9e22ba8c4735f3dbc1fd62492647bc4c9117e97ad0880633b0b18",
+    4: "2b1433dda1cdf993ff29919c500016bdd5793d08cd7dc8cfb4f2d191074dfd7c",
+    5: "bf3efbcd706a5a263bb60624989e53cd5da2fe9765d577029304a871c66abdd4",
+    7: "36bd2dee73306d140296abfefa3c61d118684e8ce55301c5bddd2ed625ed3768",
+}
+INNER_ORBIT_REPORTS = [
+    (3, 0xA55C, 3240, 3), (3, 11, 3240, 3),
+    (4, 0xA55C, 48960, 3), (4, 11, 48960, 3),
+    (5, 0xA55C, 117000, 3), (5, 11, 78000, 2),
+    (7, 0xA55C, 1234800, 3), (7, 11, 823200, 2),
+]
+
+
+@pytest.mark.parametrize("q,seed,samples,rounds", INNER_ORBIT_REPORTS)
+def test_inner_orbit_reports_are_pinned(q, seed, samples, rounds):
+    loop = build_paige_loop(q, element_cap=paige_loop_order(q))
+    report = inner_orbits(loop, policy="randomized", seed=seed)
+    got = (_sha(report.class_of), report.samples, report.rounds, report.certificate)
+    assert got == (TRACE_CLASSES[q], samples, rounds, "exact")
+
+
+def test_inner_maps_run_in_lifted_blocks():
+    loop = build_paige_loop(5)
+    assert loop.n == 39_000 > loopcore.LIFT_BLOCK
+    sizes = []
+    times = loop.times
+    loop.times = lambda A, B: sizes.append(np.broadcast(A[0], B[0]).size) or times(A, B)
+    report = inner_orbits(loop, policy="randomized")
+    assert report.certificate == "exact"
+    assert max(sizes) == loopcore.LIFT_BLOCK
+
+
 def test_orbital_record_survives_json(paige2):
     scheme = loop_scheme(paige2, inner_orbits(paige2))
     again = _load_scheme(json.dumps(scheme.to_json()), RunConfig())

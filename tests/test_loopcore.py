@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,18 @@ def test_table_loop_rejects_non_loops(table, failure):
     assert quasigroup_check(np.asarray(table)).failure in str(err.value)
 
 
+@pytest.mark.parametrize("samples", [-5, 0])
+def test_moufang_check_refuses_no_samples(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        moufang_check(build_paige_loop(3), samples=samples)
+
+
+@pytest.mark.parametrize("samples", [-5, 0])
+def test_associativity_search_refuses_no_samples(samples):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        associativity_counterexample(build_paige_loop(3), samples=samples)
+
+
 def test_associativity_counterexample_for_order5_loop():
     loop = TableLoop(np.array(LOOP5))
     x, y, z = associativity_counterexample(loop)
@@ -256,11 +270,23 @@ def test_moufang_reports_are_pinned():
     assert report == MoufangReport(True, "exhaustive", 120 ** 3, None)
 
 
+@pytest.mark.parametrize("seed,samples,rounds", [(0xA55C, 1920, 12), (11, 1280, 8)])
+def test_per_point_inner_orbit_reports_are_pinned(seed, samples, rounds):
+    # a bare table has no invariant, so every point draws its own inner map;
+    # pinned when every product of an inner map was its own mul_vec
+    report = inner_orbits(TableLoop(_loop5_times_cyclic(32)), policy="randomized",
+                          seed=seed)
+    labels = hashlib.sha256(report.class_of.tobytes()).hexdigest()
+    assert labels == "ac193a22baee047a0f6e79d83ed8448e2def8c69722410e746e22fdfb35f9548"
+    assert (report.samples, report.rounds, report.certificate) == (samples, rounds,
+                                                                   "sampled")
+
+
 def test_moufang_identities_share_subproducts(paige3):
-    loop = PaigeLoop(paige3.spec, paige3.elems)         # mul_vec is wrapped below
+    loop = PaigeLoop(paige3.spec, paige3.elems)         # times is wrapped below
     calls = []
-    mul_vec = loop.mul_vec
-    loop.mul_vec = lambda I, J: calls.append(1) or mul_vec(I, J)
+    times = loop.times
+    loop.times = lambda A, B: calls.append(1) or times(A, B)
     assert moufang_check(loop, samples=1 << 15).passed
     assert len(calls) == 18                             # one full block
     calls.clear()
@@ -279,7 +305,7 @@ def test_each_moufang_identity_matches_its_formula():
         (m(m(X, Y), m(Z, X)), m(X, m(m(Y, Z), X))),
         (m(m(X, Y), m(Z, X)), m(m(X, m(Y, Z)), X)),
     ]
-    shared = list(_moufang_identities(m, X, Y, Z))
+    shared = list(_moufang_identities(m, lambda w: w, X, Y, Z))
     assert len(shared) == 4
     for (text, bad), (lhs, rhs) in zip(shared, formulas):
         assert 0 < np.count_nonzero(bad) < bad.size, text

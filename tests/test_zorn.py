@@ -11,7 +11,7 @@ import schemeforge
 from schemeforge.chartab import compute_character_table
 from schemeforge.errors import CapExceeded, ParseError
 from schemeforge.gf import field_for
-from schemeforge.loopcore import inner_orbits, loop_scheme
+from schemeforge.loopcore import LoopStructure, inner_orbits, loop_scheme
 from schemeforge.scheme import intersection_numbers
 from schemeforge.zorn import (PaigeLoop, _FieldTables, _zorn_product_digits,
                               build_paige_loop, paige_loop_order)
@@ -182,7 +182,7 @@ def test_right_division_is_product_with_inverse(paige3):
     A = rng.integers(0, paige3.n, 10_000)
     B = rng.integers(0, paige3.n, 10_000)
     lhs = paige3.right_div_vec(A, B)
-    rhs = paige3.mul_vec(A, paige3.inv_vec(B))
+    rhs = paige3.mul_vec(A, paige3.left_div_vec(B, 0))
     assert np.array_equal(lhs, rhs)
     # spot check against inversion of the matrix itself: with unit
     # determinant the inverse of [a, alpha; beta, b] is [b, -alpha; -beta, a]
@@ -195,8 +195,8 @@ def test_right_division_is_product_with_inverse(paige3):
 
 
 def test_inverse_indices_are_two_sided(paige2):
-    inv = paige2.inv_array()
     idx = np.arange(paige2.n)
+    inv = paige2.left_div_vec(idx, 0)
     assert np.array_equal(paige2.mul_vec(idx, inv), np.zeros(paige2.n, dtype=inv.dtype))
     assert np.array_equal(paige2.mul_vec(inv, idx), np.zeros(paige2.n, dtype=inv.dtype))
 
@@ -313,10 +313,17 @@ def _frozen_elems(q):
 
 class _FrozenPaigeLoop(PaigeLoop):
     """Products and inverses through the frozen tables and a q^8 code lookup
-    that registers every element's code, and for odd q its negation's."""
+    that registers every element's code, and for odd q its negation's.  Its
+    lifted elements are the indices themselves, so words in loopcore run on
+    the frozen products too."""
+
+    lift, times, ldiv, rdiv, index = (LoopStructure.lift, LoopStructure.times,
+                                      LoopStructure.ldiv, LoopStructure.rdiv,
+                                      LoopStructure.index)
 
     def __init__(self, spec, elems):
         super().__init__(spec, elems)
+        self._inv_of = None
         self._old = _FrozenTables(spec)
         self._strides = self.q ** np.arange(7, -1, -1, dtype=np.int64)
         lookup = np.full(self.q ** 8, -1, dtype=np.int32)
@@ -345,6 +352,12 @@ class _FrozenPaigeLoop(PaigeLoop):
                              NEG[E[:, 4]], NEG[E[:, 5]], NEG[E[:, 6]], E[:, 0]], axis=1)
             self._inv_of = self._lookup[rows @ self._strides].astype(np.int64)
         return self._inv_of
+
+    def left_div_vec(self, A, B):
+        return self.mul_vec(self.inv_array()[np.asarray(A)], B)
+
+    def right_div_vec(self, A, B):
+        return self.mul_vec(A, self.inv_array()[np.asarray(B)])
 
 
 def _code(q, columns):
@@ -396,7 +409,8 @@ def test_products_match_frozen_kernel(q):
     J = rng.integers(0, loop.n, 20_000)
     new, old = loop.mul_vec(I, J), frozen.mul_vec(I, J)
     assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
-    assert loop.inv_array().tobytes() == frozen.inv_array().tobytes()
+    inverses = loop.left_div_vec(np.arange(loop.n), 0)
+    assert inverses.tobytes() == frozen.inv_array().tobytes()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -405,7 +419,44 @@ def test_inverses_match_the_six_digit_formula(q):
     loop = build_paige_loop(q, element_cap=paige_loop_order(q))
     D = loop.elems.T
     want = loop._rank((D[7], *loop._ft.NEG.take(D[1:7]), D[0]))
-    assert np.array_equal(loop.inv_array(), want)
+    assert np.array_equal(loop.left_div_vec(np.arange(loop.n), 0), want)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_lifted_words_match_index_compositions(q):
+    # words of three operations on digit rows, ranked once, equal the same
+    # words composed from the index-level ops, which rank after every step
+    loop = build_paige_loop(q, element_cap=paige_loop_order(q))
+    rng = np.random.default_rng(400 + q)
+    I, J, K = rng.integers(0, loop.n, (3, 5000))
+    A, B, C = loop.lift(I), loop.lift(J), loop.lift(K)
+    assert A.shape == (8, 5000) and A.dtype == np.uint8
+    assert np.array_equal(loop.index(A), I)
+    t, mul, ldiv, rdiv = loop.times, loop.mul_vec, loop.left_div_vec, loop.right_div_vec
+    words = [
+        (t(t(A, B), C), mul(mul(I, J), K)),
+        (t(A, t(B, C)), mul(I, mul(J, K))),
+        (loop.ldiv(t(A, B), C), ldiv(mul(I, J), K)),
+        (loop.rdiv(A, t(B, C)), rdiv(I, mul(J, K))),
+        (loop.rdiv(loop.ldiv(A, B), C), rdiv(ldiv(I, J), K)),
+        (loop.ldiv(A, loop.rdiv(B, C)), ldiv(I, rdiv(J, K))),
+    ]
+    for lifted, composed in words:
+        got = loop.index(lifted)
+        assert got.dtype == composed.dtype and np.array_equal(got, composed)
+    # divisions undo the product on lifted elements
+    assert np.array_equal(loop.index(loop.ldiv(A, t(A, B))), J)
+    assert np.array_equal(loop.index(loop.rdiv(t(A, B), B)), I)
+    # a lifted scalar broadcasts against lifted arrays, and two give a scalar
+    x, y = (np.int64(v) for v in rng.integers(0, loop.n, 2))
+    X, Y = loop.lift(x), loop.lift(y)
+    assert X.shape == (8,)
+    assert np.array_equal(loop.index(t(t(X, B), C)), mul(mul(x, J), K))
+    assert np.array_equal(loop.index(loop.ldiv(X, t(B, X))), ldiv(x, mul(J, x)))
+    assert np.array_equal(loop.index(loop.rdiv(t(t(C, X), Y), t(X, Y))),
+                          rdiv(mul(mul(K, x), y), mul(x, y)))
+    assert loop.index(loop.ldiv(X, t(X, Y))) == y
+    assert loop.index(loop.rdiv(t(X, Y), Y)) == x
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
