@@ -2,16 +2,18 @@
 scheme a commutative-by-orbits loop carries.
 
 Elements are integer indices 0..n-1 with the identity at index 0.  A loop
-is its broadcast product mul_vec and two divisions; only TableLoop holds a
-table, and checks that need every product take the n x n grid of mul_vec.
-Words of several products (the sampled Moufang and associativity checks,
-the inner maps of the refinement) are evaluated on lifted elements: each
-operand is lifted once, the products and divisions run on lifted values,
-and only the results that are compared or kept are turned back into
-indices.  For M*(q) a lifted element is its eight digits, so a word pays
-one gather per operand and one rank per result, not one of each per
-product; for other loops lifting is the identity.  Lifted words run on
-blocks of at most LIFT_BLOCK points.
+defines its product times and divisions ldiv and rdiv on lifted elements;
+LoopStructure derives the index-level mul_vec and divisions from them as
+index(op(lift(I), lift(J))).  Only TableLoop holds a table, and checks
+that need every product take the n x n grid of mul_vec.  Words of several
+products (the sampled Moufang and associativity checks, the inner maps of
+the refinement) lift each operand once and turn only the results that are
+compared or kept back into indices.  For M*(q) a lifted element is its
+eight digits, so a word pays one gather per operand and one rank per
+result, not one of each per product; for other loops lifting is the
+identity.  blocked runs all loop work in row blocks: BLOCK_PRODUCTS
+entries for index-level ops and the M*(q) build, LIFT_BLOCK points for
+lifted words.
 The scheme relation is rel(u, v) = class of v / u, where the classes are
 the orbits of the inner mapping group Inn(L), the stabilizer of the
 identity inside the multiplication group Mlt(L) generated by all left and
@@ -38,6 +40,7 @@ the result once rounds stop merging.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,23 +55,49 @@ PAIR_ORBIT_LIMIT = 256      # largest loop the exact pair-orbit policy takes
 ROUND_BUDGET = 64           # refinement rounds before the refinement gives up
 QUIET_ROUNDS = 3            # rounds in a row without a merge before a sampled check
 VERIFY_SEED_OFFSET = 101    # certificate seed offset from the sampling seed
+BLOCK_PRODUCTS = 1 << 16    # entries per block of an index-level op or the build
 LIFT_BLOCK = 1 << 15        # points per block of a lifted word: checks and refinement
 
 
+def row_blocks(shape: tuple, block: int) -> list[slice]:
+    """Slices along axis 0 of an array of the given shape, each holding at
+    most block entries (at least one row)."""
+    step = max(1, block // math.prod(shape[1:]))
+    return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
+
+
+def blocked(block: int, kernel, *operands):
+    """kernel(*operands) over broadcast operands; above block entries, on
+    blocks of rows along axis 0 that fill one array (the kernel may add
+    trailing axes), so its temporaries stay in cache.  Operands go through
+    as given: one that does not vary along axis 0 (a scalar, or a row) goes
+    to every block unsliced, and a scalar stays a scalar."""
+    shapes = [np.shape(A) for A in operands]
+    shape = np.broadcast_shapes(*shapes)
+    if math.prod(shape) <= block:
+        return kernel(*operands)
+    sliced = [len(s) == len(shape) and s[0] > 1 for s in shapes]
+    out = None
+    for rows in row_blocks(shape, block):
+        part = kernel(*(A[rows] if cut else A for A, cut in zip(operands, sliced)))
+        if out is None:
+            out = np.empty(shape[:1] + part.shape[1:], dtype=part.dtype)
+        out[rows] = part
+    return out
+
+
 class LoopStructure:
-    """Interface shared by table-backed loops and structured loops.
+    """A loop on the indices 0..n-1, given by operations on lifted elements.
 
-    mul takes and returns python ints; the *_vec ops take numpy index arrays
-    and broadcast.  left_div_vec(a, b) solves a * x = b; right_div_vec(a, b)
-    solves x * b = a, so right_div_vec(v, u) is v / u.
-
-    The lifted interface evaluates words without an index between products:
-    lift(I) turns indices into lifted elements, times, ldiv and rdiv are
-    the product and divisions on lifted elements, and index(A) turns a
-    lifted result back into indices.  Equal elements have equal indices,
-    so words are compared through index.  The defaults lift to the indices
-    themselves and run the *_vec ops; a loop with a cheaper representation
-    between products (PaigeLoop: digit rows) overrides all five.
+    A loop defines times, ldiv and rdiv, the product and divisions on lifted
+    elements: ldiv(A, B) solves A * X = B and rdiv(A, B) solves X * B = A.
+    lift(I) turns indices into lifted elements and index(A) turns results
+    back; both default to the identity, and a loop with a cheaper form
+    between products (PaigeLoop: digit rows) defines them.  Equal elements
+    have equal indices, so words are compared through index.  Derived here,
+    once: mul (python ints) and mul_vec, left_div_vec and right_div_vec
+    (broadcast index arrays), each index(op(lift(I), lift(J))) in blocks of
+    BLOCK_PRODUCTS entries; right_div_vec(v, u) is v / u.
     """
 
     n: int
@@ -77,28 +106,32 @@ class LoopStructure:
         return int(self.mul_vec(i, j))
 
     def lift(self, I):
-        return np.asarray(I)
+        return I
 
     def times(self, A, B):
-        return self.mul_vec(A, B)
+        raise NotImplementedError
 
     def ldiv(self, A, B):
-        return self.left_div_vec(A, B)
+        raise NotImplementedError
 
     def rdiv(self, A, B):
-        return self.right_div_vec(A, B)
+        raise NotImplementedError
 
-    def index(self, A) -> np.ndarray:
+    def index(self, A):
         return A
 
+    def _derived(self, op, I, J) -> np.ndarray:
+        return blocked(BLOCK_PRODUCTS,
+                       lambda A, B: self.index(op(self.lift(A), self.lift(B))), I, J)
+
     def mul_vec(self, I, J) -> np.ndarray:
-        raise NotImplementedError
+        return self._derived(self.times, I, J)
 
     def left_div_vec(self, A, B) -> np.ndarray:
-        raise NotImplementedError
+        return self._derived(self.ldiv, A, B)
 
     def right_div_vec(self, A, B) -> np.ndarray:
-        raise NotImplementedError
+        return self._derived(self.rdiv, A, B)
 
     def invariant_partition(self) -> np.ndarray | None:
         """Canonical labels of a partition known to be a union of inner
@@ -132,13 +165,13 @@ class TableLoop(LoopStructure):
         self._ldiv = np.argsort(table, axis=1)
         self._rdiv = np.argsort(table, axis=0)
 
-    def mul_vec(self, I, J):
+    def times(self, I, J):
         return self._table[I, J]
 
-    def left_div_vec(self, A, B):
+    def ldiv(self, A, B):
         return self._ldiv[A, B]
 
-    def right_div_vec(self, A, B):
+    def rdiv(self, A, B):
         return self._rdiv[A, B]
 
     def table(self):
@@ -199,7 +232,7 @@ def _check_table_cells(table: np.ndarray) -> QuasigroupReport:
 
 def quasigroup_check(table) -> QuasigroupReport:
     """Latin-square property plus the two-sided identity at index 0, of a
-    raw n x n table.
+    raw n x n table of integers.
 
     On failure the report carries the first violating cell, scanning
     out-of-range entries, then row duplicates, then column duplicates, then
@@ -208,6 +241,8 @@ def quasigroup_check(table) -> QuasigroupReport:
     table = np.asarray(table)
     if table.ndim != 2 or table.shape[0] != table.shape[1] or table.size == 0:
         return QuasigroupReport(False, "table must be square and nonempty")
+    if table.dtype.kind not in "iu":
+        return QuasigroupReport(False, "table must hold integers")
     return _check_table_cells(np.asarray(table, dtype=np.int64))
 
 
@@ -409,18 +444,15 @@ def _sampled_inner_images(loop: LoopStructure, kind, x, y,
     or 2, with x and y broadcast against Z, in blocks of LIFT_BLOCK
     points.  Arrays of kinds, x and y, one entry per point, apply a map of
     its own to each point."""
-    W = np.empty(Z.shape[0], dtype=np.int64)
-    per_point = np.ndim(kind) > 0
-    for start in range(0, Z.shape[0], LIFT_BLOCK):
-        rows = slice(start, start + LIFT_BLOCK)
-        if not per_point:
-            W[rows] = _inner_word(loop, kind, x, y, Z[rows])
-            continue
+    def images(kind, x, y, Z):
+        if np.ndim(kind) == 0:
+            return _inner_word(loop, kind, x, y, Z)
+        W = np.empty(Z.shape, dtype=np.int64)
         for k in range(3):
-            mask = kind[rows] == k
-            W[rows][mask] = _inner_word(loop, k, x[rows][mask], y[rows][mask],
-                                        Z[rows][mask])
-    return W
+            mask = kind == k
+            W[mask] = _inner_word(loop, k, x[mask], y[mask], Z[mask])
+        return W
+    return blocked(LIFT_BLOCK, images, kind, x, y, Z)
 
 
 def _inner_orbits_randomized(loop: LoopStructure, bound: np.ndarray | None,

@@ -79,10 +79,16 @@ class AssociationScheme:
         """rel(u, v) = class_of[div(v, u)], where div(V, U) = V / U takes
         broadcast index arrays and the point 0 is the identity.  The
         transpose of class h is the class of 0 / y_h for its first member
-        y_h."""
+        y_h.  class_of must be 1-D and non-negative, put point 0 alone in
+        class 0 and use every class 0..d; anything else raises ValueError."""
         class_of = np.asarray(class_of, dtype=np.int64)
+        if class_of.ndim != 1 or class_of.size == 0 or class_of.min() < 0:
+            raise ValueError("class_of must be a nonempty 1-D array of non-negative ids")
         d = int(class_of.max())
         valencies = np.bincount(class_of, minlength=d + 1)
+        if class_of[0] != 0 or valencies[0] != 1 or not valencies.all():
+            raise ValueError(f"class_of must put point 0 alone in class 0 "
+                             f"and use every class 0..{d}")
         firsts = np.unique(class_of, return_index=True)[1]
         transpose = class_of[div(np.zeros_like(firsts), firsts)]
         return cls(class_of.shape[0], d, valencies, transpose,

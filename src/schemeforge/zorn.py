@@ -67,10 +67,8 @@ import numpy as np
 from .config import element_cap_default
 from .errors import CapExceeded, ParseError
 from .gf import FieldSpec, field_for
-from .loopcore import LoopStructure
+from .loopcore import BLOCK_PRODUCTS, LoopStructure, blocked
 from .permgroup import canonical_labels
-
-BLOCK_PRODUCTS = 1 << 16    # products per block of a long product, sized for cache
 
 
 def paige_loop_order(q: int) -> int:
@@ -165,13 +163,6 @@ def _zorn_product_digits(ft: _FieldTables, A, B):
     return (e, *top, *bot, f)
 
 
-def _row_blocks(shape: tuple) -> list[slice]:
-    """Slices along axis 0 of an array of the given shape, each holding at
-    most BLOCK_PRODUCTS entries (at least one row)."""
-    step = max(1, BLOCK_PRODUCTS // math.prod(shape[1:]))
-    return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
-
-
 def _pivots(q: int) -> np.ndarray:
     """For each half-code hi = (a, alpha), the last low-half position k whose
     coefficient in ab - alpha.beta = 1, (-alpha1, -alpha2, -alpha3, a), is
@@ -227,13 +218,12 @@ class PaigeLoop(LoopStructure):
     lexicographically smaller of the two sign representatives.  An index is
     the closed-form rank of a code over q^4 tables, and the rank of either
     sign is the element's index, so products need no canonicalization pass.
-    The loop holds no multiplication table and no table of inverses.  Its
-    lifted elements are digit rows: lift gathers them, times is the Zorn
-    kernel, ldiv and rdiv multiply by the digit-space inverse (two NEG
-    lookups), and index is the rank.  mul_vec, left_div_vec and
-    right_div_vec are index(op(lift, lift)) of the same ops, in blocks of
-    BLOCK_PRODUCTS.  The elements must be those of _unit_rows, in its
-    order.
+    The loop holds no multiplication table and no table of inverses.  It
+    defines the five lifted operations, on digit rows: lift gathers them,
+    times is the Zorn kernel, ldiv and rdiv multiply by the digit-space
+    inverse (two NEG lookups), and index is the rank.  Its index-level ops
+    are the ones LoopStructure derives from these.  The elements must be
+    those of _unit_rows, in its order.
     """
 
     def __init__(self, spec: FieldSpec, elems: np.ndarray):
@@ -249,12 +239,14 @@ class PaigeLoop(LoopStructure):
         self._base, self._off, self._ranks = _rank_tables(self._ft)
         self._traces: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _digits(self, I) -> np.ndarray:
+    # loop interface: digit rows are the lifted elements
+
+    def lift(self, I) -> np.ndarray:
         """Digit rows (8,) + shape(I) of the elements I, as uint8."""
         rows = self._words.take(I)[..., None].view(np.uint8)
         return np.ascontiguousarray(np.moveaxis(rows, -1, 0))
 
-    def _rank(self, D) -> np.ndarray:
+    def index(self, D) -> np.ndarray:
         """Indices (int64) of the elements whose digit rows, or for odd q
         their negations, are the unit rows D."""
         hi, lo = self._ft.halves(D)
@@ -264,11 +256,6 @@ class PaigeLoop(LoopStructure):
         index = self._base.take(hi)
         index += self._ranks.take(at)
         return index
-
-    # loop interface: digit rows are the lifted elements
-
-    def lift(self, I) -> np.ndarray:
-        return self._digits(I)
 
     def times(self, A, B):
         return _zorn_product_digits(self._ft, A, B)
@@ -286,38 +273,6 @@ class PaigeLoop(LoopStructure):
 
     def rdiv(self, A, B):
         return self.times(A, self._inverse(B))
-
-    index = _rank
-
-    def _blocked(self, kernel, I, J) -> np.ndarray:
-        """kernel(I, J) over broadcast index arrays.  Above BLOCK_PRODUCTS
-        entries it runs in blocks of rows along axis 0, so the kernel's
-        temporaries stay in cache; an operand that does not vary along
-        axis 0 goes to every block unsliced."""
-        I, J = np.asarray(I), np.asarray(J)
-        shape = np.broadcast_shapes(I.shape, J.shape)
-        if math.prod(shape) <= BLOCK_PRODUCTS:
-            return kernel(I, J)
-        out = np.empty(shape, dtype=np.int64)
-        sliced = [A.ndim == len(shape) and A.shape[0] > 1 for A in (I, J)]
-        for rows in _row_blocks(shape):
-            out[rows] = kernel(I[rows] if sliced[0] else I,
-                               J[rows] if sliced[1] else J)
-        return out
-
-    def _lifted(self, op):
-        """The index-level op: index(op(lift(I), lift(J)))."""
-        return lambda I, J: self.index(op(self.lift(I), self.lift(J)))
-
-    def mul_vec(self, I, J) -> np.ndarray:
-        """Broadcast products I * J, in blocks above BLOCK_PRODUCTS."""
-        return self._blocked(self._lifted(self.times), I, J)
-
-    def left_div_vec(self, A, B):
-        return self._blocked(self._lifted(self.ldiv), A, B)
-
-    def right_div_vec(self, A, B):
-        return self._blocked(self._lifted(self.rdiv), A, B)
 
     def _trace_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """The canonical labels of the trace classes, and at each trace t
@@ -347,7 +302,7 @@ class PaigeLoop(LoopStructure):
         return self._trace_classes()[0]
 
     def _polar_kernel(self, V, U) -> np.ndarray:
-        ft, A, B = self._ft, self._digits(V), self._digits(U)
+        ft, A, B = self._ft, self.lift(V), self.lift(U)
         # alpha_v.beta_u + beta_v.alpha_u, then a_v b_u + b_v a_u minus it
         dot = ft.add(ft.add(ft.madd(A[1], B[4], A[2], B[5]),
                             ft.madd(A[3], B[6], A[4], B[1])),
@@ -363,7 +318,7 @@ class PaigeLoop(LoopStructure):
         lookups on the broadcast digits, in blocks above BLOCK_PRODUCTS,
         with no product and no rank.  V == U gives the identity; any other
         pair the first element of its trace class."""
-        return self._blocked(self._polar_kernel, V, U)
+        return blocked(BLOCK_PRODUCTS, self._polar_kernel, V, U)
 
     def scheme_source(self) -> dict:
         return {"kind": "paige-loop-scheme", "q": self.q}
@@ -431,14 +386,19 @@ def _unit_rows(ft: _FieldTables) -> np.ndarray:
     place = np.array([q3, q * q, q, 1], dtype=np.uint16)
     # each half-code's four digits as one 4-byte word
     words = np.ascontiguousarray(half.T).view(np.uint32).ravel()
-    out = np.empty((reps.shape[0], q3, 2), dtype=np.uint32)
-    out[:, :, 0] = words.take(reps)[:, None]
-    for rows in _row_blocks(out.shape[:2]):
-        a = alpha[:, rows, None]
-        S = ft.add(ft.madd(a[0], grid[0], a[1], grid[1]), ft.madd(a[2], grid[2], 1, 1))
-        x = ft.mul(S, inv[rows, None])
-        k = pivot[rows]
-        out[rows, :, 1] = words.take(free[k] + x * place[k, None])
+
+    def units(r, *g):
+        # the (hi, lo) words of the representatives r, a column, at the free digits g
+        a, k = alpha[:, r], pivot[r[:, 0]]
+        S = ft.add(ft.madd(a[0], g[0], a[1], g[1]), ft.madd(a[2], g[2], 1, 1))
+        lo = words.take(free[k] + ft.mul(S, inv[r]) * place[k, None])
+        # allocated after the temporaries: the result outlives them
+        pairs = np.empty(lo.shape + (2,), dtype=np.uint32)
+        pairs[..., 0] = words.take(reps[r])
+        pairs[..., 1] = lo
+        return pairs
+
+    out = blocked(BLOCK_PRODUCTS, units, np.arange(reps.shape[0])[:, None], *grid)
     # the identity first, the others in code order
     packed = out.view(np.uint64).reshape(-1)
     ident = packed[ident_at]

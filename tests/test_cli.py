@@ -264,6 +264,21 @@ def test_malformed_recipes_exit_2_with_a_parse_error(capsys, tmp_path, kind):
                 (field, value)
 
 
+@pytest.mark.parametrize("class_of", [[1, 0, 0], [0, 2, 2], [0, -1, 1]])
+def test_recipe_with_malformed_classes_exits_2(capsys, tmp_path, class_of):
+    # Z3 as a loop table; the classes must isolate point 0 and use 0..d
+    data = {"n": 3, "d": 1, "valencies": [2, 1], "relations": {"source": {
+        "kind": "loop-scheme", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+        "class_of": class_of}}}
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "chartable", "compute", "--scheme", str(path),
+                           "--json-errors")
+    assert rc == 2 and out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["kind"] == "ValueError" and error["detail"].startswith("class_of")
+
+
 def test_group_scheme_recipe_names_the_generator_row_that_is_not_a_permutation(
         capsys, tmp_path):
     data = _recipe_json(capsys, tmp_path, "group-scheme")

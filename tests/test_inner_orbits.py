@@ -14,12 +14,11 @@ from schemeforge.chartab import (closed_form_mstar, compare_tables,
 from schemeforge.cli import _load_scheme
 from schemeforge.config import RunConfig
 from schemeforge.errors import CapExceeded, CertificationFailed, NotAScheme
-from schemeforge.loopcore import (TableLoop, inner_orbits, loop_from_group,
-                                  loop_scheme)
+from schemeforge.loopcore import (BLOCK_PRODUCTS, TableLoop, inner_orbits,
+                                  loop_from_group, loop_scheme)
 from schemeforge.permgroup import psl2, symmetric
 from schemeforge.scheme import intersection_numbers
-from schemeforge.zorn import (BLOCK_PRODUCTS, PaigeLoop, build_paige_loop,
-                              paige_loop_order)
+from schemeforge.zorn import PaigeLoop, build_paige_loop, paige_loop_order
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -286,10 +285,10 @@ def test_long_products_match_short_ones():
 
 
 def test_operands_reach_the_kernel_unbroadcast(paige3):
-    loop = PaigeLoop(paige3.spec, paige3.elems)         # _digits is wrapped below
+    loop = PaigeLoop(paige3.spec, paige3.elems)         # lift is wrapped below
     shapes = []
-    digits = loop._digits
-    loop._digits = lambda I: shapes.append(np.shape(I)) or digits(I)
+    lift = loop.lift
+    loop.lift = lambda I: shapes.append(np.shape(I)) or lift(I)
     x, Z = np.int64(7), np.arange(loop.n)
     loop.mul_vec(x, Z)                                  # one block
     assert shapes == [(), (loop.n,)]

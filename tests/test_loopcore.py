@@ -5,7 +5,8 @@ import pytest
 
 from schemeforge import cli, loopcore
 from schemeforge.errors import ParseError
-from schemeforge.loopcore import (InnerOrbitReport, MoufangReport, TableLoop,
+from schemeforge.loopcore import (BLOCK_PRODUCTS, InnerOrbitReport,
+                                  LoopStructure, MoufangReport, TableLoop,
                                   _moufang_identities, associativity_counterexample,
                                   inner_orbits, load_loop_table, loop_from_group,
                                   loop_scheme, moufang_check, parse_loop_table,
@@ -224,6 +225,64 @@ def test_loop_scheme_relations_are_classes_of_right_quotients(paige3, partition)
                               class_of[paige3.right_div_vec(x, Z)])
 
 
+class _CyclicLoop(LoopStructure):
+    """Z_m under addition mod m, given only by its lifted product and
+    divisions; lift and index keep their identity defaults.  The recipe is
+    what the randomized policy's candidate scheme records."""
+
+    def __init__(self, m):
+        self.n = m
+
+    def scheme_source(self):
+        return {"kind": "cyclic-loop", "m": self.n}
+
+    def times(self, A, B):
+        return (A + B) % self.n
+
+    def ldiv(self, A, B):           # A + X = B
+        return (B - A) % self.n
+
+    def rdiv(self, A, B):           # X + B = A
+        return (A - B) % self.n
+
+
+def test_index_level_ops_are_derived_from_the_lifted_ones():
+    loop = _CyclicLoop(1009)
+    m = loop.n
+    sizes = []
+    times = loop.times
+    loop.times = lambda A, B: sizes.append(np.broadcast(A, B).size) or times(A, B)
+    rng = np.random.default_rng(19)
+    I, J = rng.integers(0, m, (2, 2 * BLOCK_PRODUCTS + 7))
+    assert np.array_equal(loop.mul_vec(I, J), (I + J) % m)
+    assert sizes == [BLOCK_PRODUCTS, BLOCK_PRODUCTS, 7]
+    assert np.array_equal(loop.left_div_vec(I, J), (J - I) % m)
+    assert np.array_equal(loop.right_div_vec(I, J), (I - J) % m)
+    x = np.int64(700)
+    assert np.array_equal(loop.mul_vec(x, J), (x + J) % m)
+    assert np.array_equal(loop.left_div_vec(x, J), (J - x) % m)
+    assert np.array_equal(loop.right_div_vec(J, x), (J - x) % m)
+    U, V = I[:300, None], J[None, :400]         # a grid of 120,000 entries
+    sizes.clear()
+    assert np.array_equal(loop.mul_vec(U, V), (U + V) % m)
+    assert len(sizes) > 1 and max(sizes) <= BLOCK_PRODUCTS
+    assert np.array_equal(loop.left_div_vec(U, V), (V - U) % m)
+    assert np.array_equal(loop.right_div_vec(U, V), (U - V) % m)
+    product = loop.mul(700, 400)
+    assert type(product) is int and product == 91
+
+
+def test_checks_and_orbits_run_on_the_derived_ops():
+    assert moufang_check(_CyclicLoop(12))
+    assert moufang_check(_CyclicLoop(1009), samples=5000).mode == "sampled"
+    assert associativity_counterexample(_CyclicLoop(12)) is None
+    # Z_m is abelian, so every inner map is the identity
+    for policy in ("exact", "randomized"):
+        report = inner_orbits(_CyclicLoop(12), policy=policy)
+        assert np.array_equal(report.class_of, np.arange(12))
+        assert report.certified
+
+
 @pytest.mark.parametrize("table,failure", [
     ([[0, 1]], "square and nonempty"),
     (np.zeros((0, 0), dtype=int), "square and nonempty"),
@@ -232,6 +291,7 @@ def test_loop_scheme_relations_are_classes_of_right_quotients(paige3, partition)
     ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "repeated entry in a column"),
     ([[1, 0], [0, 1]], "row 0 is not the identity"),
     ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "column 0 is not the identity"),
+    (np.array([[0, 1], [1, 0.5]]), "table must hold integers"),
 ])
 def test_table_loop_rejects_non_loops(table, failure):
     with pytest.raises(ValueError, match="not a loop table") as err:

@@ -295,6 +295,17 @@ def test_function_backed_rel_reads_one_entry():
         AssociationScheme(4, 1, [1, 3], [0, 1], class_of=np.array([0, 1, 1, 1]))
 
 
+@pytest.mark.parametrize("class_of,message", [
+    ([1, 0, 0], "point 0 alone in class 0"),
+    ([0, 2, 2], "use every class 0..2"),
+    ([0, -1, 1], "non-negative"),
+    ([[0, 1, 2]], "1-D"),
+])
+def test_homogeneous_refuses_malformed_classes(class_of, message):
+    with pytest.raises(ValueError, match=message):
+        AssociationScheme.homogeneous(class_of, lambda V, U: (V - U) % 3)
+
+
 def test_class_ids_above_uint16_do_not_wrap():
     # 70,000 classes need the uint32 class dtype, as 70,001 points do
     n = 70_000

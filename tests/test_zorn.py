@@ -11,7 +11,7 @@ import schemeforge
 from schemeforge.chartab import compute_character_table
 from schemeforge.errors import CapExceeded, ParseError
 from schemeforge.gf import field_for
-from schemeforge.loopcore import LoopStructure, inner_orbits, loop_scheme
+from schemeforge.loopcore import inner_orbits, loop_scheme
 from schemeforge.scheme import intersection_numbers
 from schemeforge.zorn import (PaigeLoop, _FieldTables, _zorn_product_digits,
                               build_paige_loop, paige_loop_order)
@@ -314,12 +314,9 @@ def _frozen_elems(q):
 class _FrozenPaigeLoop(PaigeLoop):
     """Products and inverses through the frozen tables and a q^8 code lookup
     that registers every element's code, and for odd q its negation's.  Its
-    lifted elements are the indices themselves, so words in loopcore run on
-    the frozen products too."""
-
-    lift, times, ldiv, rdiv, index = (LoopStructure.lift, LoopStructure.times,
-                                      LoopStructure.ldiv, LoopStructure.rdiv,
-                                      LoopStructure.index)
+    lifted elements are digit rows, as a PaigeLoop's, but its times, ldiv
+    and rdiv run the frozen product and its index is the lookup, so the
+    derived index-level ops and the words in loopcore run on them too."""
 
     def __init__(self, spec, elems):
         super().__init__(spec, elems)
@@ -333,16 +330,25 @@ class _FrozenPaigeLoop(PaigeLoop):
             lookup[self._old.NEG[E] @ self._strides] = np.arange(self.n, dtype=np.int32)
         self._lookup = lookup
 
-    def mul_vec(self, I, J):
-        I, J = np.broadcast_arrays(np.asarray(I), np.asarray(J))
-        A = self.elems[I].astype(np.int64)
-        B = self.elems[J].astype(np.int64)
-        prod = _frozen_product_digits(self._old, tuple(A[..., k] for k in range(8)),
-                                      tuple(B[..., k] for k in range(8)))
-        code = prod[0]
-        for k in range(1, 8):
-            code = code * self.q + prod[k]
+    def index(self, D):
+        code = np.zeros(np.shape(D[0]), dtype=np.int64)
+        for digit in D:
+            code = code * self.q + digit
         return self._lookup[code].astype(np.int64)
+
+    def times(self, A, B):
+        return _frozen_product_digits(self._old, A, B)
+
+    def _frozen_inverse(self, A):
+        # [b, -alpha; -beta, a], all six vector digits negated
+        NEG = self._old.NEG
+        return (A[7], *(NEG[A[k]] for k in range(1, 7)), A[0])
+
+    def ldiv(self, A, B):
+        return self.times(self._frozen_inverse(A), B)
+
+    def rdiv(self, A, B):
+        return self.times(A, self._frozen_inverse(B))
 
     def inv_array(self):
         if self._inv_of is None:
@@ -352,12 +358,6 @@ class _FrozenPaigeLoop(PaigeLoop):
                              NEG[E[:, 4]], NEG[E[:, 5]], NEG[E[:, 6]], E[:, 0]], axis=1)
             self._inv_of = self._lookup[rows @ self._strides].astype(np.int64)
         return self._inv_of
-
-    def left_div_vec(self, A, B):
-        return self.mul_vec(self.inv_array()[np.asarray(A)], B)
-
-    def right_div_vec(self, A, B):
-        return self.mul_vec(A, self.inv_array()[np.asarray(B)])
 
 
 def _code(q, columns):
@@ -389,10 +389,10 @@ def test_build_is_sorted_unit_sign_representatives(q):
     assert np.all(np.diff(codes[1:]) > 0)
     det = old.SUB[old.MUL[cols[0], cols[7]], old.dot3(cols[1:4], cols[4:7])]
     assert np.all(det == 1)
-    assert np.array_equal(loop._rank(loop.elems.T), np.arange(n))
+    assert np.array_equal(loop.index(loop.elems.T), np.arange(n))
     if q % 2:
         assert np.all(codes < _code(q, [old.NEG[c] for c in cols]))
-        assert np.array_equal(loop._rank(loop._ft.NEG.take(loop.elems.T)), np.arange(n))
+        assert np.array_equal(loop.index(loop._ft.NEG.take(loop.elems.T)), np.arange(n))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -403,7 +403,7 @@ def test_products_match_frozen_kernel(q):
     codes = np.flatnonzero(frozen._lookup >= 0)
     assert codes.shape[0] == (2 if q % 2 else 1) * loop.n
     digits = [((codes // q ** (7 - k)) % q).astype(np.uint8) for k in range(8)]
-    assert np.array_equal(loop._rank(digits), frozen._lookup[codes])
+    assert np.array_equal(loop.index(digits), frozen._lookup[codes])
     rng = np.random.default_rng(200 + q)
     I = rng.integers(0, loop.n, 20_000)
     J = rng.integers(0, loop.n, 20_000)
@@ -418,7 +418,7 @@ def test_inverses_match_the_six_digit_formula(q):
     # [b, -alpha; -beta, a] with all six vector digits negated, ranked
     loop = build_paige_loop(q, element_cap=paige_loop_order(q))
     D = loop.elems.T
-    want = loop._rank((D[7], *loop._ft.NEG.take(D[1:7]), D[0]))
+    want = loop.index((D[7], *loop._ft.NEG.take(D[1:7]), D[0]))
     assert np.array_equal(loop.left_div_vec(np.arange(loop.n), 0), want)
 
 
@@ -515,7 +515,7 @@ def _large_build_report(q: int) -> dict:
         assert np.all(det == 1)
         if q % 2:
             assert np.all(code < _code(q, [old.NEG[c] for c in cols]))
-        assert np.array_equal(loop._rank(rows.T),
+        assert np.array_equal(loop.index(rows.T),
                               np.arange(start, start + rows.shape[0]))
     assert np.all(codes[2:] > codes[1:-1])
     # products against the frozen product, found among the sorted codes
