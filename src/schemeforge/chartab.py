@@ -25,7 +25,8 @@ from .config import (DEFAULT_SEED, DEFAULT_TOL_COMPARE, DEFAULT_TOL_EIGEN,
 from .errors import (DegenerateCombination, EigensolverFailure,
                      MismatchWithOrbitalTable, NonCommutative,
                      NonPositiveMultiplicity, NotGroupScheme,
-                     NotMultiplicityFree, ParseError, UnsupportedQ)
+                     NotMultiplicityFree, ParseError, UnsupportedField,
+                     UnsupportedQ)
 from .gf import factor_prime_power
 from .permgroup import (CosetAction, PermutationGroup, coset_action,
                         double_cosets, group_scheme, orbitals)
@@ -313,47 +314,13 @@ def verify_candidate_table(table: CharacterTable, source,
 # closed forms for q = 2^r
 
 
-def _require_even_prime_power(q: int) -> int:
+def _require_even_prime_power(q: int) -> None:
     try:
-        p, r = factor_prime_power(q)
-    except Exception:
-        raise UnsupportedQ(f"{q} is not a power of 2") from None
+        p, _ = factor_prime_power(q)
+    except UnsupportedField as exc:
+        raise UnsupportedQ(str(exc)) from None
     if p != 2:
         raise UnsupportedQ(f"closed form requires q = 2^r, got q = {q}")
-    return r
-
-
-def _block_table(q: int, corner: list, a_scale: float, b_scale: float,
-                 row1_a: float, row1_b: float, col1_a: float,
-                 col1_b: float) -> np.ndarray:
-    """Common block layout shared by the two closed-form families.
-
-    Rows and columns: 0, 1, then q/2 of type a, then (q-2)/2 of type b.
-    corner supplies the top-left 2x2; a_kl = -q(sigma^kl + sigma^-kl) with
-    sigma = exp(2 pi i / (q+1)), b_mn = q(rho^mn + rho^-mn) with
-    rho = exp(2 pi i / (q-1))."""
-    na, nb = q // 2, (q - 2) // 2
-    size = 2 + na + nb
-    P = np.zeros((size, size), dtype=np.complex128)
-    P[0, 0], P[0, 1] = corner[0]
-    P[1, 0], P[1, 1] = corner[1]
-    P[0, 2:2 + na] = corner[2]
-    P[0, 2 + na:] = corner[3]
-    P[1, 2:2 + na] = row1_a
-    P[1, 2 + na:] = row1_b
-    P[2:2 + na, 0] = 1.0
-    P[2 + na:, 0] = 1.0
-    P[2:2 + na, 1] = col1_a
-    P[2 + na:, 1] = col1_b
-    for ki in range(1, na + 1):
-        for li in range(1, na + 1):
-            akl = -2.0 * q * math.cos(2.0 * math.pi * ki * li / (q + 1))
-            P[1 + ki, 1 + li] = a_scale * akl
-    for mi in range(1, nb + 1):
-        for ni in range(1, nb + 1):
-            bmn = 2.0 * q * math.cos(2.0 * math.pi * mi * ni / (q - 1))
-            P[1 + na + mi, 1 + na + ni] = b_scale * bmn
-    return _snap_near_integers(P)
 
 
 def _snap_near_integers(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -366,39 +333,52 @@ def _snap_near_integers(values: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return out
 
 
-def closed_form_mstar(q: int) -> CharacterTable:
-    """Reference character table of the simple Moufang loop scheme, q = 2^r.
+def _valency_row(q: int, s: int) -> list:
+    """(1, s^2 - 1, then q/2 entries s^2 - s, then (q-2)/2 entries s^2 + s)."""
+    return [1, s * s - 1] + [s * s - s] * (q // 2) + [s * s + s] * ((q - 2) // 2)
 
-    Block form: valencies (1, q^6-1, then q/2 columns of q^6-q^3, then
-    (q-2)/2 columns of q^6+q^3); second row (1, q^2-1, -q^3+q^2, q^3+q^2);
-    a-rows (1, -q^3-1, q^2 a_kl, 0); b-rows (1, q^3-1, 0, q^2 b_mn)."""
-    _require_even_prime_power(q)
-    q2, q3, q6 = q * q, q ** 3, q ** 6
-    corner = [(1.0, float(q6 - 1)), (1.0, float(q2 - 1)),
-              float(q6 - q3), float(q6 + q3)]
-    P = _block_table(q, corner, a_scale=float(q2), b_scale=float(q2),
-                     row1_a=float(-q3 + q2), row1_b=float(q3 + q2),
-                     col1_a=float(-q3 - 1), col1_b=float(q3 - 1))
-    n = q3 * (q ** 4 - 1)
+
+def _closed_form_table(P: np.ndarray, n: int) -> CharacterTable:
     valencies = np.real(P[0]).round().astype(np.int64)
-    m = _snap_near_integers(multiplicities(P, valencies, n) + 0j).real
-    return CharacterTable(P, valencies, m, n)
+    return CharacterTable(P, valencies,
+                          _snap_near_integers(multiplicities(P, valencies, n)), n)
 
 
 def closed_form_psl2(q: int) -> CharacterTable:
     """Reference character table of the 2-transitive PSL(2, q) group scheme,
-    q = 2^r: valencies (1, q^2-1, q^2-q ..., q^2+q ...); second row
-    (1, 0, -q+1, q+1); a-rows (1, -q-1, a_kl, 0); b-rows (1, q-1, 0, b_mn)."""
+    q = 2^r.  Rows and columns: 0, 1, then q/2 of type a, then (q-2)/2 of
+    type b.  Valencies (1, q^2-1, q^2-q ..., q^2+q ...); second row
+    (1, 0, -q+1, q+1); a-rows (1, -q-1, a_kl, 0); b-rows (1, q-1, 0, b_mn),
+    with a_kl = -2q cos(2 pi kl / (q+1)) and b_mn = 2q cos(2 pi mn / (q-1))."""
     _require_even_prime_power(q)
-    q2 = q * q
-    corner = [(1.0, float(q2 - 1)), (1.0, 0.0), float(q2 - q), float(q2 + q)]
-    P = _block_table(q, corner, a_scale=1.0, b_scale=1.0,
-                     row1_a=float(-q + 1), row1_b=float(q + 1),
-                     col1_a=float(-q - 1), col1_b=float(q - 1))
-    n = q * (q2 - 1)
-    valencies = np.real(P[0]).round().astype(np.int64)
-    m = _snap_near_integers(multiplicities(P, valencies, n) + 0j).real
-    return CharacterTable(P, valencies, m, n)
+    na, nb = q // 2, (q - 2) // 2
+    P = np.zeros((2 + na + nb, 2 + na + nb), dtype=np.complex128)
+    P[0] = _valency_row(q, q)
+    P[1:, 0] = 1.0
+    P[1, 2:2 + na] = -q + 1
+    P[1, 2 + na:] = q + 1
+    P[2:2 + na, 1] = -q - 1
+    P[2 + na:, 1] = q - 1
+    for k in range(1, na + 1):
+        for l in range(1, na + 1):
+            P[1 + k, 1 + l] = -2.0 * q * math.cos(2.0 * math.pi * k * l / (q + 1))
+    for m in range(1, nb + 1):
+        for l in range(1, nb + 1):
+            P[1 + na + m, 1 + na + l] = 2.0 * q * math.cos(2.0 * math.pi * m * l / (q - 1))
+    return _closed_form_table(_snap_near_integers(P), q * (q * q - 1))
+
+
+def closed_form_mstar(q: int) -> CharacterTable:
+    """Reference character table of the simple Moufang loop scheme, q = 2^r:
+    the q^2-dilation of closed_form_psl2(q).  Off row 0 it is q^2 times
+    PSL(2, q)'s table, plus q^2 - 1 on column 1, with column 0 kept at 1.
+    Row 0 is PSL(2, q)'s valency rule at s = q^3 in place of q:
+    (1, q^6-1, then q/2 entries q^6-q^3, then (q-2)/2 entries q^6+q^3)."""
+    P = q * q * closed_form_psl2(q).P
+    P[1:, 1] += q * q - 1
+    P[:, 0] = 1.0
+    P[0] = _valency_row(q, q ** 3)
+    return _closed_form_table(P, q ** 3 * (q ** 4 - 1))
 
 
 # transfer to group character tables
@@ -521,7 +501,6 @@ def double_coset_table(group: PermutationGroup, subgroup,
                        gct: GroupCharacterTable | None = None,
                        seed: int = DEFAULT_SEED,
                        tol: float = DEFAULT_TOL_COMPARE,
-                       rho_selection=None,
                        tol_eigen: float = DEFAULT_TOL_EIGEN) -> DoubleCosetTable:
     """Character table of the coset scheme from group characters alone:
     p_j(i) = (1/|H|) sum_k |H g_j H meet C_k| rho_i(c_k), rho_i running over
@@ -534,15 +513,12 @@ def double_coset_table(group: PermutationGroup, subgroup,
     if gct is None:
         gct = group_character_table(group, seed=seed, tol_eigen=tol_eigen)
     theta = permutation_character(action)
-    if rho_selection is None:
-        ints = _constituent_multiplicities(group, gct, theta)
-        if np.any(ints > 1):
-            raise NotMultiplicityFree(
-                "the induced trivial character has a repeated constituent; "
-                f"multiplicities {ints.tolist()}")
-        selection = np.flatnonzero(ints == 1).tolist()
-    else:
-        selection = sorted(int(i) for i in rho_selection)
+    ints = _constituent_multiplicities(group, gct, theta)
+    if np.any(ints > 1):
+        raise NotMultiplicityFree(
+            "the induced trivial character has a repeated constituent; "
+            f"multiplicities {ints.tolist()}")
+    selection = np.flatnonzero(ints == 1).tolist()
     dc = double_cosets(group, H)
     if len(selection) != len(dc.parts):
         raise NotMultiplicityFree(

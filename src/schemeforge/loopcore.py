@@ -503,7 +503,7 @@ def _inner_orbits_randomized(loop: LoopStructure, bound: np.ndarray | None,
             continue
         quiet = 0
         class_of, _ = canonical_labels(label)
-        candidate = loop_scheme(loop, class_of=class_of)
+        candidate = AssociationScheme.homogeneous(class_of, loop.right_div_vec)
         report = verify_scheme_axioms(candidate, seed=seed + VERIFY_SEED_OFFSET + checks)
         checks += 1
         if report.passed:
@@ -560,10 +560,9 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
     invariant, reads them through loop.right_div_vec.
 
     Passing class_of (an array or an InnerOrbitReport) skips the orbit
-    computation; it is reused both by the certification step of the
-    randomized policy and by callers that already hold a certified
-    partition.  The source holds the loop's recipe and class_of, and a
-    report's certificate.  With an exact certificate the classes are the
+    computation, for callers that already hold a certified partition.  The
+    source holds the loop's recipe and class_of, and a report's
+    certificate.  With an exact certificate the classes are the
     orbits of the transitive group Mlt(L), and intersection_numbers reads
     the scheme from its identity row; a bare array gets the representative
     scan.

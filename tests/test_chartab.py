@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +18,8 @@ from schemeforge.chartab import (CharacterTable, closed_form_mstar,
                                  verify_candidate_table, verify_orthogonality)
 from schemeforge.config import DEFAULT_SEED
 from schemeforge.errors import (EigensolverFailure, MismatchWithOrbitalTable,
-                                NonCommutative,
-                                NonPositiveMultiplicity, NotGroupScheme,
-                                NotMultiplicityFree, ParseError, UnsupportedQ)
+                                NonCommutative, NonPositiveMultiplicity,
+                                NotGroupScheme, ParseError, UnsupportedQ)
 from schemeforge.permgroup import (cyclic, group_scheme, orbitals, psl2,
                                    stabilizer, symmetric)
 from schemeforge.scheme import (IntersectionNumbers, complete_graph_scheme,
@@ -57,9 +57,14 @@ def test_closed_form_mstar_q4():
     assert sum(t.multiplicities) == pytest.approx(16320)
 
 
-@pytest.mark.parametrize("q", [3, 5, 6, 12])
+REJECTIONS = {6: "6 is not a prime power", 12: "12 is not a prime power",
+              512: "field order must lie in [2, 256], got 512"}
+
+
+@pytest.mark.parametrize("q", [3, 5, 6, 12, 512])
 def test_closed_form_mstar_rejects_odd_q(q):
-    with pytest.raises(UnsupportedQ):
+    message = REJECTIONS.get(q, f"closed form requires q = 2^r, got q = {q}")
+    with pytest.raises(UnsupportedQ, match=f"^{re.escape(message)}$"):
         closed_form_mstar(q)
 
 
@@ -104,7 +109,27 @@ def test_multiplicities_rejects_degenerate_input():
         multiplicities(np.zeros((2, 2), dtype=complex), [1, 3], 4)
 
 
-@pytest.mark.parametrize("q", [2, 4, 8])
+EVEN_Q = [2, 4, 8, 16, 32, 64, 128, 256]
+
+
+@pytest.mark.parametrize("q", EVEN_Q)
+def test_closed_form_mstar_is_the_q2_dilation_of_psl2(q):
+    psl, mstar = closed_form_psl2(q), closed_form_mstar(q)
+    q2, q3 = q * q, q ** 3
+    assert np.array_equal(mstar.P[1:, 2:], q2 * psl.P[1:, 2:])
+    assert np.array_equal(mstar.P[1:, 1], q2 * psl.P[1:, 1] + q2 - 1)
+    assert np.array_equal(mstar.P[:, 0], np.ones(mstar.d + 1))
+    assert mstar.valencies.tolist() == ([1, q3 * q3 - 1] + [q3 * (q3 - 1)] * (q // 2)
+                                        + [q3 * (q3 + 1)] * ((q - 2) // 2))
+    assert np.array_equal(mstar.P[0].real, mstar.valencies)
+    assert mstar.n == q3 * (q ** 4 - 1)
+    # where PSL(2, q) has an integer entry, M*(q) has an exact integer
+    integral = psl.P == np.round(psl.P.real)
+    assert integral[:2].all() and integral[:, :2].all()
+    assert np.array_equal(mstar.P[integral], np.round(mstar.P[integral].real))
+
+
+@pytest.mark.parametrize("q", EVEN_Q)
 def test_oracle_orthogonality(q):
     assert verify_orthogonality(closed_form_mstar(q), tol=1e-8).passed
     assert verify_orthogonality(closed_form_psl2(q), tol=1e-8).passed
@@ -343,12 +368,6 @@ def test_double_coset_table_trivial_subgroup_cyclic():
     direct = compute_character_table(group_scheme(z3))
     res = compare_tables(dct.table, direct, tol=1e-8)
     assert res.matched
-
-
-def test_double_coset_table_rejects_wrong_constituents():
-    s3 = symmetric(3)
-    with pytest.raises((MismatchWithOrbitalTable, NotMultiplicityFree, ValueError)):
-        double_coset_table(s3, stabilizer(s3, 2), rho_selection=[0, 2])
 
 
 def test_double_coset_mismatch_without_a_bound_names_no_number(monkeypatch):

@@ -227,14 +227,10 @@ def test_loop_scheme_relations_are_classes_of_right_quotients(paige3, partition)
 
 class _CyclicLoop(LoopStructure):
     """Z_m under addition mod m, given only by its lifted product and
-    divisions; lift and index keep their identity defaults.  The recipe is
-    what the randomized policy's candidate scheme records."""
+    divisions; lift and index keep their identity defaults."""
 
     def __init__(self, m):
         self.n = m
-
-    def scheme_source(self):
-        return {"kind": "cyclic-loop", "m": self.n}
 
     def times(self, A, B):
         return (A + B) % self.n
