@@ -19,7 +19,7 @@ from .config import DEFAULT_CLOSURE_CAP, DEFAULT_RELATION_CAP
 from .errors import (CapExceeded, NotEnumerated, NotSubgroup, NotTransitive,
                      ParseError)
 from .gf import field_for
-from .scheme import AssociationScheme, index_dtype
+from .scheme import AssociationScheme, first_members, index_dtype
 
 CLOSURE_SLICE_BYTES = 1 << 24     # products of one closure frontier slice
 MUL_TABLE_LIMIT = 4096            # largest group mul_table tabulates
@@ -414,8 +414,7 @@ def canonical_labels(raw: np.ndarray) -> tuple[np.ndarray, int]:
     raw holds non-negative class ids no larger than its length.
     """
     sizes = np.bincount(raw)
-    firsts = np.full(sizes.shape[0], raw.shape[0])
-    np.minimum.at(firsts, raw, np.arange(raw.shape[0]))
+    firsts = first_members(raw, sizes.shape[0])
     used = np.flatnonzero(sizes)
     rest = used[used != raw[0]]
     rest = rest[np.lexsort((firsts[rest], sizes[rest]))]

@@ -36,6 +36,14 @@ def index_dtype(count: int):
     return np.uint16 if count <= 0xFFFF else np.uint32
 
 
+def first_members(labels: np.ndarray, count: int) -> np.ndarray:
+    """The smallest index holding each label 0..count-1, or len(labels) for
+    a label that does not occur, in one O(n) pass with no sort."""
+    first = np.full(count, labels.shape[0])
+    np.minimum.at(first, labels, np.arange(labels.shape[0]))
+    return first
+
+
 class AssociationScheme:
     """Partition of X x X into classes R_0..R_d with R_0 the diagonal,
     built by from_matrix (dense) or homogeneous (class_of and div)."""
@@ -89,7 +97,7 @@ class AssociationScheme:
         if class_of[0] != 0 or valencies[0] != 1 or not valencies.all():
             raise ValueError(f"class_of must put point 0 alone in class 0 "
                              f"and use every class 0..{d}")
-        firsts = np.unique(class_of, return_index=True)[1]
+        firsts = first_members(class_of, d + 1)
         transpose = class_of[div(np.zeros_like(firsts), firsts)]
         return cls(class_of.shape[0], d, valencies, transpose,
                    class_of=class_of.astype(index_dtype(d + 1)), div=div, source=source)
@@ -261,11 +269,12 @@ def intersection_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
     quota = 2 if scheme.orbital else REPS_PER_CLASS
     rows = [scheme.rel_row(x) for x in range(min(n, quota))]
     for x, row in enumerate(rows):
-        classes, first = np.unique(row, return_index=True)
-        if classes.shape[0] != d + 1:
-            raise NotAScheme(f"row {x} meets only classes {classes.tolist()} of 0..{d}")
+        first = first_members(row, d + 1)
+        if np.any(first == n):
+            met = np.flatnonzero(first < n).tolist()
+            raise NotAScheme(f"row {x} meets only classes {met} of 0..{d}")
         counts = np.stack([_pair_counts(row, scheme.rel_col(y), d) for y in first])
-        _record_row(tensor, x, classes, first, counts)
+        _record_row(tensor, x, np.arange(d + 1), first, counts)
     return IntersectionNumbers(tensor, scheme.valencies, n)
 
 

@@ -13,10 +13,12 @@ with determinant a b - alpha.beta.  The unit-determinant matrices form a
 Moufang loop; quotienting by the center {I, -I} gives a simple Moufang loop
 of order q^3 (q^4 - 1) / gcd(2, q - 1).
 
-Loop elements are stored as uint8 rows of eight base-q digits
-(a, alpha1, alpha2, alpha3, beta1, beta2, beta3, b); a row packs into a
-single integer code with digit 'a' most significant, so lexicographic order
-on rows equals numeric order on codes.
+A matrix's digit row is its eight base-q digits (a, alpha1, alpha2,
+alpha3, beta1, beta2, beta3, b); a row packs into a single integer code
+with digit 'a' most significant, so lexicographic order on rows equals
+numeric order on codes.  Loop elements are stored by the two halves of
+that code (below): one uint32 word per element, read as (hi, lo) uint16
+pairs.
 
 A vector matrix is only ever such a digit row, or one column of eight
 uint8 digit arrays inside a kernel; no object wraps a single matrix.
@@ -41,10 +43,11 @@ NEG4[hi] (NEG4 maps each half-code to that of its negated digits); a code
 of the other sign points through OFF to a row of ranks of negated low
 halves and through BASE to its negation's block.  The build enumerates the
 same order: for each representative hi ascending it solves digit k over
-the q^3 free-digit grid.  No table of size q^8 exists.  Each half-code's
-four digits are gathered as one 4-byte word, and the ranks and trace
-classes start from a view of the elements' digit columns, with no
-per-element gather.
+the q^3 free-digit grid, and writes lo as the free digits' code plus
+digit k times its place value.  No table of size q^8 exists.  Lifting
+gathers an element's 4-byte word and turns each half-code into its four
+digits through one q^4 table of 4-byte digit words; the trace classes
+read a = hi // q^3 and b = lo mod q straight from the halves.
 
 The digit rows are the loop's lifted elements: a word of several products
 and divisions gathers each operand's digits once, multiplies in digit
@@ -215,35 +218,44 @@ class PaigeLoop(LoopStructure):
 
     Element 0 is the identity matrix; the remaining elements are sorted by
     their packed digit code.  For odd q each element is stored by the
-    lexicographically smaller of the two sign representatives.  An index is
+    lexicographically smaller of the two sign representatives.  The loop
+    holds each element as its half-codes (hi, lo), 4 bytes; an index is
     the closed-form rank of a code over q^4 tables, and the rank of either
     sign is the element's index, so products need no canonicalization pass.
     The loop holds no multiplication table and no table of inverses.  It
-    defines the five lifted operations, on digit rows: lift gathers them,
-    times is the Zorn kernel, ldiv and rdiv multiply by the digit-space
-    inverse (two NEG lookups), and index is the rank.  Its index-level ops
-    are the ones LoopStructure derives from these.  The elements must be
-    those of _unit_rows, in its order.
+    defines the five lifted operations, on digit rows: lift derives them
+    from the half-codes, times is the Zorn kernel, ldiv and rdiv multiply
+    by the digit-space inverse (two NEG lookups), and index is the rank.
+    Its index-level ops are the ones LoopStructure derives from these.
+    The half-codes, an (n, 2) array, must be those of _unit_halves, in
+    its order.
     """
 
-    def __init__(self, spec: FieldSpec, elems: np.ndarray):
+    def __init__(self, spec: FieldSpec, halves: np.ndarray):
         self.spec = spec
         self.q = spec.q
-        self.n = elems.shape[0]
-        digits = np.ascontiguousarray(elems, dtype=np.uint8)
         self._ft = _FieldTables(spec)
-        # each element's eight uint8 digits as one 8-byte word: one gather per element
-        self._words = digits.view(np.uint64).ravel()
-        # the (n, 8) digit rows, a view of the words
-        self.elems = self._words.view(np.uint8).reshape(self.n, 8)
+        # each element's (hi, lo) half-codes as one 4-byte word: one gather per element
+        self._codes = np.ascontiguousarray(halves, dtype=np.uint16).view(np.uint32).ravel()
+        self.n = self._codes.shape[0]
+        self._halves = self._codes.view(np.uint16).reshape(self.n, 2)
+        # each half-code's four digits as one 4-byte word
+        self._digit_words = np.ascontiguousarray(_half_digits(self.q).T).view(np.uint32).ravel()
         self._base, self._off, self._ranks = _rank_tables(self._ft)
         self._traces: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def elems(self) -> np.ndarray:
+        """Digit rows (n, 8) uint8 of the elements, derived from the
+        half-codes at each read."""
+        return self._digit_words.take(self._halves).view(np.uint8)
 
     # loop interface: digit rows are the lifted elements
 
     def lift(self, I) -> np.ndarray:
         """Digit rows (8,) + shape(I) of the elements I, as uint8."""
-        rows = self._words.take(I)[..., None].view(np.uint8)
+        halves = self._codes.take(I)[..., None].view(np.uint16)
+        rows = self._digit_words.take(halves).view(np.uint8)
         return np.ascontiguousarray(np.moveaxis(rows, -1, 0))
 
     def index(self, D) -> np.ndarray:
@@ -280,9 +292,9 @@ class PaigeLoop(LoopStructure):
         both computed once per loop."""
         if self._traces is None:
             NEG = self._ft.NEG
-            D = self.elems.T
+            hi, lo = self._halves.T
             # -t = t in characteristic 2, so the minimum is t itself for even q
-            trace = self._ft.add(D[0], D[7])
+            trace = self._ft.add(hi // self.q ** 3, lo % self.q)
             trace = np.minimum(trace, NEG.take(trace))
             raw = trace.astype(np.int64) + 1
             raw[0] = 0
@@ -337,21 +349,30 @@ class PaigeLoop(LoopStructure):
             elements = data["elements"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed loop description: {exc}") from None
+        if not isinstance(elements, list):
+            raise ParseError("elements must be a list of digit rows")
         spec = field_for(q)
         expected = paige_loop_order(q)
         if order != expected or len(elements) != expected:
             raise ParseError(f"order {order} does not match the loop of q={q} "
                              f"(expected {expected})")
-        elems = np.asarray(elements, dtype=np.int64)
-        if elems.shape != (expected, 8):
-            raise ParseError("elements must be rows of eight base-q digits")
+        try:
+            elems = np.asarray(elements)
+        except ValueError:
+            elems = None        # ragged rows
+        if elems is None or elems.shape != (expected, 8) or elems.dtype.kind not in "iu":
+            i = next((i for i, row in enumerate(elements)
+                      if not isinstance(row, list) or len(row) != 8
+                      or any(type(x) is not int or not 0 <= x < q for x in row)), None)
+            where = "" if i is None else f"element {i} is {elements[i]!r}: "
+            raise ParseError(f"{where}elements must be rows of eight integer base-q digits")
         # indices are ranks, so only the canonical rows in their order will do
-        loop = cls(spec, _unit_rows(_FieldTables(spec)))
+        loop = cls(spec, _unit_halves(_FieldTables(spec)))
         differ = np.flatnonzero(np.any(elems != loop.elems, axis=1))
         if differ.shape[0]:
             i = int(differ[0])
             raise ParseError(f"element {i} is {elems[i].tolist()}, where M*({q}) "
-                             f"has {loop.elems[i].tolist()}: the elements are the "
+                             f"has {loop.lift(np.int64(i)).tolist()}: the elements are the "
                              f"unit matrices, identity first, then by ascending "
                              f"code (the smaller sign for odd q)")
         return loop
@@ -360,9 +381,10 @@ class PaigeLoop(LoopStructure):
         return f"PaigeLoop(q={self.q}, order={self.n})"
 
 
-def _unit_rows(ft: _FieldTables) -> np.ndarray:
-    """Digit rows (n, 8) uint8 of the unit matrices, the smaller sign
-    representative for odd q, identity first and then by ascending code.
+def _unit_halves(ft: _FieldTables) -> np.ndarray:
+    """Half-codes (n, 2) uint16, (hi, lo) in each row, of the unit
+    matrices, the smaller sign representative for odd q, identity first and
+    then by ascending code.
 
     For each representative high half (a, alpha), ascending, the q^3 low
     halves solve lo . (-alpha1, -alpha2, -alpha3, a) = 1 for digit k, the
@@ -384,27 +406,25 @@ def _unit_rows(ft: _FieldTables) -> np.ndarray:
     # and the place value of digit k
     free = np.stack([np.flatnonzero(half[k] == 0) for k in range(4)]).astype(np.uint16)
     place = np.array([q3, q * q, q, 1], dtype=np.uint16)
-    # each half-code's four digits as one 4-byte word
-    words = np.ascontiguousarray(half.T).view(np.uint32).ravel()
 
     def units(r, *g):
-        # the (hi, lo) words of the representatives r, a column, at the free digits g
+        # the (hi, lo) half-codes of the representatives r, a column, at the free digits g
         a, k = alpha[:, r], pivot[r[:, 0]]
         S = ft.add(ft.madd(a[0], g[0], a[1], g[1]), ft.madd(a[2], g[2], 1, 1))
-        lo = words.take(free[k] + ft.mul(S, inv[r]) * place[k, None])
+        lo = free[k] + ft.mul(S, inv[r]) * place[k, None]
         # allocated after the temporaries: the result outlives them
-        pairs = np.empty(lo.shape + (2,), dtype=np.uint32)
-        pairs[..., 0] = words.take(reps[r])
+        pairs = np.empty(lo.shape + (2,), dtype=np.uint16)
+        pairs[..., 0] = reps[r]
         pairs[..., 1] = lo
         return pairs
 
     out = blocked(BLOCK_PRODUCTS, units, np.arange(reps.shape[0])[:, None], *grid)
     # the identity first, the others in code order
-    packed = out.view(np.uint64).reshape(-1)
-    ident = packed[ident_at]
-    packed[1:ident_at + 1] = packed[:ident_at]
-    packed[0] = ident
-    return packed.view(np.uint8).reshape(-1, 8)
+    codes = out.view(np.uint32).reshape(-1)
+    ident = codes[ident_at]
+    codes[1:ident_at + 1] = codes[:ident_at]
+    codes[0] = ident
+    return codes.view(np.uint16).reshape(-1, 2)
 
 
 def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
@@ -414,4 +434,4 @@ def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
     cap = element_cap_default() if element_cap is None else element_cap
     if n > cap:
         raise CapExceeded(f"loop of q={q} has {n} elements, above the cap {cap}")
-    return PaigeLoop(spec, _unit_rows(_FieldTables(spec)))
+    return PaigeLoop(spec, _unit_halves(_FieldTables(spec)))

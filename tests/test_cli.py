@@ -694,6 +694,17 @@ def test_paige_loop_json_exports_and_builds_a_scheme(capsys, tmp_path):
     assert data["relations"]["source"]["certificate"] == "exact"
 
 
+def test_loop_file_with_a_fractional_digit_is_not_exported(capsys, tmp_path, paige2):
+    data = paige2.to_json()
+    row = data["elements"][5]
+    data["elements"][5] = [row[0] + 0.25, *row[1:]]
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, "export", "--in", str(path))
+    assert rc == 2 and out == ""
+    assert "ParseError" in err and "element 5 is" in err
+
+
 def test_loop_file_out_of_canonical_order_exits_2(capsys, tmp_path, paige2, paige3):
     rows = paige2.to_json()["elements"]
     shuffled = {**paige2.to_json(), "elements": rows[:1] + rows[:0:-1]}

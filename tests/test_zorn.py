@@ -254,6 +254,22 @@ def test_loop_json_refuses_rows_out_of_canonical_order(paige2, paige3):
         PaigeLoop.from_json({**good, "elements": rows})
 
 
+@pytest.mark.parametrize("broken", [
+    lambda row: [row[0] + 0.25, *row[1:]],      # would truncate to the true digit
+    lambda row: [str(x) for x in row],
+    lambda row: [*row[:7], 2 ** 70],
+    lambda row: row[:7],
+    lambda row: row + [0],
+    lambda row: [*row[:7], row[7:]],
+], ids=["fraction", "text", "huge", "short", "long", "nested"])
+def test_loop_json_refuses_rows_that_are_not_eight_integer_digits(paige2, broken):
+    good = paige2.to_json()
+    rows = [list(r) for r in good["elements"]]
+    rows[5] = broken(rows[5])
+    with pytest.raises(ParseError, match="element 5 is"):
+        PaigeLoop.from_json({**good, "elements": rows})
+
+
 # The Zorn product as it was computed with two-dimensional int64 tables,
 # kept as a reference: the flat fused tables must reproduce it byte for byte.
 
@@ -316,10 +332,12 @@ class _FrozenPaigeLoop(PaigeLoop):
     that registers every element's code, and for odd q its negation's.  Its
     lifted elements are digit rows, as a PaigeLoop's, but its times, ldiv
     and rdiv run the frozen product and its index is the lookup, so the
-    derived index-level ops and the words in loopcore run on them too."""
+    derived index-level ops and the words in loopcore run on them too.  It
+    is built from digit rows, whose half-codes it passes to PaigeLoop."""
 
     def __init__(self, spec, elems):
-        super().__init__(spec, elems)
+        digits = np.asarray(elems, dtype=np.uint8).T
+        super().__init__(spec, np.stack(_FieldTables(spec).halves(digits), axis=1))
         self._inv_of = None
         self._old = _FrozenTables(spec)
         self._strides = self.q ** np.arange(7, -1, -1, dtype=np.int64)
@@ -371,6 +389,7 @@ def test_build_matches_frozen_enumeration(q):
     frozen = _frozen_elems(q)
     assert loop.elems.dtype == np.uint8
     assert loop.elems.astype(np.int16).tobytes() == frozen.tobytes()
+    assert np.array_equal(loop.index(loop.lift(np.arange(loop.n))), np.arange(loop.n))
 
 
 @pytest.mark.parametrize("q", [7, 8, 9])
@@ -390,6 +409,11 @@ def test_build_is_sorted_unit_sign_representatives(q):
     det = old.SUB[old.MUL[cols[0], cols[7]], old.dot3(cols[1:4], cols[4:7])]
     assert np.all(det == 1)
     assert np.array_equal(loop.index(loop.elems.T), np.arange(n))
+    assert np.array_equal(loop.index(loop.lift(np.arange(n))), np.arange(n))
+    # one 4-byte word of half-codes an element, and no other array of size n
+    big = [a for a in vars(loop).values() if isinstance(a, np.ndarray) and a.size >= n]
+    assert loop._codes.nbytes == 4 * n
+    assert all(np.shares_memory(a, loop._codes) for a in big)
     if q % 2:
         assert np.all(codes < _code(q, [old.NEG[c] for c in cols]))
         assert np.array_equal(loop.index(loop._ft.NEG.take(loop.elems.T)), np.arange(n))
@@ -494,35 +518,36 @@ def test_mstar3_pipeline_matches_frozen_kernel():
     assert tables[0].P.tobytes() == tables[1].P.tobytes()
 
 
-# M*(11) and M*(13) are beyond a q^8 lookup; each is built in a fresh
-# process, which reports the peak resident size of the build and then
-# checks the elements block by block.
+# Each large build runs in a fresh process, which reports how far the build
+# raised the peak resident size and then checks the elements block by
+# block; M*(11) and M*(13) are beyond a q^8 lookup.
 
 def _large_build_report(q: int) -> dict:
     n = paige_loop_order(q)
+    before_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     loop = build_paige_loop(q, element_cap=n)
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     old = _FrozenTables(loop.spec)
-    assert loop.elems.shape == (n, 8) and _digits(loop.elems[0]) == IDENTITY
+    assert loop.n == n and _digits(loop.lift(np.int64(0))) == IDENTITY
     assert q ** 8 < 2 ** 32
     codes = np.empty(n, dtype=np.uint32)
     step = 1 << 18
     for start in range(0, n, step):
-        rows = loop.elems[start:start + step]
-        cols = [rows[:, k].astype(np.int64) for k in range(8)]
-        codes[start:start + step] = code = _code(q, cols)
+        block = np.arange(start, min(start + step, n))
+        D = loop.lift(block)
+        cols = [c.astype(np.int64) for c in D]
+        codes[block] = code = _code(q, cols)
         det = old.SUB[old.MUL[cols[0], cols[7]], old.dot3(cols[1:4], cols[4:7])]
         assert np.all(det == 1)
         if q % 2:
             assert np.all(code < _code(q, [old.NEG[c] for c in cols]))
-        assert np.array_equal(loop.index(rows.T),
-                              np.arange(start, start + rows.shape[0]))
+        assert np.array_equal(loop.index(D), block)
     assert np.all(codes[2:] > codes[1:-1])
     # products against the frozen product, found among the sorted codes
     rng = np.random.default_rng(q)
     I, J = rng.integers(0, n, 20_000), rng.integers(0, n, 20_000)
-    A, B = loop.elems[I].astype(np.int64), loop.elems[J].astype(np.int64)
-    prod = _frozen_product_digits(old, A.T, B.T)
+    A, B = loop.lift(I).astype(np.int64), loop.lift(J).astype(np.int64)
+    prod = _frozen_product_digits(old, A, B)
     code = _code(q, prod)
     if q % 2:
         code = np.minimum(code, _code(q, [old.NEG[c] for c in prod]))
@@ -530,12 +555,19 @@ def _large_build_report(q: int) -> dict:
     want[code == codes[0]] = 0
     assert np.array_equal(codes[want], code)
     assert np.array_equal(loop.mul_vec(I, J), want)
-    return {"n": n, "peak_mb": peak_mb}
+    return {"n": n, "growth_mb": peak_mb - before_mb}
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("q,peak_mb", [(11, 600), (13, 1200)])
-def test_large_builds_are_canonical_within_memory(q, peak_mb):
+# Each element is held as one 4-byte word of half-codes and the build's
+# temporaries are blocked, so a build grows the peak by about 4 bytes an
+# element (q = 8: 10 MB, 11: 40 MB, 13: 124 MB); a store of 8-byte digit
+# rows grows it about twice as much and fails these bounds.
+@pytest.mark.parametrize("q,growth_mb", [
+    (8, 14),
+    pytest.param(11, 60, marks=pytest.mark.slow),
+    pytest.param(13, 160, marks=pytest.mark.slow),
+])
+def test_large_builds_are_canonical_within_memory(q, growth_mb):
     src = os.path.dirname(os.path.dirname(schemeforge.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
     script = ("import json, sys, test_zorn; "
@@ -545,4 +577,4 @@ def test_large_builds_are_canonical_within_memory(q, peak_mb):
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
     assert report["n"] == paige_loop_order(q)
-    assert report["peak_mb"] < peak_mb
+    assert report["growth_mb"] < growth_mb
