@@ -6,14 +6,18 @@ defines its product times and divisions ldiv and rdiv on lifted elements;
 LoopStructure derives the index-level mul_vec and divisions from them as
 index(op(lift(I), lift(J))).  Only TableLoop holds a table, and checks
 that need every product take the n x n grid of mul_vec.  Words of several
-products (the sampled Moufang and associativity checks, the inner maps of
-the refinement) lift each operand once and turn only the results that are
-compared or kept back into indices.  For M*(q) a lifted element is its
-eight digits, so a word pays one gather per operand and one rank per
-result, not one of each per product; for other loops lifting is the
-identity.  blocked runs all loop work in row blocks: BLOCK_PRODUCTS
-entries for index-level ops and the M*(q) build, LIFT_BLOCK points for
-lifted words.
+products (the sampled Moufang and associativity checks, the per-point
+inner maps of a refinement without an invariant) lift each operand once
+and turn only the results that are compared or kept back into indices.
+For M*(q) a lifted element is its eight digits, so a word pays one gather
+per operand and one rank per result, not one of each per product; for
+other loops lifting is the identity.  A round that applies one inner map
+to every point goes to the loop's fixed_map_images: M*(q) evaluates the
+map, linear in the point's digits, on its 2 q^4 half-basis rows only and
+reads each point's image from its half-codes.  blocked runs loop work in
+row blocks: BLOCK_PRODUCTS entries for index-level ops and the M*(q)
+build, LIFT_BLOCK points for lifted words; M*(q) reads its half-code
+tables in blocks of its own.
 The scheme relation is rel(u, v) = class of v / u, where the classes are
 the orbits of the inner mapping group Inn(L), the stabilizer of the
 identity inside the multiplication group Mlt(L) generated by all left and
@@ -143,6 +147,13 @@ class LoopStructure:
         right_div_vec(V, U), for loops whose invariant_partition() is not
         None; loop_scheme reads relations through it when the scheme's
         classes are that partition."""
+        raise NotImplementedError
+
+    def fixed_map_images(self, word, Z) -> np.ndarray:
+        """Indices of word(lift(Z)): one inner map with fixed parameters,
+        word, a function of lifted elements, applied to the points Z.  The
+        trace-bounded refinement applies one map a round through it, so
+        loops whose invariant_partition() is not None define it."""
         raise NotImplementedError
 
     def scheme_source(self) -> dict:
@@ -425,32 +436,35 @@ def _inner_orbits_exact(loop: LoopStructure) -> InnerOrbitReport:
     return InnerOrbitReport(class_of, count, "exact", 0, True, "exact", 0)
 
 
-def _inner_word(loop: LoopStructure, kind: int, x, y, Z) -> np.ndarray:
-    """Indices of the images of the points Z under T(x), L(x, y) or R(x, y)
-    for kind 0, 1 or 2, evaluated on lifted elements and ranked once."""
-    t, X, P = loop.times, loop.lift(x), loop.lift(Z)
+def _inner_word(loop: LoopStructure, kind: int, X, Y, P):
+    """The lifted images of the lifted points P under T(x), L(x, y) or
+    R(x, y) for kind 0, 1 or 2, with x and y lifted as X and Y."""
+    t = loop.times
     if kind == 0:
-        return loop.index(loop.ldiv(X, t(P, X)))
-    Y = loop.lift(y)
+        return loop.ldiv(X, t(P, X))
     XY = t(X, Y)
     if kind == 1:
-        return loop.index(loop.ldiv(XY, t(X, t(Y, P))))
-    return loop.index(loop.rdiv(t(t(P, X), Y), XY))
+        return loop.ldiv(XY, t(X, t(Y, P)))
+    return loop.rdiv(t(t(P, X), Y), XY)
 
 
 def _sampled_inner_images(loop: LoopStructure, kind, x, y,
                           Z: np.ndarray) -> np.ndarray:
     """Images of the points Z under T(x), L(x, y) or R(x, y) for kind 0, 1
-    or 2, with x and y broadcast against Z, in blocks of LIFT_BLOCK
-    points.  Arrays of kinds, x and y, one entry per point, apply a map of
-    its own to each point."""
+    or 2.  One map, a scalar kind with scalar x and y, goes to the loop's
+    fixed_map_images.  Arrays of kinds, x and y, one entry per point, apply
+    a map of its own to each point, on lifted elements in blocks of
+    LIFT_BLOCK points, each ranked once."""
+    if np.ndim(kind) == 0:
+        X, Y = loop.lift(x), loop.lift(y)
+        return loop.fixed_map_images(lambda P: _inner_word(loop, kind, X, Y, P), Z)
+
     def images(kind, x, y, Z):
-        if np.ndim(kind) == 0:
-            return _inner_word(loop, kind, x, y, Z)
         W = np.empty(Z.shape, dtype=np.int64)
         for k in range(3):
             mask = kind == k
-            W[mask] = _inner_word(loop, k, x[mask], y[mask], Z[mask])
+            lifted = (loop.lift(V[mask]) for V in (x, y, Z))
+            W[mask] = loop.index(_inner_word(loop, k, *lifted))
         return W
     return blocked(LIFT_BLOCK, images, kind, x, y, Z)
 

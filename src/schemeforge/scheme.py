@@ -218,7 +218,9 @@ class IntersectionNumbers:
 
 def _pair_counts(row: np.ndarray, col: np.ndarray, d: int) -> np.ndarray:
     """[i, j] = #{z : row[z] = i, col[z] = j} for the row of x and column of y."""
-    codes = row.astype(np.int64) * (d + 1) + col.astype(np.int64)
+    codes = row.astype(np.intp)
+    codes *= d + 1
+    codes += col
     return np.bincount(codes, minlength=(d + 1) ** 2).reshape(d + 1, d + 1)
 
 

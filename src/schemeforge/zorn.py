@@ -46,8 +46,7 @@ same order: for each representative hi ascending it solves digit k over
 the q^3 free-digit grid, and writes lo as the free digits' code plus
 digit k times its place value.  No table of size q^8 exists.  Lifting
 gathers an element's 4-byte word and turns each half-code into its four
-digits through one q^4 table of 4-byte digit words; the trace classes
-read a = hi // q^3 and b = lo mod q straight from the halves.
+digits through one q^4 table of 4-byte digit words.
 
 The digit rows are the loop's lifted elements: a word of several products
 and divisions gathers each operand's digits once, multiplies in digit
@@ -56,13 +55,30 @@ product is bilinear and the inverse [-b, alpha; beta, -a] linear, so an
 intermediate of either sign leads to a result of either sign, and both
 signs rank to the same index.
 
+A map applied to every element with its other operands fixed is often
+GF(q)-linear in the element's digits: an inner map T(x), L(x, y) or
+R(x, y), since the product is bilinear and the inverse linear, and the
+polar form B(v, u) below with u fixed.  An element is the digit-wise sum
+of its high half (hi, 0) and its low half (0, lo), so its image is the sum
+of theirs.  Such a map runs once on the 2 q^4 half-basis rows (an inner
+map with the usual times, ldiv and rdiv), and is then read at each
+element from its hi and its lo: an image of eight digits as four quarter
+codes of two digits (below q^2 <= 256), summed through the q^4 table QADD
+and ranked; a polar form as one digit.  A refinement round or a row or
+column read thus runs no product and no lift on the elements, and gives
+the same images, and indices, as lifting each element would.
+
 The relations of a loop scheme on the trace classes need no product: the
 trace of v u^-1 is the polar form of the norm, a_v b_u + b_v a_u -
-alpha_v.beta_u - beta_v.alpha_u, four fused and three plain lookups.
+alpha_v.beta_u - beta_v.alpha_u, four fused and three plain lookups on
+two broadcast digit rows, or two q^4 table reads and one lookup an
+element for a row or column.  The trace a + b is the polar form with the
+identity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -72,6 +88,7 @@ from .errors import CapExceeded, ParseError
 from .gf import FieldSpec, field_for
 from .loopcore import BLOCK_PRODUCTS, LoopStructure, blocked
 from .permgroup import canonical_labels
+from .scheme import first_members
 
 
 def paige_loop_order(q: int) -> int:
@@ -79,6 +96,9 @@ def paige_loop_order(q: int) -> int:
 
 
 KERNEL_MAX_Q = 16   # pair indices x*q + y fit in uint8, quadruple indices in uint16
+# elements per block of a half-code table read: numpy's intp copies of a
+# block's indices stay within 256 KB, in cache, and add nothing to the peak
+READ_BLOCK = 1 << 13
 
 
 def _quad_index(q: int, w, x, y, z):
@@ -98,9 +118,11 @@ class _FieldTables:
 
     ADD, SUB and MUL hold x + y, x - y and xy at x*q + y; the fused tables
     MADD and MSUB hold ab + cd and ab - cd at ((a*q + b)*q + c)*q + d; NEG
-    and INV hold -x and 1/x at x (INV[0] = 0), and NEG4 the half-code of
-    the four negated digits at each half-code.  Arguments are uint8 digit
-    arrays (or numpy scalars) that broadcast against each other.
+    and INV hold -x and 1/x at x (INV[0] = 0), NEG4 the half-code of
+    the four negated digits at each half-code, and QADD the digit-wise sum
+    of two quarter codes x = (x0, x1) and y, x0*q + x1 and y0*q + y1, at
+    x*q^2 + y.  Arguments are uint8 digit arrays (or numpy scalars) that
+    broadcast against each other.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -115,7 +137,9 @@ class _FieldTables:
         self.MUL = ab = spec.mul_t.ravel()
         self.MADD = spec.add_t[ab[:, None], ab].ravel()
         self.MSUB = spec.sub_t[ab[:, None], ab].ravel()
-        self.NEG4 = _quad_index(q, *self.NEG.take(_half_digits(q)))
+        D = _half_digits(q)
+        self.NEG4 = _quad_index(q, *self.NEG.take(D))
+        self.QADD = self.add(D[0], D[2]) * q + self.add(D[1], D[3])
 
     def add(self, x, y):
         return self.ADD.take(x * self.q + y)
@@ -164,6 +188,16 @@ def _zorn_product_digits(ft: _FieldTables, A, B):
         bot.append(ft.add(ft.madd(c, be[k], b, de[k]),
                           ft.msub(al[i], ga[j], al[j], ga[i])))
     return (e, *top, *bot, f)
+
+
+def _polar_form(ft: _FieldTables, A, B):
+    """B(A, B) = a_A b_B + b_A a_B - alpha_A.beta_B - beta_A.alpha_B of the
+    broadcast digit rows A and B, the trace of A B^-1 for units: four fused
+    and three plain lookups."""
+    dot = ft.add(ft.add(ft.madd(A[1], B[4], A[2], B[5]),
+                        ft.madd(A[3], B[6], A[4], B[1])),
+                 ft.madd(A[5], B[2], A[6], B[3]))
+    return ft.sub(ft.madd(A[0], B[7], A[7], B[0]), dot)
 
 
 def _pivots(q: int) -> np.ndarray:
@@ -227,6 +261,10 @@ class PaigeLoop(LoopStructure):
     from the half-codes, times is the Zorn kernel, ldiv and rdiv multiply
     by the digit-space inverse (two NEG lookups), and index is the rank.
     Its index-level ops are the ones LoopStructure derives from these.
+    A map linear in the element, one inner map of a refinement round
+    (fixed_map_images) or the polar form of a row or column read
+    (invariant_div_vec), is evaluated on the half-basis rows and read at
+    each element from its half-codes.
     The half-codes, an (n, 2) array, must be those of _unit_halves, in
     its order.
     """
@@ -261,7 +299,11 @@ class PaigeLoop(LoopStructure):
     def index(self, D) -> np.ndarray:
         """Indices (int64) of the elements whose digit rows, or for odd q
         their negations, are the unit rows D."""
-        hi, lo = self._ft.halves(D)
+        return self._rank(*self._ft.halves(D))
+
+    def _rank(self, hi, lo) -> np.ndarray:
+        """Indices (int64) of the elements with half-codes hi and lo, of
+        either sign."""
         # in place: each int64 temporary of a block is one allocation
         at = self._off.take(hi)
         at += lo
@@ -286,23 +328,80 @@ class PaigeLoop(LoopStructure):
     def rdiv(self, A, B):
         return self.times(A, self._inverse(B))
 
+    @functools.cached_property
+    def _basis(self) -> np.ndarray:
+        """The half-basis, digit rows (8, 2 q^4) uint8: each high half-code
+        with a zero low half, then each low half-code with a zero high half;
+        an element is the sum of the rows of its hi and of its lo.  Made at
+        its first use."""
+        q4 = self.q ** 4
+        basis = np.zeros((8, 2, q4), dtype=np.uint8)
+        basis[:4, 0] = basis[4:, 1] = _half_digits(self.q)
+        return basis.reshape(8, 2 * q4)
+
+    def _halves_of(self, Z) -> tuple[np.ndarray, np.ndarray]:
+        """The half-codes hi and lo (uint16) of the elements Z."""
+        halves = self._codes.take(Z)[..., None].view(np.uint16)
+        return halves[..., 0], halves[..., 1]
+
+    def fixed_map_images(self, word, Z) -> np.ndarray:
+        """Indices of word(lift(Z)) for a word that is GF(q)-linear in its
+        digit rows, as an inner map with fixed parameters is.  The word runs
+        once, on the 2 q^4 rows of _basis; each image is cut into four
+        quarter codes of two digits, and an element's image is read from
+        the images of its hi and lo, added quarter by quarter through QADD,
+        and ranked, in blocks of READ_BLOCK.  No product or lift runs on
+        Z."""
+        q2, q4 = self.q ** 2, self.q ** 4
+        D = word(self._basis)
+        quarters = np.stack([D[k] * self.q + D[k + 1] for k in range(0, 8, 2)], axis=1)
+        # the four quarter codes of each half's image as uint16 lanes of one
+        # 8-byte word, the high halves' scaled by q^2: a lane sum indexes
+        # QADD and stays below q^4 <= 2^16, so adding words adds lanes
+        his = (quarters[:q4].astype(np.uint16) * q2).view(np.uint64).ravel()
+        los = quarters[q4:].astype(np.uint16).view(np.uint64).ravel()
+        QADD = self._ft.QADD
+
+        def images(Z):
+            hi, lo = self._halves_of(Z)
+            lanes = his.take(hi)
+            lanes += los.take(lo)
+            Q = QADD.take(lanes[..., None].view(np.uint16))
+            return self._rank(np.multiply(Q[..., 0], q2, dtype=np.uint16) + Q[..., 1],
+                              np.multiply(Q[..., 2], q2, dtype=np.uint16) + Q[..., 3])
+        return blocked(READ_BLOCK, images, Z)
+
+    def _polar_reads(self, W, read):
+        """read[B(z, w)] for the elements z, as a function of element arrays
+        Z, at the fixed element W; B(z, w) is the trace of z w^-1.  B is
+        linear in z: one digit read at the hi from a q^4 table, plus one at
+        the lo, through ADD and read composed."""
+        q4 = self.q ** 4
+        t = _polar_form(self._ft, self._basis, self.lift(W))
+        # B of the high halves times q, to index ADD
+        F, G = t[:q4] * self.q, t[q4:]
+        table = read.take(self._ft.ADD)
+
+        def reads(Z):
+            hi, lo = self._halves_of(Z)
+            return table.take(F.take(hi) + G.take(lo))
+        return reads
+
     def _trace_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """The canonical labels of the trace classes, and at each trace t
         the first element after the identity whose trace is t up to sign;
         both computed once per loop."""
         if self._traces is None:
-            NEG = self._ft.NEG
-            hi, lo = self._halves.T
+            t = np.arange(self.q, dtype=np.uint8)
             # -t = t in characteristic 2, so the minimum is t itself for even q
-            trace = self._ft.add(hi // self.q ** 3, lo % self.q)
-            trace = np.minimum(trace, NEG.take(trace))
+            signless = np.minimum(t, self._ft.NEG)
+            # the trace a + b is the polar form with the identity
+            trace = blocked(READ_BLOCK, self._polar_reads(np.int64(0), signless),
+                            np.arange(self.n))
             raw = trace.astype(np.int64) + 1
             raw[0] = 0
-            values, first = np.unique(trace[1:], return_index=True)
-            rep = np.zeros(self.q, dtype=np.int64)
-            rep[values] = first + 1
-            t = np.arange(self.q)
-            self._traces = canonical_labels(raw)[0], rep[np.minimum(t, NEG[t])]
+            rep = first_members(trace[1:], self.q) + 1
+            self._traces = canonical_labels(raw)[0], rep[signless]
         return self._traces
 
     def invariant_partition(self) -> np.ndarray:
@@ -314,23 +413,25 @@ class PaigeLoop(LoopStructure):
         return self._trace_classes()[0]
 
     def _polar_kernel(self, V, U) -> np.ndarray:
-        ft, A, B = self._ft, self.lift(V), self.lift(U)
-        # alpha_v.beta_u + beta_v.alpha_u, then a_v b_u + b_v a_u minus it
-        dot = ft.add(ft.add(ft.madd(A[1], B[4], A[2], B[5]),
-                            ft.madd(A[3], B[6], A[4], B[1])),
-                     ft.madd(A[5], B[2], A[6], B[3]))
-        trace = ft.sub(ft.madd(A[0], B[7], A[7], B[0]), dot)
+        trace = _polar_form(self._ft, self.lift(V), self.lift(U))
         return np.where(V == U, 0, self._trace_classes()[1].take(trace))
 
     def invariant_div_vec(self, V, U) -> np.ndarray:
         """An element in the trace class of V / U, read from the polar form
         of the norm.  For a unit u = [c, gamma; delta, d], u^-1 is
-        [d, -gamma; -delta, c], so the trace of v u^-1 is
-        a d + b c - alpha.delta - beta.gamma: four MADD and three ADD/SUB
-        lookups on the broadcast digits, in blocks above BLOCK_PRODUCTS,
-        with no product and no rank.  V == U gives the identity; any other
-        pair the first element of its trace class."""
-        return blocked(BLOCK_PRODUCTS, self._polar_kernel, V, U)
+        [d, -gamma; -delta, c], so the trace of v u^-1 is the polar form
+        B(v, u) = a d + b c - alpha.delta - beta.gamma, with no product and
+        no rank.  B is symmetric, and linear in v for a fixed u: a row or
+        column, one side a scalar, is read from half-code tables
+        (_polar_reads) in blocks of READ_BLOCK, and two arrays from their
+        broadcast digits, in blocks above BLOCK_PRODUCTS.  V == U gives the
+        identity; any other pair the first element of its trace class."""
+        if np.ndim(V) == 0:
+            V, U = U, V
+        if np.ndim(U):
+            return blocked(BLOCK_PRODUCTS, self._polar_kernel, V, U)
+        reads = self._polar_reads(U, self._trace_classes()[1])
+        return blocked(READ_BLOCK, lambda Z: np.where(Z == U, 0, reads(Z)), V)
 
     def scheme_source(self) -> dict:
         return {"kind": "paige-loop-scheme", "q": self.q}

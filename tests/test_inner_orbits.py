@@ -3,21 +3,27 @@ and the blocked products and dense builds behind them."""
 
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import schemeforge
 from schemeforge import loopcore
 from schemeforge.chartab import (closed_form_mstar, compare_tables,
-                                 compute_character_table)
+                                 compute_character_table, verify_orthogonality)
 from schemeforge.cli import _load_scheme
 from schemeforge.config import RunConfig
 from schemeforge.errors import CapExceeded, CertificationFailed, NotAScheme
+from schemeforge.gf import field_for
 from schemeforge.loopcore import (BLOCK_PRODUCTS, TableLoop, inner_orbits,
                                   loop_from_group, loop_scheme)
 from schemeforge.permgroup import psl2, symmetric
-from schemeforge.scheme import intersection_numbers
+from schemeforge.scheme import first_members, intersection_numbers
 from schemeforge.zorn import PaigeLoop, build_paige_loop, paige_loop_order
 
 
@@ -217,15 +223,41 @@ def test_inner_orbit_reports_are_pinned(q, seed, samples, rounds):
     assert got == (TRACE_CLASSES[q], samples, rounds, "exact")
 
 
-def test_inner_maps_run_in_lifted_blocks():
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_bounded_rounds_equal_inner_maps_on_lifted_points(q):
+    # a round's one inner map is read from its images of the half-basis
+    # rows; at every point it must equal the map on the lifted point, ranked
+    loop = build_paige_loop(q, element_cap=paige_loop_order(q))
+    rng = np.random.default_rng(700 + q)
+    # every point up to M*(5), n = 39000, above LIFT_BLOCK; then 40000 of them
+    Z = np.arange(loop.n) if loop.n < 50_000 else rng.integers(0, loop.n, 40_000)
+    for kind in range(3):
+        x, y = (np.int64(v) for v in rng.integers(0, loop.n, 2))
+        X, Y = loop.lift(x), loop.lift(y)
+        want = loopcore.blocked(
+            loopcore.LIFT_BLOCK,
+            lambda P: loop.index(loopcore._inner_word(loop, kind, X, Y, loop.lift(P))), Z)
+        got = loopcore._sampled_inner_images(loop, kind, x, y, Z)
+        assert got.dtype == np.int64 and np.array_equal(got, want), kind
+
+
+def test_bounded_rounds_and_reads_multiply_no_points():
+    # the trace-bounded refinement multiplies only the 2 q^4 half-basis
+    # rows, and neither it nor the scan's row and column reads lift a point
     loop = build_paige_loop(5)
     assert loop.n == 39_000 > loopcore.LIFT_BLOCK
-    sizes = []
-    times = loop.times
+    sizes, lifted = [], []
+    times, lift = loop.times, loop.lift
     loop.times = lambda A, B: sizes.append(np.broadcast(A[0], B[0]).size) or times(A, B)
+    loop.lift = lambda I: lifted.append(np.size(I)) or lift(I)
     report = inner_orbits(loop, policy="randomized")
     assert report.certificate == "exact"
-    assert max(sizes) == loopcore.LIFT_BLOCK
+    assert max(sizes) == 2 * 5 ** 4 and max(lifted) == 1
+    scheme = loop_scheme(loop, report)
+    sizes.clear()
+    lifted.clear()
+    intersection_numbers(scheme)
+    assert sizes == [] and max(lifted) == 1
 
 
 def test_orbital_record_survives_json(paige2):
@@ -316,3 +348,68 @@ def test_mstar8_reaches_closed_form():
     # true quotients v / u agrees with them
     Z = np.arange(loop.n)
     assert np.array_equal(scheme.rel_row(1), report.class_of[loop.right_div_vec(Z, 1)])
+
+
+def _mstar_valency(spec, t: int) -> int:
+    """The size of the M*(q) trace class of t, odd q: SL(2, q)'s class
+    sizes at q^3 in place of q, halved at trace 0."""
+    q3, two = spec.q ** 3, spec.add(1, 1)
+    if t in (two, spec.neg(two)):
+        return q3 * q3 - 1
+    disc = spec.sub(spec.mul(t, t), spec.mul(two, two))
+    split = disc in {spec.mul(x, x) for x in range(1, spec.q)}
+    k = q3 * (q3 + 1) if split else q3 * (q3 - 1)
+    return k // 2 if t == 0 else k
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_trace_class_sizes_follow_the_dilated_rule(q):
+    loop = build_paige_loop(q, element_cap=paige_loop_order(q))
+    labels = loop.invariant_partition()
+    firsts = first_members(labels, int(labels.max()) + 1)
+    traces = [loop.spec.add(int(D[0]), int(D[7])) for D in loop.lift(firsts).T]
+    want = [1] + [_mstar_valency(loop.spec, t) for t in traces[1:]]
+    assert np.bincount(labels).tolist() == want
+
+
+def _mstar11_report() -> dict:
+    """M*(11) from the build to a character table, in this process."""
+    t0 = time.perf_counter()
+    loop = build_paige_loop(11, element_cap=paige_loop_order(11))
+    report = inner_orbits(loop, policy="randomized")
+    inter = intersection_numbers(loop_scheme(loop, report))
+    table = compute_character_table(inter)
+    elapsed = time.perf_counter() - t0
+    firsts = first_members(report.class_of, report.n_classes)
+    traces = [loop.spec.add(int(D[0]), int(D[7])) for D in loop.lift(firsts).T]
+    return {
+        "elapsed_s": elapsed,
+        "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "certificate": report.certificate,
+        "orthogonal": verify_orthogonality(table).passed,
+        "commutes": inter.commutes,
+        "row_sums": inter.tensor.sum(axis=2)[0].tolist(),
+        "valencies": inter.valencies.tolist(),
+        "traces": traces,
+    }
+
+
+# about 10 s and 900 MB on 2 vCPUs; the peak is reached in the refinement
+@pytest.mark.slow
+def test_mstar11_reaches_a_certified_table():
+    src = os.path.dirname(os.path.dirname(schemeforge.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
+    script = ("import json, test_inner_orbits; "
+              "print(json.dumps(test_inner_orbits._mstar11_report()))")
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["certificate"] == "exact" and got["orthogonal"] and got["commutes"]
+    assert got["row_sums"] == got["valencies"]
+    spec = field_for(11)
+    want = [1] + [_mstar_valency(spec, t) for t in got["traces"][1:]]
+    assert got["valencies"] == want
+    assert sorted(want) == [1, 885115, 1770230, 1770230, 1771560, 1772892, 1772892]
+    assert got["elapsed_s"] < 45.0, got["elapsed_s"]
+    assert got["peak_mb"] < 1100, got["peak_mb"]

@@ -11,7 +11,9 @@ import schemeforge
 from schemeforge.chartab import compute_character_table
 from schemeforge.errors import CapExceeded, ParseError
 from schemeforge.gf import field_for
-from schemeforge.loopcore import inner_orbits, loop_scheme
+from schemeforge.loopcore import (BLOCK_PRODUCTS, LIFT_BLOCK, blocked, inner_orbits,
+                                  loop_scheme)
+from schemeforge.permgroup import canonical_labels
 from schemeforge.scheme import intersection_numbers
 from schemeforge.zorn import (PaigeLoop, _FieldTables, _zorn_product_digits,
                               build_paige_loop, paige_loop_order)
@@ -333,7 +335,10 @@ class _FrozenPaigeLoop(PaigeLoop):
     lifted elements are digit rows, as a PaigeLoop's, but its times, ldiv
     and rdiv run the frozen product and its index is the lookup, so the
     derived index-level ops and the words in loopcore run on them too.  It
-    is built from digit rows, whose half-codes it passes to PaigeLoop."""
+    applies an inner map by lifting every point, reads its trace classes
+    from its own digit rows and its relations from true quotients, so no
+    half-code table of PaigeLoop takes part.  It is built from digit rows,
+    whose half-codes it passes to PaigeLoop."""
 
     def __init__(self, spec, elems):
         digits = np.asarray(elems, dtype=np.uint8).T
@@ -367,6 +372,19 @@ class _FrozenPaigeLoop(PaigeLoop):
 
     def rdiv(self, A, B):
         return self.times(A, self._frozen_inverse(B))
+
+    def fixed_map_images(self, word, Z):
+        return blocked(LIFT_BLOCK, lambda P: self.index(word(self.lift(P))), Z)
+
+    def invariant_partition(self):
+        E = self.elems.astype(np.int64)
+        trace = self._old.ADD[E[:, 0], E[:, 7]]
+        raw = np.minimum(trace, self._old.NEG[trace]) + 1
+        raw[0] = 0
+        return canonical_labels(raw)[0]
+
+    def invariant_div_vec(self, V, U):
+        return self.right_div_vec(V, U)
 
     def inv_array(self):
         if self._inv_of is None:
@@ -507,9 +525,33 @@ def test_polar_form_division_keeps_the_trace_class(q):
     assert same_class(V[:200, None], U[:300])       # a broadcast grid
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_polar_reads_from_half_codes_equal_the_lifted_form(q):
+    # a row or column, one side a scalar, is read from q^4 tables of the
+    # polar form at the half-codes; it gives the element the lifted digits
+    # give, point for point, the identity included
+    loop = build_paige_loop(q, element_cap=paige_loop_order(q))
+    Z = np.arange(loop.n)
+
+    def lifted(V, U):
+        return blocked(BLOCK_PRODUCTS, loop._polar_kernel, V, U)
+
+    rng = np.random.default_rng(600 + q)
+    for x in [0, 1, *rng.integers(2, loop.n, 2).tolist()]:
+        x = np.int64(x)
+        row = loop.invariant_div_vec(Z, x)
+        assert row.dtype == np.int64 and np.array_equal(row, lifted(Z, x))
+        assert row[x] == 0
+        assert np.array_equal(loop.invariant_div_vec(x, Z), lifted(x, Z))
+        for y in (x, np.int64(rng.integers(0, loop.n))):
+            assert loop.invariant_div_vec(x, y) == lifted(x, y)
+    assert loop.invariant_div_vec(np.int64(5), np.int64(5)) == 0
+
+
 def test_mstar3_pipeline_matches_frozen_kernel():
     loop = build_paige_loop(3)
     frozen = _FrozenPaigeLoop(loop.spec, _frozen_elems(3))
+    assert np.array_equal(frozen.invariant_partition(), loop.invariant_partition())
     reports = [inner_orbits(lp, policy="randomized") for lp in (loop, frozen)]
     assert reports[0].class_of.tobytes() == reports[1].class_of.tobytes()
     assert reports[0].samples == reports[1].samples
