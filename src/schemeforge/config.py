@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 DEFAULT_SEED = 0xA55C
 
 # size caps
-DEFAULT_ELEMENT_CAP = 50_000          # loop elements
+DEFAULT_ELEMENT_CAP = 50_000          # loop elements, checked at the build: bounds whole-loop reads
 DEFAULT_CLOSURE_CAP = 200_000         # group closure
 DEFAULT_RELATION_CAP = 300_000_000    # n^2 entries of a relation
 MOUFANG_EXHAUSTIVE_LIMIT = 150        # exhaustive identity checks allowed up to this size

@@ -9,15 +9,15 @@ that need every product take the n x n grid of mul_vec.  Words of several
 products (the sampled Moufang and associativity checks, the per-point
 inner maps of a refinement without an invariant) lift each operand once
 and turn only the results that are compared or kept back into indices.
-For M*(q) a lifted element is its eight digits, so a word pays one gather
+For M*(q) a lifted element is its eight digits, so a word pays one unrank
 per operand and one rank per result, not one of each per product; for
 other loops lifting is the identity.  A round that applies one inner map
 to every point goes to the loop's fixed_map_images: M*(q) evaluates the
 map, linear in the point's digits, on its 2 q^4 half-basis rows only and
 reads each point's image from its half-codes.  blocked runs loop work in
 row blocks: BLOCK_PRODUCTS entries for index-level ops and the M*(q)
-build, LIFT_BLOCK points for lifted words; M*(q) reads its half-code
-tables in blocks of its own.
+enumeration, LIFT_BLOCK points for lifted words; M*(q) unranks and reads
+its half-code tables in blocks of its own.
 The scheme relation is rel(u, v) = class of v / u, where the classes are
 the orbits of the inner mapping group Inn(L), the stabilizer of the
 identity inside the multiplication group Mlt(L) generated by all left and
@@ -59,7 +59,7 @@ PAIR_ORBIT_LIMIT = 256      # largest loop the exact pair-orbit policy takes
 ROUND_BUDGET = 64           # refinement rounds before the refinement gives up
 QUIET_ROUNDS = 3            # rounds in a row without a merge before a sampled check
 VERIFY_SEED_OFFSET = 101    # certificate seed offset from the sampling seed
-BLOCK_PRODUCTS = 1 << 16    # entries per block of an index-level op or the build
+BLOCK_PRODUCTS = 1 << 16    # entries per block of an index-level op or an enumeration
 LIFT_BLOCK = 1 << 15        # points per block of a lifted word: checks and refinement
 
 

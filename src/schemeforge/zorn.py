@@ -16,18 +16,21 @@ of order q^3 (q^4 - 1) / gcd(2, q - 1).
 A matrix's digit row is its eight base-q digits (a, alpha1, alpha2,
 alpha3, beta1, beta2, beta3, b); a row packs into a single integer code
 with digit 'a' most significant, so lexicographic order on rows equals
-numeric order on codes.  Loop elements are stored by the two halves of
-that code (below): one uint32 word per element, read as (hi, lo) uint16
-pairs.
+numeric order on codes.  A loop element is its index, which maps to and
+from the two halves of its code (below) in closed form; only a pass that
+reads the whole loop holds every element's halves, one uint32 word each,
+read as (hi, lo) uint16 pairs.
 
 A vector matrix is only ever such a digit row, or one column of eight
 uint8 digit arrays inside a kernel; no object wraps a single matrix.
 Products run on flat uint8 field tables: ADD and SUB indexed by x*q + y,
 and the fused tables MADD[a,b,c,d] = ab + cd and MSUB[a,b,c,d] = ab - cd
-indexed by ((a*q + b)*q + c)*q + d.  Every digit of a product is one ADD
-or SUB of two fused lookups, 24 lookups per product; the same tables give
-determinants, inverses and half-codes.  Digits are uint8, so the indices
-fit uint8 and uint16 for every q <= 16.
+indexed by ((a*q + b)*q + c)*q + d.  Every digit of a product is a sum
+of two fused terms, read as one lookup of MADD pre-scaled by q^4 and one
+of an accumulate table XMADD or XMSUB at x*q^4 + i, 16 lookups per
+product; the same tables give determinants, inverses and half-codes.
+Digits are uint8, so the indices fit uint8 and uint16 for every q <= 16,
+and the accumulate indices uint32.
 
 A code splits into two half-codes of q^4 values, hi = (a, alpha) and
 lo = (beta, b).  For hi != 0, ab - alpha.beta = 1 is one linear equation in
@@ -41,19 +44,22 @@ free-digit rank in the row of k.  For odd q, hi != 0 is never its own
 negation, so an element is stored by the sign whose high half is below
 NEG4[hi] (NEG4 maps each half-code to that of its negated digits); a code
 of the other sign points through OFF to a row of ranks of negated low
-halves and through BASE to its negation's block.  The build enumerates the
-same order: for each representative hi ascending it solves digit k over
-the q^3 free-digit grid, and writes lo as the free digits' code plus
-digit k times its place value.  No table of size q^8 exists.  Lifting
-gathers an element's 4-byte word and turns each half-code into its four
-digits through one q^4 table of 4-byte digit words.
+halves and through BASE to its negation's block.  Unranking inverts this:
+apart from the identity, which comes first, an index is the position r
+q^3 + f in code order, r the representative's number and f the position
+of the free digits; lo is the free digits' code plus digit k, solved from
+q^4-sized tables of the representatives, times its place value.  The
+enumeration of the whole loop is the same solve over each
+representative's q^3 free-digit grid.  No table of size q^8 exists.
+Lifting unranks and turns each half-code into its four digits through
+one q^4 table of 4-byte digit words.
 
 The digit rows are the loop's lifted elements: a word of several products
-and divisions gathers each operand's digits once, multiplies in digit
-space and ranks only its result.  Signs need no care on the way: the
-product is bilinear and the inverse [-b, alpha; beta, -a] linear, so an
-intermediate of either sign leads to a result of either sign, and both
-signs rank to the same index.
+and divisions unranks each operand once, multiplies in digit space and
+ranks only its result.  Signs need no care on the way: the product is
+bilinear and the inverse [-b, alpha; beta, -a] linear, so an intermediate
+of either sign leads to a result of either sign, and both signs rank to
+the same index.
 
 A map applied to every element with its other operands fixed is often
 GF(q)-linear in the element's digits: an inner map T(x), L(x, y) or
@@ -96,8 +102,9 @@ def paige_loop_order(q: int) -> int:
 
 
 KERNEL_MAX_Q = 16   # pair indices x*q + y fit in uint8, quadruple indices in uint16
-# elements per block of a half-code table read: numpy's intp copies of a
-# block's indices stay within 256 KB, in cache, and add nothing to the peak
+# elements per block of an unrank or a half-code table read: numpy's intp
+# copies of a block's indices stay within 256 KB, in cache, and add nothing
+# to the peak
 READ_BLOCK = 1 << 13
 
 
@@ -121,8 +128,10 @@ class _FieldTables:
     and INV hold -x and 1/x at x (INV[0] = 0), NEG4 the half-code of
     the four negated digits at each half-code, and QADD the digit-wise sum
     of two quarter codes x = (x0, x1) and y, x0*q + x1 and y0*q + y1, at
-    x*q^2 + y.  Arguments are uint8 digit arrays (or numpy scalars) that
-    broadcast against each other.
+    x*q^2 + y.  The accumulate tables XMADD and XMSUB hold x + MADD[i] and
+    x + MSUB[i] at x*q^4 + i, and MADD4 holds MADD[i]*q^4 (uint32) at i, so
+    a sum or difference of two fused terms is two lookups.  Arguments are
+    uint8 digit arrays (or numpy scalars) that broadcast against each other.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -137,6 +146,9 @@ class _FieldTables:
         self.MUL = ab = spec.mul_t.ravel()
         self.MADD = spec.add_t[ab[:, None], ab].ravel()
         self.MSUB = spec.sub_t[ab[:, None], ab].ravel()
+        self.MADD4 = self.MADD.astype(np.uint32) * q ** 4
+        self.XMADD = spec.add_t[:, self.MADD].ravel()
+        self.XMSUB = spec.add_t[:, self.MSUB].ravel()
         D = _half_digits(q)
         self.NEG4 = _quad_index(q, *self.NEG.take(D))
         self.QADD = self.add(D[0], D[2]) * q + self.add(D[1], D[3])
@@ -156,6 +168,12 @@ class _FieldTables:
     def msub(self, a, b, c, d):
         return self.MSUB.take(_quad_index(self.q, a, b, c, d))
 
+    def accumulate(self, X, i, j):
+        """MADD at i plus X at j, X being XMADD (for + MADD[j]) or XMSUB (for
+        + MSUB[j]), for quadruple indices i and j."""
+        # uint32: the index reaches q^5 > 2^16, also for scalars under older numpy
+        return X.take(np.add(self.MADD4.take(i), j, dtype=np.uint32, casting="unsafe"))
+
     def det(self, D):
         """ab - alpha.beta of the digit rows D = (a, alpha, beta, b)."""
         return self.sub(self.msub(D[0], D[7], D[1], D[4]),
@@ -172,21 +190,22 @@ def _zorn_product_digits(ft: _FieldTables, A, B):
 
     A and B are sequences of eight broadcast-compatible uint8 digit arrays
     in the order (a, alpha, beta, b); returns the product's eight digit
-    arrays.  Each output digit is one ADD or SUB of two fused MADD/MSUB
-    lookups, 24 lookups per product.
-    """
+    arrays.  Each output digit is a fused MADD term plus a fused MADD or
+    MSUB term, one MADD4 and one XMADD or XMSUB lookup: 16 lookups per
+    product.  A difference MADD - MSUB[ab - cd] is read as MADD + MSUB[cd -
+    ab]."""
     a, al, be, b = A[0], A[1:4], A[4:7], A[7]
     c, ga, de, d = B[0], B[1:4], B[4:7], B[7]
-    e = ft.add(ft.madd(a, c, al[0], de[0]), ft.madd(al[1], de[1], al[2], de[2]))
-    f = ft.add(ft.madd(be[0], ga[0], be[1], ga[1]), ft.madd(be[2], ga[2], b, d))
+    quad = functools.partial(_quad_index, ft.q)
+    acc, XMADD, XMSUB = ft.accumulate, ft.XMADD, ft.XMSUB
+    e = acc(XMADD, quad(a, c, al[0], de[0]), quad(al[1], de[1], al[2], de[2]))
+    f = acc(XMADD, quad(be[0], ga[0], be[1], ga[1]), quad(be[2], ga[2], b, d))
     top, bot = [], []
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
         # a gamma + d alpha - beta x delta  and  c beta + b delta + alpha x gamma
-        top.append(ft.sub(ft.madd(a, ga[k], d, al[k]),
-                          ft.msub(be[i], de[j], be[j], de[i])))
-        bot.append(ft.add(ft.madd(c, be[k], b, de[k]),
-                          ft.msub(al[i], ga[j], al[j], ga[i])))
+        top.append(acc(XMSUB, quad(a, ga[k], d, al[k]), quad(be[j], de[i], be[i], de[j])))
+        bot.append(acc(XMSUB, quad(c, be[k], b, de[k]), quad(al[i], ga[j], al[j], ga[i])))
     return (e, *top, *bot, f)
 
 
@@ -212,12 +231,13 @@ def _representatives(ft: _FieldTables) -> tuple[np.ndarray, int]:
     """The elements' high half-codes, ascending: every hi != 0 for even q,
     the smaller of hi and its negation for odd q; and the identity's place
     in code order, after the q^3 codes of each representative below q^3."""
-    reps = np.flatnonzero(np.arange(ft.q ** 4) <= ft.NEG4)[1:]
+    reps = np.flatnonzero(np.arange(ft.q ** 4) <= ft.NEG4)[1:].astype(np.uint16)
     q3 = ft.q ** 3
     return reps, q3 * int(np.searchsorted(reps, q3))
 
 
-def _rank_tables(ft: _FieldTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rank_tables(ft: _FieldTables, reps: np.ndarray,
+                 ident_at: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BASE, OFF and RANKS with BASE[hi] + RANKS[OFF[hi] + lo] the index of
     the element whose code, up to sign for odd q, has halves hi and lo.
 
@@ -229,7 +249,6 @@ def _rank_tables(ft: _FieldTables) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one below the identity."""
     q = ft.q
     q3, q4 = q ** 3, q ** 4
-    reps, ident_at = _representatives(ft)
     lo = _half_digits(q).astype(np.int32)
     plain = np.empty((5, q4), dtype=np.int32)
     for k in range(4):
@@ -252,48 +271,126 @@ class PaigeLoop(LoopStructure):
 
     Element 0 is the identity matrix; the remaining elements are sorted by
     their packed digit code.  For odd q each element is stored by the
-    lexicographically smaller of the two sign representatives.  The loop
-    holds each element as its half-codes (hi, lo), 4 bytes; an index is
-    the closed-form rank of a code over q^4 tables, and the rank of either
-    sign is the element's index, so products need no canonicalization pass.
-    The loop holds no multiplication table and no table of inverses.  It
-    defines the five lifted operations, on digit rows: lift derives them
-    from the half-codes, times is the Zorn kernel, ldiv and rdiv multiply
-    by the digit-space inverse (two NEG lookups), and index is the rank.
-    Its index-level ops are the ones LoopStructure derives from these.
-    A map linear in the element, one inner map of a refinement round
-    (fixed_map_images) or the polar form of a row or column read
+    lexicographically smaller of the two sign representatives.  An element
+    is its index: _unrank gives its half-codes (hi, lo) in closed form over
+    q^4 tables, and _rank, the closed-form rank of a code, gives the index
+    back, at either sign, so products need no canonicalization pass.  The
+    loop holds no multiplication table, no table of inverses, and until a
+    pass reads the whole loop no array of its n elements.  It defines the
+    five lifted operations, on digit rows: lift unranks and turns the
+    half-codes into digits, times is the Zorn kernel, ldiv and rdiv
+    multiply by the digit-space inverse (two NEG lookups), and index is the
+    rank.  Its index-level ops are the ones LoopStructure derives from
+    these.  A map linear in the element, one inner map of a refinement
+    round (fixed_map_images) or the polar form of a row or column read
     (invariant_div_vec), is evaluated on the half-basis rows and read at
-    each element from its half-codes.
-    The half-codes, an (n, 2) array, must be those of _unit_halves, in
-    its order.
+    each element from its half-codes, taken from _codes, every element's
+    4-byte word, which the enumeration builds at the first such read.
     """
 
-    def __init__(self, spec: FieldSpec, halves: np.ndarray):
+    def __init__(self, spec: FieldSpec):
         self.spec = spec
-        self.q = spec.q
-        self._ft = _FieldTables(spec)
-        # each element's (hi, lo) half-codes as one 4-byte word: one gather per element
-        self._codes = np.ascontiguousarray(halves, dtype=np.uint16).view(np.uint32).ravel()
-        self.n = self._codes.shape[0]
-        self._halves = self._codes.view(np.uint16).reshape(self.n, 2)
+        self.q = q = spec.q
+        self._ft = ft = _FieldTables(spec)
+        self.n = paige_loop_order(q)
         # each half-code's four digits as one 4-byte word
-        self._digit_words = np.ascontiguousarray(_half_digits(self.q).T).view(np.uint32).ravel()
-        self._base, self._off, self._ranks = _rank_tables(self._ft)
+        self._digit_words = np.ascontiguousarray(_half_digits(q).T).view(np.uint32).ravel()
+        self._reps, self._ident_at = _representatives(ft)
+        self._base, self._off, self._ranks = _rank_tables(ft, self._reps, self._ident_at)
+        # each representative's unit equation, solved for its pivot digit k
+        # (_pivots): x_k = S / c_k with S = 1 + sum_{j<k} alpha_{j+1}
+        # beta_{j+1} and c_k = a for k = 3, else -alpha_{k+1}.  The digits
+        # before k are the first free digits g, so with the alpha digits at
+        # and after k masked, x_k = w1 g1 + w2 g2 + w3 g3 + 1/c_k for w =
+        # alpha / c_k, at every pivot; a 4-byte word holds (w1, w2, w3, 1/c_k)
+        q3, R = q ** 3, self._reps.shape[0]
+        half = _half_digits(q)
+        H = half[:, self._reps]
+        pivot = _pivots(q)[self._reps]
+        coef = H[(pivot + 1) % 4, np.arange(R)]
+        inv = ft.INV.take(np.where(pivot == 3, coef, ft.NEG.take(coef)))
+        alpha = np.where(np.arange(3)[:, None] < pivot, H[1:], 0).astype(np.uint8)
+        self._solve = np.stack([*ft.mul(alpha, inv), inv], axis=1).view(np.uint32).ravel()
+        # the low halves with digit k zero, in the order of the other three
+        # digits, at k q^3 + their position; and for each representative
+        # the uint16 pair (k q^3, place value of digit k) as a 4-byte word
+        self._free = np.concatenate([np.flatnonzero(half[k] == 0) for k in range(4)]
+                                    ).astype(np.uint16)
+        place = np.array([q3, q * q, q, 1], dtype=np.uint16)
+        pivot_at = np.stack([pivot * q3, place[pivot]], axis=1).astype(np.uint16)
+        self._pivot_at = pivot_at.view(np.uint32).ravel()
         self._traces: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _unit_pairs(self, r, f) -> np.ndarray:
+        """Half-code pairs (hi, lo), uint16 on a trailing axis, of the unit
+        codes of the r-th representative high half at free-digit positions
+        f, broadcast: the free digits are those of f, and the pivot digit
+        is solved through one MADD4 and one XMADD lookup."""
+        q, ft = self.q, self._ft
+        w = self._solve.take(r)[..., None].view(np.uint8)
+        # f read as a half-code: digits (0, g1, g2, g3), the free digits,
+        # copied to contiguous rows, as they broadcast over the representatives
+        g = np.moveaxis(self._digit_words.take(f)[..., None].view(np.uint8), -1, 0).copy()
+        x = ft.accumulate(ft.XMADD, _quad_index(q, w[..., 0], g[1], w[..., 1], g[2]),
+                          _quad_index(q, w[..., 2], g[3], w[..., 3], 1))
+        at = self._pivot_at.take(r)[..., None].view(np.uint16)
+        lo = self._free.take(at[..., 0] + f) + x * at[..., 1]
+        # allocated after the temporaries: the result outlives them
+        pairs = np.empty(lo.shape + (2,), dtype=np.uint16)
+        pairs[..., 0] = self._reps.take(r)
+        pairs[..., 1] = lo
+        return pairs
+
+    def _unrank(self, I) -> np.ndarray:
+        """Half-code pairs (hi, lo), uint16 on a trailing axis, of the
+        elements I, in blocks of READ_BLOCK: the code at position r q^3 + f
+        in code order is the r-th representative's at free-digit position
+        f, and the identity, at index 0, comes from the place where code
+        order has it.  Indices outside 0..n-1 raise IndexError."""
+        I = np.asarray(I)
+        if I.size and (I.min() < 0 or I.max() >= self.n):
+            bad = I[(I < 0) | (I >= self.n)].flat[0]
+            raise IndexError(f"element index {bad} is outside 0..{self.n - 1} "
+                             f"of M*({self.q})")
+        q3, ident_at = self.q ** 3, self._ident_at
+
+        def pairs(I):
+            # indices 1..ident_at sit one place lower in code order
+            position = np.subtract(I, I <= ident_at, out=np.empty(I.shape, dtype=np.int64))
+            position[I == 0] = ident_at
+            r = position // q3
+            position -= r * q3
+            return self._unit_pairs(r, position)
+        return blocked(READ_BLOCK, pairs, I)
+
+    @functools.cached_property
+    def _codes(self) -> np.ndarray:
+        """Each element's (hi, lo) half-codes as one 4-byte word, in index
+        order: the enumeration, for passes that read the whole loop.  Made
+        at its first use.
+
+        For each representative, ascending, _unit_pairs runs over the
+        whole free-digit grid, in blocks; the identity then moves to index
+        0."""
+        out = blocked(BLOCK_PRODUCTS, self._unit_pairs,
+                      np.arange(self._reps.shape[0])[:, None], np.arange(self.q ** 3))
+        codes = out.view(np.uint32).reshape(-1)
+        ident = codes[self._ident_at]
+        codes[1:self._ident_at + 1] = codes[:self._ident_at]
+        codes[0] = ident
+        return codes
 
     @property
     def elems(self) -> np.ndarray:
         """Digit rows (n, 8) uint8 of the elements, derived from the
         half-codes at each read."""
-        return self._digit_words.take(self._halves).view(np.uint8)
+        return self._digit_words.take(self._codes[:, None].view(np.uint16)).view(np.uint8)
 
     # loop interface: digit rows are the lifted elements
 
     def lift(self, I) -> np.ndarray:
         """Digit rows (8,) + shape(I) of the elements I, as uint8."""
-        halves = self._codes.take(I)[..., None].view(np.uint16)
-        rows = self._digit_words.take(halves).view(np.uint8)
+        rows = self._digit_words.take(self._unrank(I)).view(np.uint8)
         return np.ascontiguousarray(np.moveaxis(rows, -1, 0))
 
     def index(self, D) -> np.ndarray:
@@ -468,7 +565,7 @@ class PaigeLoop(LoopStructure):
             where = "" if i is None else f"element {i} is {elements[i]!r}: "
             raise ParseError(f"{where}elements must be rows of eight integer base-q digits")
         # indices are ranks, so only the canonical rows in their order will do
-        loop = cls(spec, _unit_halves(_FieldTables(spec)))
+        loop = cls(spec)
         differ = np.flatnonzero(np.any(elems != loop.elems, axis=1))
         if differ.shape[0]:
             i = int(differ[0])
@@ -482,52 +579,6 @@ class PaigeLoop(LoopStructure):
         return f"PaigeLoop(q={self.q}, order={self.n})"
 
 
-def _unit_halves(ft: _FieldTables) -> np.ndarray:
-    """Half-codes (n, 2) uint16, (hi, lo) in each row, of the unit
-    matrices, the smaller sign representative for odd q, identity first and
-    then by ascending code.
-
-    For each representative high half (a, alpha), ascending, the q^3 low
-    halves solve lo . (-alpha1, -alpha2, -alpha3, a) = 1 for digit k, the
-    pivot: x_k = S / c_k with S = 1 + sum_{j<k} alpha_{j+1} beta_{j+1}, the
-    free digits running through their grid in mixed-radix order.  Masking
-    the alpha digits at and after k gives every pivot the same S."""
-    q = ft.q
-    q3 = q ** 3
-    half = _half_digits(q)          # as the low half: beta1, beta2, beta3, b
-    reps, ident_at = _representatives(ft)
-    pivot = _pivots(q)[reps]
-    H = half[:, reps]
-    # c_k is a for k = 3, else -alpha_{k+1}
-    coef = H[(pivot + 1) % 4, np.arange(reps.shape[0])]
-    inv = ft.INV.take(np.where(pivot == 3, coef, ft.NEG.take(coef)))
-    alpha = np.where(np.arange(3)[:, None] < pivot, H[1:], 0).astype(np.uint8)
-    grid = np.indices((q,) * 3, dtype=np.uint8).reshape(3, q3)
-    # the low halves with digit k zero, in the order of the other digits,
-    # and the place value of digit k
-    free = np.stack([np.flatnonzero(half[k] == 0) for k in range(4)]).astype(np.uint16)
-    place = np.array([q3, q * q, q, 1], dtype=np.uint16)
-
-    def units(r, *g):
-        # the (hi, lo) half-codes of the representatives r, a column, at the free digits g
-        a, k = alpha[:, r], pivot[r[:, 0]]
-        S = ft.add(ft.madd(a[0], g[0], a[1], g[1]), ft.madd(a[2], g[2], 1, 1))
-        lo = free[k] + ft.mul(S, inv[r]) * place[k, None]
-        # allocated after the temporaries: the result outlives them
-        pairs = np.empty(lo.shape + (2,), dtype=np.uint16)
-        pairs[..., 0] = reps[r]
-        pairs[..., 1] = lo
-        return pairs
-
-    out = blocked(BLOCK_PRODUCTS, units, np.arange(reps.shape[0])[:, None], *grid)
-    # the identity first, the others in code order
-    codes = out.view(np.uint32).reshape(-1)
-    ident = codes[ident_at]
-    codes[1:ident_at + 1] = codes[:ident_at]
-    codes[0] = ident
-    return codes.view(np.uint16).reshape(-1, 2)
-
-
 def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
     """Enumerate the loop of order q^3 (q^4 - 1) / gcd(2, q - 1) over GF(q)."""
     spec = field_for(q)
@@ -535,4 +586,4 @@ def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
     cap = element_cap_default() if element_cap is None else element_cap
     if n > cap:
         raise CapExceeded(f"loop of q={q} has {n} elements, above the cap {cap}")
-    return PaigeLoop(spec, _unit_halves(_FieldTables(spec)))
+    return PaigeLoop(spec)

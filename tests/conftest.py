@@ -15,13 +15,6 @@ def paige3():
 
 
 @pytest.fixture(scope="session")
-def paige3_halves(paige3):
-    """The half-codes PaigeLoop takes, (n, 2), derived from M*(3)'s digit
-    rows, for tests that build a loop of their own."""
-    return np.stack(paige3._ft.halves(paige3.elems.T), axis=1)
-
-
-@pytest.fixture(scope="session")
 def paige2_grid(paige2):
     """Every product of M*(2): paige2_grid[i, j] = i * j."""
     Z = np.arange(paige2.n)

@@ -104,8 +104,8 @@ class _SplitTraceLoop(PaigeLoop):
 
 @pytest.mark.parametrize("cls", [_MergedTraceLoop, _SplitTraceLoop],
                          ids=["merged", "split"])
-def test_wrong_invariant_is_refused(paige3, paige3_halves, cls):
-    loop = cls(paige3.spec, paige3_halves)
+def test_wrong_invariant_is_refused(paige3, cls):
+    loop = cls(paige3.spec)
     with pytest.raises(CertificationFailed):
         inner_orbits(loop, policy="randomized")
 
@@ -316,8 +316,8 @@ def test_long_products_match_short_ones():
     assert np.array_equal(loop.mul_vec(x, J), loop.mul_vec(np.full(size, x), J))
 
 
-def test_operands_reach_the_kernel_unbroadcast(paige3, paige3_halves):
-    loop = PaigeLoop(paige3.spec, paige3_halves)        # lift is wrapped below
+def test_operands_reach_the_kernel_unbroadcast(paige3):
+    loop = PaigeLoop(paige3.spec)                       # lift is wrapped below
     shapes = []
     lift = loop.lift
     loop.lift = lambda I: shapes.append(np.shape(I)) or lift(I)

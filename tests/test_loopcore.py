@@ -338,8 +338,8 @@ def test_per_point_inner_orbit_reports_are_pinned(seed, samples, rounds):
                                                                    "sampled")
 
 
-def test_moufang_identities_share_subproducts(paige3, paige3_halves):
-    loop = PaigeLoop(paige3.spec, paige3_halves)        # times is wrapped below
+def test_moufang_identities_share_subproducts(paige3):
+    loop = PaigeLoop(paige3.spec)                       # times is wrapped below
     calls = []
     times = loop.times
     loop.times = lambda A, B: calls.append(1) or times(A, B)

@@ -11,8 +11,8 @@ import schemeforge
 from schemeforge.chartab import compute_character_table
 from schemeforge.errors import CapExceeded, ParseError
 from schemeforge.gf import field_for
-from schemeforge.loopcore import (BLOCK_PRODUCTS, LIFT_BLOCK, blocked, inner_orbits,
-                                  loop_scheme)
+from schemeforge.loopcore import (BLOCK_PRODUCTS, LIFT_BLOCK, associativity_counterexample,
+                                  blocked, inner_orbits, loop_scheme, moufang_check)
 from schemeforge.permgroup import canonical_labels
 from schemeforge.scheme import intersection_numbers
 from schemeforge.zorn import (PaigeLoop, _FieldTables, _zorn_product_digits,
@@ -160,6 +160,9 @@ def test_kernel_matches_scalar_product(q):
         m1, m2 = _digits(A[:, k]), _digits(B[:, k])
         assert _digits(C[:, k]) == oracle_product(spec, m1, m2)
         assert int(det[k]) == oracle_det(spec, m1)
+    # numpy scalar digits: the accumulate index exceeds uint16 at q = 16
+    scalar = _zorn_product_digits(ft, A[:, 0], B[:, 0])
+    assert _digits(scalar) == oracle_product(spec, _digits(A[:, 0]), _digits(B[:, 0]))
 
 
 def test_kernel_refuses_fields_beyond_its_index_range():
@@ -335,14 +338,14 @@ class _FrozenPaigeLoop(PaigeLoop):
     lifted elements are digit rows, as a PaigeLoop's, but its times, ldiv
     and rdiv run the frozen product and its index is the lookup, so the
     derived index-level ops and the words in loopcore run on them too.  It
-    applies an inner map by lifting every point, reads its trace classes
-    from its own digit rows and its relations from true quotients, so no
-    half-code table of PaigeLoop takes part.  It is built from digit rows,
-    whose half-codes it passes to PaigeLoop."""
+    is built from digit rows, its elements, and lifts an element by taking
+    its row.  It applies an inner map by lifting every point, reads its
+    trace classes from its own digit rows and its relations from true
+    quotients, so no half-code table of PaigeLoop takes part."""
 
     def __init__(self, spec, elems):
-        digits = np.asarray(elems, dtype=np.uint8).T
-        super().__init__(spec, np.stack(_FieldTables(spec).halves(digits), axis=1))
+        super().__init__(spec)
+        self._rows = np.asarray(elems, dtype=np.uint8)
         self._inv_of = None
         self._old = _FrozenTables(spec)
         self._strides = self.q ** np.arange(7, -1, -1, dtype=np.int64)
@@ -352,6 +355,13 @@ class _FrozenPaigeLoop(PaigeLoop):
         if self.q % 2:
             lookup[self._old.NEG[E] @ self._strides] = np.arange(self.n, dtype=np.int32)
         self._lookup = lookup
+
+    @property
+    def elems(self):
+        return self._rows
+
+    def lift(self, I):
+        return np.ascontiguousarray(np.moveaxis(self._rows[I], -1, 0))
 
     def index(self, D):
         code = np.zeros(np.shape(D[0]), dtype=np.int64)
@@ -560,14 +570,18 @@ def test_mstar3_pipeline_matches_frozen_kernel():
     assert tables[0].P.tobytes() == tables[1].P.tobytes()
 
 
-# Each large build runs in a fresh process, which reports how far the build
-# raised the peak resident size and then checks the elements block by
-# block; M*(11) and M*(13) are beyond a q^8 lookup.
+# Each large build runs in a fresh process, which reports how far the build,
+# and then the first whole-loop read, raised the peak resident size, and
+# then checks the elements block by block; M*(11) and M*(13) are beyond a
+# q^8 lookup.
 
 def _large_build_report(q: int) -> dict:
     n = paige_loop_order(q)
     before_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     loop = build_paige_loop(q, element_cap=n)
+    built_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert "_codes" not in vars(loop)
+    loop._codes                     # the enumeration every whole-loop read starts with
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     old = _FrozenTables(loop.spec)
     assert loop.n == n and _digits(loop.lift(np.int64(0))) == IDENTITY
@@ -576,6 +590,8 @@ def _large_build_report(q: int) -> dict:
     step = 1 << 18
     for start in range(0, n, step):
         block = np.arange(start, min(start + step, n))
+        # unrank equals the enumeration at every element
+        assert np.array_equal(loop._unrank(block).view(np.uint32).ravel(), loop._codes[block])
         D = loop.lift(block)
         cols = [c.astype(np.int64) for c in D]
         codes[block] = code = _code(q, cols)
@@ -597,13 +613,14 @@ def _large_build_report(q: int) -> dict:
     want[code == codes[0]] = 0
     assert np.array_equal(codes[want], code)
     assert np.array_equal(loop.mul_vec(I, J), want)
-    return {"n": n, "growth_mb": peak_mb - before_mb}
+    return {"n": n, "build_mb": built_mb - before_mb, "growth_mb": peak_mb - before_mb}
 
 
-# Each element is held as one 4-byte word of half-codes and the build's
-# temporaries are blocked, so a build grows the peak by about 4 bytes an
-# element (q = 8: 10 MB, 11: 40 MB, 13: 124 MB); a store of 8-byte digit
-# rows grows it about twice as much and fails these bounds.
+# The build makes only tables of q^4 and q^5 entries.  The first whole-loop
+# read holds each element as one 4-byte word of half-codes, and the
+# enumeration's temporaries are blocked, so it grows the peak by about 4
+# bytes an element (q = 8: 10 MB, 11: 40 MB, 13: 124 MB); a store of
+# 8-byte digit rows grows it about twice as much and fails these bounds.
 @pytest.mark.parametrize("q,growth_mb", [
     (8, 14),
     pytest.param(11, 60, marks=pytest.mark.slow),
@@ -620,3 +637,69 @@ def test_large_builds_are_canonical_within_memory(q, growth_mb):
     report = json.loads(run.stdout)
     assert report["n"] == paige_loop_order(q)
     assert report["growth_mb"] < growth_mb
+    if q == 8:
+        assert report["build_mb"] < 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_unrank_equals_the_enumeration(q):
+    loop = build_paige_loop(q, element_cap=paige_loop_order(q))
+    pairs = loop._unrank(np.arange(loop.n))
+    assert "_codes" not in vars(loop)
+    assert pairs.dtype == np.uint16 and pairs.shape == (loop.n, 2)
+    assert np.array_equal(pairs.view(np.uint32).ravel(), loop._codes)
+    # a scalar gives one pair, and any shape its own shape
+    assert np.array_equal(loop._unrank(np.int64(loop.n - 1)), pairs[-1])
+    grid = np.arange(12).reshape(3, 4)
+    assert np.array_equal(loop._unrank(grid), pairs[grid])
+
+
+@pytest.mark.parametrize("q", [11, 13, 16])
+def test_unrank_round_trips_without_the_element_array(q):
+    # beyond the exhaustive range: random indices unrank to unit codes of
+    # the smaller sign, in code order, which rank back to the same indices
+    n = paige_loop_order(q)
+    loop = build_paige_loop(q, element_cap=n)
+    rng = np.random.default_rng(700 + q)
+    I = np.unique(np.concatenate([[0, 1, n - 1], rng.integers(0, n, 100_000)]))
+    pairs = loop._unrank(I)
+    assert np.array_equal(loop._rank(pairs[:, 0], pairs[:, 1]), I)
+    D = loop.lift(I)
+    assert np.array_equal(loop.index(D), I)
+    assert np.all(loop._ft.det(D) == 1)
+    code = _code(q, [c.astype(np.int64) for c in D])
+    assert code[0] == _code(q, IDENTITY)
+    assert np.all(np.diff(code[1:]) > 0)
+    if q % 2:
+        assert np.all(code < _code(q, [loop._ft.NEG[c].astype(np.int64) for c in D]))
+    assert "_codes" not in vars(loop)
+
+
+def test_indices_out_of_range_are_index_errors(paige3):
+    n = paige3.n
+    for bad in (-1, n):
+        with pytest.raises(IndexError, match=f"index {bad} is outside 0..{n - 1}"):
+            paige3.mul(bad, 3)
+        with pytest.raises(IndexError, match=f"index {bad} is outside"):
+            paige3.mul_vec(np.arange(5), np.array([1, 2, bad, 3, 4]))
+        with pytest.raises(IndexError, match=f"index {bad} is outside"):
+            paige3.lift(np.int64(bad))
+    assert paige3.mul(n - 1, 0) == n - 1
+
+
+def test_sampled_checks_build_no_element_array():
+    # products, divisions and the sampled checks unrank their operands; only
+    # a read of the whole loop enumerates it
+    loop = build_paige_loop(8, element_cap=paige_loop_order(8))
+    assert moufang_check(loop, samples=40_000).passed
+    assert associativity_counterexample(loop) is not None
+    I = np.arange(0, loop.n, 97)
+    assert np.array_equal(loop.left_div_vec(I, loop.mul_vec(I, 5)), np.full(I.shape, 5))
+    assert "_codes" not in vars(loop)
+    reads = [lambda lp: lp.elems, lambda lp: lp.to_json(), lambda lp: lp.invariant_partition(),
+             lambda lp: lp.invariant_div_vec(np.arange(lp.n), np.int64(4)),
+             lambda lp: lp.fixed_map_images(lambda P: P, np.arange(lp.n))]
+    for read in reads:
+        loop = build_paige_loop(3)
+        read(loop)
+        assert "_codes" in vars(loop)
