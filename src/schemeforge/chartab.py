@@ -110,6 +110,15 @@ def _lead_then_lexicographic(P: np.ndarray, lead: int) -> list[int]:
     return [lead] + [others[int(i)] for i in np.lexsort(keys.T[::-1])]
 
 
+def _intersection_numbers_of(source) -> IntersectionNumbers:
+    """The intersection numbers of a scheme, or the given ones."""
+    if isinstance(source, AssociationScheme):
+        return intersection_numbers(source)
+    if isinstance(source, IntersectionNumbers):
+        return source
+    raise TypeError("expected an AssociationScheme or IntersectionNumbers")
+
+
 def compute_character_table(source, seed: int = DEFAULT_SEED,
                             tol_eigen: float = DEFAULT_TOL_EIGEN) -> CharacterTable:
     """Character table of a commutative scheme (or of precomputed
@@ -120,12 +129,7 @@ def compute_character_table(source, seed: int = DEFAULT_SEED,
     quotient of B_j^T on row i, with the matching eigenvector of M as left
     partner.  Retries with a fresh combination when eigenvalues collide or a
     residual check fails; raises EigensolverFailure after MAX_TRIES."""
-    if isinstance(source, AssociationScheme):
-        inter = intersection_numbers(source)
-    elif isinstance(source, IntersectionNumbers):
-        inter = source
-    else:
-        raise TypeError("expected an AssociationScheme or IntersectionNumbers")
+    inter = _intersection_numbers_of(source)
     if not inter.commutes:
         raise NonCommutative("intersection matrices do not commute; "
                              "the scheme is not commutative")
@@ -267,12 +271,7 @@ def verify_candidate_table(table: CharacterTable, source,
     eigenvector of every B_j^T with eigenvalue p_j(i), and both
     orthogonality relations with the multiplicities the table itself
     carries (so rows and multiplicities cannot be paired wrongly)."""
-    if isinstance(source, AssociationScheme):
-        inter = intersection_numbers(source)
-    elif isinstance(source, IntersectionNumbers):
-        inter = source
-    else:
-        raise TypeError("expected an AssociationScheme or IntersectionNumbers")
+    inter = _intersection_numbers_of(source)
     checks: dict[str, bool] = {}
     messages: list[str] = []
     P = table.P
@@ -476,14 +475,10 @@ class GelfandReport:
 
 
 def gelfand_check(group: PermutationGroup, subgroup,
-                  gct: GroupCharacterTable | None = None,
                   seed: int = DEFAULT_SEED) -> GelfandReport:
-    """Whether the induced trivial character is multiplicity-free.
-
-    Pass gct to reuse an already computed group character table."""
+    """Whether the induced trivial character is multiplicity-free."""
     action = coset_action(group, subgroup)
-    if gct is None:
-        gct = group_character_table(group, seed=seed)
+    gct = group_character_table(group, seed=seed)
     ints = _constituent_multiplicities(group, gct, permutation_character(action))
     return GelfandReport(bool(np.all((ints == 0) | (ints == 1))), ints.tolist())
 
@@ -498,7 +493,6 @@ class DoubleCosetTable:
 
 
 def double_coset_table(group: PermutationGroup, subgroup,
-                       gct: GroupCharacterTable | None = None,
                        seed: int = DEFAULT_SEED,
                        tol: float = DEFAULT_TOL_COMPARE,
                        tol_eigen: float = DEFAULT_TOL_EIGEN) -> DoubleCosetTable:
@@ -510,8 +504,7 @@ def double_coset_table(group: PermutationGroup, subgroup,
     scheme of the coset action; disagreement raises MismatchWithOrbitalTable."""
     H = sorted(set(int(h) for h in subgroup))
     action = coset_action(group, H)
-    if gct is None:
-        gct = group_character_table(group, seed=seed, tol_eigen=tol_eigen)
+    gct = group_character_table(group, seed=seed, tol_eigen=tol_eigen)
     theta = permutation_character(action)
     ints = _constituent_multiplicities(group, gct, theta)
     if np.any(ints > 1):

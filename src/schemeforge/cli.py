@@ -178,7 +178,7 @@ def _load_scheme(text: str, cfg: RunConfig) -> scheme_mod.AssociationScheme:
     return built
 
 
-def _resolve_group(args: argparse.Namespace, cfg: RunConfig) -> permgroup.PermutationGroup:
+def _resolve_group(args: argparse.Namespace) -> permgroup.PermutationGroup:
     picked = [name for name in ("gens", "psl2", "sl2", "cyclic", "symmetric")
               if getattr(args, name, None) is not None]
     if len(picked) != 1:
@@ -314,17 +314,17 @@ def _cmd_paige_table(args, cfg: RunConfig):
 
 
 def _cmd_group(args, cfg: RunConfig):
-    return 0, _render_group(_resolve_group(args, cfg), cfg)
+    return 0, _render_group(_resolve_group(args), cfg)
 
 
 def _cmd_scheme_orbitals(args, cfg: RunConfig):
-    group = _resolve_group(args, cfg)
+    group = _resolve_group(args)
     sch = permgroup.orbitals(group, n_points=args.points)
     return 0, _render_scheme(sch, cfg)
 
 
 def _cmd_scheme_group_scheme(args, cfg: RunConfig):
-    group = _resolve_group(args, cfg)
+    group = _resolve_group(args)
     sch = permgroup.group_scheme(group)
     return 0, _render_scheme(sch, cfg)
 
@@ -441,7 +441,7 @@ def _cmd_chartable_transfer(args, cfg: RunConfig):
 
 
 def _cmd_chartable_double_coset(args, cfg: RunConfig):
-    group = _resolve_group(args, cfg)
+    group = _resolve_group(args)
     members = _resolve_subgroup(group, args)
     result = chartab.double_coset_table(group, members, seed=cfg.seed,
                                         tol=cfg.tol_compare,

@@ -146,7 +146,8 @@ class LoopStructure:
         """Elements in the same invariant_partition() class as
         right_div_vec(V, U), for loops whose invariant_partition() is not
         None; loop_scheme reads relations through it when the scheme's
-        classes are that partition."""
+        classes are that partition.  At most one of V and U is an array: a
+        scheme reads one relation, a row or a column."""
         raise NotImplementedError
 
     def fixed_map_images(self, word, Z) -> np.ndarray:
@@ -497,7 +498,7 @@ def _inner_orbits_randomized(loop: LoopStructure, bound: np.ndarray | None,
             kind = rng.integers(0, 3, size=n)
             x, y = rng.integers(0, n, size=(2, n))
         image = _sampled_inner_images(loop, kind, x, y, points)
-        label = min_label_components(label, [(points, image)])
+        label = min_label_components(label, [image])
         merged = count - int(np.count_nonzero(label == points))
         count -= merged
         if bound is not None:

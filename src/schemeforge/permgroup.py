@@ -146,6 +146,7 @@ class PermutationGroup:
         self._levels: list[tuple[int, np.ndarray]] | None = None
         self._inv_array: np.ndarray | None = None
         self._classes: list[list[int]] | None = None
+        self._class_of: np.ndarray | None = None
 
     @property
     def enumerated(self) -> bool:
@@ -220,32 +221,31 @@ class PermutationGroup:
         """Conjugacy classes as sorted index lists, ordered by (size, minimal index).
 
         The classes are the connected components of the maps
-        x -> C_s[x] = index(s^-1 * x * s) over the generators s, labelled
-        by min_label_components.  No multiplication table is built.
+        x -> C_s[x] = index(s^-1 * x * s) over the generators s, joined by
+        min_label_components and put in that order by canonical_labels,
+        whose labels class_of_array returns.  No multiplication table is
+        built.
         """
         if self._classes is None:
             imgs = self.elements
             levels = self._lookup_levels()
-            ident = np.arange(self.order)
-            edges = []
+            maps = []
             for s in self.generators:
                 back = np.argsort(s)        # the image row of s^-1
                 # s^-1 * x * s sends p to s[x[s^-1[p]]]
-                edges.append((ident, _walk(levels, lambda p: s[imgs[:, back[p]]])))
-            label = min_label_components(ident, edges)
-            order = np.argsort(label, kind="stable")
-            roots, starts, sizes = np.unique(label[order], return_index=True,
-                                             return_counts=True)
-            members = np.split(order, starts[1:])
-            self._classes = [members[k].tolist()
-                             for k in np.lexsort((roots, sizes))]
+                maps.append(_walk(levels, lambda p: s[imgs[:, back[p]]]))
+            labels, _ = canonical_labels(min_label_components(np.arange(self.order), maps))
+            labels.flags.writeable = False
+            members = np.split(np.argsort(labels, kind="stable"),
+                               np.cumsum(np.bincount(labels))[:-1])
+            self._class_of = labels
+            self._classes = [m.tolist() for m in members]
         return self._classes
 
     def class_of_array(self) -> np.ndarray:
-        out = np.empty(self.order, dtype=np.int64)
-        for cid, members in enumerate(self.conjugacy_classes()):
-            out[members] = cid
-        return out
+        """The class id of each element, a read-only int64 array."""
+        self.conjugacy_classes()
+        return self._class_of
 
     def __repr__(self):
         size = self.order if self.enumerated else "?"
@@ -298,10 +298,9 @@ def _build_levels(imgs: np.ndarray, generators) -> list[tuple[int, np.ndarray]]:
         raise ValueError("the element list repeats an element")
     if (imgs[0] != np.arange(deg)).any():
         raise ValueError("element 0 is not the identity")
-    every = np.arange(n)
     # x -> x * s, whose image row is s[x]
-    right = [(every, _find_rows(levels, imgs, s[imgs])) for s in generators]
-    if min_label_components(every, right).any():
+    right = [_find_rows(levels, imgs, s[imgs]) for s in generators]
+    if min_label_components(np.arange(n), right).any():
         raise ValueError("the generators do not reach every listed element "
                          "from the identity")
     return levels
@@ -379,23 +378,23 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
 # point and pair orbits
 
 
-def min_label_components(label: np.ndarray, edges) -> np.ndarray:
+def min_label_components(label: np.ndarray, maps) -> np.ndarray:
     """Smallest index in each connected component of the graph that joins
-    A[k] to B[k] for every pair of index arrays (A, B) in edges, and every
-    x to label[x].
+    every x to image[x] for each index array image in maps, and to
+    label[x].
 
     label[x] must be the smallest point of a set holding x that is already
     known to be joined (so label[label] == label); the identity labelling
-    starts from singletons.  Each pass hooks the label at either end of an
-    edge onto the smaller label at the other end, then pointer jumping
-    flattens the hooks, until no edge joins two labels.
+    starts from singletons.  Each pass hooks the label of x and that of
+    image[x], each onto the smaller of the two, then pointer jumping
+    flattens the hooks, until no map joins two labels.
     """
     while True:
         lower = label.copy()
-        for A, B in edges:
-            a, b = label[A], label[B]
-            np.minimum.at(lower, a, b)
-            np.minimum.at(lower, b, a)
+        for image in maps:
+            moved = label[image]
+            np.minimum.at(lower, label, moved)
+            np.minimum.at(lower, moved, label)
         while True:
             jumped = lower[lower]
             if np.array_equal(jumped, lower):
@@ -493,8 +492,7 @@ def orbitals(group: PermutationGroup, n_points: int | None = None) -> Associatio
     if n * n > DEFAULT_RELATION_CAP:
         raise CapExceeded(f"{n}^2 relation entries exceed the cap {DEFAULT_RELATION_CAP}")
     # transitive when the generator maps join every point to 0
-    points = np.arange(n)
-    if min_label_components(points, [(points, g) for g in group.generators]).any():
+    if min_label_components(np.arange(n), group.generators).any():
         raise NotTransitive("orbital scheme requires a transitive action")
     # orbit ids grow with their smallest pair code, so the canonical order
     # (diagonal first, then size, smallest pair) is the order of (size, id)

@@ -85,10 +85,12 @@ class AssociationScheme:
     @classmethod
     def homogeneous(cls, class_of, div, source=None) -> "AssociationScheme":
         """rel(u, v) = class_of[div(v, u)], where div(V, U) = V / U takes
-        broadcast index arrays and the point 0 is the identity.  The
-        transpose of class h is the class of 0 / y_h for its first member
-        y_h.  class_of must be 1-D and non-negative, put point 0 alone in
-        class 0 and use every class 0..d; anything else raises ValueError."""
+        index arrays, at most one of them not a single point, and the
+        point 0 is the identity: every read is one relation, a row or a
+        column.  The transpose of class h is the class of 0 / y_h for its
+        first member y_h.  class_of must be 1-D and non-negative, put point
+        0 alone in class 0 and use every class 0..d; anything else raises
+        ValueError."""
         class_of = np.asarray(class_of, dtype=np.int64)
         if class_of.ndim != 1 or class_of.size == 0 or class_of.min() < 0:
             raise ValueError("class_of must be a nonempty 1-D array of non-negative ids")
@@ -98,7 +100,7 @@ class AssociationScheme:
             raise ValueError(f"class_of must put point 0 alone in class 0 "
                              f"and use every class 0..{d}")
         firsts = first_members(class_of, d + 1)
-        transpose = class_of[div(np.zeros_like(firsts), firsts)]
+        transpose = class_of[div(np.int64(0), firsts)]
         return cls(class_of.shape[0], d, valencies, transpose,
                    class_of=class_of.astype(index_dtype(d + 1)), div=div, source=source)
 
@@ -230,9 +232,10 @@ def _record_row(tensor: np.ndarray, x: int, classes: np.ndarray,
     in counts[k].  The first column of each class not seen before stores
     its counts as p_ij^h; then every column is checked against the counts
     stored for its class, and the first that disagrees raises NotAScheme."""
-    seen, first = np.unique(classes, return_index=True)
-    new = tensor[seen, 0, 0] < 0
-    tensor[seen[new]] = counts[first[new]]
+    first = first_members(classes, tensor.shape[0])
+    seen = np.flatnonzero(first < classes.shape[0])
+    new = seen[tensor[seen, 0, 0] < 0]
+    tensor[new] = counts[first[new]]
     bad = np.flatnonzero((counts != tensor[classes]).any(axis=(1, 2)))
     if bad.size:
         k = int(bad[0])
@@ -323,10 +326,10 @@ def verify_scheme_axioms(scheme: AssociationScheme,
             failures.append(
                 f"row {x} class counts {counts.tolist()} differ from valencies {k.tolist()}")
             break
-        classes, first = np.unique(row, return_index=True)
-        for h, y in zip(classes.tolist(), first.tolist()):
+        first = first_members(row, d + 1)
+        for h in np.flatnonzero(first < n).tolist():
             if len(class_reps[h]) < 3:
-                class_reps[h].append((x, int(y)))
+                class_reps[h].append((x, int(first[h])))
 
     tm = scheme.transpose_map
     perm_ok = sorted(tm.tolist()) == list(range(d + 1))

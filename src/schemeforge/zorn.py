@@ -76,10 +76,9 @@ the same images, and indices, as lifting each element would.
 
 The relations of a loop scheme on the trace classes need no product: the
 trace of v u^-1 is the polar form of the norm, a_v b_u + b_v a_u -
-alpha_v.beta_u - beta_v.alpha_u, four fused and three plain lookups on
-two broadcast digit rows, or two q^4 table reads and one lookup an
-element for a row or column.  The trace a + b is the polar form with the
-identity.
+alpha_v.beta_u - beta_v.alpha_u.  A scheme reads a row or a column, one
+side a single element, so the form is read as two q^4 table reads and one
+lookup an element.  The trace a + b is the polar form with the identity.
 """
 
 from __future__ import annotations
@@ -341,17 +340,23 @@ class PaigeLoop(LoopStructure):
         pairs[..., 1] = lo
         return pairs
 
+    def _in_range(self, I) -> np.ndarray:
+        """I as an array, once every index is checked to lie in 0..n-1;
+        IndexError names the first that does not."""
+        I = np.asarray(I)
+        if I.size and (I.min() < 0 or I.max() >= self.n):
+            bad = I[(I < 0) | (I >= self.n)].flat[0]
+            raise IndexError(f"element index {bad} is outside 0..{self.n - 1} "
+                             f"of M*({self.q})")
+        return I
+
     def _unrank(self, I) -> np.ndarray:
         """Half-code pairs (hi, lo), uint16 on a trailing axis, of the
         elements I, in blocks of READ_BLOCK: the code at position r q^3 + f
         in code order is the r-th representative's at free-digit position
         f, and the identity, at index 0, comes from the place where code
         order has it.  Indices outside 0..n-1 raise IndexError."""
-        I = np.asarray(I)
-        if I.size and (I.min() < 0 or I.max() >= self.n):
-            bad = I[(I < 0) | (I >= self.n)].flat[0]
-            raise IndexError(f"element index {bad} is outside 0..{self.n - 1} "
-                             f"of M*({self.q})")
+        I = self._in_range(I)
         q3, ident_at = self.q ** 3, self._ident_at
 
         def pairs(I):
@@ -437,8 +442,9 @@ class PaigeLoop(LoopStructure):
         return basis.reshape(8, 2 * q4)
 
     def _halves_of(self, Z) -> tuple[np.ndarray, np.ndarray]:
-        """The half-codes hi and lo (uint16) of the elements Z."""
-        halves = self._codes.take(Z)[..., None].view(np.uint16)
+        """The half-codes hi and lo (uint16) of the elements Z; indices
+        outside 0..n-1 raise IndexError."""
+        halves = self._codes.take(self._in_range(Z))[..., None].view(np.uint16)
         return halves[..., 0], halves[..., 1]
 
     def fixed_map_images(self, word, Z) -> np.ndarray:
@@ -509,24 +515,21 @@ class PaigeLoop(LoopStructure):
         union of inner orbits."""
         return self._trace_classes()[0]
 
-    def _polar_kernel(self, V, U) -> np.ndarray:
-        trace = _polar_form(self._ft, self.lift(V), self.lift(U))
-        return np.where(V == U, 0, self._trace_classes()[1].take(trace))
-
     def invariant_div_vec(self, V, U) -> np.ndarray:
         """An element in the trace class of V / U, read from the polar form
         of the norm.  For a unit u = [c, gamma; delta, d], u^-1 is
         [d, -gamma; -delta, c], so the trace of v u^-1 is the polar form
         B(v, u) = a d + b c - alpha.delta - beta.gamma, with no product and
         no rank.  B is symmetric, and linear in v for a fixed u: a row or
-        column, one side a scalar, is read from half-code tables
-        (_polar_reads) in blocks of READ_BLOCK, and two arrays from their
-        broadcast digits, in blocks above BLOCK_PRODUCTS.  V == U gives the
-        identity; any other pair the first element of its trace class."""
+        column, one side a single element, is read from half-code tables
+        (_polar_reads) in blocks of READ_BLOCK.  Two arrays raise
+        ValueError.  V == U gives the identity; any other pair the first
+        element of its trace class."""
         if np.ndim(V) == 0:
             V, U = U, V
         if np.ndim(U):
-            return blocked(BLOCK_PRODUCTS, self._polar_kernel, V, U)
+            raise ValueError("invariant_div_vec reads a row or a column: "
+                             "one of V and U must be a single element")
         reads = self._polar_reads(U, self._trace_classes()[1])
         return blocked(READ_BLOCK, lambda Z: np.where(Z == U, 0, reads(Z)), V)
 

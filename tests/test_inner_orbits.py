@@ -167,6 +167,11 @@ def test_exact_policy_refuses_loops_above_its_limit(paige3):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_unknown_policy_is_refused(paige2):
+    with pytest.raises(ValueError, match="unknown inner-orbit policy 'bogus'"):
+        inner_orbits(paige2, policy="bogus")
+
+
 def _swap_members(class_of: np.ndarray, count: int) -> np.ndarray:
     """class_of with `count` points of class 1 and of class 2 exchanged:
     same valencies, but no longer a scheme."""

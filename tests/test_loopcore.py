@@ -199,6 +199,12 @@ def test_loop_scheme_accepts_class_array(paige2):
     assert np.array_equal(direct.dense_matrix(), via_report.dense_matrix())
 
 
+def test_loop_scheme_refuses_class_of_of_another_length(paige2):
+    class_of = inner_orbits(paige2).class_of
+    with pytest.raises(ValueError, match="class to every loop element"):
+        loop_scheme(paige2, class_of[:-1])
+
+
 def _trace_split(loop):
     """The trace classes of the loop with the first half of class 1 split off."""
     labels = loop.invariant_partition().copy()

@@ -271,16 +271,24 @@ def _smallest_in_component(n, pairs):
 def test_min_label_components_matches_union_find(seed):
     rng = np.random.default_rng(seed)
     n = 300
-    first = [(rng.integers(n, size=40), rng.integers(n, size=40))]
-    second = [(np.arange(n), rng.permutation(n)) if seed % 2 else
-              (rng.integers(n, size=25), rng.integers(n, size=25))]
-    # joining the first edges, then the second on top of those labels,
-    # is the same as joining both at once
+
+    def moving(k):
+        # a random function that moves at most k points, so that many
+        # components remain
+        image = np.arange(n)
+        image[rng.integers(n, size=k)] = rng.integers(n, size=k)
+        return image
+    first = [moving(40), moving(20)]
+    # a permutation joins along its cycles
+    second = [rng.permutation(n) if seed % 2 else moving(25)]
+    # joining along the first maps, then the second on top of those labels,
+    # is the same as joining along all of them at once
     label = min_label_components(np.arange(n), first)
-    both = [pair for A, B in first + second for pair in zip(A, B)]
+    both = [(x, int(image[x])) for image in first + second for x in range(n)]
     want = _smallest_in_component(n, both)
     assert np.array_equal(min_label_components(label, second), want)
     assert np.array_equal(min_label_components(np.arange(n), first + second), want)
+    assert np.array_equal(min_label_components(np.arange(n), []), np.arange(n))
 
 
 @pytest.mark.parametrize("make,arg", [(psl2, 7), (sl2, 5), (symmetric, 5)],
@@ -382,6 +390,11 @@ def test_orbitals_requires_transitivity():
     g = closure([[1, 0, 2]])
     with pytest.raises(NotTransitive):
         orbitals(g, 3)
+
+
+def test_orbitals_refuses_another_degree():
+    with pytest.raises(ValueError, match="group acts on 8 points, not 9"):
+        orbitals(psl2(7), n_points=9)
 
 
 def test_group_scheme_s3():

@@ -198,6 +198,15 @@ def test_fuse_rejects_transpose_breaking_cell():
         fuse(z5, [[0], [1, 2], [3], [4]])
 
 
+def test_fuse_rejects_a_transpose_closed_partition_that_is_no_scheme():
+    # the classes of S4 are real, so every cell is transpose-closed; the
+    # double transpositions (3) with the 3-cycles (8) fail the counts
+    scheme = group_scheme(symmetric(4))
+    assert scheme.valencies.tolist() == [1, 3, 6, 6, 8]
+    with pytest.raises(InvalidFusion, match="fused partition is not a scheme"):
+        fuse(scheme, [[0], [1, 4], [2], [3]])
+
+
 def test_fusion_record_keeps_cells():
     z4 = orbitals(cyclic(4))
     fused = fuse(z4, [[0], [1, 3], [2]])
