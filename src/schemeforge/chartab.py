@@ -220,9 +220,9 @@ def _rayleigh_rows(M: np.ndarray, Bt: np.ndarray, eigvals: np.ndarray,
 @dataclass
 class OrthogonalityReport:
     passed: bool
-    max_residual: float
-    residual_rows: float     # first relation, rows against rows
-    residual_columns: float  # second relation, columns against columns
+    max_residual: float | None      # None when never computed
+    residual_rows: float | None     # first relation, rows against rows
+    residual_columns: float | None  # second relation, columns against columns
     tol: float
 
     def __bool__(self):
@@ -256,7 +256,7 @@ def verify_orthogonality(table: CharacterTable,
 class CandidateReport:
     passed: bool
     checks: dict
-    max_eigen_residual: float
+    max_eigen_residual: float | None   # None when never computed
     orthogonality: OrthogonalityReport
     messages: list = field(default_factory=list)
 
@@ -281,9 +281,9 @@ def verify_candidate_table(table: CharacterTable, source,
                        and np.array_equal(table.valencies, inter.valencies))
     if not checks["shape"]:
         messages.append("table shape, order, or valencies do not match the scheme")
-        ortho = OrthogonalityReport(False, float("inf"), float("inf"),
-                                    float("inf"), tol)
-        return CandidateReport(False, checks, float("inf"), ortho, messages)
+        # the residuals are never computed: None, which JSON writes as null
+        return CandidateReport(False, checks, None,
+                               OrthogonalityReport(False, None, None, None, tol), messages)
     col0 = float(np.abs(P[:, 0] - 1.0).max())
     checks["unit_column"] = col0 <= tol
     if not checks["unit_column"]:

@@ -142,12 +142,10 @@ class LoopStructure:
         orbits, or None; it makes the randomized refinement exact."""
         return None
 
-    def invariant_div_vec(self, V, U) -> np.ndarray:
-        """Elements in the same invariant_partition() class as
-        right_div_vec(V, U), for loops whose invariant_partition() is not
-        None; loop_scheme reads relations through it when the scheme's
-        classes are that partition.  At most one of V and U is an array: a
-        scheme reads one relation, a row or a column."""
+    def invariant_classes(self, V, U) -> np.ndarray:
+        """The invariant_partition() class ids of right_div_vec(V, U), for
+        loops whose invariant_partition() is not None: loop_scheme's reader
+        on that partition.  At most one of V and U is an array."""
         raise NotImplementedError
 
     def fixed_map_images(self, word, Z) -> np.ndarray:
@@ -518,7 +516,8 @@ def _inner_orbits_randomized(loop: LoopStructure, bound: np.ndarray | None,
             continue
         quiet = 0
         class_of, _ = canonical_labels(label)
-        candidate = AssociationScheme.homogeneous(class_of, loop.right_div_vec)
+        candidate = AssociationScheme.homogeneous(
+            class_of, lambda V, U: class_of[loop.right_div_vec(V, U)])
         report = verify_scheme_axioms(candidate, seed=seed + VERIFY_SEED_OFFSET + checks)
         checks += 1
         if report.passed:
@@ -569,10 +568,10 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
     """Homogeneous scheme with rel(u, v) = inner-orbit class of v / u.
 
     When class_of is the loop's invariant_partition() (for M*(q), the trace
-    classes), relations are read through loop.invariant_div_vec, which
-    finds the class of v / u without forming it (for M*(q), from the polar
-    form of the norm); any other partition, and a loop without an
-    invariant, reads them through loop.right_div_vec.
+    classes), the scheme reads its classes through loop.invariant_classes,
+    which finds the class of v / u without forming it (for M*(q), from the
+    polar form of the norm); any other partition, and a loop without an
+    invariant, reads class_of at loop.right_div_vec.
 
     Passing class_of (an array or an InnerOrbitReport) skips the orbit
     computation, for callers that already hold a certified partition.  The
@@ -596,5 +595,6 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
         source["certificate"] = certificate
     bound = loop.invariant_partition()
     on_invariant = bound is not None and np.array_equal(class_of, bound)
-    div = loop.invariant_div_vec if on_invariant else loop.right_div_vec
-    return AssociationScheme.homogeneous(class_of, div, source=source)
+    classes = (loop.invariant_classes if on_invariant
+               else lambda V, U: class_of[loop.right_div_vec(V, U)])
+    return AssociationScheme.homogeneous(class_of, classes, source=source)

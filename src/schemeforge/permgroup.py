@@ -505,7 +505,7 @@ def orbitals(group: PermutationGroup, n_points: int | None = None) -> Associatio
 
 def group_scheme(group: PermutationGroup) -> AssociationScheme:
     """Scheme of a finite group: (x, y) lies in class i when x^-1 y sits in
-    the i-th conjugacy class; homogeneous over group.div.
+    the i-th conjugacy class; it reads the class of group.div(V, U).
 
     The classes are the orbits of G x G on pairs, (x, y) -> (a^-1 x b,
     a^-1 y b), so the source records certificate "exact" next to the
@@ -515,7 +515,8 @@ def group_scheme(group: PermutationGroup) -> AssociationScheme:
     source = {"kind": "group-scheme",
               "generators": group.generators.tolist(),
               "class_of": class_of.tolist(), "certificate": "exact"}
-    return AssociationScheme.homogeneous(class_of, group.div, source=source)
+    return AssociationScheme.homogeneous(
+        class_of, lambda V, U: class_of[group.div(V, U)], source=source)
 
 
 # subgroups, cosets, double cosets

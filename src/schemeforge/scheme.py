@@ -1,16 +1,18 @@
-"""Association schemes: relation storage, intersection numbers, axioms, fusion.
+"""Association schemes: relation reads, intersection numbers, axioms, fusion.
 
-Inputs that are matrices (orbital schemes, complete graphs, CSV, matrix
-JSON) keep a dense n x n class matrix.  Loop and group schemes are
-homogeneous: base-row classes class_of and a vectorized division
-div(V, U) = V / U give rel(u, v) = class_of[div(v, u)], rows, columns,
-valencies and the transpose map, and their JSON is the recipe in their
-source.  Intersection numbers are counted from representative pairs;
-disagreement between representatives is the definitive signal that the
-input partition is not a scheme.  An orbital scheme (its source records
-certificate "exact": its classes are the orbits of a transitive group on
-pairs) has the same counts at every pair of a class, so they are read from
-the pairs (0, y).
+Every scheme reads its classes through one reader, classes(V, U): the
+class ids of V / U, that is rel(U, V), for point arrays V and U of which at
+most one is not a single point.  A relation, a row and a column are each
+one read.  Inputs that are matrices (orbital schemes, complete graphs,
+CSV, matrix JSON) keep a dense n x n class matrix, read as matrix[U, V],
+and write it to JSON.  Loop and group schemes are homogeneous: the reader
+finds the class of V / U from the loop or group, and their JSON is the
+recipe in their source.  Intersection numbers are counted from
+representative pairs; disagreement between representatives is the
+definitive signal that the input partition is not a scheme.  An orbital
+scheme (its source records certificate "exact": its classes are the
+orbits of a transitive group on pairs) has the same counts at every pair
+of a class, so they are read from the pairs (0, y).
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ def first_members(labels: np.ndarray, count: int) -> np.ndarray:
 
 
 class AssociationScheme:
-    """Partition of X x X into classes R_0..R_d with R_0 the diagonal,
-    built by from_matrix (dense) or homogeneous (class_of and div)."""
+    """Partition of X x X into classes R_0..R_d with R_0 the diagonal, read
+    through classes(V, U); built by from_matrix (dense) or homogeneous."""
 
-    def __init__(self, n, d, valencies, transpose_map, matrix=None,
-                 class_of=None, div=None, source=None):
+    def __init__(self, n, d, valencies, transpose_map, classes, matrix=None, source=None):
         self.n = int(n)
         self.d = int(d)
         self.valencies = np.asarray(valencies, dtype=np.int64)
@@ -58,39 +59,35 @@ class AssociationScheme:
             raise ValueError("valencies must have one entry per class")
         if self.transpose_map.shape != (self.d + 1,):
             raise ValueError("transpose map must have one entry per class")
-        if matrix is None and (class_of is None or div is None):
-            raise ValueError("need either a dense matrix or class_of and div")
+        self._classes = classes
         self._matrix = matrix
-        self._class_of = class_of
-        self._div = div
         self.source = source
 
     @classmethod
     def from_matrix(cls, matrix, source=None) -> "AssociationScheme":
+        """Dense scheme with rel(x, y) = matrix[x, y] and the transpose of a
+        class read at its first member in row 0, as homogeneous does."""
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"relation matrix must be square, got {matrix.shape}")
         n = matrix.shape[0]
         d = int(matrix.max())
         matrix = matrix.astype(index_dtype(d + 1), copy=False)
-        valencies = np.bincount(matrix[0].astype(np.int64), minlength=d + 1)
-        transpose = np.arange(d + 1, dtype=np.int64)
-        row0 = matrix[0]
-        for i in range(d + 1):
-            hits = np.flatnonzero(row0 == i)
-            if hits.size:
-                transpose[i] = matrix[hits[0], 0]
-        return cls(n, d, valencies, transpose, matrix=matrix, source=source)
+        valencies = np.bincount(matrix[0], minlength=d + 1)
+        firsts = first_members(matrix[0], d + 1)
+        # a class missing from row 0 (no scheme) is its own transpose
+        transpose = np.where(firsts < n, np.append(matrix[:, 0], 0)[firsts], np.arange(d + 1))
+        return cls(n, d, valencies, transpose, lambda V, U: matrix[U, V],
+                   matrix=matrix, source=source)
 
     @classmethod
-    def homogeneous(cls, class_of, div, source=None) -> "AssociationScheme":
-        """rel(u, v) = class_of[div(v, u)], where div(V, U) = V / U takes
-        index arrays, at most one of them not a single point, and the
-        point 0 is the identity: every read is one relation, a row or a
-        column.  The transpose of class h is the class of 0 / y_h for its
-        first member y_h.  class_of must be 1-D and non-negative, put point
-        0 alone in class 0 and use every class 0..d; anything else raises
-        ValueError."""
+    def homogeneous(cls, class_of, classes, source=None) -> "AssociationScheme":
+        """Scheme read through classes(V, U), the class ids of V / U, where
+        the point 0 is the identity and class_of is the base row: the
+        classes of the points, classes(arange(n), 0).  The transpose of
+        class h is the class of 0 / y_h for its first member y_h.  class_of
+        must be 1-D and non-negative, put point 0 alone in class 0 and use
+        every class 0..d; anything else raises ValueError."""
         class_of = np.asarray(class_of, dtype=np.int64)
         if class_of.ndim != 1 or class_of.size == 0 or class_of.min() < 0:
             raise ValueError("class_of must be a nonempty 1-D array of non-negative ids")
@@ -99,10 +96,8 @@ class AssociationScheme:
         if class_of[0] != 0 or valencies[0] != 1 or not valencies.all():
             raise ValueError(f"class_of must put point 0 alone in class 0 "
                              f"and use every class 0..{d}")
-        firsts = first_members(class_of, d + 1)
-        transpose = class_of[div(np.int64(0), firsts)]
-        return cls(class_of.shape[0], d, valencies, transpose,
-                   class_of=class_of.astype(index_dtype(d + 1)), div=div, source=source)
+        transpose = classes(np.int64(0), first_members(class_of, d + 1))
+        return cls(class_of.shape[0], d, valencies, transpose, classes, source=source)
 
     @property
     def orbital(self) -> bool:
@@ -112,26 +107,30 @@ class AssociationScheme:
         conjugacy classes of G)."""
         return isinstance(self.source, dict) and self.source.get("certificate") == "exact"
 
-    # relation access
+    # relation access: every read is one call to the reader
 
     @property
     def is_dense(self) -> bool:
         return self._matrix is not None
 
+    def classes(self, V, U) -> np.ndarray:
+        """Class ids of V / U, that is rel(U, V), for V and U of which at
+        most one is an array.  A single point outside 0..n-1 raises
+        IndexError; an array side holds points of the scheme (rel_row and
+        rel_col pass all of them)."""
+        for P in (V, U):
+            if np.ndim(P) == 0 and not 0 <= P < self.n:
+                raise IndexError(f"point {P} is outside 0..{self.n - 1}")
+        return self._classes(V, U)
+
     def rel(self, x: int, y: int) -> int:
-        if self._matrix is not None:
-            return int(self._matrix[x, y])
-        return int(self._class_of[self._div(np.int64(y), np.int64(x))])
+        return int(self.classes(np.int64(y), np.int64(x)))
 
     def rel_row(self, x: int) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix[x]
-        return self._class_of[self._div(np.arange(self.n), np.int64(x))]
+        return self.classes(np.arange(self.n), np.int64(x))
 
     def rel_col(self, y: int) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix[:, y]
-        return self._class_of[self._div(np.int64(y), np.arange(self.n))]
+        return self.classes(np.int64(y), np.arange(self.n))
 
     def dense_matrix(self) -> np.ndarray:
         """The n x n class matrix.  A homogeneous scheme builds it row by
@@ -141,7 +140,7 @@ class AssociationScheme:
         if self.n * self.n > DEFAULT_RELATION_CAP:
             raise CapExceeded(f"{self.n}^2 relation entries exceed the cap "
                               f"{DEFAULT_RELATION_CAP}")
-        mat = np.empty((self.n, self.n), dtype=self._class_of.dtype)
+        mat = np.empty((self.n, self.n), dtype=index_dtype(self.d + 1))
         for x in range(self.n):
             mat[x] = self.rel_row(x)
         return mat
@@ -358,11 +357,11 @@ def verify_scheme_axioms(scheme: AssociationScheme,
 def fuse(scheme: AssociationScheme, cells) -> AssociationScheme:
     """Merge classes along a partition of {0..d}; the result must again be a scheme.
 
-    A dense scheme fuses to a dense one; a homogeneous one keeps its
-    division and remaps class_of.  Cell validation (class 0 isolated,
-    transpose closure, true partition) and the representative-independence
-    check of the fused intersection numbers all raise InvalidFusion on
-    failure.
+    The fused reader maps the base reader's class ids through the cells,
+    and a dense scheme fuses to a dense one.  Cell validation (class 0
+    isolated, transpose closure, true partition) and the
+    representative-independence check of the fused intersection numbers
+    all raise InvalidFusion on failure.
     """
     d = scheme.d
     norm = [tuple(sorted(int(c) for c in cell)) for cell in cells]
@@ -382,16 +381,15 @@ def fuse(scheme: AssociationScheme, cells) -> AssociationScheme:
                 "which is not a cell; fused relation would not be transpose-closed")
 
     norm.sort(key=lambda cell: cell[0])
-    remap = np.zeros(d + 1, dtype=np.int64)
+    remap = np.zeros(d + 1, dtype=index_dtype(len(norm)))
     for new, cell in enumerate(norm):
-        for c in cell:
-            remap[c] = new
+        remap[list(cell)] = new
     source = {"kind": "fusion", "cells": [list(c) for c in norm], "base": scheme.source}
-    if scheme.is_dense:
-        fused = AssociationScheme.from_matrix(remap[scheme.dense_matrix()], source=source)
-    else:
-        fused = AssociationScheme.homogeneous(remap[scheme._class_of], scheme._div,
-                                              source=source)
+    base = scheme.classes
+    fused = AssociationScheme(
+        scheme.n, len(norm) - 1, [scheme.valencies[list(cell)].sum() for cell in norm],
+        [remap[tm[cell[0]]] for cell in norm], lambda V, U: remap[base(V, U)],
+        matrix=remap[scheme.dense_matrix()] if scheme.is_dense else None, source=source)
 
     report = verify_scheme_axioms(fused)
     if not report.passed:

@@ -78,7 +78,8 @@ The relations of a loop scheme on the trace classes need no product: the
 trace of v u^-1 is the polar form of the norm, a_v b_u + b_v a_u -
 alpha_v.beta_u - beta_v.alpha_u.  A scheme reads a row or a column, one
 side a single element, so the form is read as two q^4 table reads and one
-lookup an element.  The trace a + b is the polar form with the identity.
+lookup an element in a q-entry table of class ids, with no element formed.
+The trace a + b is the polar form with the identity.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ from .errors import CapExceeded, ParseError
 from .gf import FieldSpec, field_for
 from .loopcore import BLOCK_PRODUCTS, LoopStructure, blocked
 from .permgroup import canonical_labels
-from .scheme import first_members
+from .scheme import first_members, index_dtype
 
 
 def paige_loop_order(q: int) -> int:
@@ -282,7 +283,7 @@ class PaigeLoop(LoopStructure):
     rank.  Its index-level ops are the ones LoopStructure derives from
     these.  A map linear in the element, one inner map of a refinement
     round (fixed_map_images) or the polar form of a row or column read
-    (invariant_div_vec), is evaluated on the half-basis rows and read at
+    (invariant_classes), is evaluated on the half-basis rows and read at
     each element from its half-codes, taken from _codes, every element's
     4-byte word, which the enumeration builds at the first such read.
     """
@@ -491,9 +492,8 @@ class PaigeLoop(LoopStructure):
         return reads
 
     def _trace_classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The canonical labels of the trace classes, and at each trace t
-        the first element after the identity whose trace is t up to sign;
-        both computed once per loop."""
+        """The canonical labels of the trace classes, and the id of each
+        trace's class (up to sign, identity aside) in the class dtype."""
         if self._traces is None:
             t = np.arange(self.q, dtype=np.uint8)
             # -t = t in characteristic 2, so the minimum is t itself for even q
@@ -503,8 +503,9 @@ class PaigeLoop(LoopStructure):
                             np.arange(self.n))
             raw = trace.astype(np.int64) + 1
             raw[0] = 0
+            labels, count = canonical_labels(raw)
             rep = first_members(trace[1:], self.q) + 1
-            self._traces = canonical_labels(raw)[0], rep[signless]
+            self._traces = labels, labels[rep[signless]].astype(index_dtype(count))
         return self._traces
 
     def invariant_partition(self) -> np.ndarray:
@@ -515,23 +516,22 @@ class PaigeLoop(LoopStructure):
         union of inner orbits."""
         return self._trace_classes()[0]
 
-    def invariant_div_vec(self, V, U) -> np.ndarray:
-        """An element in the trace class of V / U, read from the polar form
-        of the norm.  For a unit u = [c, gamma; delta, d], u^-1 is
-        [d, -gamma; -delta, c], so the trace of v u^-1 is the polar form
+    def invariant_classes(self, V, U) -> np.ndarray:
+        """The trace class ids of V / U, in the class dtype, read from the
+        polar form of the norm.  For a unit u = [c, gamma; delta, d], u^-1
+        is [d, -gamma; -delta, c], so the trace of v u^-1 is the polar form
         B(v, u) = a d + b c - alpha.delta - beta.gamma, with no product and
         no rank.  B is symmetric, and linear in v for a fixed u: a row or
         column, one side a single element, is read from half-code tables
-        (_polar_reads) in blocks of READ_BLOCK.  Two arrays raise
-        ValueError.  V == U gives the identity; any other pair the first
-        element of its trace class."""
+        (_polar_reads) into the q-entry table of class ids, in blocks of
+        READ_BLOCK.  Two arrays raise ValueError; V == U is class 0."""
         if np.ndim(V) == 0:
             V, U = U, V
         if np.ndim(U):
-            raise ValueError("invariant_div_vec reads a row or a column: "
+            raise ValueError("invariant_classes reads a row or a column: "
                              "one of V and U must be a single element")
         reads = self._polar_reads(U, self._trace_classes()[1])
-        return blocked(READ_BLOCK, lambda Z: np.where(Z == U, 0, reads(Z)), V)
+        return blocked(READ_BLOCK, lambda Z: reads(Z) * (Z != U), V)
 
     def scheme_source(self) -> dict:
         return {"kind": "paige-loop-scheme", "q": self.q}

@@ -717,3 +717,50 @@ def test_loop_file_out_of_canonical_order_exits_2(capsys, tmp_path, paige2, paig
         rc, out, err = run_cli(capsys, "scheme", "loop-scheme", "--loop", str(path))
         assert rc == 2 and out == ""
         assert "ParseError" in err
+
+
+def test_verify_of_a_table_that_does_not_fit_the_scheme_is_strict_json(capsys, tmp_path):
+    # both are A5 on 60 points with 5 classes, in other orders, so the
+    # valencies differ: the residuals are never computed and read null
+    _, table, _ = run_cli(capsys, "chartable", "oracle-psl2", "--q", "4")
+    (tmp_path / "o4.json").write_text(table)
+    run_cli(capsys, "scheme", "group-scheme", "--psl2", "5",
+            "--out", str(tmp_path / "x25.json"))
+    rc, out, _ = run_cli(capsys, "chartable", "verify", "--table", str(tmp_path / "o4.json"),
+                         "--scheme", str(tmp_path / "x25.json"))
+    assert rc == 1
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["passed"] is False and payload["checks"] == {"shape": False}
+    assert payload["eigen_residual"] is None and payload["orthogonality_residual"] is None
+
+
+@pytest.mark.parametrize("argv,text,message", [
+    (("chartable", "verify", "--table"), "hello\n", "expected character-table JSON or CSV"),
+    (("chartable", "compute", "--scheme"), "hello\n", "expected scheme JSON or CSV"),
+    (("export", "--in"), "hello\n", "expected a JSON or CSV artifact"),
+    (("export", "--in"), '{"foo": 1}\n', "unrecognized artifact"),
+])
+def test_files_in_no_known_format_exit_2(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    rc, _, err = run_cli(capsys, *argv, str(path))
+    assert rc == 2
+    assert f"ParseError: {message}" in err
+
+
+@pytest.mark.parametrize("env,flags,message", [
+    ("abc", (), "SCHEMEFORGE_CAP_ELEMENTS must be an integer, got 'abc'"),
+    ("0", (), "SCHEMEFORGE_CAP_ELEMENTS must be positive, got 0"),
+    (None, ("--cap-elements", "0"), "size caps must be positive"),
+    (None, ("--tol-eigen", "0.5"), "tol_eigen must lie in (0, 1e-2), got 0.5"),
+])
+def test_bad_settings_exit_2(capsys, monkeypatch, env, flags, message):
+    if env is not None:
+        monkeypatch.setenv("SCHEMEFORGE_CAP_ELEMENTS", env)
+    rc, out, err = run_cli(capsys, "paige", "build", "--q", "2", *flags)
+    assert rc == 2 and out == ""
+    assert f"ValueError: {message}" in err

@@ -87,6 +87,21 @@ def test_parse_loop_table_rejects_bad_token():
         parse_loop_table("2\n0 x\n1 0\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "empty loop table file"),
+    ("# a comment only\n", "empty loop table file"),
+    ("2 3\n0 1\n1 0\n", r"first line must be the order n \(line 1\)"),
+    ("0\n", r"first line must be the order n \(line 1\)"),
+    ("2\n0 1\n", "expected 2 table rows, found 1"),
+    ("2\n0 1\n1\n", r"row has 1 entries, expected 2 \(line 3\)"),
+    ("2\n0 1\n1 2\n", r"entry outside 0..1 \(line 3\)"),
+    ("2\n0 1\n1 -1\n", r"entry outside 0..1 \(line 3\)"),
+])
+def test_parse_loop_table_names_each_malformed_file(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_loop_table(text)
+
+
 def test_parse_loop_table_rejects_non_loop():
     with pytest.raises(ParseError) as err:
         parse_loop_table("2\n1 0\n0 1\n")

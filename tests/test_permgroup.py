@@ -93,6 +93,19 @@ def test_parse_generator_line_rejects_malformed(bad):
         parse_generator_line(bad)
 
 
+@pytest.mark.parametrize("text,degree,message", [
+    ("(0 a)\n", None, r"non-integer point in cycle '0 a' \(line 1\)"),
+    ("(0 -1)\n", None, r"cycle points must be non-negative \(line 1\)"),
+    ("(0 1 2)\n1 0\n", None, r"image list of length 2 in a degree-3 file \(line 2\)"),
+    ("1 0\n", 3, r"image list has length 2, expected 3 \(line 1\)"),
+    ("# a comment only\n\n", None, "no generators found"),
+    ("(0 5)\n", 4, r"cycle point 5 outside 0..3 \(line 1\)"),
+])
+def test_parse_generators_names_each_malformed_file(text, degree, message):
+    with pytest.raises(ParseError, match=message):
+        parse_generators(text, degree=degree)
+
+
 def test_parse_generators_reports_line_number():
     with pytest.raises(ParseError) as err:
         parse_generators("(0 1)\n0 0 1\n")

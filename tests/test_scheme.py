@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from schemeforge.errors import InvalidFusion, NotAScheme
+from schemeforge.errors import InvalidFusion, NotAScheme, ParseError
 from schemeforge.permgroup import (cyclic, group_scheme, orbitals, psl2,
                                    regular_action, symmetric)
 from schemeforge.scheme import (AssociationScheme, complete_graph_scheme,
-                                fuse, intersection_numbers, scheme_from_csv,
-                                scheme_to_csv, verify_scheme_axioms)
+                                fuse, index_dtype, intersection_numbers, read_labeled_rows,
+                                scheme_from_csv, scheme_to_csv, verify_scheme_axioms)
 
 
 def test_complete_graph_intersection_numbers():
@@ -255,6 +255,15 @@ def test_scheme_csv_rejects_header_mismatch():
         scheme_from_csv(broken)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("kind,table\nn,3\n", r"unexpected kind 'table' \(line 1\)"),
+    ("kind,scheme\nn,x\n", r"bad numeric field in 'n' row \(line 2\)"),
+])
+def test_labeled_rows_name_a_wrong_kind_and_a_bad_field(text, message):
+    with pytest.raises(ParseError, match=message):
+        read_labeled_rows(text, "scheme", {"n": int})
+
+
 def test_functional_scheme_matches_dense(mstar2_scheme, paige2):
     from schemeforge.loopcore import inner_orbits, loop_scheme
     report = inner_orbits(paige2, policy="exact")
@@ -292,16 +301,18 @@ def test_function_backed_rel_reads_one_entry():
     mat = complete_graph_scheme(4).dense_matrix()
     sizes = []
 
-    def div(V, U):
-        sizes.append(np.broadcast(V, U).size)
-        return (np.asarray(V) - np.asarray(U)) % 4
+    class_of = np.array([0, 1, 1, 1])
 
-    sch = AssociationScheme.homogeneous([0, 1, 1, 1], div)
+    def classes(V, U):
+        sizes.append(np.broadcast(V, U).size)
+        return class_of[(np.asarray(V) - np.asarray(U)) % 4]
+
+    sch = AssociationScheme.homogeneous(class_of, classes)
     sizes.clear()
     assert [sch.rel(x, y) for x in range(4) for y in range(4)] == mat.ravel().tolist()
     assert sizes == [1] * 16, "rel read a whole row or column"
-    with pytest.raises(ValueError):
-        AssociationScheme(4, 1, [1, 3], [0, 1], class_of=np.array([0, 1, 1, 1]))
+    with pytest.raises(ValueError, match="one entry per class"):
+        AssociationScheme(4, 1, [1, 3], [0], classes)
 
 
 @pytest.mark.parametrize("class_of,message", [
@@ -315,17 +326,33 @@ def test_homogeneous_refuses_malformed_classes(class_of, message):
         AssociationScheme.homogeneous(class_of, lambda V, U: (V - U) % 3)
 
 
+def test_reads_of_points_outside_the_scheme_are_index_errors(paige3):
+    # a read takes no point modulo n: -1 is not n - 1, and n names the point
+    from schemeforge.loopcore import loop_scheme
+    for sch in (complete_graph_scheme(4), group_scheme(psl2(5)), loop_scheme(paige3)):
+        n = sch.n
+        for bad in (-1, n):
+            for read in (lambda: sch.rel(bad, 0), lambda: sch.rel(0, bad),
+                         lambda: sch.rel_row(bad), lambda: sch.rel_col(bad)):
+                with pytest.raises(IndexError, match=f"point {bad} is outside 0..{n - 1}"):
+                    read()
+        assert sch.rel(n - 1, n - 1) == 0
+
+
 def test_class_ids_above_uint16_do_not_wrap():
     # 70,000 classes need the uint32 class dtype, as 70,001 points do
     n = 70_000
     sch = AssociationScheme.homogeneous(np.arange(n), lambda V, U: (V - U) % n)
     assert sch.rel(0, 69_999) == 69_999
     assert np.array_equal(sch.rel_row(0), np.arange(n))
+    # a scheme passes its reader's ids through; where it narrows them (a
+    # dense matrix, a fusion), 70,000 classes take the uint32 class dtype
+    assert index_dtype(n) == np.uint32 and index_dtype(0xFFFF) == np.uint16
 
 
 def test_verify_axioms_reports_valency_failures():
-    mat = complete_graph_scheme(3).dense_matrix()
-    report = verify_scheme_axioms(AssociationScheme(3, 1, [2, 2], [0, 1], matrix=mat))
+    k3 = complete_graph_scheme(3)
+    report = verify_scheme_axioms(AssociationScheme(3, 1, [2, 2], [0, 1], k3.classes))
     assert not report.passed
     assert "diagonal class has valency 2, expected 1" in report.failures
     assert "valencies sum to 4, expected n=3" in report.failures
@@ -333,16 +360,14 @@ def test_verify_axioms_reports_valency_failures():
 
 def test_verify_axioms_reports_transpose_failures():
     s3 = group_scheme(symmetric(3))          # valencies 1, 2, 3, all classes symmetric
-    mat = s3.dense_matrix()
     k = s3.valencies
-    report = verify_scheme_axioms(AssociationScheme(6, 2, k, [0, 1, 1], matrix=mat))
+    report = verify_scheme_axioms(AssociationScheme(6, 2, k, [0, 1, 1], s3.classes))
     assert "transpose map [0, 1, 1] is not a permutation of the classes" in report.failures
-    report = verify_scheme_axioms(AssociationScheme(6, 2, k, [0, 2, 1], matrix=mat))
+    report = verify_scheme_axioms(AssociationScheme(6, 2, k, [0, 2, 1], s3.classes))
     assert "valency of class 1 differs from its transpose 2" in report.failures
     assert any(f.endswith("but transpose of class 1 is 2") for f in report.failures)
     z3 = orbitals(cyclic(3))                 # classes 1 and 2 are each other's transpose
-    report = verify_scheme_axioms(AssociationScheme(3, 2, [1, 1, 1], [0, 1, 2],
-                                                    matrix=z3.dense_matrix()))
+    report = verify_scheme_axioms(AssociationScheme(3, 2, [1, 1, 1], [0, 1, 2], z3.classes))
     assert not report.passed
     assert report.failures[0].endswith("but transpose of class 1 is 1")
 

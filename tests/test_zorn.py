@@ -14,7 +14,7 @@ from schemeforge.gf import field_for
 from schemeforge.loopcore import (BLOCK_PRODUCTS, LIFT_BLOCK, associativity_counterexample,
                                   blocked, inner_orbits, loop_scheme, moufang_check)
 from schemeforge.permgroup import canonical_labels
-from schemeforge.scheme import intersection_numbers
+from schemeforge.scheme import index_dtype, intersection_numbers
 from schemeforge.zorn import (PaigeLoop, _FieldTables, _polar_form, _zorn_product_digits,
                               build_paige_loop, paige_loop_order)
 
@@ -393,8 +393,8 @@ class _FrozenPaigeLoop(PaigeLoop):
         raw[0] = 0
         return canonical_labels(raw)[0]
 
-    def invariant_div_vec(self, V, U):
-        return self.right_div_vec(V, U)
+    def invariant_classes(self, V, U):
+        return self.invariant_partition()[self.right_div_vec(V, U)]
 
     def inv_array(self):
         if self._inv_of is None:
@@ -513,13 +513,13 @@ def test_lifted_words_match_index_compositions(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_polar_form_division_keeps_the_trace_class(q):
-    # invariant_div_vec reads the trace of V / U from the polar form of the
-    # norm; its element must lie in the trace class of the true quotient
+    # invariant_classes reads the trace of V / U from the polar form of the
+    # norm; its class ids must be those of the true quotient
     loop = build_paige_loop(q, element_cap=paige_loop_order(q))
     classes = loop.invariant_partition()
 
     def same_class(V, U):
-        return np.array_equal(classes[loop.invariant_div_vec(V, U)],
+        return np.array_equal(loop.invariant_classes(V, U),
                               classes[loop.right_div_vec(V, U)])
 
     rng = np.random.default_rng(300 + q)
@@ -532,20 +532,31 @@ def test_polar_form_division_keeps_the_trace_class(q):
     # would broadcast against the half-basis rows, are refused
     for pair in [(V, U), (V, V), (V[:200, None], U[:300]), (V[:1], U[:1])]:
         with pytest.raises(ValueError, match="one of V and U must be a single element"):
-            loop.invariant_div_vec(*pair)
+            loop.invariant_classes(*pair)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_polar_reads_from_half_codes_equal_the_lifted_form(q):
     # a row or column, one side a scalar, is read from q^4 tables of the
-    # polar form at the half-codes; it gives the element the lifted digits
-    # give, point for point, the identity included
+    # polar form at the half-codes; it gives the class ids the lifted
+    # digits give, point for point, the identity included, in the class
+    # dtype
     loop = build_paige_loop(q, element_cap=paige_loop_order(q))
     Z = np.arange(loop.n)
+    classes = loop.invariant_partition()
+    dtype = index_dtype(int(classes.max()) + 1)
+    NEG = loop._ft.NEG
+    trace = blocked(BLOCK_PRODUCTS, lambda V: _polar_form(loop._ft, loop.lift(V),
+                                                          loop.lift(np.int64(0))), Z)
+    # at each trace, the class of the elements other than the identity
+    # whose trace is that one up to sign
+    of_trace = np.zeros(q, dtype=np.int64)
+    of_trace[np.minimum(trace, NEG[trace])[1:]] = classes[1:]
+    of_trace = of_trace[np.minimum(np.arange(q), NEG)]
 
     def polar(V, U):
         trace = _polar_form(loop._ft, loop.lift(V), loop.lift(U))
-        return np.where(V == U, 0, loop._trace_classes()[1].take(trace))
+        return np.where(V == U, 0, of_trace.take(trace))
 
     def lifted(V, U):
         return blocked(BLOCK_PRODUCTS, polar, V, U)
@@ -553,13 +564,13 @@ def test_polar_reads_from_half_codes_equal_the_lifted_form(q):
     rng = np.random.default_rng(600 + q)
     for x in [0, 1, *rng.integers(2, loop.n, 2).tolist()]:
         x = np.int64(x)
-        row = loop.invariant_div_vec(Z, x)
-        assert row.dtype == np.int64 and np.array_equal(row, lifted(Z, x))
+        row = loop.invariant_classes(Z, x)
+        assert row.dtype == dtype and np.array_equal(row, lifted(Z, x))
         assert row[x] == 0
-        assert np.array_equal(loop.invariant_div_vec(x, Z), lifted(x, Z))
+        assert np.array_equal(loop.invariant_classes(x, Z), lifted(x, Z))
         for y in (x, np.int64(rng.integers(0, loop.n))):
-            assert loop.invariant_div_vec(x, y) == lifted(x, y)
-    assert loop.invariant_div_vec(np.int64(5), np.int64(5)) == 0
+            assert loop.invariant_classes(x, y) == lifted(x, y)
+    assert loop.invariant_classes(np.int64(5), np.int64(5)) == 0
 
 
 def test_mstar3_pipeline_matches_frozen_kernel():
@@ -691,7 +702,7 @@ def test_indices_out_of_range_are_index_errors(paige3):
         # the whole-loop reads take their points' half-codes from the
         # element array, whose take would wrap -1 round to n - 1
         with pytest.raises(IndexError, match=f"index {bad} is outside 0..{n - 1}"):
-            paige3.invariant_div_vec(np.array([bad, 5]), np.int64(3))
+            paige3.invariant_classes(np.array([bad, 5]), np.int64(3))
         with pytest.raises(IndexError, match=f"index {bad} is outside 0..{n - 1}"):
             paige3.fixed_map_images(lambda P: P, np.array([bad, 0]))
     assert paige3.mul(n - 1, 0) == n - 1
@@ -707,7 +718,7 @@ def test_sampled_checks_build_no_element_array():
     assert np.array_equal(loop.left_div_vec(I, loop.mul_vec(I, 5)), np.full(I.shape, 5))
     assert "_codes" not in vars(loop)
     reads = [lambda lp: lp.elems, lambda lp: lp.to_json(), lambda lp: lp.invariant_partition(),
-             lambda lp: lp.invariant_div_vec(np.arange(lp.n), np.int64(4)),
+             lambda lp: lp.invariant_classes(np.arange(lp.n), np.int64(4)),
              lambda lp: lp.fixed_map_images(lambda P: P, np.arange(lp.n))]
     for read in reads:
         loop = build_paige_loop(3)
