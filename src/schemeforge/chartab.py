@@ -55,9 +55,6 @@ class CharacterTable:
     def d(self) -> int:
         return self.P.shape[0] - 1
 
-    def row(self, i: int) -> np.ndarray:
-        return self.P[i]
-
     def to_json(self) -> dict:
         return {
             "d": self.d,

@@ -21,18 +21,13 @@ from .errors import DivisionByZero, UnsupportedField
 MAX_ORDER = 256
 MAX_DEGREE = 8
 
-# Monic irreducible moduli for the common orders, coefficients c0..cr by
-# ascending degree (Conway polynomials for these orders).
+# Monic irreducible moduli for the common extension orders, coefficients
+# c0..cr by ascending degree (Conway polynomials for these orders).  A prime
+# field needs none: its elements are constants, so no product is reduced.
 BUILTIN_MODULI: dict[int, tuple[int, ...]] = {
-    2: (1, 1),
-    3: (1, 1),
     4: (1, 1, 1),
-    5: (3, 1),
-    7: (4, 1),
     8: (1, 1, 0, 1),
     9: (2, 2, 1),
-    11: (9, 1),
-    13: (11, 1),
     16: (1, 1, 0, 0, 1),
     25: (2, 4, 1),
     27: (1, 2, 0, 1),
@@ -52,19 +47,15 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, r) with p prime, or raise UnsupportedField."""
     if q < 2 or q > MAX_ORDER:
         raise UnsupportedField(f"field order must lie in [2, {MAX_ORDER}], got {q}")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                break
-            r = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                r += 1
-            if m != 1:
-                raise UnsupportedField(f"{q} is not a prime power")
-            return p, r
-    raise UnsupportedField(f"{q} is not a prime power")
+    p = next(f for f in range(2, q + 1) if q % f == 0)    # the least divisor is prime
+    r = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        r += 1
+    if m != 1:
+        raise UnsupportedField(f"{q} is not a prime power")
+    return p, r
 
 
 # polynomial helpers over GF(p); coefficients are tuples, ascending degree

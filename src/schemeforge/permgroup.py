@@ -122,27 +122,23 @@ def load_generators(path, degree: int | None = None) -> np.ndarray:
 
 
 class PermutationGroup:
-    """Generator rows plus, when enumerated, the image matrix: row k holds
-    the images of the points under element k.  Both are read-only arrays in
-    the point dtype.
+    """Generator rows plus, once `closure` has listed them, the image
+    matrix: row k holds the images of the points under element k.  Both
+    are read-only arrays in the point dtype.
 
     The generator rows are checked on construction (`_generator_rows`).
-    Enumeration order is canonical: identity first, then breadth-first
-    discovery order of `closure`.  Elements are found by walking their base
+    Only `closure` lists the elements, in canonical order: identity first,
+    then breadth-first discovery order.  Its search guarantees the list, so
+    nothing checks it again.  Elements are found by walking their base
     images through the tables of `_build_levels`, so a product gathers only
-    the base images.  The listed rows are checked once, there: products,
-    inverses and conjugates of listed elements need no check, and rows from
-    outside (`rows_to_indices`) are compared in full.
+    the base images; rows from outside (`rows_to_indices`) are compared in
+    full.
     """
 
-    def __init__(self, generators, images=None):
+    def __init__(self, generators):
         self.generators = _generator_rows(generators)
         self.degree = self.generators.shape[1]
         self._images_matrix: np.ndarray | None = None
-        if images is not None:
-            self._images_matrix = np.ascontiguousarray(
-                images, dtype=index_dtype(self.degree)).view()
-            self._images_matrix.flags.writeable = False
         self._levels: list[tuple[int, np.ndarray]] | None = None
         self._inv_array: np.ndarray | None = None
         self._classes: list[list[int]] | None = None
@@ -169,7 +165,7 @@ class PermutationGroup:
 
     def _lookup_levels(self) -> list[tuple[int, np.ndarray]]:
         if self._levels is None:
-            self._levels = _build_levels(self.elements, self.generators)
+            self._levels = _build_levels(self.elements)
         return self._levels
 
     def rows_to_indices(self, rows) -> np.ndarray:
@@ -182,7 +178,11 @@ class PermutationGroup:
         if rows.shape[-1] != self.degree:
             raise ValueError(f"rows act on {rows.shape[-1]} points, "
                              f"the group on {self.degree}")
-        return _find_rows(self._lookup_levels(), self.elements, rows)
+        # taken mod degree any integer row walks; the full compare rejects strays
+        found = _walk(self._lookup_levels(), lambda p: rows[..., p] % self.degree)
+        if (found < 0).any() or (self.elements[found] != rows).any():
+            raise ValueError("row is not an element of this group")
+        return found
 
     # index-level operations
 
@@ -260,24 +260,15 @@ def _walk(levels, column):
     return code
 
 
-def _find_rows(levels, imgs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # taken mod degree any integer row walks; the full compare rejects strays
-    found = _walk(levels, lambda p: rows[..., p] % imgs.shape[1])
-    if (found < 0).any() or (imgs[found] != rows).any():
-        raise ValueError("row is not an element of this group")
-    return found
-
-
-def _build_levels(imgs: np.ndarray, generators) -> list[tuple[int, np.ndarray]]:
+def _build_levels(imgs: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """The (base point, table) levels of the element lookup.
 
     The base takes the points in order whose image column splits the rows
     further, and always the first, until every row stands alone.  A level's
     table maps (prefix code, image of its point) to the next code, or -1,
     and its last row is all -1; the last level gives the element index.
-    The rows are checked once: ValueError unless no row repeats, row 0 is
-    the identity, each generator maps the rows onto rows (compared in full)
-    and the generators reach every row from row 0.
+    The rows are those of `closure`, distinct by construction, so no row
+    is checked here.
     """
     n, deg = imgs.shape
     code = np.zeros(n, dtype=np.intp)
@@ -294,15 +285,6 @@ def _build_levels(imgs: np.ndarray, generators) -> list[tuple[int, np.ndarray]]:
         code = nxt.reshape(n)
         if count == n:
             break
-    if count < n:
-        raise ValueError("the element list repeats an element")
-    if (imgs[0] != np.arange(deg)).any():
-        raise ValueError("element 0 is not the identity")
-    # x -> x * s, whose image row is s[x]
-    right = [_find_rows(levels, imgs, s[imgs]) for s in generators]
-    if min_label_components(np.arange(n), right).any():
-        raise ValueError("the generators do not reach every listed element "
-                         "from the identity")
     return levels
 
 
@@ -347,8 +329,13 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
     occurrences; rows met before, at an earlier level or slice, are
     dropped by searchsorted in the sorted keys of every element so far.
     Raises CapExceeded once the group passes `cap` elements.
+
+    The search guarantees the list the group keeps: row 0 is the identity,
+    no row repeats, every x * s is a row and every row is reached from the
+    identity.  The returned group holds these rows as they are.
     """
-    S = _generator_rows(generators)
+    group = PermutationGroup(generators)
+    S = group.generators
     deg = S.shape[1]
     key = np.dtype((np.void, S.itemsize * deg))
     slice_len = max(1, CLOSURE_SLICE_BYTES // S.nbytes)
@@ -372,7 +359,9 @@ def closure(generators, cap: int = DEFAULT_CLOSURE_CAP) -> PermutationGroup:
             found.append(products[np.sort(first[fresh])])
         frontier = np.concatenate(found)
         levels.append(frontier)
-    return PermutationGroup(S, images=np.concatenate(levels))
+    group._images_matrix = np.concatenate(levels)
+    group._images_matrix.flags.writeable = False
+    return group
 
 
 # point and pair orbits

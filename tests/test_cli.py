@@ -130,6 +130,11 @@ def test_fuse_valid_and_invalid(capsys, tmp_path):
     payload = json.loads(err.splitlines()[-1])
     assert payload["error"]["kind"] == "InvalidFusion"
 
+    rc, out, err = run_cli(capsys, "scheme", "fuse", "--scheme", str(path),
+                           "--cells", "1,x")
+    assert rc == 2 and out == ""
+    assert "UsageError: bad cell spec '1,x'" in err
+
 
 Z4_RENDERINGS = {
     "csv": "kind,scheme\nn,4\nd,3\nvalencies,1,1,1,1\n"
@@ -764,3 +769,45 @@ def test_bad_settings_exit_2(capsys, monkeypatch, env, flags, message):
     rc, out, err = run_cli(capsys, "paige", "build", "--q", "2", *flags)
     assert rc == 2 and out == ""
     assert f"ValueError: {message}" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("chartable", "double-coset", "--psl2", "5", "--sub", "h.txt", "--stab", "0"),
+     "pick exactly one subgroup source"),
+    (("chartable", "double-coset", "--psl2", "5"), "pick exactly one subgroup source"),
+    (("scheme", "loop-scheme", "--q", "2", "--loop", "l.table"), "pick exactly one loop source"),
+    (("scheme", "loop-scheme"), "pick exactly one loop source"),
+    (("scheme", "group-scheme", "--cyclic", "4", "--format", "latex"),
+     "latex output is only defined for character tables"),
+    (("paige", "build", "--q", "2", "--format", "csv"), "loop output supports json and text only"),
+    (("group", "psl2", "--q", "5", "--format", "csv"), "group output supports json and text only"),
+])
+def test_conflicting_or_unsupported_options_exit_2(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert f"UsageError: {message}" in err
+
+
+def test_malformed_artifacts_exit_2(capsys, tmp_path):
+    rc, out, _ = run_cli(capsys, "chartable", "oracle-psl2", "--q", "4")
+    table = json.loads(out)
+    table["P"] = table["P"][:-1]
+    (tmp_path / "t4.json").write_text(json.dumps(table))
+    rc, out, err = run_cli(capsys, "chartable", "verify", "--table", str(tmp_path / "t4.json"))
+    assert rc == 2 and out == ""
+    assert "ParseError: P must be 5 x 5" in err
+
+    rc, out, _ = run_cli(capsys, "chartable", "oracle-psl2", "--q", "4", "--format", "csv")
+    ragged = out.rstrip("\n").rsplit(",", 1)[0] + "\n"    # the last P row loses an entry
+    (tmp_path / "t4.csv").write_text(ragged)
+    rc, out, err = run_cli(capsys, "export", "--in", str(tmp_path / "t4.csv"))
+    assert rc == 2 and out == ""
+    assert "ParseError: table CSV P rows do not form a square matrix" in err
+
+    rc, out, _ = run_cli(capsys, "scheme", "orbitals", "--symmetric", "3")
+    scheme = json.loads(out)
+    scheme["n"] = 4
+    (tmp_path / "o3.json").write_text(json.dumps(scheme))
+    rc, out, err = run_cli(capsys, "export", "--in", str(tmp_path / "o3.json"))
+    assert rc == 2 and out == ""
+    assert "ValueError: scheme JSON header disagrees with its matrix" in err

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -141,3 +142,45 @@ def test_vectorized_tables_match_scalar_ops():
     b = np.tile(np.arange(8), 8)
     assert all(int(F.add_t[x, y]) == F.add(int(x), int(y)) for x, y in zip(a, b))
     assert all(int(F.mul_t[x, y]) == F.mul(int(x), int(y)) for x, y in zip(a, b))
+
+
+# sha256 (first 16 hex digits) of the generator and the seven tables of every
+# field of order at most 256, each table hashed with its name, dtype and shape
+_FROZEN_TABLES = {
+    2: "83931ef11c4b2cde", 3: "5a1281765545f6a4", 4: "f94088ddf22753ed", 5: "ee32752a61e10fcf",
+    7: "72dcba00893d8693", 8: "c88e2d77700d70ff", 9: "c263e5bfc47bfe18", 11: "3f778e3b458ef512",
+    13: "e68e00852a0ff0cd", 16: "7b191c45ae69b494", 17: "1a725c64364bb8a5", 19: "1bc1ded4163a5fe2",
+    23: "4091275e5a06e90e", 25: "1be745b3c56f55f0", 27: "c87a3c0b682de5db", 29: "131d6c181693991f",
+    31: "ed93f3de434228ac", 32: "b722c5ee46ff632f", 37: "415801cffe5411d4", 41: "826a8e3cb24f63cd",
+    43: "a30218c7a71e92f6", 47: "d0bca986b37cb5c4", 49: "fb1d7ee6bbc9c767", 53: "67a4dd5d9b7046be",
+    59: "0e3fba17ee6e7345", 61: "810c66ea9a4ba0df", 64: "fc75d2561e9bd39f", 67: "048649e7522c17b9",
+    71: "df549979c1396f4a", 73: "4770b7178c9a9279", 79: "1574dbda26788ed7", 81: "e4baaf53fda3574b",
+    83: "a66924f3fe9e15ed", 89: "939529ead5e651c0", 97: "9cb6a9a1c0909796", 101: "b58d97f90788b4a8",
+    103: "5500dead1d4be09f", 107: "3dd08f72a6a3ec7d", 109: "29f2a56188581b04", 113: "9fb408fb5d9f817f",
+    121: "c031025bc1871df0", 125: "1074a97ce2b0b162", 127: "9ffc712704c1accd", 128: "6b1fcde3c11db0aa",
+    131: "2e4174f0af09e97c", 137: "ce4f0c31f0bf1e56", 139: "d356d7331fd59d8f", 149: "c517c7876c6e2cd2",
+    151: "0e4ea3bfea4e607d", 157: "6b94843b407df2c3", 163: "31bbc271525e3a22", 167: "2892d5ccc1456c58",
+    169: "67c81c07f285de01", 173: "aa5f5c123e91d8c3", 179: "ef8c39e0643fd6e6", 181: "8071441408c148dd",
+    191: "52f1c5dd4f3810a4", 193: "e924c2bf769e8cd0", 197: "390d363b743cf40e", 199: "b90e6d8fde271ef4",
+    211: "586575e1a7484485", 223: "3205c0c2abb52aa4", 227: "64098d1f4f45680a", 229: "f5de6b411df9977f",
+    233: "0a65c3ec8ecab2d0", 239: "af4e4355725dcbbe", 241: "a1148c4e5255f184", 243: "7be15c8698b204ee",
+    251: "8935c77f52cc4ac5", 256: "1c8d01e8e60ccac6",
+}
+
+
+def test_tables_of_every_field_are_frozen():
+    orders = []
+    for q in range(2, 257):
+        try:
+            factor_prime_power(q)
+        except UnsupportedField:
+            continue
+        orders.append(q)
+        F = field_for(q)
+        h = hashlib.sha256(str(F.generator).encode())
+        for name in ("add_t", "sub_t", "neg_t", "mul_t", "inv_t", "exp_t", "log_t"):
+            table = np.ascontiguousarray(getattr(F, name))
+            h.update(f"{name}{table.dtype.str}{table.shape}".encode())
+            h.update(table.tobytes())
+        assert h.hexdigest()[:16] == _FROZEN_TABLES[q], q
+    assert orders == sorted(_FROZEN_TABLES)

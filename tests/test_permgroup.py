@@ -196,6 +196,21 @@ def test_closure_above_uint16_points():
     assert group_scheme(group).d == 2
 
 
+@pytest.mark.parametrize("make,arg", [(psl2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+                         + [(sl2, 3), (sl2, 5), (symmetric, 5), (cyclic, 7)])
+def test_closure_lists_the_group_once(make, arg):
+    # the lookup checks no listed row, so closure must guarantee the list
+    group = make(arg)
+    els = group.elements
+    n = group.order
+    assert els[0].tolist() == list(range(group.degree))
+    assert np.unique(els, axis=0).shape[0] == n
+    # x -> x * s, whose image row is s[x]; rows_to_indices compares in full
+    right = [group.rows_to_indices(s[els]) for s in group.generators]
+    assert all(np.array_equal(np.sort(r), np.arange(n)) for r in right)
+    assert not min_label_components(np.arange(n), right).any()
+
+
 def test_mul_matches_composition():
     g = symmetric(4)
     els = g.elements
@@ -311,45 +326,6 @@ def test_mul_table_matches_composition(make, arg):
     table = group.mul_table()
     assert table.dtype == np.int32
     assert table.tolist() == _product_table(group).tolist()
-
-
-@pytest.mark.parametrize("make,arg", [(symmetric, 4), (psl2, 7)],
-                         ids=["symmetric-4", "psl2-7"])
-def test_incomplete_element_list_is_refused(make, arg):
-    gens = make(arg).generators
-    short = closure(gens).elements[:-1]
-    with pytest.raises(ValueError):
-        PermutationGroup(gens, images=short).mul_table()
-    with pytest.raises(ValueError):
-        PermutationGroup(gens, images=short).conjugacy_classes()
-
-
-def test_repeated_element_is_refused():
-    gens = symmetric(4).generators
-    rows = closure(gens).elements
-    listed = np.concatenate([rows[:-1], rows[1:2]])
-    with pytest.raises(ValueError):
-        PermutationGroup(gens, images=listed).mul_table()
-    with pytest.raises(ValueError):
-        PermutationGroup(gens, images=listed).conjugacy_classes()
-
-
-def test_element_list_must_start_at_the_identity():
-    gens = symmetric(4).generators
-    rolled = np.roll(closure(gens).elements, 1, axis=0)
-    with pytest.raises(ValueError, match="not the identity"):
-        PermutationGroup(gens, images=rolled).conjugacy_classes()
-
-
-def test_mul_table_refuses_elements_the_generators_miss():
-    # S3 is closed under the swap, but the swap alone generates only 2 of it
-    s3 = symmetric(3)
-    with pytest.raises(ValueError):
-        PermutationGroup([s3.generators[0]], images=s3.elements).mul_table()
-    with pytest.raises(ValueError):
-        PermutationGroup([s3.generators[0]], images=s3.elements).conjugacy_classes()
-    with pytest.raises(ValueError):
-        group_scheme(PermutationGroup([s3.generators[0]], images=s3.elements))
 
 
 def test_orbitals_two_transitive_action():
