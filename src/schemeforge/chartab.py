@@ -6,7 +6,9 @@ shared eigenvectors of the whole family, one per character, and generically
 a simple spectrum.  The rows of P are the eigenvectors of M^T, and every
 entry p_j(i) is read as a two-sided Rayleigh quotient of B_j^T with the
 matching eigenvector of M as left partner, so its error is quadratic in the
-eigenvector error.
+eigenvector error.  The coefficients c_j are drawn uniformly from [1, 2] by
+sampling.Sampler, the stdlib random.Random(seed), so a seed fixes the
+combination under every numpy version.
 
 Multiplicities come from the first orthogonality relation, and all residual
 checks are scale-normalized so that tolerances mean the same thing for a
@@ -30,6 +32,7 @@ from .errors import (DegenerateCombination, EigensolverFailure,
 from .gf import factor_prime_power
 from .permgroup import (CosetAction, PermutationGroup, coset_action,
                         double_cosets, group_scheme, orbitals)
+from .sampling import Sampler
 from .scheme import (AssociationScheme, IntersectionNumbers, intersection_numbers,
                      read_labeled_rows)
 
@@ -135,11 +138,11 @@ def compute_character_table(source, seed: int = DEFAULT_SEED,
     d1 = k.shape[0]
     B = np.stack([inter.B(j).astype(np.float64) for j in range(d1)])
     Bt = B.transpose(0, 2, 1).copy()
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     last_error = "no attempts made"
     for _ in range(MAX_TRIES):
         try:
-            c = rng.uniform(1.0, 2.0, size=d1)
+            c = np.array([rng.uniform(1.0, 2.0) for _ in range(d1)])
             M = np.tensordot(c, B, axes=1)
             eigvals, V = np.linalg.eig(M)
             gaps = np.abs(eigvals[:, None] - eigvals[None, :])

@@ -13,6 +13,7 @@ handler, and the options every subcommand shares come from one parent parser.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -55,8 +56,8 @@ def _int_any_base(text: str) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_int_any_base, default=DEFAULT_SEED,
-                        help="RNG seed for eigencombinations and sampling "
-                             "(default 0x%X)" % DEFAULT_SEED)
+                        help="seed (>= 0) of the eigencombinations and "
+                             "samples (default 0x%X)" % DEFAULT_SEED)
     parser.add_argument("--format", choices=OUTPUT_FORMATS, default="json",
                         help="output format (default json)")
     parser.add_argument("--out", metavar="FILE", default=None,
@@ -478,7 +479,10 @@ def _cmd_export(args, cfg: RunConfig):
 # parser assembly
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The schemeforge parser, built once a process: parse_args reads it
+    and fills a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="schemeforge",
         description="Association schemes from groups and Paige loops, "
@@ -595,8 +599,7 @@ def _report_error(args, kind: str, detail: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from(args)
     except ValueError as exc:

@@ -50,6 +50,8 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {self.seed}")
         if self.element_cap <= 0:
             raise ValueError("size caps must be positive")
         for name in ("tol_eigen", "tol_compare"):

@@ -39,7 +39,9 @@ raises CertificationFailed.  Such a loop takes the refinement at every
 size.  One without an invariant takes the pair orbits of its translations
 up to PAIR_ORBIT_LIMIT points; above that each round gives every point a
 random inner map of its own, and a sampled scheme-axioms check certifies
-the result once rounds stop merging.
+the result once rounds stop merging.  The random inner maps and the
+sampled triples of the checks are drawn by sampling.Sampler, the stdlib
+random.Random(seed), so a seed fixes them under every numpy version.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .config import DEFAULT_SEED, MOUFANG_EXHAUSTIVE_LIMIT
 from .errors import CapExceeded, CertificationFailed, ParseError
 from .permgroup import (PermutationGroup, canonical_labels,
                         min_label_components, pair_orbits)
+from .sampling import Sampler
 from .scheme import AssociationScheme, verify_scheme_axioms
 
 PAIR_ORBIT_LIMIT = 256      # largest loop the exact pair-orbit policy takes
@@ -364,10 +367,10 @@ def _first_violation(loop: LoopStructure, identities, samples: int, seed: int):
     else:
         mode, checked = "sampled", samples
         m, key, lift = loop.times, loop.index, loop.lift
-        rng = np.random.default_rng(seed)
+        rng = Sampler(seed)
         # X, Y and Z drawn in turn for each block, so the stream is fixed by the seed
         takes = (min(LIFT_BLOCK, samples - done) for done in range(0, samples, LIFT_BLOCK))
-        blocks = ([rng.integers(0, n, size=take) for _ in range(3)] for take in takes)
+        blocks = ([rng.indices(n, take) for _ in range(3)] for take in takes)
     for X, Y, Z in blocks:
         for text, bad in identities(m, key, lift(X), lift(Y), lift(Z)):
             if bad.any():
@@ -483,18 +486,17 @@ def _inner_orbits_randomized(loop: LoopStructure, bound: np.ndarray | None,
     the partition or sends it back to refining (certificate "sampled").
     """
     n = loop.n
-    rng = np.random.default_rng(seed)
+    rng = Sampler(seed)
     points = np.arange(n)
     label = points
     count = n
     quiet = checks = 0
     for rounds in range(1, ROUND_BUDGET + 1):
         if bound is not None:
-            kind = int(rng.integers(0, 3))
-            x, y = rng.integers(0, n, size=2)
+            kind, x, y = rng.randrange(3), rng.randrange(n), rng.randrange(n)
         else:
-            kind = rng.integers(0, 3, size=n)
-            x, y = rng.integers(0, n, size=(2, n))
+            kind = rng.indices(3, n)
+            x, y = rng.indices(n, 2 * n).reshape(2, n)
         image = _sampled_inner_images(loop, kind, x, y, points)
         label = min_label_components(label, [image])
         merged = count - int(np.count_nonzero(label == points))

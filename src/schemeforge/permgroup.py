@@ -511,9 +511,18 @@ def group_scheme(group: PermutationGroup) -> AssociationScheme:
 # subgroups, cosets, double cosets
 
 
+def _distinct_sorted(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of values, ascending: a plain np.unique without
+    its import of numpy.ma."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.shape, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def is_subgroup(group: PermutationGroup, members) -> bool:
     group.require_enumerated()
-    idx = np.unique(np.fromiter(members, dtype=np.int64))
+    idx = _distinct_sorted(np.fromiter(members, dtype=np.int64))
     if idx.size == 0 or idx[0] != 0:
         return False
     inside = np.zeros(group.order, dtype=bool)
@@ -550,7 +559,7 @@ def double_cosets(group: PermutationGroup, subgroup) -> DoubleCosetDecomposition
     for g in range(group.order):
         if seen[g]:
             continue
-        part = np.unique(group.mul(group.mul(H_arr, g)[:, None], H_arr[None, :]))
+        part = _distinct_sorted(group.mul(group.mul(H_arr, g)[:, None], H_arr[None, :]))
         seen[part] = True
         parts.append(part.tolist())
     parts.sort(key=lambda p: (len(p), p[0]))

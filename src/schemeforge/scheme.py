@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_RELATION_CAP, DEFAULT_SEED
 from .errors import CapExceeded, InvalidFusion, NotAScheme, ParseError
+from .sampling import Sampler
 
 REPS_PER_CLASS = 3      # rows read, one pair per class each, of a non-orbital scheme
 EXHAUSTIVE_LIMIT = 300  # non-orbital schemes up to this size are checked at all pairs
@@ -297,7 +298,9 @@ class SchemeReport:
 def verify_scheme_axioms(scheme: AssociationScheme,
                          seed: int = DEFAULT_SEED) -> SchemeReport:
     """Check diagonal class, row regularity, transpose closure and
-    representative independence of the intersection numbers."""
+    representative independence of the intersection numbers, on every row
+    up to 600 points and above that on rows 0, 1, 2 and VERIFY_ROWS - 3
+    more, distinct ones drawn by sampling.Sampler(seed)."""
     n, d = scheme.n, scheme.d
     k = scheme.valencies
     failures: list[str] = []
@@ -310,9 +313,7 @@ def verify_scheme_axioms(scheme: AssociationScheme,
     if n <= 600:
         rows = range(n)
     else:
-        rng = np.random.default_rng(seed)
-        extra = rng.choice(n - 3, size=VERIFY_ROWS - 3, replace=False) + 3
-        rows = [0, 1, 2] + sorted(int(r) for r in extra)
+        rows = [0, 1, 2] + sorted(Sampler(seed).sample(range(3, n), VERIFY_ROWS - 3))
 
     class_reps: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
     for x in rows:

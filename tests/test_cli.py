@@ -553,6 +553,39 @@ def test_determinism_across_runs_and_threads(capsys):
     assert first == second
 
 
+def test_successive_calls_share_no_options(capsys, tmp_path):
+    # the parser is built once a process; a call's --out and --format must
+    # not carry over into the next call
+    argv = ["chartable", "oracle-psl2", "--q", "4"]
+    lone = run_cli(capsys, *argv)
+    target = tmp_path / "t4.csv"
+    rc, out, _ = run_cli(capsys, *argv, "--format", "csv", "--out", str(target))
+    assert rc == 0 and out == "" and target.read_text().startswith("kind,")
+    again = run_cli(capsys, *argv)
+    assert again == lone and lone[0] == 0
+    assert json.loads(lone[1])["n"] == 60
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_run_config_refuses_negative_seeds():
+    with pytest.raises(ValueError, match="--seed must be non-negative, got -1"):
+        RunConfig(seed=-1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("paige", "table", "--q", "3"),
+    ("paige", "build", "--q", "2"),
+    ("scheme", "group-scheme", "--psl2", "5"),
+    ("chartable", "double-coset", "--psl2", "5", "--stab", "0"),
+    ("chartable", "oracle-psl2", "--q", "4"),
+])
+def test_negative_seeds_exit_2_naming_the_option(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv, "--seed=-1", "--json-errors")
+    assert rc == 2 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == {
+        "kind": "ValueError", "detail": "--seed must be non-negative, got -1"}
+
+
 @pytest.mark.parametrize("argv", [
     ("paige", "build", "--q", "6"),
     ("paige", "build", "--q", "4", "--cap-elements", "100"),

@@ -204,8 +204,9 @@ def test_identity_row_cross_check_refuses_a_non_scheme(paige3):
 
 
 # (sha256 of class_of, samples, rounds, certificate) of inner_orbits(policy=
-# "randomized") at two seeds, as computed when every product of an inner map
-# was its own indexed mul_vec
+# "randomized") at two seeds; the classes as computed when every product of
+# an inner map was its own indexed mul_vec, the samples and rounds those of
+# the Sampler stream (random.Random(seed)) of each seed
 TRACE_CLASSES = {
     3: "2f2e7603efa9e22ba8c4735f3dbc1fd62492647bc4c9117e97ad0880633b0b18",
     4: "2b1433dda1cdf993ff29919c500016bdd5793d08cd7dc8cfb4f2d191074dfd7c",
@@ -213,8 +214,8 @@ TRACE_CLASSES = {
     7: "36bd2dee73306d140296abfefa3c61d118684e8ce55301c5bddd2ed625ed3768",
 }
 INNER_ORBIT_REPORTS = [
-    (3, 0xA55C, 3240, 3), (3, 11, 3240, 3),
-    (4, 0xA55C, 48960, 3), (4, 11, 48960, 3),
+    (3, 0xA55C, 3240, 3), (3, 11, 2160, 2),
+    (4, 0xA55C, 48960, 3), (4, 11, 32640, 2),
     (5, 0xA55C, 117000, 3), (5, 11, 78000, 2),
     (7, 0xA55C, 1234800, 3), (7, 11, 823200, 2),
 ]

@@ -511,6 +511,10 @@ def test_is_subgroup():
     # two element subset closed only if the non-identity element is an involution
     three_cycle = int(s3.rows_to_indices([1, 2, 0]))
     assert not is_subgroup(s3, [0, three_cycle])
+    # members are a set: order and repeats do not matter, and none is no group
+    assert is_subgroup(s3, [5, 0, 3, 0, 4, 1, 2, 5])
+    assert not is_subgroup(s3, [three_cycle, 0, three_cycle])
+    assert not is_subgroup(s3, [])
 
 
 def test_stabilizer_sizes():
