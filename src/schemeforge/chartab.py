@@ -40,19 +40,29 @@ MAX_TRIES = 20      # random combinations tried before EigensolverFailure
 
 
 class CharacterTable:
-    """P = [p_j(i)] with the valencies on row 0 and p_0(i) = 1 down column 0."""
+    """P = [p_j(i)] with the valencies on row 0 and p_0(i) = 1 down column 0.
+    Valencies must be positive integers, multiplicities positive and finite,
+    and n at least 1; anything else raises ValueError."""
 
     def __init__(self, P, valencies, multiplicities, n):
         self.P = np.asarray(P, dtype=np.complex128)
-        self.valencies = np.asarray(valencies, dtype=np.int64)
+        k = np.asarray(valencies, dtype=np.float64)
         self.multiplicities = np.asarray(multiplicities, dtype=np.float64)
         self.n = int(n)
         if self.P.ndim != 2 or self.P.shape[0] != self.P.shape[1]:
             raise ValueError("character table must be square")
-        if self.valencies.shape[0] != self.P.shape[0]:
+        if k.shape != (self.P.shape[0],):
             raise ValueError("one valency per column is required")
-        if self.multiplicities.shape[0] != self.P.shape[0]:
+        if self.multiplicities.shape != (self.P.shape[0],):
             raise ValueError("one multiplicity per row is required")
+        if not (np.isfinite(k).all() and (k >= 1).all() and (k == np.round(k)).all()):
+            raise ValueError(f"valencies must be positive integers, got {k.tolist()}")
+        if not (np.isfinite(self.multiplicities).all() and (self.multiplicities > 0).all()):
+            raise ValueError(f"multiplicities must be positive and finite, "
+                             f"got {self.multiplicities.tolist()}")
+        if self.n < 1:
+            raise ValueError(f"n must be at least 1, got {self.n}")
+        self.valencies = k.astype(np.int64)
 
     @property
     def d(self) -> int:

@@ -3,7 +3,7 @@
 Every run echoes its effective seed and tolerances on stderr so results can
 be replayed.  Exit codes: 0 success, 1 a verification failed (a residual
 exceeded its tolerance, a certificate did not hold), 2 usage or ingestion
-errors.  With --json-errors the failure reason is also written to stderr as
+errors, argparse's own included.  With --json-errors the failure reason is also written to stderr as
 {"error": {"kind": ..., "detail": ...}}.
 
 A subcommand is one declaration: its parser carries its own options and its
@@ -23,11 +23,11 @@ from . import chartab, loopcore, permgroup, scheme as scheme_mod, zorn
 from .config import (DEFAULT_SEED, DEFAULT_TOL_COMPARE, DEFAULT_TOL_EIGEN,
                      OUTPUT_FORMATS, RunConfig, element_cap_default)
 from .errors import (CapExceeded, CertificationFailed, DegenerateCombination,
-                     DivisionByZero, EigensolverFailure, InvalidFusion,
-                     MismatchWithOrbitalTable, NonCommutative,
-                     NonPositiveMultiplicity, NotAScheme, NotEnumerated,
-                     NotGroupScheme, NotMultiplicityFree, NotSubgroup,
-                     NotTransitive, ParseError, UnsupportedField, UnsupportedQ)
+                     EigensolverFailure, InvalidFusion, MismatchWithOrbitalTable,
+                     NonCommutative, NonPositiveMultiplicity, NotAScheme,
+                     NotEnumerated, NotGroupScheme, NotMultiplicityFree,
+                     NotSubgroup, NotTransitive, ParseError, UnsupportedField,
+                     UnsupportedQ)
 
 # failures of a computation or certificate -> exit 1
 VERIFICATION_ERRORS = (NotAScheme, InvalidFusion, NonCommutative,
@@ -37,8 +37,8 @@ VERIFICATION_ERRORS = (NotAScheme, InvalidFusion, NonCommutative,
                        CertificationFailed)
 # bad arguments, malformed files, out-of-scope requests -> exit 2
 USAGE_ERRORS = (ParseError, UnsupportedField, UnsupportedQ, CapExceeded,
-                NotTransitive, NotSubgroup, NotEnumerated, DivisionByZero,
-                OSError, ValueError, KeyError, json.JSONDecodeError)
+                NotTransitive, NotSubgroup, NotEnumerated, OSError,
+                ValueError, KeyError, json.JSONDecodeError)
 
 
 class _Exit(Exception):
@@ -48,6 +48,15 @@ class _Exit(Exception):
         super().__init__(message or "")
         self.code = code
         self.message = message
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors print its usage and leave as the
+    usage exit, so main reports them like every other usage error."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise _Exit(2, message)
 
 
 def _int_any_base(text: str) -> int:
@@ -483,7 +492,7 @@ def _cmd_export(args, cfg: RunConfig):
 def build_parser() -> argparse.ArgumentParser:
     """The schemeforge parser, built once a process: parse_args reads it
     and fills a fresh namespace on every call."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schemeforge",
         description="Association schemes from groups and Paige loops, "
                     "with numerically verified character tables.")
@@ -590,8 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_error(args, kind: str, detail: str) -> None:
-    if getattr(args, "json_errors", False):
+def _report_error(as_json: bool, kind: str, detail: str) -> None:
+    if as_json:
         print(json.dumps({"error": {"kind": kind, "detail": detail}}),
               file=sys.stderr)
     else:
@@ -599,27 +608,26 @@ def _report_error(args, kind: str, detail: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    as_json = "--json-errors" in argv       # until the flags are parsed
     try:
+        args = build_parser().parse_args(argv)
+        as_json = args.json_errors
         cfg = _config_from(args)
-    except ValueError as exc:
-        _report_error(args, "ValueError", str(exc))
-        return 2
-    _echo_header(cfg)
-    try:
+        _echo_header(cfg)
         code, output = args.handler(args, cfg)
         if output is not None:
             _write_output(output, args)
         return code
     except _Exit as exc:
         if exc.message:
-            _report_error(args, "UsageError", exc.message)
+            _report_error(as_json, "UsageError", exc.message)
         return exc.code
     except VERIFICATION_ERRORS as exc:
-        _report_error(args, type(exc).__name__, str(exc))
+        _report_error(as_json, type(exc).__name__, str(exc))
         return 1
     except USAGE_ERRORS as exc:
-        _report_error(args, type(exc).__name__, str(exc))
+        _report_error(as_json, type(exc).__name__, str(exc))
         return 2
 
 

@@ -9,10 +9,6 @@ class SchemeForgeError(Exception):
 
 # finite field arithmetic
 
-class DivisionByZero(SchemeForgeError):
-    """Inversion or division by the zero element."""
-
-
 class UnsupportedField(SchemeForgeError):
     """Requested field order is not a supported prime power."""
 

@@ -2,11 +2,12 @@
 
 An element of GF(p^r) is its table index, an integer in [0, q): its base-p
 digits, lowest degree first, are the coefficients of the residue polynomial
-modulo a fixed monic irreducible of degree r.  Construction precomputes
-log/antilog tables from a multiplicative generator and full q x q operation
-tables, so every arithmetic operation afterwards is an exact lookup, on
-whole index arrays through the numpy tables or on one index through the
-integer methods.  Supported orders are q = p^r <= 256 with r <= 8.
+modulo a fixed monic irreducible of degree r.  Construction builds full
+q x q addition and multiplication tables, the latter by one vectorized
+product over all pairs of digit rows, and reads a multiplicative generator,
+the log/antilog tables and the inverses from the products.  Every
+arithmetic operation afterwards is an exact lookup on index arrays.
+Supported orders are q = p^r <= 256 with r <= 8.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivisionByZero, UnsupportedField
+from .errors import UnsupportedField
 
 MAX_ORDER = 256
 MAX_DEGREE = 8
@@ -120,11 +121,13 @@ def _lex_smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
 
 
 class FieldSpec:
-    """Tables-backed GF(p^r).
+    """Tables-backed GF(p^r): add_t, sub_t, mul_t are q x q, neg_t, inv_t
+    and log_t have one entry per element, and exp_t[i] is generator^i.
 
-    The numpy tables (add_t, mul_t, ...) take index arrays by fancy
-    indexing; the integer methods (add, mul, ...) take and return single
-    indices in [0, q), looked up in the same tables.
+    mul_t holds every product of two digit rows x and y, computed as
+    sum_j y_j (x t^j): each x t^j is the previous one shifted up one degree,
+    its top digit reduced by the monic modulus.  The generator is the
+    smallest x none of whose powers x^1 .. x^(q-2) is 1.
     """
 
     def __init__(self, p: int, r: int = 1):
@@ -141,119 +144,41 @@ class FieldSpec:
         self.modulus = BUILTIN_MODULI.get(q) or _lex_smallest_irreducible(p, r)
         self._build_tables()
 
-    # construction
-
-    def _digits(self, x: int) -> tuple[int, ...]:
-        ds = []
-        for _ in range(self.r):
-            ds.append(x % self.p)
-            x //= self.p
-        return tuple(ds)
-
-    def _undigits(self, ds) -> int:
-        x = 0
-        for c in reversed(ds):
-            x = x * self.p + int(c)
-        return x
-
-    def _mul_slow(self, x: int, y: int) -> int:
-        """Polynomial product with reduction; used only to bootstrap the tables."""
-        a, b = self._digits(x), self._digits(y)
-        conv = [0] * (2 * self.r - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ai * bj) % self.p
-        red = _poly_mod(tuple(conv), self.modulus, self.p)
-        return self._undigits(red + (0,) * (self.r - len(red)))
-
     def _build_tables(self):
         p, r, q = self.p, self.r, self.q
-        digs = np.zeros((q, r), dtype=np.int64)
-        vals = np.arange(q)
-        for k in range(r):
-            digs[:, k] = vals % p
-            vals = vals // p
         pw = p ** np.arange(r, dtype=np.int64)
+        digs = (np.arange(q)[:, None] // pw) % p
         self.add_t = (((digs[:, None, :] + digs[None, :, :]) % p) @ pw).astype(np.uint8)
         self.neg_t = (((p - digs) % p) @ pw).astype(np.uint8)
         self.sub_t = self.add_t[:, self.neg_t]
 
-        # multiplicative structure from a generator
-        if q == 2:
-            gen = 1
-        else:
-            gen = None
-            for cand in range(2, q):
-                acc, k = cand, 1
-                while acc != 1:
-                    acc = self._mul_slow(acc, cand)
-                    k += 1
-                if k == q - 1:
-                    gen = cand
-                    break
-            if gen is None:  # pragma: no cover - generator always exists
-                raise UnsupportedField(f"no multiplicative generator found for GF({q})")
+        # shifted[j] holds the digit rows of x t^j: x t^(j-1) shifted up one
+        # degree, its top digit times the low modulus digits subtracted
+        low = np.asarray(self.modulus[:r], dtype=np.int64)
+        shifted = np.zeros((r, q, r), dtype=np.int64)
+        shifted[0] = digs
+        for j in range(1, r):
+            shifted[j, :, 1:] = shifted[j - 1, :, :-1]
+            shifted[j] = (shifted[j] - shifted[j - 1, :, -1:] * low) % p
+        prod = (digs @ shifted.transpose(1, 0, 2)) % p    # [x, y] = sum_j y_j x t^j
+        self.mul_t = (prod @ pw).astype(np.uint8)
+
+        # multiplicative structure: row k - 1 of powers holds x^k of every x != 0
+        nz = np.arange(1, q)
+        powers = np.empty((q - 1, q - 1), dtype=np.int64)
+        powers[0] = nz
+        for k in range(1, q - 1):
+            powers[k] = self.mul_t[powers[k - 1], nz]
+        gen = 1 + int(np.argmax((powers[:-1] != 1).all(axis=0)))
         self.generator = gen
-        exp = np.zeros(max(q - 1, 1), dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            acc = self._mul_slow(acc, gen)
+        exp = np.append(1, powers[:-1, gen - 1])
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         self.exp_t = exp.astype(np.uint8)
         self.log_t = log  # log[0] is meaningless; every user masks zero first
-
-        mul = np.zeros((q, q), dtype=np.uint8)
-        nz = np.arange(1, q)
-        mul[1:, 1:] = self.exp_t[(log[nz][:, None] + log[nz][None, :]) % (q - 1)]
-        self.mul_t = mul
         inv = np.zeros(q, dtype=np.uint8)
         inv[exp] = exp[(-np.arange(q - 1)) % (q - 1)]
-        self.inv_t = inv  # inv[0] stays 0; scalar paths raise before using it
-
-    # integer-level arithmetic
-
-    def _check(self, *xs: int):
-        for x in xs:
-            if not (0 <= x < self.q):
-                raise ValueError(f"encoding {x} outside [0, {self.q})")
-
-    def add(self, x: int, y: int) -> int:
-        self._check(x, y)
-        return int(self.add_t[x, y])
-
-    def sub(self, x: int, y: int) -> int:
-        self._check(x, y)
-        return int(self.sub_t[x, y])
-
-    def mul(self, x: int, y: int) -> int:
-        self._check(x, y)
-        return int(self.mul_t[x, y])
-
-    def neg(self, x: int) -> int:
-        self._check(x)
-        return int(self.neg_t[x])
-
-    def inv(self, x: int) -> int:
-        self._check(x)
-        if x == 0:
-            raise DivisionByZero(f"zero has no inverse in GF({self.q})")
-        return int(self.inv_t[x])
-
-    def div(self, x: int, y: int) -> int:
-        return self.mul(x, self.inv(y))
-
-    def pow(self, x: int, e: int) -> int:
-        self._check(x)
-        if e < 0:
-            return self.pow(self.inv(x), -e)
-        if x == 0:
-            return 1 if e == 0 else 0
-        if self.q == 2:
-            return 1
-        return int(self.exp_t[(int(self.log_t[x]) * e) % (self.q - 1)])
+        self.inv_t = inv  # inv[0] stays 0; every user masks zero first
 
     def __repr__(self):
         return f"FieldSpec(p={self.p}, r={self.r}, modulus={list(self.modulus)})"

@@ -631,7 +631,7 @@ def regular_action(group: PermutationGroup) -> PermutationGroup:
 
 
 def _transvection_mats(spec):
-    xs = [spec.pow(spec.generator, i) for i in range(spec.r)]
+    xs = spec.exp_t[:spec.r].tolist()      # generator^0 .. generator^(r-1)
     return [(1, x, 0, 1) for x in xs] + [(1, 0, x, 1) for x in xs]   # upper, lower
 
 

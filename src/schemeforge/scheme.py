@@ -67,10 +67,17 @@ class AssociationScheme:
     @classmethod
     def from_matrix(cls, matrix, source=None) -> "AssociationScheme":
         """Dense scheme with rel(x, y) = matrix[x, y] and the transpose of a
-        class read at its first member in row 0, as homogeneous does."""
+        class read at its first member in row 0, as homogeneous does.  The
+        entries must be non-negative integer class ids; anything else
+        raises ValueError."""
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"relation matrix must be square, got {matrix.shape}")
+        if matrix.dtype.kind not in "iu":
+            raise ValueError(f"relation matrix entries must be integer class ids, "
+                             f"got {matrix.dtype}")
+        if matrix.min() < 0:
+            raise ValueError(f"relation matrix has a negative class id {matrix.min()}")
         n = matrix.shape[0]
         d = int(matrix.max())
         matrix = matrix.astype(index_dtype(d + 1), copy=False)

@@ -451,10 +451,27 @@ def test_table_csv_roundtrip_exact():
               compute_character_table(group_scheme(cyclic(5)))):
         text = table_to_csv(t)
         again = table_from_csv(text)
+        spaced = table_from_csv("\n" + text.replace("\n", "\n\n"))   # blank lines are skipped
+        assert np.array_equal(spaced.P, again.P)
         assert again.n == t.n
         assert np.array_equal(again.P, t.P)
         assert np.array_equal(again.valencies, t.valencies)
         assert np.array_equal(again.multiplicities, t.multiplicities)
+
+
+@pytest.mark.parametrize("valencies,multiplicities,n,fault", [
+    ([1, 0], [1, 2], 3, "valencies must be positive integers"),
+    ([1, 2.5], [1, 2], 3, "valencies must be positive integers"),
+    ([1, float("nan")], [1, 2], 3, "valencies must be positive integers"),
+    ([1, 2], [-1, 4], 3, "multiplicities must be positive and finite"),
+    ([1, 2], [1, 0], 3, "multiplicities must be positive and finite"),
+    ([1, 2], [1, float("inf")], 3, "multiplicities must be positive and finite"),
+    ([1, 2], [1, 2], 0, "n must be at least 1"),
+], ids=["valency-0", "valency-2.5", "valency-nan", "multiplicity-negative",
+        "multiplicity-0", "multiplicity-inf", "n-0"])
+def test_character_table_refuses_impossible_parameters(valencies, multiplicities, n, fault):
+    with pytest.raises(ValueError, match=fault):
+        CharacterTable([[1, 2], [1, -1]], valencies, multiplicities, n)
 
 
 def test_table_csv_rejects_garbage():

@@ -8,7 +8,8 @@ import pytest
 
 from schemeforge import cli
 from schemeforge.chartab import (CharacterTable, closed_form_mstar,
-                                 compute_character_table)
+                                 compute_character_table, table_to_csv,
+                                 table_to_latex, table_to_text)
 from schemeforge.cli import _load_scheme, main
 from schemeforge.config import RunConfig
 from schemeforge.errors import ParseError
@@ -123,6 +124,10 @@ def test_fuse_valid_and_invalid(capsys, tmp_path):
                          "--cells", "1,3")
     assert rc == 0
     assert json.loads(out)["d"] == 2
+    # empty cells are skipped
+    rc, again, _ = run_cli(capsys, "scheme", "fuse", "--scheme", str(path),
+                           "--cells", " ; 1,3;")
+    assert rc == 0 and again == out
 
     rc, _, err = run_cli(capsys, "scheme", "fuse", "--scheme", str(path),
                          "--cells", "1,2", "--json-errors")
@@ -384,6 +389,17 @@ def test_double_coset_eigensolves_honour_tol_eigen(capsys):
     assert json.loads(err.splitlines()[-1])["error"]["kind"] == "EigensolverFailure"
 
 
+def test_double_coset_renders_its_table_in_every_format(capsys):
+    argv = ("chartable", "double-coset", "--psl2", "5", "--stab", "0")
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    table = CharacterTable.from_json(json.loads(out)["table"])
+    for fmt, render in (("csv", table_to_csv), ("latex", table_to_latex),
+                        ("text", table_to_text)):
+        rc, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        assert rc == 0 and out == render(table), fmt
+
+
 def test_double_coset_with_subgroup_file(capsys, tmp_path):
     sub = tmp_path / "s2.gens"
     sub.write_text("(0 1)\n")
@@ -481,6 +497,44 @@ def test_compare_mismatch_is_strict_json(capsys, tmp_path):
     assert rc == 1
     payload = json.loads(out, parse_constant=_reject_constant)
     assert payload == {"matched": False, "max_diff": None}
+
+
+@pytest.mark.parametrize("valencies,multiplicities,n,fault", [
+    ([1, 0], [1, 2], 3, "valencies must be positive integers"),
+    ([1, 2.5], [1, 2], 3, "valencies must be positive integers"),
+    ([1, 2], [-1, 4], 3, "multiplicities must be positive and finite"),
+    ([1, 2], [1, 2], 0, "n must be at least 1"),
+], ids=["valency-0", "valency-2.5", "multiplicity-negative", "n-0"])
+def test_impossible_table_parameters_exit_2_in_strict_json(
+        capsys, tmp_path, valencies, multiplicities, n, fault):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({
+        "d": 1, "n": n, "P": [[{"re": 1, "im": 0}, {"re": 2, "im": 0}],
+                              [{"re": 1, "im": 0}, {"re": -1, "im": 0}]],
+        "valencies": valencies, "multiplicities": multiplicities}))
+    rc, out, err = run_cli(capsys, "chartable", "verify", "--table", str(path),
+                           "--json-errors")
+    assert rc == 2 and out == ""
+    error = json.loads(err.splitlines()[-1], parse_constant=_reject_constant)["error"]
+    assert error["kind"] == "ValueError" and fault in error["detail"]
+
+
+@pytest.mark.parametrize("suffix,text,fault", [
+    (".csv", "kind,scheme\nn,3\nd,1\nvalencies,1,2\nR,0,1,-1\nR,1,0,1\nR,1,1,0\n",
+     "negative class id -1"),
+    (".json", json.dumps({"n": 3, "d": 1, "valencies": [1, 2], "relations": {
+        "matrix": [[0, 1, -1], [1, 0, 1], [1, 1, 0]]}}), "negative class id -1"),
+    (".json", json.dumps({"n": 3, "d": 1, "valencies": [1, 2], "relations": {
+        "matrix": [[0, 1, 1.5], [1, 0, 1], [1, 1, 0]]}}), "integer class ids"),
+], ids=["csv-negative", "json-negative", "json-fraction"])
+def test_scheme_matrix_with_impossible_class_ids_exits_2(capsys, tmp_path, suffix, text, fault):
+    path = tmp_path / ("x" + suffix)
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, "scheme", "verify", "--scheme", str(path),
+                           "--json-errors")
+    assert rc == 2 and out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["kind"] == "ValueError" and fault in error["detail"]
 
 
 def test_compare_rows_that_fit_only_one_at_a_time_give_null(capsys, tmp_path):
@@ -624,10 +678,26 @@ def test_cap_env_variable(capsys, monkeypatch):
     assert rc == 2
 
 
-def test_argparse_usage_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["paige", "table"])  # --q is required
-    assert exc.value.code == 2
+def test_argparse_usage_exits_2(capsys):
+    rc, out, err = run_cli(capsys, "paige", "table")  # --q is required
+    assert rc == 2 and out == ""
+    assert err.startswith("usage: schemeforge paige table")
+    assert err.splitlines()[-1] == ("schemeforge: UsageError: "
+                                    "the following arguments are required: --q")
+
+
+@pytest.mark.parametrize("argv,kind,flag", [
+    (("paige", "table"), "UsageError", "--q"),
+    (("paige", "table", "--q", "3", "--seed", "-0x10"), "UsageError", "--seed"),
+    (("paige", "table", "--q", "3", "--seed", "-1_0"), "UsageError", "--seed"),
+    (("paige", "table", "--q", "3", "--seed=-0x10"), "ValueError", "--seed"),
+    (("paige", "table", "--q", "3", "--policy", "never"), "UsageError", "--policy"),
+])
+def test_argument_errors_end_in_one_json_line(capsys, argv, kind, flag):
+    rc, out, err = run_cli(capsys, *argv, "--json-errors")
+    assert rc == 2 and out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["kind"] == kind and flag in error["detail"]
 
 
 def _leaves(parser, path=()):
@@ -747,7 +817,7 @@ def test_loop_file_out_of_canonical_order_exits_2(capsys, tmp_path, paige2, paig
     rows = paige2.to_json()["elements"]
     shuffled = {**paige2.to_json(), "elements": rows[:1] + rows[:0:-1]}
     rows = paige3.to_json()["elements"]
-    rows[2] = [paige3.spec.neg(x) for x in rows[2]]
+    rows[2] = [int(paige3.spec.neg_t[x]) for x in rows[2]]
     negated = {**paige3.to_json(), "elements": rows}
     for data in (shuffled, negated):
         path = tmp_path / "loop.json"

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schemeforge.errors import DivisionByZero, UnsupportedField
-from schemeforge.gf import FieldSpec, factor_prime_power, field_for, is_prime
+from schemeforge.errors import UnsupportedField
+from schemeforge.gf import BUILTIN_MODULI, FieldSpec, factor_prime_power, field_for, is_prime
 
 
 def test_is_prime_small_values():
@@ -35,35 +35,34 @@ def test_field_spec_rejects_composite_characteristic():
 def test_gf4_tables_match_hand_computation():
     # GF(4) = GF(2)[x]/(x^2+x+1), encoding 2 = x, 3 = x+1
     F = field_for(4)
-    add = [[F.add(a, b) for b in range(4)] for a in range(4)]
-    mul = [[F.mul(a, b) for b in range(4)] for a in range(4)]
-    assert add == [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
-    assert mul == [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+    assert F.add_t.tolist() == [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+    assert F.mul_t.tolist() == [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_field_axioms_exhaustive(q):
     F = field_for(q)
+    A, M, S = F.add_t, F.mul_t, F.sub_t
     xs = range(q)
     for a, b in itertools.product(xs, xs):
-        assert F.add(a, b) == F.add(b, a)
-        assert F.mul(a, b) == F.mul(b, a)
-        assert F.sub(F.add(a, b), b) == a
+        assert A[a, b] == A[b, a]
+        assert M[a, b] == M[b, a]
+        assert S[A[a, b], b] == a
     for a, b, c in itertools.product(xs, xs, xs):
-        assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
-        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        assert A[A[a, b], c] == A[a, A[b, c]]
+        assert M[M[a, b], c] == M[a, M[b, c]]
+        assert M[a, A[b, c]] == A[M[a, b], M[a, c]]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25])
 def test_inverses_and_unit_group(q):
     F = field_for(q)
     for x in range(1, q):
-        assert F.mul(x, F.inv(x)) == 1
-        assert F.pow(x, q - 1) == 1
-        assert F.div(x, x) == 1
-    assert F.pow(0, 0) == 1
-    assert F.pow(0, 5) == 0
+        assert F.mul_t[x, F.inv_t[x]] == 1
+        power = x
+        for _ in range(q - 2):
+            power = F.mul_t[power, x]
+        assert power == 1                       # x^(q-1)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 25])
@@ -74,22 +73,9 @@ def test_log_antilog_tables_are_inverse(q):
     # one full period: powers of the generator hit every nonzero element
     assert sorted(int(v) for v in F.exp_t) == list(range(1, q))
     assert int(F.exp_t[0]) == 1
-
-
-def test_division_by_zero_raises():
-    F = field_for(8)
-    with pytest.raises(DivisionByZero):
-        F.inv(0)
-    with pytest.raises(DivisionByZero):
-        F.div(3, 0)
-
-
-def test_encoding_range_checked():
-    F = field_for(4)
-    with pytest.raises(ValueError):
-        F.add(1, 4)
-    with pytest.raises(ValueError):
-        F.mul(-1, 2)
+    # and the generator is the smallest element of order q - 1
+    for x in range(2, F.generator):
+        assert 1 in F.exp_t[(F.log_t[x] * np.arange(1, q - 1)) % (q - 1)]
 
 
 def _dot(F, U, V):
@@ -132,16 +118,32 @@ def test_division_solves_linear_equations(q, data):
     F = field_for(q)
     a = data.draw(st.integers(1, q - 1))
     b = data.draw(st.integers(0, q - 1))
-    x = F.div(b, a)
-    assert F.mul(a, x) == b
+    x = F.mul_t[b, F.inv_t[a]]
+    assert F.mul_t[a, x] == b
 
 
-def test_vectorized_tables_match_scalar_ops():
-    F = field_for(8)
-    a = np.arange(8).repeat(8)
-    b = np.tile(np.arange(8), 8)
-    assert all(int(F.add_t[x, y]) == F.add(int(x), int(y)) for x, y in zip(a, b))
-    assert all(int(F.mul_t[x, y]) == F.mul(int(x), int(y)) for x, y in zip(a, b))
+def _poly_product(F, x, y):
+    """x * y by schoolbook multiplication of the digit polynomials and long
+    division by the monic modulus, one coefficient at a time."""
+    p, r = F.p, F.r
+    a = [x // p ** k % p for k in range(r)]
+    b = [y // p ** k % p for k in range(r)]
+    c = [0] * (2 * r - 1)
+    for i in range(r):
+        for j in range(r):
+            c[i + j] = (c[i + j] + a[i] * b[j]) % p
+    for top in range(2 * r - 2, r - 1, -1):     # cancel c[top] t^top
+        lead = c[top]
+        for k in range(r + 1):
+            c[top - r + k] = (c[top - r + k] - lead * F.modulus[k]) % p
+    return sum(c[k] * p ** k for k in range(r))
+
+
+@pytest.mark.parametrize("q", sorted(BUILTIN_MODULI) + [32, 49])
+def test_mul_table_matches_polynomial_product(q):
+    F = field_for(q)
+    want = [[_poly_product(F, x, y) for y in range(q)] for x in range(q)]
+    assert F.mul_t.tolist() == want
 
 
 # sha256 (first 16 hex digits) of the generator and the seven tables of every

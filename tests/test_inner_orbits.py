@@ -359,11 +359,11 @@ def test_mstar8_reaches_closed_form():
 def _mstar_valency(spec, t: int) -> int:
     """The size of the M*(q) trace class of t, odd q: SL(2, q)'s class
     sizes at q^3 in place of q, halved at trace 0."""
-    q3, two = spec.q ** 3, spec.add(1, 1)
-    if t in (two, spec.neg(two)):
+    q3, two = spec.q ** 3, int(spec.add_t[1, 1])
+    if t in (two, int(spec.neg_t[two])):
         return q3 * q3 - 1
-    disc = spec.sub(spec.mul(t, t), spec.mul(two, two))
-    split = disc in {spec.mul(x, x) for x in range(1, spec.q)}
+    disc = int(spec.sub_t[spec.mul_t[t, t], spec.mul_t[two, two]])
+    split = disc in {int(spec.mul_t[x, x]) for x in range(1, spec.q)}
     k = q3 * (q3 + 1) if split else q3 * (q3 - 1)
     return k // 2 if t == 0 else k
 
@@ -373,7 +373,7 @@ def test_trace_class_sizes_follow_the_dilated_rule(q):
     loop = build_paige_loop(q, element_cap=paige_loop_order(q))
     labels = loop.invariant_partition()
     firsts = first_members(labels, int(labels.max()) + 1)
-    traces = [loop.spec.add(int(D[0]), int(D[7])) for D in loop.lift(firsts).T]
+    traces = [int(loop.spec.add_t[D[0], D[7]]) for D in loop.lift(firsts).T]
     want = [1] + [_mstar_valency(loop.spec, t) for t in traces[1:]]
     assert np.bincount(labels).tolist() == want
 
@@ -387,7 +387,7 @@ def _mstar11_report() -> dict:
     table = compute_character_table(inter)
     elapsed = time.perf_counter() - t0
     firsts = first_members(report.class_of, report.n_classes)
-    traces = [loop.spec.add(int(D[0]), int(D[7])) for D in loop.lift(firsts).T]
+    traces = [int(loop.spec.add_t[D[0], D[7]]) for D in loop.lift(firsts).T]
     return {
         "elapsed_s": elapsed,
         "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,

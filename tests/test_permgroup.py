@@ -712,10 +712,10 @@ def _frozen_projective_images(spec, mat):
     q = spec.q
     images = []
     for t in range(q):                     # the point [1 : t]
-        u = spec.add(a, spec.mul(t, c))
-        v = spec.add(b, spec.mul(t, d))
-        images.append(q if u == 0 else spec.div(v, u))
-    images.append(q if c == 0 else spec.div(d, c))   # the point [0 : 1]
+        u = int(spec.add_t[a, spec.mul_t[t, c]])
+        v = int(spec.add_t[b, spec.mul_t[t, d]])
+        images.append(q if u == 0 else int(spec.mul_t[v, spec.inv_t[u]]))
+    images.append(q if c == 0 else int(spec.mul_t[d, spec.inv_t[c]]))   # the point [0 : 1]
     return tuple(images)
 
 
@@ -725,8 +725,8 @@ def _frozen_vector_images(spec, mat):
     images = []
     for code in range(q * q - 1):
         u, v = divmod(code + 1, q)
-        nu = spec.add(spec.mul(u, a), spec.mul(v, c))
-        nv = spec.add(spec.mul(u, b), spec.mul(v, d))
+        nu = int(spec.add_t[spec.mul_t[u, a], spec.mul_t[v, c]])
+        nv = int(spec.add_t[spec.mul_t[u, b], spec.mul_t[v, d]])
         images.append(nu * q + nv - 1)
     return tuple(images)
 

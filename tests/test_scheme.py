@@ -243,9 +243,24 @@ def test_scheme_json_header_checked():
 def test_scheme_csv_roundtrip():
     scheme = orbitals(cyclic(5))
     text = scheme_to_csv(scheme)
-    again = scheme_from_csv(text)
-    assert again.n == scheme.n and again.d == scheme.d
-    assert np.array_equal(again.dense_matrix(), scheme.dense_matrix())
+    for spaced in (False, True):       # blank lines are skipped
+        if spaced:
+            lines = text.splitlines()
+            text = "\n".join(lines[:3] + ["", "  "] + lines[3:]) + "\n\n"
+        again = scheme_from_csv(text)
+        assert again.n == scheme.n and again.d == scheme.d
+        assert np.array_equal(again.dense_matrix(), scheme.dense_matrix())
+
+
+@pytest.mark.parametrize("matrix,fault", [
+    (np.array([[0, 1], [1, -1]]), "negative class id -1"),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), "integer class ids"),
+    (np.array([[0, 1.5], [1, 0]]), "integer class ids"),
+    (np.array([[False, True], [True, False]]), "integer class ids"),
+], ids=["negative", "float", "fraction", "bool"])
+def test_from_matrix_refuses_class_ids_that_are_not_non_negative_integers(matrix, fault):
+    with pytest.raises(ValueError, match=fault):
+        AssociationScheme.from_matrix(matrix)
 
 
 def test_scheme_csv_rejects_header_mismatch():

@@ -22,33 +22,33 @@ IDENTITY = (1, 0, 0, 0, 0, 0, 0, 1)
 
 
 # A scalar reference for the kernel, one field operation at a time through
-# the integer API of FieldSpec, written from the product rule in the zorn
+# the q x q tables of FieldSpec, written from the product rule in the zorn
 # module docstring.  A vector matrix is a digit row (a, alpha, beta, b).
 
 def _dot(spec, u, v):
-    return spec.add(spec.add(spec.mul(u[0], v[0]), spec.mul(u[1], v[1])),
-                    spec.mul(u[2], v[2]))
+    A, M = spec.add_t, spec.mul_t
+    return int(A[A[M[u[0], v[0]], M[u[1], v[1]]], M[u[2], v[2]]])
 
 
 def _cross(spec, u, v):
-    return [spec.sub(spec.mul(u[i], v[j]), spec.mul(u[j], v[i]))
-            for i, j in ((1, 2), (2, 0), (0, 1))]
+    M, S = spec.mul_t, spec.sub_t
+    return [int(S[M[u[i], v[j]], M[u[j], v[i]]]) for i, j in ((1, 2), (2, 0), (0, 1))]
 
 
 def oracle_product(spec, m1, m2):
-    add, mul, sub = spec.add, spec.mul, spec.sub
+    A, M, S = spec.add_t, spec.mul_t, spec.sub_t
     a, al, be, b = m1[0], m1[1:4], m1[4:7], m1[7]
     c, ga, de, d = m2[0], m2[1:4], m2[4:7], m2[7]
     bxd, axg = _cross(spec, be, de), _cross(spec, al, ga)
     # a gamma + d alpha - beta x delta  and  c beta + b delta + alpha x gamma
-    top = [sub(add(mul(a, ga[k]), mul(d, al[k])), bxd[k]) for k in range(3)]
-    bot = [add(add(mul(c, be[k]), mul(b, de[k])), axg[k]) for k in range(3)]
-    return (add(mul(a, c), _dot(spec, al, de)), *top, *bot,
-            add(_dot(spec, be, ga), mul(b, d)))
+    top = [int(S[A[M[a, ga[k]], M[d, al[k]]], bxd[k]]) for k in range(3)]
+    bot = [int(A[A[M[c, be[k]], M[b, de[k]]], axg[k]]) for k in range(3)]
+    return (int(A[M[a, c], _dot(spec, al, de)]), *top, *bot,
+            int(A[_dot(spec, be, ga), M[b, d]]))
 
 
 def oracle_det(spec, m):
-    return spec.sub(spec.mul(m[0], m[7]), _dot(spec, m[1:4], m[4:7]))
+    return int(spec.sub_t[spec.mul_t[m[0], m[7]], _dot(spec, m[1:4], m[4:7])])
 
 
 def _digits(column):
@@ -60,7 +60,7 @@ def _index_of_digits(loop, digits):
     negation, found by searching loop.elems."""
     rows = [digits]
     if loop.q % 2:
-        rows.append([loop.spec.neg(x) for x in digits])
+        rows.append([int(loop.spec.neg_t[x]) for x in digits])
     for row in rows:
         hit = np.flatnonzero((loop.elems == np.asarray(row)).all(axis=1))
         if hit.size:
@@ -194,7 +194,7 @@ def test_right_division_is_product_with_inverse(paige3):
     spec = paige3.spec
     for pos in range(25):
         a, b = _digits(paige3.elems[A[pos]]), _digits(paige3.elems[B[pos]])
-        b_inv = (b[7], *(spec.neg(x) for x in b[1:7]), b[0])
+        b_inv = (b[7], *(int(spec.neg_t[x]) for x in b[1:7]), b[0])
         w = oracle_product(spec, a, b_inv)
         assert _index_of_digits(paige3, w) == int(lhs[pos])
 
@@ -254,7 +254,7 @@ def test_loop_json_refuses_rows_out_of_canonical_order(paige2, paige3):
 
     good = paige3.to_json()
     rows = [list(r) for r in good["elements"]]
-    rows[7] = [paige3.spec.neg(x) for x in rows[7]]     # the same element, other sign
+    rows[7] = [int(paige3.spec.neg_t[x]) for x in rows[7]]     # the same element, other sign
     with pytest.raises(ParseError, match="element 7 is"):
         PaigeLoop.from_json({**good, "elements": rows})
 
@@ -284,8 +284,7 @@ class _FrozenTables:
         self.q = q
         self.MUL = spec.mul_t.astype(np.int64)
         self.ADD = spec.add_t.astype(np.int64)
-        self.SUB = np.array([[spec.sub(x, y) for y in range(q)] for x in range(q)],
-                            dtype=np.int64)
+        self.SUB = spec.sub_t.astype(np.int64)
         self.NEG = spec.neg_t.astype(np.int64)
 
     def dot3(self, U, V):
