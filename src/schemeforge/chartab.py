@@ -34,7 +34,7 @@ from .permgroup import (CosetAction, PermutationGroup, coset_action,
                         double_cosets, group_scheme, orbitals)
 from .sampling import Sampler
 from .scheme import (AssociationScheme, IntersectionNumbers, intersection_numbers,
-                     read_labeled_rows)
+                     json_ints, read_labeled_rows)
 
 MAX_TRIES = 20      # random combinations tried before EigensolverFailure
 
@@ -80,9 +80,8 @@ class CharacterTable:
 
     @classmethod
     def from_json(cls, data: dict) -> "CharacterTable":
+        d, n = (int(json_ints(data.get(key), 0, f"character table {key!r}")) for key in "dn")
         try:
-            d = int(data["d"])
-            n = int(data["n"])
             P = np.array([[complex(cell["re"], cell["im"]) for cell in row]
                           for row in data["P"]], dtype=np.complex128)
             valencies = data["valencies"]

@@ -122,13 +122,7 @@ def _load_table(text: str) -> chartab.CharacterTable:
 
 def _recipe_ints(source: dict, key: str, ndim: int) -> np.ndarray:
     """Field `key` of a recipe as an ndim-dimensional integer array."""
-    try:
-        value = np.asarray(source[key])
-        if value.dtype.kind in "iu" and value.ndim == ndim:
-            return value
-    except (KeyError, ValueError):      # missing, or ragged nesting
-        pass
-    raise ParseError(f"{source.get('kind')} recipe needs {key!r} as integers in {ndim} dimensions")
+    return scheme_mod.json_ints(source.get(key), ndim, f"{source.get('kind')} recipe {key!r}")
 
 
 def _rebuild_functional_scheme(source, cfg: RunConfig) -> scheme_mod.AssociationScheme:
@@ -182,8 +176,7 @@ def _load_scheme(text: str, cfg: RunConfig) -> scheme_mod.AssociationScheme:
     if "matrix" in relations:
         return scheme_mod.AssociationScheme.from_json(data)
     built = _rebuild_functional_scheme(relations.get("source"), cfg)
-    if [built.n, built.d, built.valencies.tolist()] != [
-            data.get("n"), data.get("d"), data.get("valencies")]:
+    if [built.n, built.d, built.valencies.tolist()] != scheme_mod.json_header(data):
         raise ParseError("scheme JSON n, d or valencies disagree with its rebuilt relation")
     return built
 
@@ -609,7 +602,9 @@ def _report_error(as_json: bool, kind: str, detail: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    as_json = "--json-errors" in argv       # until the flags are parsed
+    # until the flags are parsed; argparse takes a unique prefix of a long
+    # option for the option, and no other option starts with --j
+    as_json = any(len(arg) > 2 and "--json-errors".startswith(arg) for arg in argv)
     try:
         args = build_parser().parse_args(argv)
         as_json = args.json_errors

@@ -2,12 +2,13 @@
 
 An element of GF(p^r) is its table index, an integer in [0, q): its base-p
 digits, lowest degree first, are the coefficients of the residue polynomial
-modulo a fixed monic irreducible of degree r.  Construction builds full
-q x q addition and multiplication tables, the latter by one vectorized
-product over all pairs of digit rows, and reads a multiplicative generator,
-the log/antilog tables and the inverses from the products.  Every
-arithmetic operation afterwards is an exact lookup on index arrays.
-Supported orders are q = p^r <= 256 with r <= 8.
+modulo a monic irreducible of degree r, built in for some q, else the first
+t^r + low(t), low = 0, 1, .., whose residues have no zero divisors.  One
+vectorized product over blocks of digit rows tests each candidate modulus
+and builds the q x q multiplication table; the generator, the log/antilog
+tables and the inverses are read from the products.  Every arithmetic
+operation afterwards is an exact lookup on index arrays.  Supported orders
+are q = p^r <= 256 with r <= 8.
 """
 
 from __future__ import annotations
@@ -59,75 +60,44 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, r
 
 
-# polynomial helpers over GF(p); coefficients are tuples, ascending degree
+def _products(xs: np.ndarray, ys: np.ndarray, low: np.ndarray, p: int) -> np.ndarray:
+    """Digit rows [x, y] of the products x y modulo the monic t^r + low(t),
+    for every digit row x of xs and y of ys: x y = sum_j x_j (y t^j), where
+    each y t^j is y t^(j-1) shifted up one degree, its top digit times the
+    low modulus digits subtracted."""
+    r = len(low)
+    shifted = np.zeros((r, len(ys), r), dtype=ys.dtype)    # [j, y] = y t^j
+    shifted[0] = ys
+    for j in range(1, r):
+        shifted[j, :, 1:] = shifted[j - 1, :, :-1]
+        shifted[j] = (shifted[j] - shifted[j - 1, :, -1:] * low) % p
+    # one float64 product is exact here, as no sum exceeds r (p-1)^2 <= 62500,
+    # and it is several times faster than an integer one
+    prod = xs @ shifted.reshape(r, -1).astype(np.float64)
+    return prod.astype(xs.dtype).reshape(len(xs), len(ys), r) % p
 
 
-def _poly_trim(c: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _poly_mod(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, ...]:
-    num = list(_poly_trim(num))
-    den = _poly_trim(den)
-    dd = len(den) - 1
-    lead_inv = pow(den[-1], p - 2, p) if den[-1] != 1 else 1
-    while len(num) - 1 >= dd and num:
-        shift = len(num) - 1 - dd
-        factor = (num[-1] * lead_inv) % p
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-        while num and num[-1] == 0:
-            num.pop()
-    return tuple(num)
-
-
-def _poly_is_irreducible(c: tuple[int, ...], p: int) -> bool:
-    """Trial division by all monic polynomials of degree up to deg(c)//2."""
-    c = _poly_trim(c)
-    r = len(c) - 1
-    if r < 1:
-        return False
-    if c[0] == 0:  # divisible by x
-        return r == 1
-    for d in range(1, r // 2 + 1):
-        for low in range(p ** d):
-            g = []
-            m = low
-            for _ in range(d):
-                g.append(m % p)
-                m //= p
-            g.append(1)
-            if not _poly_mod(c, tuple(g), p):
-                return False
-    return True
-
-
-def _lex_smallest_irreducible(p: int, r: int) -> tuple[int, ...]:
+def _smallest_modulus(digs: np.ndarray, p: int) -> tuple[int, ...]:
+    """The monic t^r + low(t) of least low, digits read lowest first, whose
+    residues have no zero divisors.  A reducible one has a factor of degree
+    1 .. r/2, and that factor times its cofactor is zero, so it is enough to
+    multiply every nonzero x by every y in [p, p^(r//2 + 1))."""
+    r = digs.shape[1]
     if r == 1:
-        return (0, 1)  # the polynomial x; any monic degree-1 works, this is smallest
-    for low in range(p ** r):
-        g = []
-        m = low
-        for _ in range(r):
-            g.append(m % p)
-            m //= p
-        g.append(1)
-        if _poly_is_irreducible(tuple(g), p):
-            return tuple(g)
-    raise UnsupportedField(f"no irreducible of degree {r} over GF({p})")  # pragma: no cover
+        return (0, 1)    # t: a degree-1 modulus has no factor to rule out
+    small = digs[p:p ** (r // 2 + 1)]
+    # the search ends: there is an irreducible of every degree over GF(p)
+    low = next(low for low in digs if _products(digs[1:], small, low, p).any(axis=2).all())
+    return (*low.tolist(), 1)
 
 
 class FieldSpec:
     """Tables-backed GF(p^r): add_t, sub_t, mul_t are q x q, neg_t, inv_t
     and log_t have one entry per element, and exp_t[i] is generator^i.
 
-    mul_t holds every product of two digit rows x and y, computed as
-    sum_j y_j (x t^j): each x t^j is the previous one shifted up one degree,
-    its top digit reduced by the monic modulus.  The generator is the
-    smallest x none of whose powers x^1 .. x^(q-2) is 1.
+    mul_t holds the _products of all digit rows modulo the built-in modulus
+    of q, or else the _smallest_modulus.  The generator is the smallest x
+    none of whose powers x^1 .. x^(q-2) is 1.
     """
 
     def __init__(self, p: int, r: int = 1):
@@ -141,27 +111,15 @@ class FieldSpec:
         self.p = p
         self.r = r
         self.q = q
-        self.modulus = BUILTIN_MODULI.get(q) or _lex_smallest_irreducible(p, r)
-        self._build_tables()
-
-    def _build_tables(self):
-        p, r, q = self.p, self.r, self.q
-        pw = p ** np.arange(r, dtype=np.int64)
-        digs = (np.arange(q)[:, None] // pw) % p
+        # int32 digits divide faster than int64 ones, and no sum below overflows
+        pw = p ** np.arange(r, dtype=np.int32)
+        digs = (np.arange(q, dtype=np.int32)[:, None] // pw) % p
+        self.modulus = BUILTIN_MODULI.get(q) or _smallest_modulus(digs, p)
         self.add_t = (((digs[:, None, :] + digs[None, :, :]) % p) @ pw).astype(np.uint8)
         self.neg_t = (((p - digs) % p) @ pw).astype(np.uint8)
         self.sub_t = self.add_t[:, self.neg_t]
-
-        # shifted[j] holds the digit rows of x t^j: x t^(j-1) shifted up one
-        # degree, its top digit times the low modulus digits subtracted
-        low = np.asarray(self.modulus[:r], dtype=np.int64)
-        shifted = np.zeros((r, q, r), dtype=np.int64)
-        shifted[0] = digs
-        for j in range(1, r):
-            shifted[j, :, 1:] = shifted[j - 1, :, :-1]
-            shifted[j] = (shifted[j] - shifted[j - 1, :, -1:] * low) % p
-        prod = (digs @ shifted.transpose(1, 0, 2)) % p    # [x, y] = sum_j y_j x t^j
-        self.mul_t = (prod @ pw).astype(np.uint8)
+        low = np.asarray(self.modulus[:r], dtype=np.int32)
+        self.mul_t = (_products(digs, digs, low, p) @ pw).astype(np.uint8)
 
         # multiplicative structure: row k - 1 of powers holds x^k of every x != 0
         nz = np.arange(1, q)
@@ -171,7 +129,7 @@ class FieldSpec:
             powers[k] = self.mul_t[powers[k - 1], nz]
         gen = 1 + int(np.argmax((powers[:-1] != 1).all(axis=0)))
         self.generator = gen
-        exp = np.append(1, powers[:-1, gen - 1])
+        exp = np.concatenate(([1], powers[:-1, gen - 1]))
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         self.exp_t = exp.astype(np.uint8)
@@ -186,7 +144,7 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def field_for(q: int) -> FieldSpec:
-    """Shared FieldSpec for order q with the built-in modulus."""
+    """Shared FieldSpec for order q, with its built-in or searched modulus."""
     p, r = factor_prime_power(q)
     return FieldSpec(p, r)
 

@@ -175,9 +175,10 @@ class AssociationScheme:
         if "matrix" not in rel:
             raise ValueError("only matrix-backed scheme JSON can be loaded here")
         built = cls.from_matrix(np.asarray(rel["matrix"]))
-        if built.n != int(data["n"]) or built.d != int(data["d"]):
+        n, d, valencies = json_header(data)
+        if built.n != n or built.d != d:
             raise ValueError("scheme JSON header disagrees with its matrix")
-        if built.valencies.tolist() != [int(v) for v in data["valencies"]]:
+        if built.valencies.tolist() != valencies:
             raise ValueError("scheme JSON valencies disagree with its matrix")
         return built
 
@@ -187,6 +188,24 @@ def _plain(value):
     if isinstance(value, dict):
         return {key: _plain(item) for key, item in value.items()}
     return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def json_ints(value, ndim: int, what: str) -> np.ndarray:
+    """A value read from JSON as an ndim-dimensional integer array; floats,
+    booleans, ragged lists and a missing value raise ParseError."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind in "iu" and array.ndim == ndim:
+            return array
+    except ValueError:      # ragged nesting
+        pass
+    raise ParseError(f"{what} must be integers in {ndim} dimensions")
+
+
+def json_header(data: dict) -> list:
+    """[n, d, valencies] of a scheme JSON, as Python integers."""
+    return [json_ints(data.get(key), ndim, f"scheme JSON {key!r}").tolist()
+            for key, ndim in (("n", 0), ("d", 0), ("valencies", 1))]
 
 
 class IntersectionNumbers:

@@ -537,6 +537,25 @@ def test_scheme_matrix_with_impossible_class_ids_exits_2(capsys, tmp_path, suffi
     assert error["kind"] == "ValueError" and fault in error["detail"]
 
 
+@pytest.mark.parametrize("argv,header", [
+    (("chartable", "oracle-psl2", "--q", "4"), {"n": 60.7}),
+    (("scheme", "orbitals", "--symmetric", "3"), {"valencies": [1, 2.9]}),
+    (("scheme", "orbitals", "--symmetric", "3"), {"n": 3.2, "d": 1.9}),
+    (("scheme", "group-scheme", "--symmetric", "3"), {"n": 6.0}),
+], ids=["table-n", "matrix-valencies", "matrix-n-d", "recipe-n"])
+def test_headers_that_are_not_json_integers_exit_2(capsys, tmp_path, argv, header):
+    rc, out, _ = run_cli(capsys, *argv)
+    data = {**json.loads(out), **header}
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(data))
+    verify = ("chartable", "verify", "--table") if "P" in data else ("scheme", "verify", "--scheme")
+    rc, out, err = run_cli(capsys, *verify, str(path), "--json-errors")
+    assert rc == 2 and out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["kind"] == "ParseError"
+    assert f"'{next(iter(header))}' must be integers" in error["detail"]
+
+
 def test_compare_rows_that_fit_only_one_at_a_time_give_null(capsys, tmp_path):
     # each row of s equals a row of t up to swapping columns 1 and 2, but
     # row 1 needs the swap and row 2 forbids it
@@ -698,6 +717,20 @@ def test_argument_errors_end_in_one_json_line(capsys, argv, kind, flag):
     assert rc == 2 and out == ""
     error = json.loads(err.splitlines()[-1])["error"]
     assert error["kind"] == kind and flag in error["detail"]
+
+
+@pytest.mark.parametrize("flag", ["--j", "--json", "--json-err"])
+@pytest.mark.parametrize("before", [True, False], ids=["flag-first", "flag-last"])
+def test_abbreviated_json_errors_flag_gives_json_errors(capsys, flag, before):
+    for rest, kind in (((), "UsageError"), (("--q", "6"), "UnsupportedField")):
+        argv = (flag, *rest) if before else (*rest, flag)
+        rc, out, err = run_cli(capsys, "paige", "table", *argv)
+        assert rc == 2 and out == ""
+        assert json.loads(err.splitlines()[-1])["error"]["kind"] == kind
+    # argparse expands only a unique prefix: no other option may start with --j
+    for _, parser in _leaves(cli.build_parser()):
+        options = {opt for action in parser._actions for opt in action.option_strings}
+        assert {opt for opt in options if opt.startswith("--j")} == {"--json-errors"}
 
 
 def _leaves(parser, path=()):

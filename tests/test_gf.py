@@ -139,11 +139,23 @@ def _poly_product(F, x, y):
     return sum(c[k] * p ** k for k in range(r))
 
 
-@pytest.mark.parametrize("q", sorted(BUILTIN_MODULI) + [32, 49])
+@pytest.mark.parametrize("q", sorted(BUILTIN_MODULI) + [32, 49, 64, 81, 125])
 def test_mul_table_matches_polynomial_product(q):
     F = field_for(q)
     want = [[_poly_product(F, x, y) for y in range(q)] for x in range(q)]
     assert F.mul_t.tolist() == want
+
+
+# the lexicographically smallest monic irreducible of every order with no
+# built-in modulus, coefficients c0..cr by ascending degree
+@pytest.mark.parametrize("q,modulus", [
+    (32, (1, 0, 1, 0, 0, 1)), (49, (1, 0, 1)), (64, (1, 1, 0, 0, 0, 0, 1)),
+    (81, (2, 1, 0, 0, 1)), (121, (1, 0, 1)), (125, (1, 1, 0, 1)),
+    (128, (1, 1, 0, 0, 0, 0, 0, 1)), (169, (2, 0, 1)), (243, (1, 2, 0, 0, 0, 1)),
+    (256, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+])
+def test_searched_moduli_are_pinned(q, modulus):
+    assert field_for(q).modulus == modulus
 
 
 # sha256 (first 16 hex digits) of the generator and the seven tables of every
