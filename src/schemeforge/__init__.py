@@ -7,7 +7,7 @@ association scheme (scheme), diagonalize its intersection matrices
 closed-form reference tables.
 """
 
-from .config import DEFAULT_SEED, RunConfig
+from .config import DEFAULT_SEED
 from .errors import SchemeForgeError
 from .gf import FieldSpec, field_for
 from .zorn import PaigeLoop, build_paige_loop, paige_loop_order
@@ -31,7 +31,7 @@ from .chartab import (CharacterTable, GroupCharacterTable,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_SEED", "RunConfig", "SchemeForgeError",
+    "DEFAULT_SEED", "SchemeForgeError",
     "FieldSpec", "field_for",
     "PaigeLoop", "build_paige_loop", "paige_loop_order",
     "PermutationGroup", "closure", "cyclic", "symmetric",

@@ -90,7 +90,14 @@ class CharacterTable:
             raise ParseError(f"malformed character table: {exc}") from None
         if P.shape != (d + 1, d + 1):
             raise ParseError(f"P must be {d + 1} x {d + 1}")
-        return cls(P, valencies, mults, n)
+        # numpy would read numbers from strings and booleans too
+        if not (isinstance(mults, list) and all(type(m) in (int, float) for m in mults)):
+            raise ParseError("character table 'multiplicities' must be a list of numbers")
+        table = cls(P, valencies, mults, n)
+        # the constructor has refused a valency that is no positive integer;
+        # left are the integers not written as JSON integers (1.0, "1", true)
+        json_ints(valencies, 1, "character table 'valencies'")
+        return table
 
     def __repr__(self):
         return f"CharacterTable(d={self.d}, n={self.n})"
@@ -679,12 +686,12 @@ def table_from_csv(text: str) -> CharacterTable:
     rows = read_labeled_rows(text, "character-table", {
         "n": int, "valencies": lambda f: [int(tok) for tok in f.split(",")],
         "multiplicities": lambda f: [float(tok) for tok in f.split(",")],
-        "P": lambda f: [parse_complex(tok) for tok in f.split(",")]})
+        "P": lambda f: [parse_complex(tok) for tok in f.split(",")]}, repeated="P")
     P = rows["P"]
     if any(len(r) != len(P) for r in P):
         raise ParseError("table CSV P rows do not form a square matrix")
-    return CharacterTable(np.array(P, dtype=np.complex128), rows["valencies"][-1],
-                          rows["multiplicities"][-1], rows["n"][-1])
+    return CharacterTable(np.array(P, dtype=np.complex128), rows["valencies"][0],
+                          rows["multiplicities"][0], rows["n"][0])
 
 
 def table_to_latex(table: CharacterTable, digits: int = 6) -> str:

@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import chartab, loopcore, permgroup, scheme as scheme_mod, zorn
-from .config import (DEFAULT_SEED, DEFAULT_TOL_COMPARE, DEFAULT_TOL_EIGEN,
-                     OUTPUT_FORMATS, RunConfig, element_cap_default)
+from .config import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, DEFAULT_TOL_COMPARE,
+                     DEFAULT_TOL_EIGEN, OUTPUT_FORMATS)
 from .errors import (CapExceeded, CertificationFailed, DegenerateCombination,
                      EigensolverFailure, InvalidFusion, MismatchWithOrbitalTable,
                      NonCommutative, NonPositiveMultiplicity, NotAScheme,
@@ -77,21 +77,25 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="eigensolver residual tolerance")
     parser.add_argument("--tol-compare", type=float, default=DEFAULT_TOL_COMPARE,
                         help="table comparison / verification tolerance")
-    parser.add_argument("--cap-elements", type=int, default=None,
-                        help="override the element cap (also via "
-                             "SCHEMEFORGE_CAP_ELEMENTS)")
+    parser.add_argument("--cap-elements", type=int, default=DEFAULT_ELEMENT_CAP,
+                        help=f"most elements a loop may have (default {DEFAULT_ELEMENT_CAP:,})")
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    cap = args.cap_elements if args.cap_elements is not None else element_cap_default()
-    return RunConfig(seed=args.seed, element_cap=cap,
-                     tol_eigen=args.tol_eigen, tol_compare=args.tol_compare,
-                     output_format=args.format)
+def _check_settings(args: argparse.Namespace) -> None:
+    """Refuse the out-of-range values argparse's types let through."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    if args.cap_elements <= 0:
+        raise ValueError("size caps must be positive")
+    for name in ("tol_eigen", "tol_compare"):
+        tol = getattr(args, name)
+        if not (0 < tol < 1e-2):
+            raise ValueError(f"{name} must lie in (0, 1e-2), got {tol}")
 
 
-def _echo_header(cfg: RunConfig) -> None:
-    print(f"# schemeforge seed={cfg.seed:#x} tol_eigen={cfg.tol_eigen:g} "
-          f"tol_compare={cfg.tol_compare:g} format={cfg.output_format}",
+def _echo_header(args: argparse.Namespace) -> None:
+    print(f"# schemeforge seed={args.seed:#x} tol_eigen={args.tol_eigen:g} "
+          f"tol_compare={args.tol_compare:g} format={args.format}",
           file=sys.stderr)
 
 
@@ -125,7 +129,7 @@ def _recipe_ints(source: dict, key: str, ndim: int) -> np.ndarray:
     return scheme_mod.json_ints(source.get(key), ndim, f"{source.get('kind')} recipe {key!r}")
 
 
-def _rebuild_functional_scheme(source, cfg: RunConfig) -> scheme_mod.AssociationScheme:
+def _rebuild_functional_scheme(source, element_cap: int) -> scheme_mod.AssociationScheme:
     """Rebuild a homogeneous scheme from the recipe in its JSON source."""
     if not isinstance(source, dict):
         raise ParseError("scheme JSON has neither a matrix nor a source recipe")
@@ -135,7 +139,7 @@ def _rebuild_functional_scheme(source, cfg: RunConfig) -> scheme_mod.Association
         if not isinstance(cells, list) or not all(
                 isinstance(cell, list) and all(type(c) is int for c in cell) for cell in cells):
             raise ParseError("fusion recipe needs 'cells' as a list of integer lists")
-        return scheme_mod.fuse(_rebuild_functional_scheme(source.get("base"), cfg), cells)
+        return scheme_mod.fuse(_rebuild_functional_scheme(source.get("base"), element_cap), cells)
     class_of = _recipe_ints(source, "class_of", 1)
     if kind == "group-scheme":
         gens = _recipe_ints(source, "generators", 2)
@@ -149,7 +153,7 @@ def _rebuild_functional_scheme(source, cfg: RunConfig) -> scheme_mod.Association
         return built
     if kind == "paige-loop-scheme":
         loop = zorn.build_paige_loop(int(_recipe_ints(source, "q", 0)),
-                                     element_cap=cfg.element_cap)
+                                     element_cap=element_cap)
     elif kind == "loop-scheme":
         try:
             loop = loopcore.TableLoop(_recipe_ints(source, "table", 2))
@@ -165,7 +169,7 @@ def _rebuild_functional_scheme(source, cfg: RunConfig) -> scheme_mod.Association
     return built
 
 
-def _load_scheme(text: str, cfg: RunConfig) -> scheme_mod.AssociationScheme:
+def _load_scheme(text: str, element_cap: int) -> scheme_mod.AssociationScheme:
     stripped = text.lstrip()
     if stripped.startswith("kind,scheme"):
         return scheme_mod.scheme_from_csv(text)
@@ -175,7 +179,7 @@ def _load_scheme(text: str, cfg: RunConfig) -> scheme_mod.AssociationScheme:
     relations = data.get("relations") if isinstance(data.get("relations"), dict) else {}
     if "matrix" in relations:
         return scheme_mod.AssociationScheme.from_json(data)
-    built = _rebuild_functional_scheme(relations.get("source"), cfg)
+    built = _rebuild_functional_scheme(relations.get("source"), element_cap)
     if [built.n, built.d, built.valencies.tolist()] != scheme_mod.json_header(data):
         raise ParseError("scheme JSON n, d or valencies disagree with its rebuilt relation")
     return built
@@ -238,22 +242,22 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _render_table(table: chartab.CharacterTable, cfg: RunConfig) -> str:
-    if cfg.output_format == "json":
+def _render_table(table: chartab.CharacterTable, fmt: str) -> str:
+    if fmt == "json":
         return _dump_json(table.to_json())
-    if cfg.output_format == "csv":
+    if fmt == "csv":
         return chartab.table_to_csv(table)
-    if cfg.output_format == "latex":
+    if fmt == "latex":
         return chartab.table_to_latex(table)
     return chartab.table_to_text(table)
 
 
-def _render_scheme(sch: scheme_mod.AssociationScheme, cfg: RunConfig) -> str:
-    if cfg.output_format == "json":
+def _render_scheme(sch: scheme_mod.AssociationScheme, fmt: str) -> str:
+    if fmt == "json":
         return _dump_json(sch.to_json())
-    if cfg.output_format == "csv":
+    if fmt == "csv":
         return scheme_mod.scheme_to_csv(sch)
-    if cfg.output_format == "latex":
+    if fmt == "latex":
         raise _Exit(2, "latex output is only defined for character tables")
     lines = [f"scheme: n={sch.n}, d={sch.d}",
              "valencies: " + " ".join(str(int(k)) for k in sch.valencies),
@@ -264,29 +268,29 @@ def _render_scheme(sch: scheme_mod.AssociationScheme, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_loop(loop: zorn.PaigeLoop, cfg: RunConfig) -> str:
-    if cfg.output_format == "json":
+def _render_loop(loop: zorn.PaigeLoop, fmt: str) -> str:
+    if fmt == "json":
         return _dump_json(loop.to_json())
-    if cfg.output_format == "text":
+    if fmt == "text":
         return f"paige loop: q={loop.q} order={loop.n}\n"
     raise _Exit(2, "loop output supports json and text only")
 
 
-def _render_group(group: permgroup.PermutationGroup, cfg: RunConfig) -> str:
-    if cfg.output_format == "json":
+def _render_group(group: permgroup.PermutationGroup, fmt: str) -> str:
+    if fmt == "json":
         return _dump_json({"degree": group.degree, "order": group.order,
                            "generators": group.generators.tolist()})
-    if cfg.output_format == "text":
+    if fmt == "text":
         # the text form is itself a loadable generator file
         lines = [" ".join(map(str, row)) for row in group.generators.tolist()]
         return "\n".join(lines) + "\n"
     raise _Exit(2, "group output supports json and text only")
 
 
-def _render_report(payload: dict, cfg: RunConfig) -> str:
-    if cfg.output_format == "json":
+def _render_report(payload: dict, fmt: str) -> str:
+    if fmt == "json":
         return _dump_json(payload)
-    if cfg.output_format == "text":
+    if fmt == "text":
         lines = [f"{key}: {value}" for key, value in payload.items()]
         return "\n".join(lines) + "\n"
     raise _Exit(2, "reports support json and text only")
@@ -303,50 +307,50 @@ def _write_output(text: str, args: argparse.Namespace) -> None:
 # subcommand handlers: return (exit_code, rendered_output)
 
 
-def _cmd_paige_build(args, cfg: RunConfig):
-    loop = zorn.build_paige_loop(args.q, element_cap=cfg.element_cap)
-    return 0, _render_loop(loop, cfg)
+def _cmd_paige_build(args):
+    loop = zorn.build_paige_loop(args.q, element_cap=args.cap_elements)
+    return 0, _render_loop(loop, args.format)
 
 
-def _cmd_paige_table(args, cfg: RunConfig):
-    loop = zorn.build_paige_loop(args.q, element_cap=cfg.element_cap)
-    sch = loopcore.loop_scheme(loop, policy=args.policy, seed=cfg.seed)
-    table = chartab.compute_character_table(sch, seed=cfg.seed,
-                                            tol_eigen=cfg.tol_eigen)
-    return 0, _render_table(table, cfg)
+def _cmd_paige_table(args):
+    loop = zorn.build_paige_loop(args.q, element_cap=args.cap_elements)
+    sch = loopcore.loop_scheme(loop, policy=args.policy, seed=args.seed)
+    table = chartab.compute_character_table(sch, seed=args.seed,
+                                            tol_eigen=args.tol_eigen)
+    return 0, _render_table(table, args.format)
 
 
-def _cmd_group(args, cfg: RunConfig):
-    return 0, _render_group(_resolve_group(args), cfg)
+def _cmd_group(args):
+    return 0, _render_group(_resolve_group(args), args.format)
 
 
-def _cmd_scheme_orbitals(args, cfg: RunConfig):
+def _cmd_scheme_orbitals(args):
     group = _resolve_group(args)
     sch = permgroup.orbitals(group, n_points=args.points)
-    return 0, _render_scheme(sch, cfg)
+    return 0, _render_scheme(sch, args.format)
 
 
-def _cmd_scheme_group_scheme(args, cfg: RunConfig):
+def _cmd_scheme_group_scheme(args):
     group = _resolve_group(args)
     sch = permgroup.group_scheme(group)
-    return 0, _render_scheme(sch, cfg)
+    return 0, _render_scheme(sch, args.format)
 
 
-def _load_loop(args, cfg: RunConfig) -> loopcore.LoopStructure:
+def _load_loop(args) -> loopcore.LoopStructure:
     if (args.q is None) == (args.loop is None):
         raise _Exit(2, "pick exactly one loop source: --q Q or --loop FILE")
     if args.q is not None:
-        return zorn.build_paige_loop(args.q, element_cap=cfg.element_cap)
+        return zorn.build_paige_loop(args.q, element_cap=args.cap_elements)
     text = _read_file(args.loop)
     if text.lstrip().startswith("{"):
         return zorn.PaigeLoop.from_json(json.loads(text))
     return loopcore.parse_loop_table(text)
 
 
-def _cmd_scheme_loop_scheme(args, cfg: RunConfig):
-    sch = loopcore.loop_scheme(_load_loop(args, cfg), policy=args.policy,
-                               seed=cfg.seed)
-    return 0, _render_scheme(sch, cfg)
+def _cmd_scheme_loop_scheme(args):
+    sch = loopcore.loop_scheme(_load_loop(args), policy=args.policy,
+                               seed=args.seed)
+    return 0, _render_scheme(sch, args.format)
 
 
 def _parse_cells(spec: str, d: int) -> list[list[int]]:
@@ -366,70 +370,70 @@ def _parse_cells(spec: str, d: int) -> list[list[int]]:
     return cells
 
 
-def _cmd_scheme_fuse(args, cfg: RunConfig):
-    sch = _load_scheme(_read_text(args, "--scheme", args.scheme), cfg)
+def _cmd_scheme_fuse(args):
+    sch = _load_scheme(_read_text(args, "--scheme", args.scheme), args.cap_elements)
     cells = _parse_cells(args.cells, sch.d)
     fused = scheme_mod.fuse(sch, cells)
-    return 0, _render_scheme(fused, cfg)
+    return 0, _render_scheme(fused, args.format)
 
 
-def _cmd_scheme_verify(args, cfg: RunConfig):
-    sch = _load_scheme(_read_text(args, "--scheme", args.scheme), cfg)
-    report = scheme_mod.verify_scheme_axioms(sch, seed=cfg.seed)
+def _cmd_scheme_verify(args):
+    sch = _load_scheme(_read_text(args, "--scheme", args.scheme), args.cap_elements)
+    report = scheme_mod.verify_scheme_axioms(sch, seed=args.seed)
     payload = {"passed": report.passed, "n": sch.n, "d": sch.d,
                "failures": list(report.failures)}
-    return (0 if report.passed else 1), _render_report(payload, cfg)
+    return (0 if report.passed else 1), _render_report(payload, args.format)
 
 
-def _cmd_chartable_compute(args, cfg: RunConfig):
-    sch = _load_scheme(_read_text(args, "--scheme", args.scheme), cfg)
-    table = chartab.compute_character_table(sch, seed=cfg.seed,
-                                            tol_eigen=cfg.tol_eigen)
-    return 0, _render_table(table, cfg)
+def _cmd_chartable_compute(args):
+    sch = _load_scheme(_read_text(args, "--scheme", args.scheme), args.cap_elements)
+    table = chartab.compute_character_table(sch, seed=args.seed,
+                                            tol_eigen=args.tol_eigen)
+    return 0, _render_table(table, args.format)
 
 
-def _cmd_chartable_oracle(args, cfg: RunConfig):
+def _cmd_chartable_oracle(args):
     builder = (chartab.closed_form_mstar if args.chartable_cmd == "oracle-mstar"
                else chartab.closed_form_psl2)
-    return 0, _render_table(builder(args.q), cfg)
+    return 0, _render_table(builder(args.q), args.format)
 
 
-def _cmd_chartable_verify(args, cfg: RunConfig):
+def _cmd_chartable_verify(args):
     table = _load_table(_read_text(args, "--table", args.table))
     if args.scheme is not None:
-        sch = _load_scheme(_read_file(args.scheme), cfg)
+        sch = _load_scheme(_read_file(args.scheme), args.cap_elements)
         inter = scheme_mod.intersection_numbers(sch)
-        report = chartab.verify_candidate_table(table, inter, tol=cfg.tol_compare)
+        report = chartab.verify_candidate_table(table, inter, tol=args.tol_compare)
         payload = {"passed": report.passed, "checks": report.checks,
                    "eigen_residual": report.max_eigen_residual,
                    "orthogonality_residual": report.orthogonality.max_residual}
     else:
-        ortho = chartab.verify_orthogonality(table, tol=cfg.tol_compare)
+        ortho = chartab.verify_orthogonality(table, tol=args.tol_compare)
         unit_col = float(np.abs(table.P[:, 0] - 1.0).max())
         valency_row = float(np.abs(table.P[0] - table.valencies).max()
                             / max(1, int(table.valencies.max())))
-        passed = (ortho.passed and unit_col <= cfg.tol_compare
-                  and valency_row <= cfg.tol_compare)
+        passed = (ortho.passed and unit_col <= args.tol_compare
+                  and valency_row <= args.tol_compare)
         payload = {"passed": bool(passed),
                    "orthogonality_residual": ortho.max_residual,
                    "unit_column_error": unit_col,
                    "valency_row_error": valency_row}
-    return (0 if payload["passed"] else 1), _render_report(payload, cfg)
+    return (0 if payload["passed"] else 1), _render_report(payload, args.format)
 
 
-def _cmd_chartable_compare(args, cfg: RunConfig):
+def _cmd_chartable_compare(args):
     table = _load_table(_read_text(args, "--table", args.table))
     other = _load_table(_read_file(args.other))
-    match = chartab.compare_tables(table, other, tol=cfg.tol_compare)
+    match = chartab.compare_tables(table, other, tol=args.tol_compare)
     # a mismatch with no known bound on the deviation is written as null
     payload = {"matched": match.matched, "max_diff": match.max_diff}
     if match.matched:
         payload["row_perm"] = [int(i) for i in match.row_perm]
         payload["col_perm"] = [int(j) for j in match.col_perm]
-    return (0 if match.matched else 1), _render_report(payload, cfg)
+    return (0 if match.matched else 1), _render_report(payload, args.format)
 
 
-def _cmd_chartable_transfer(args, cfg: RunConfig):
+def _cmd_chartable_transfer(args):
     table = _load_table(_read_text(args, "--table", args.table))
     gct = chartab.transfer_to_group_table(table)
     payload = {
@@ -440,17 +444,17 @@ def _cmd_chartable_transfer(args, cfg: RunConfig):
         "order": int(gct.order),
         "column_orthogonality_residual": gct.column_orthogonality_residual(),
     }
-    return 0, _render_report(payload, cfg)
+    return 0, _render_report(payload, args.format)
 
 
-def _cmd_chartable_double_coset(args, cfg: RunConfig):
+def _cmd_chartable_double_coset(args):
     group = _resolve_group(args)
     members = _resolve_subgroup(group, args)
-    result = chartab.double_coset_table(group, members, seed=cfg.seed,
-                                        tol=cfg.tol_compare,
-                                        tol_eigen=cfg.tol_eigen)
-    if cfg.output_format in ("csv", "latex", "text"):
-        return 0, _render_table(result.table, cfg)
+    result = chartab.double_coset_table(group, members, seed=args.seed,
+                                        tol=args.tol_compare,
+                                        tol_eigen=args.tol_eigen)
+    if args.format in ("csv", "latex", "text"):
+        return 0, _render_table(result.table, args.format)
     payload = {"table": result.table.to_json(),
                "constituents": result.constituents,
                "theta": [float(t) for t in result.theta],
@@ -459,22 +463,22 @@ def _cmd_chartable_double_coset(args, cfg: RunConfig):
     return 0, _dump_json(payload)
 
 
-def _cmd_export(args, cfg: RunConfig):
+def _cmd_export(args):
     text = _read_text(args, "--in", getattr(args, "in_file"))
     stripped = text.lstrip()
     if stripped.startswith("kind,character-table"):
-        return 0, _render_table(chartab.table_from_csv(text), cfg)
+        return 0, _render_table(chartab.table_from_csv(text), args.format)
     if stripped.startswith("kind,scheme"):
-        return 0, _render_scheme(scheme_mod.scheme_from_csv(text), cfg)
+        return 0, _render_scheme(scheme_mod.scheme_from_csv(text), args.format)
     if not stripped.startswith("{"):
         raise ParseError("expected a JSON or CSV artifact")
     data = json.loads(text)
     if "P" in data:
-        return 0, _render_table(chartab.CharacterTable.from_json(data), cfg)
+        return 0, _render_table(chartab.CharacterTable.from_json(data), args.format)
     if "relations" in data:
-        return 0, _render_scheme(_load_scheme(text, cfg), cfg)
+        return 0, _render_scheme(_load_scheme(text, args.cap_elements), args.format)
     if "elements" in data:
-        return 0, _render_loop(zorn.PaigeLoop.from_json(data), cfg)
+        return 0, _render_loop(zorn.PaigeLoop.from_json(data), args.format)
     raise ParseError("unrecognized artifact; expected a table, scheme or loop")
 
 
@@ -608,9 +612,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         as_json = args.json_errors
-        cfg = _config_from(args)
-        _echo_header(cfg)
-        code, output = args.handler(args, cfg)
+        _check_settings(args)
+        _echo_header(args)
+        code, output = args.handler(args)
         if output is not None:
             _write_output(output, args)
         return code

@@ -196,7 +196,12 @@ def json_ints(value, ndim: int, what: str) -> np.ndarray:
     try:
         array = np.asarray(value)
         if array.dtype.kind in "iu" and array.ndim == ndim:
-            return array
+            # numpy reads a true or false among integers as 1 or 0
+            leaves = [value]
+            for _ in range(ndim):
+                leaves = [x for row in leaves for x in row]
+            if not any(type(x) is bool for x in leaves):
+                return array
     except ValueError:      # ragged nesting
         pass
     raise ParseError(f"{what} must be integers in {ndim} dimensions")
@@ -443,11 +448,13 @@ def scheme_to_csv(scheme: AssociationScheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_labeled_rows(text: str, kind: str, parsers: dict) -> dict[str, list]:
+def read_labeled_rows(text: str, kind: str, parsers: dict,
+                      repeated: str | None = None) -> dict[str, list]:
     """Fields of a labeled-row CSV: a "kind,<kind>" line and lines
     "label,fields" whose fields parsers[label] parses.  Returns the parsed
     lines of each label in file order.  Another kind, an unknown label, a
-    field that does not parse and a label with no line raise ParseError."""
+    field that does not parse, a label with no line and a second line of a
+    label other than `repeated` raise ParseError."""
     found: dict[str, list] = {label: [] for label in parsers}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -458,6 +465,8 @@ def read_labeled_rows(text: str, kind: str, parsers: dict) -> dict[str, list]:
                 raise ParseError(f"unexpected kind {rest.strip()!r}", line=lineno)
         elif label not in parsers:
             raise ParseError(f"unknown row label {label!r}", line=lineno)
+        elif found[label] and label != repeated:
+            raise ParseError(f"second {label!r} row", line=lineno)
         else:
             try:
                 found[label].append(parsers[label](rest))
@@ -475,9 +484,9 @@ def _ints(fields: str) -> list[int]:
 
 def scheme_from_csv(text: str) -> AssociationScheme:
     rows = read_labeled_rows(text, "scheme", {"n": int, "d": int, "valencies": _ints,
-                                              "R": _ints})
+                                              "R": _ints}, repeated="R")
     built = AssociationScheme.from_matrix(np.asarray(rows["R"]))
     if [built.n, built.d, built.valencies.tolist()] != [
-            rows["n"][-1], rows["d"][-1], rows["valencies"][-1]]:
+            rows["n"][0], rows["d"][0], rows["valencies"][0]]:
         raise ParseError("scheme CSV header disagrees with its matrix")
     return built

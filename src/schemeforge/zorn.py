@@ -89,7 +89,7 @@ import math
 
 import numpy as np
 
-from .config import element_cap_default
+from .config import DEFAULT_ELEMENT_CAP
 from .errors import CapExceeded, ParseError
 from .gf import FieldSpec, field_for
 from .loopcore import BLOCK_PRODUCTS, LoopStructure, blocked
@@ -582,11 +582,10 @@ class PaigeLoop(LoopStructure):
         return f"PaigeLoop(q={self.q}, order={self.n})"
 
 
-def build_paige_loop(q: int, element_cap: int | None = None) -> PaigeLoop:
+def build_paige_loop(q: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> PaigeLoop:
     """Enumerate the loop of order q^3 (q^4 - 1) / gcd(2, q - 1) over GF(q)."""
     spec = field_for(q)
     n = paige_loop_order(q)
-    cap = element_cap_default() if element_cap is None else element_cap
-    if n > cap:
-        raise CapExceeded(f"loop of q={q} has {n} elements, above the cap {cap}")
+    if n > element_cap:
+        raise CapExceeded(f"loop of q={q} has {n} elements, above the cap {element_cap}")
     return PaigeLoop(spec)

@@ -474,6 +474,21 @@ def test_character_table_refuses_impossible_parameters(valencies, multiplicities
         CharacterTable([[1, 2], [1, -1]], valencies, multiplicities, n)
 
 
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: CharacterTable([[1, 2, 3], [1, -1, 0]], [1, 2], [1, 2], 3), ValueError,
+     "character table must be square"),
+    (lambda: CharacterTable([[1, 2], [1, -1]], [1, 2, 3], [1, 2], 3), ValueError,
+     "one valency per column"),
+    (lambda: CharacterTable([[1, 2], [1, -1]], [1, 2], [1, 2, 3], 3), ValueError,
+     "one multiplicity per row"),
+    (lambda: compute_character_table(np.eye(2)), TypeError,
+     "expected an AssociationScheme or IntersectionNumbers"),
+], ids=["not-square", "valency-count", "multiplicity-count", "source-type"])
+def test_table_inputs_of_the_wrong_shape_or_type_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_table_csv_rejects_garbage():
     with pytest.raises(ParseError):
         table_from_csv("kind,character-table\nn,6\n")

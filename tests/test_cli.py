@@ -11,7 +11,7 @@ from schemeforge.chartab import (CharacterTable, closed_form_mstar,
                                  compute_character_table, table_to_csv,
                                  table_to_latex, table_to_text)
 from schemeforge.cli import _load_scheme, main
-from schemeforge.config import RunConfig
+from schemeforge.config import DEFAULT_ELEMENT_CAP
 from schemeforge.errors import ParseError
 from schemeforge.loopcore import loop_scheme
 from schemeforge.permgroup import cyclic, group_scheme, psl2
@@ -198,7 +198,7 @@ def test_table_loop_scheme_reloads(capsys, tmp_path, paige2_grid):
     assert rc == 0
     source = json.loads(out)["relations"]["source"]
     assert source["kind"] == "loop-scheme" and source["table"] == table.tolist()
-    again = _load_scheme(out, RunConfig())
+    again = _load_scheme(out, DEFAULT_ELEMENT_CAP)
     # the written certificate is "exact" (exact policy at n = 120), but a
     # table loop's is not trusted on reload: the full scan checks the scheme
     assert source["certificate"] == "exact" and not again.orbital
@@ -209,18 +209,18 @@ def test_table_loop_scheme_reloads(capsys, tmp_path, paige2_grid):
 
 def test_group_scheme_recipe_is_checked_on_load(capsys):
     rc, out, _ = run_cli(capsys, "scheme", "group-scheme", "--symmetric", "3")
-    assert _load_scheme(out, RunConfig()).orbital
+    assert _load_scheme(out, DEFAULT_ELEMENT_CAP).orbital
     data = json.loads(out)
     class_of = data["relations"]["source"]["class_of"]
     i = class_of.index(1)
     j = class_of.index(2)
     class_of[i], class_of[j] = class_of[j], class_of[i]     # same valencies
     with pytest.raises(ParseError, match="conjugacy classes"):
-        _load_scheme(json.dumps(data), RunConfig())
+        _load_scheme(json.dumps(data), DEFAULT_ELEMENT_CAP)
     data = json.loads(out)
     data["valencies"] = [1, 3, 2]
     with pytest.raises(ParseError, match="valencies"):
-        _load_scheme(json.dumps(data), RunConfig())
+        _load_scheme(json.dumps(data), DEFAULT_ELEMENT_CAP)
 
 
 Z4_TABLE = [[(a + b) % 4 for b in range(4)] for a in range(4)]
@@ -363,12 +363,10 @@ def test_loop_scheme_and_compute(capsys, tmp_path):
 
 @pytest.mark.parametrize("q", [2, 4], ids=["dense", "functional"])
 def test_loop_scheme_reloads_as_orbital(capsys, q):
-    from schemeforge.cli import _load_scheme
-    from schemeforge.config import RunConfig
     rc, out, _ = run_cli(capsys, "scheme", "loop-scheme", "--q", str(q))
     assert rc == 0
     assert json.loads(out)["relations"]["source"]["certificate"] == "exact"
-    assert _load_scheme(out, RunConfig()).orbital
+    assert _load_scheme(out, DEFAULT_ELEMENT_CAP).orbital
 
 
 def test_double_coset_subcommand(capsys):
@@ -542,7 +540,8 @@ def test_scheme_matrix_with_impossible_class_ids_exits_2(capsys, tmp_path, suffi
     (("scheme", "orbitals", "--symmetric", "3"), {"valencies": [1, 2.9]}),
     (("scheme", "orbitals", "--symmetric", "3"), {"n": 3.2, "d": 1.9}),
     (("scheme", "group-scheme", "--symmetric", "3"), {"n": 6.0}),
-], ids=["table-n", "matrix-valencies", "matrix-n-d", "recipe-n"])
+    (("scheme", "orbitals", "--symmetric", "3"), {"valencies": [True, 2]}),
+], ids=["table-n", "matrix-valencies", "matrix-n-d", "recipe-n", "matrix-valency-true"])
 def test_headers_that_are_not_json_integers_exit_2(capsys, tmp_path, argv, header):
     rc, out, _ = run_cli(capsys, *argv)
     data = {**json.loads(out), **header}
@@ -554,6 +553,46 @@ def test_headers_that_are_not_json_integers_exit_2(capsys, tmp_path, argv, heade
     error = json.loads(err.splitlines()[-1])["error"]
     assert error["kind"] == "ParseError"
     assert f"'{next(iter(header))}' must be integers" in error["detail"]
+
+
+@pytest.mark.parametrize("field,change", [
+    ("valencies", lambda v: [float(k) for k in v]),
+    ("valencies", lambda v: [str(k) for k in v]),
+    ("valencies", lambda v: [True, *v[1:]]),
+    ("multiplicities", lambda m: [str(x) for x in m]),
+], ids=["valency-floats", "valency-strings", "valency-true", "multiplicity-strings"])
+@pytest.mark.parametrize("reader", [("chartable", "verify", "--table"), ("export", "--in")],
+                         ids=["verify", "export"])
+def test_table_json_numbers_that_are_not_json_numbers_exit_2(capsys, tmp_path, field,
+                                                              change, reader):
+    rc, out, _ = run_cli(capsys, "chartable", "oracle-psl2", "--q", "4")
+    data = json.loads(out)
+    data[field] = change(data[field])
+    path = tmp_path / "t4.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, *reader, str(path), "--json-errors")
+    assert rc == 2 and out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["kind"] == "ParseError" and f"'{field}'" in error["detail"]
+
+
+@pytest.mark.parametrize("argv,reader,extra", [
+    (("chartable", "oracle-psl2", "--q", "4"), ("chartable", "verify", "--table"), "n,999"),
+    (("scheme", "group-scheme", "--cyclic", "4"), ("scheme", "verify", "--scheme"), "n,77"),
+], ids=["table", "scheme"])
+@pytest.mark.parametrize("first", [True, False], ids=["extra-first", "extra-last"])
+def test_csv_with_a_second_header_line_exits_2(capsys, tmp_path, argv, reader, extra, first):
+    # a header line is read once; only the P and R rows of the matrix repeat
+    rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    lines = out.splitlines()
+    assert lines[1].startswith("n,")
+    lines.insert(1 if first else 2, extra)
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc, out, err = run_cli(capsys, *reader, str(path), "--json-errors")
+    assert rc == 2 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == {
+        "kind": "ParseError", "detail": "second 'n' row (line 3)"}
 
 
 def test_compare_rows_that_fit_only_one_at_a_time_give_null(capsys, tmp_path):
@@ -640,11 +679,6 @@ def test_successive_calls_share_no_options(capsys, tmp_path):
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_run_config_refuses_negative_seeds():
-    with pytest.raises(ValueError, match="--seed must be non-negative, got -1"):
-        RunConfig(seed=-1)
-
-
 @pytest.mark.parametrize("argv", [
     ("paige", "table", "--q", "3"),
     ("paige", "build", "--q", "2"),
@@ -691,10 +725,11 @@ def test_bad_generator_file_exits_2(capsys, tmp_path):
     assert json.loads(err.splitlines()[-1])["error"]["kind"] == "ParseError"
 
 
-def test_cap_env_variable(capsys, monkeypatch):
+def test_environment_leaves_the_element_cap_alone(capsys, monkeypatch):
+    # the cap is --cap-elements or its default, whatever the environment holds
     monkeypatch.setenv("SCHEMEFORGE_CAP_ELEMENTS", "100")
-    rc, _, _ = run_cli(capsys, "paige", "build", "--q", "4")
-    assert rc == 2
+    rc, out, _ = run_cli(capsys, "paige", "build", "--q", "4")
+    assert rc == 0 and json.loads(out)["order"] == 16320
 
 
 def test_argparse_usage_exits_2(capsys):
@@ -884,6 +919,9 @@ def test_verify_of_a_table_that_does_not_fit_the_scheme_is_strict_json(capsys, t
     (("chartable", "compute", "--scheme"), "hello\n", "expected scheme JSON or CSV"),
     (("export", "--in"), "hello\n", "expected a JSON or CSV artifact"),
     (("export", "--in"), '{"foo": 1}\n', "unrecognized artifact"),
+    (("chartable", "compute", "--scheme"),
+     '{"relations": {"source": {"kind": "magic", "class_of": [0]}}}\n',
+     "cannot rebuild a scheme from source kind 'magic'"),
 ])
 def test_files_in_no_known_format_exit_2(capsys, tmp_path, argv, text, message):
     path = tmp_path / "input.txt"
@@ -893,15 +931,11 @@ def test_files_in_no_known_format_exit_2(capsys, tmp_path, argv, text, message):
     assert f"ParseError: {message}" in err
 
 
-@pytest.mark.parametrize("env,flags,message", [
-    ("abc", (), "SCHEMEFORGE_CAP_ELEMENTS must be an integer, got 'abc'"),
-    ("0", (), "SCHEMEFORGE_CAP_ELEMENTS must be positive, got 0"),
-    (None, ("--cap-elements", "0"), "size caps must be positive"),
-    (None, ("--tol-eigen", "0.5"), "tol_eigen must lie in (0, 1e-2), got 0.5"),
+@pytest.mark.parametrize("flags,message", [
+    (("--cap-elements", "0"), "size caps must be positive"),
+    (("--tol-eigen", "0.5"), "tol_eigen must lie in (0, 1e-2), got 0.5"),
 ])
-def test_bad_settings_exit_2(capsys, monkeypatch, env, flags, message):
-    if env is not None:
-        monkeypatch.setenv("SCHEMEFORGE_CAP_ELEMENTS", env)
+def test_bad_settings_exit_2(capsys, flags, message):
     rc, out, err = run_cli(capsys, "paige", "build", "--q", "2", *flags)
     assert rc == 2 and out == ""
     assert f"ValueError: {message}" in err
@@ -917,6 +951,7 @@ def test_bad_settings_exit_2(capsys, monkeypatch, env, flags, message):
      "latex output is only defined for character tables"),
     (("paige", "build", "--q", "2", "--format", "csv"), "loop output supports json and text only"),
     (("group", "psl2", "--q", "5", "--format", "csv"), "group output supports json and text only"),
+    (("chartable", "compute"), "missing input: pass --scheme FILE or --stdin"),
 ])
 def test_conflicting_or_unsupported_options_exit_2(capsys, argv, message):
     rc, out, err = run_cli(capsys, *argv)

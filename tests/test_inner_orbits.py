@@ -17,7 +17,7 @@ from schemeforge import loopcore
 from schemeforge.chartab import (closed_form_mstar, compare_tables,
                                  compute_character_table, verify_orthogonality)
 from schemeforge.cli import _load_scheme
-from schemeforge.config import RunConfig
+from schemeforge.config import DEFAULT_ELEMENT_CAP
 from schemeforge.errors import CapExceeded, CertificationFailed, NotAScheme
 from schemeforge.gf import field_for
 from schemeforge.loopcore import (BLOCK_PRODUCTS, TableLoop, inner_orbits,
@@ -268,11 +268,11 @@ def test_bounded_rounds_and_reads_multiply_no_points():
 
 def test_orbital_record_survives_json(paige2):
     scheme = loop_scheme(paige2, inner_orbits(paige2))
-    again = _load_scheme(json.dumps(scheme.to_json()), RunConfig())
+    again = _load_scheme(json.dumps(scheme.to_json()), DEFAULT_ELEMENT_CAP)
     assert scheme.orbital and again.orbital
     assert again.source == scheme.source
     bare = loop_scheme(paige2, inner_orbits(paige2).class_of)
-    assert not _load_scheme(json.dumps(bare.to_json()), RunConfig()).orbital
+    assert not _load_scheme(json.dumps(bare.to_json()), DEFAULT_ELEMENT_CAP).orbital
 
 
 def test_identity_row_reads(paige3):

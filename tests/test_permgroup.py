@@ -44,11 +44,25 @@ def test_permutation_inverse_and_identity():
     ([[1, 0, 5]], r"row 0, \[1, 0, 5\],"),
     ([[1, 2, 0], [2, 2, 0]], r"row 1, \[2, 2, 0\],"),
     ([], "at least one generator"),
-    ([[1, 2, 0], [0, 1]], "one length")],
-    ids=["repeated-point", "point-outside", "second-row", "no-rows", "mixed-degrees"])
+    ([[1, 2, 0], [0, 1]], "one length"),
+    ([[1.0, 2.0, 0.0]], "must hold integers")],
+    ids=["repeated-point", "point-outside", "second-row", "no-rows", "mixed-degrees",
+         "float-rows"])
 def test_generator_rows_are_checked(make, gens, named):
     with pytest.raises(ValueError, match=named):
         make(gens)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    # 17321^2 is the first square above the relation cap of 3 * 10^8
+    (lambda: orbitals(PermutationGroup([np.roll(np.arange(17_321), 1)])), CapExceeded,
+     r"17321\^2 relation entries exceed the cap"),
+    (lambda: coset_action(psl2(5), [0, 1]), NotSubgroup, "needs a subgroup"),
+    (lambda: cyclic(0), ValueError, r"n >= 1"),
+], ids=["orbital-cap", "coset-of-a-non-subgroup", "cyclic-0"])
+def test_group_inputs_out_of_scope_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_generator_rows_are_read_only_point_dtype_arrays():

@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from schemeforge.errors import InvalidFusion, NotAScheme, ParseError
+from schemeforge.errors import CapExceeded, InvalidFusion, NotAScheme, ParseError
+from schemeforge.loopcore import loop_scheme
 from schemeforge.permgroup import (cyclic, group_scheme, orbitals, psl2,
                                    regular_action, symmetric)
 from schemeforge.scheme import (AssociationScheme, complete_graph_scheme,
                                 fuse, index_dtype, intersection_numbers, read_labeled_rows,
                                 scheme_from_csv, scheme_to_csv, verify_scheme_axioms)
+from schemeforge.zorn import build_paige_loop
 
 
 def test_complete_graph_intersection_numbers():
@@ -216,17 +218,17 @@ def test_fusion_record_keeps_cells():
 
 def test_scheme_json_roundtrip():
     from schemeforge.cli import _load_scheme
-    from schemeforge.config import RunConfig
+    from schemeforge.config import DEFAULT_ELEMENT_CAP
     scheme = group_scheme(symmetric(3))
     data = scheme.to_json()
-    again = _load_scheme(json.dumps(data), RunConfig())
+    again = _load_scheme(json.dumps(data), DEFAULT_ELEMENT_CAP)
     assert again.n == scheme.n and again.d == scheme.d
     assert np.array_equal(again.dense_matrix(), scheme.dense_matrix())
 
 
 def test_scheme_json_header_checked():
     from schemeforge.cli import _load_scheme
-    from schemeforge.config import RunConfig
+    from schemeforge.config import DEFAULT_ELEMENT_CAP
     from schemeforge.errors import ParseError
     data = orbitals(cyclic(5)).to_json()
     assert "matrix" in data["relations"]
@@ -237,7 +239,7 @@ def test_scheme_json_header_checked():
     assert "source" in recipe["relations"]
     recipe["valencies"] = [1, 3, 2]
     with pytest.raises(ParseError, match="disagree with its rebuilt relation"):
-        _load_scheme(json.dumps(recipe), RunConfig())
+        _load_scheme(json.dumps(recipe), DEFAULT_ELEMENT_CAP)
 
 
 def test_scheme_csv_roundtrip():
@@ -339,6 +341,30 @@ def test_function_backed_rel_reads_one_entry():
 def test_homogeneous_refuses_malformed_classes(class_of, message):
     with pytest.raises(ValueError, match=message):
         AssociationScheme.homogeneous(class_of, lambda V, U: (V - U) % 3)
+
+
+def _mstar5_trace_scheme():
+    loop = build_paige_loop(5)
+    return loop_scheme(loop, loop.invariant_partition())
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: AssociationScheme.from_matrix([[0, 1, 1], [1, 0, 1]]), ValueError,
+     r"must be square, got \(2, 3\)"),
+    (lambda: _mstar5_trace_scheme().dense_matrix(), CapExceeded,
+     r"39000\^2 relation entries exceed the cap 300000000"),
+    (lambda: AssociationScheme.homogeneous(
+        [0, 1, 1], lambda V, U: np.minimum((V - U) % 3, 1)).to_json(), ValueError,
+     "without a source recipe cannot be serialized"),
+    (lambda: AssociationScheme.from_json({"n": 3, "d": 1, "valencies": [1, 2],
+                                          "relations": {"source": {}}}), ValueError,
+     "only matrix-backed scheme JSON"),
+    (lambda: complete_graph_scheme(1), ValueError, "at least 2 points"),
+], ids=["non-square", "dense-above-cap", "json-without-recipe", "json-without-matrix",
+        "complete-graph-1"])
+def test_scheme_inputs_out_of_scope_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_reads_of_points_outside_the_scheme_are_index_errors(paige3):

@@ -241,6 +241,13 @@ def test_loop_json_rejects_corruption(paige2):
         PaigeLoop.from_json(bad)
 
 
+@pytest.mark.parametrize("elements", ["0 1 2", {"0": list(IDENTITY)}, 120],
+                         ids=["string", "object", "number"])
+def test_loop_json_refuses_elements_that_are_not_a_list(paige2, elements):
+    with pytest.raises(ParseError, match="elements must be a list of digit rows"):
+        PaigeLoop.from_json({**paige2.to_json(), "elements": elements})
+
+
 def test_loop_json_refuses_rows_out_of_canonical_order(paige2, paige3):
     # indices are ranks of the canonical rows, so a reordered or re-signed
     # element list would give every product a wrong index
