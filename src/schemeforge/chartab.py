@@ -91,11 +91,12 @@ class CharacterTable:
         if P.shape != (d + 1, d + 1):
             raise ParseError(f"P must be {d + 1} x {d + 1}")
         # numpy would read numbers from strings and booleans too
-        if not (isinstance(mults, list) and all(type(m) in (int, float) for m in mults)):
-            raise ParseError("character table 'multiplicities' must be a list of numbers")
+        for key, values in (("valencies", valencies), ("multiplicities", mults)):
+            if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+                raise ParseError(f"character table {key!r} must be a list of numbers")
         table = cls(P, valencies, mults, n)
         # the constructor has refused a valency that is no positive integer;
-        # left are the integers not written as JSON integers (1.0, "1", true)
+        # left are the integers written as JSON floats (1.0)
         json_ints(valencies, 1, "character table 'valencies'")
         return table
 

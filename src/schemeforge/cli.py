@@ -1,13 +1,14 @@
 """Command-line frontend: construct, compute, verify, export.
 
-Every run echoes its effective seed and tolerances on stderr so results can
-be replayed.  Exit codes: 0 success, 1 a verification failed (a residual
+Every run echoes its seed and the tolerances it takes on stderr so results
+can be replayed.  Exit codes: 0 success, 1 a verification failed (a residual
 exceeded its tolerance, a certificate did not hold), 2 usage or ingestion
 errors, argparse's own included.  With --json-errors the failure reason is also written to stderr as
 {"error": {"kind": ..., "detail": ...}}.
 
-A subcommand is one declaration: its parser carries its own options and its
-handler, and the options every subcommand shares come from one parent parser.
+A subcommand is one declaration: its parser carries its own options, the
+run settings its handler reads and its handler; the options every subcommand
+shares come from one parent parser.
 """
 
 from __future__ import annotations
@@ -22,19 +23,17 @@ import numpy as np
 from . import chartab, loopcore, permgroup, scheme as scheme_mod, zorn
 from .config import (DEFAULT_ELEMENT_CAP, DEFAULT_SEED, DEFAULT_TOL_COMPARE,
                      DEFAULT_TOL_EIGEN, OUTPUT_FORMATS)
-from .errors import (CapExceeded, CertificationFailed, DegenerateCombination,
-                     EigensolverFailure, InvalidFusion, MismatchWithOrbitalTable,
-                     NonCommutative, NonPositiveMultiplicity, NotAScheme,
-                     NotEnumerated, NotGroupScheme, NotMultiplicityFree,
-                     NotSubgroup, NotTransitive, ParseError, UnsupportedField,
-                     UnsupportedQ)
+from .errors import (CapExceeded, CertificationFailed, EigensolverFailure,
+                     InvalidFusion, MismatchWithOrbitalTable, NonCommutative,
+                     NonPositiveMultiplicity, NotAScheme, NotEnumerated,
+                     NotGroupScheme, NotMultiplicityFree, NotSubgroup,
+                     NotTransitive, ParseError, UnsupportedField, UnsupportedQ)
 
 # failures of a computation or certificate -> exit 1
 VERIFICATION_ERRORS = (NotAScheme, InvalidFusion, NonCommutative,
-                       DegenerateCombination, EigensolverFailure,
-                       NonPositiveMultiplicity, NotGroupScheme,
-                       NotMultiplicityFree, MismatchWithOrbitalTable,
-                       CertificationFailed)
+                       EigensolverFailure, NonPositiveMultiplicity,
+                       NotGroupScheme, NotMultiplicityFree,
+                       MismatchWithOrbitalTable, CertificationFailed)
 # bad arguments, malformed files, out-of-scope requests -> exit 2
 USAGE_ERRORS = (ParseError, UnsupportedField, UnsupportedQ, CapExceeded,
                 NotTransitive, NotSubgroup, NotEnumerated, OSError,
@@ -73,30 +72,27 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="write the result here instead of stdout")
     parser.add_argument("--json-errors", action="store_true",
                         help="machine-readable error report on stderr")
-    parser.add_argument("--tol-eigen", type=float, default=DEFAULT_TOL_EIGEN,
-                        help="eigensolver residual tolerance")
-    parser.add_argument("--tol-compare", type=float, default=DEFAULT_TOL_COMPARE,
-                        help="table comparison / verification tolerance")
-    parser.add_argument("--cap-elements", type=int, default=DEFAULT_ELEMENT_CAP,
-                        help=f"most elements a loop may have (default {DEFAULT_ELEMENT_CAP:,})")
+
+
+def _tolerances(args: argparse.Namespace) -> dict[str, float]:
+    """The tolerances the leaf takes, by name."""
+    return {k: getattr(args, k) for k in ("tol_eigen", "tol_compare") if hasattr(args, k)}
 
 
 def _check_settings(args: argparse.Namespace) -> None:
     """Refuse the out-of-range values argparse's types let through."""
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
-    if args.cap_elements <= 0:
+    if hasattr(args, "cap_elements") and args.cap_elements <= 0:
         raise ValueError("size caps must be positive")
-    for name in ("tol_eigen", "tol_compare"):
-        tol = getattr(args, name)
+    for name, tol in _tolerances(args).items():
         if not (0 < tol < 1e-2):
             raise ValueError(f"{name} must lie in (0, 1e-2), got {tol}")
 
 
 def _echo_header(args: argparse.Namespace) -> None:
-    print(f"# schemeforge seed={args.seed:#x} tol_eigen={args.tol_eigen:g} "
-          f"tol_compare={args.tol_compare:g} format={args.format}",
-          file=sys.stderr)
+    tols = "".join(f" {name}={tol:g}" for name, tol in _tolerances(args).items())
+    print(f"# schemeforge seed={args.seed:#x}{tols} format={args.format}", file=sys.stderr)
 
 
 # ingestion: files or stdin, JSON or table CSV
@@ -314,7 +310,7 @@ def _cmd_paige_build(args):
 
 def _cmd_paige_table(args):
     loop = zorn.build_paige_loop(args.q, element_cap=args.cap_elements)
-    sch = loopcore.loop_scheme(loop, policy=args.policy, seed=args.seed)
+    sch = loopcore.loop_scheme(loop, seed=args.seed)
     table = chartab.compute_character_table(sch, seed=args.seed,
                                             tol_eigen=args.tol_eigen)
     return 0, _render_table(table, args.format)
@@ -348,8 +344,7 @@ def _load_loop(args) -> loopcore.LoopStructure:
 
 
 def _cmd_scheme_loop_scheme(args):
-    sch = loopcore.loop_scheme(_load_loop(args), policy=args.policy,
-                               seed=args.seed)
+    sch = loopcore.loop_scheme(_load_loop(args), seed=args.seed)
     return 0, _render_scheme(sch, args.format)
 
 
@@ -493,13 +488,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="schemeforge",
         description="Association schemes from groups and Paige loops, "
                     "with numerically verified character tables.")
-    common = argparse.ArgumentParser(add_help=False)
+    common, tol_eigen, tol_compare, cap = (argparse.ArgumentParser(add_help=False)
+                                           for _ in range(4))
     _add_common(common)
+    tol_eigen.add_argument("--tol-eigen", type=float, default=DEFAULT_TOL_EIGEN,
+                           help="eigensolver residual tolerance")
+    tol_compare.add_argument("--tol-compare", type=float, default=DEFAULT_TOL_COMPARE,
+                             help="table comparison / verification tolerance")
+    cap.add_argument("--cap-elements", type=int, default=DEFAULT_ELEMENT_CAP,
+                     help=f"most elements a loop may have (default {DEFAULT_ELEMENT_CAP:,})")
 
-    def leaf(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
-        # only the handler is a leaf default: the common options' actions are
-        # shared by every leaf, and so would be a default set on their dests
-        p = sub.add_parser(name, help=help, parents=[common])
+    def leaf(sub, name: str, handler, help: str, *settings) -> argparse.ArgumentParser:
+        # only the handler is a leaf default: the parent parsers' actions are
+        # shared by their leaves, and so would be a default set on their dests
+        p = sub.add_parser(name, help=help, parents=[common, *settings])
         p.set_defaults(handler=handler)
         return p
 
@@ -507,13 +509,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     paige = top.add_parser("paige", help="simple Moufang loops over GF(q)")
     paige_sub = paige.add_subparsers(dest="paige_cmd", required=True)
-    p_build = leaf(paige_sub, "build", _cmd_paige_build, "enumerate the loop elements")
+    p_build = leaf(paige_sub, "build", _cmd_paige_build, "enumerate the loop elements", cap)
     p_build.add_argument("--q", type=int, required=True)
     p_table = leaf(paige_sub, "table", _cmd_paige_table,
-                   "full pipeline: loop, inner orbits, scheme, table")
+                   "full pipeline: loop, inner orbits, scheme, table", tol_eigen, cap)
     p_table.add_argument("--q", type=int, required=True)
-    p_table.add_argument("--policy", choices=("auto", "exact", "randomized"),
-                         default="auto")
 
     group = top.add_parser("group", help="permutation group constructors")
     group_sub = group.add_subparsers(dest="group_cmd", required=True)
@@ -535,28 +535,26 @@ def build_parser() -> argparse.ArgumentParser:
                  "conjugacy scheme of a group")
     _add_group_source(s_grp)
     s_loop = leaf(sch_sub, "loop-scheme", _cmd_scheme_loop_scheme,
-                  "inner-orbit scheme of a loop")
+                  "inner-orbit scheme of a loop", cap)
     s_loop.add_argument("--q", type=int, default=None,
                         help="build the simple Moufang loop over GF(q)")
     s_loop.add_argument("--loop", metavar="FILE", default=None,
                         help="loop table file or loop JSON")
-    s_loop.add_argument("--policy", choices=("auto", "exact", "randomized"),
-                        default="auto")
-    s_fuse = leaf(sch_sub, "fuse", _cmd_scheme_fuse, "merge classes along a partition")
+    s_fuse = leaf(sch_sub, "fuse", _cmd_scheme_fuse, "merge classes along a partition", cap)
     s_fuse.add_argument("--scheme", metavar="FILE", default=None)
     s_fuse.add_argument("--stdin", action="store_true",
                         help="read the scheme from stdin")
     s_fuse.add_argument("--cells", required=True,
                         help="cells separated by ';', members by ','; "
                              "unlisted classes stay singletons")
-    s_verify = leaf(sch_sub, "verify", _cmd_scheme_verify, "check the scheme axioms")
+    s_verify = leaf(sch_sub, "verify", _cmd_scheme_verify, "check the scheme axioms", cap)
     s_verify.add_argument("--scheme", metavar="FILE", default=None)
     s_verify.add_argument("--stdin", action="store_true")
 
     chart = top.add_parser("chartable", help="character tables and verification")
     chart_sub = chart.add_subparsers(dest="chartable_cmd", required=True)
     c_compute = leaf(chart_sub, "compute", _cmd_chartable_compute,
-                     "table of a scheme by simultaneous diagonalization")
+                     "table of a scheme by simultaneous diagonalization", tol_eigen, cap)
     c_compute.add_argument("--scheme", metavar="FILE", default=None)
     c_compute.add_argument("--stdin", action="store_true")
     for name, help_text in (
@@ -565,14 +563,15 @@ def build_parser() -> argparse.ArgumentParser:
         c = leaf(chart_sub, name, _cmd_chartable_oracle, help_text + ", q = 2^r")
         c.add_argument("--q", type=int, required=True)
     c_verify = leaf(chart_sub, "verify", _cmd_chartable_verify,
-                    "orthogonality and, with --scheme, the full candidate check")
+                    "orthogonality and, with --scheme, the full candidate check",
+                    tol_compare, cap)
     c_verify.add_argument("--table", metavar="FILE", default=None)
     c_verify.add_argument("--stdin", action="store_true")
     c_verify.add_argument("--scheme", metavar="FILE", default=None,
                           help="verify the table against this scheme's "
                                "intersection numbers")
     c_compare = leaf(chart_sub, "compare", _cmd_chartable_compare,
-                     "match two tables up to row/column permutation")
+                     "match two tables up to row/column permutation", tol_compare)
     c_compare.add_argument("--table", metavar="FILE", default=None)
     c_compare.add_argument("--stdin", action="store_true",
                            help="read the first table from stdin")
@@ -582,14 +581,14 @@ def build_parser() -> argparse.ArgumentParser:
     c_transfer.add_argument("--table", metavar="FILE", default=None)
     c_transfer.add_argument("--stdin", action="store_true")
     c_dc = leaf(chart_sub, "double-coset", _cmd_chartable_double_coset,
-                "table from double cosets and group characters")
+                "table from double cosets and group characters", tol_eigen, tol_compare)
     _add_group_source(c_dc)
     c_dc.add_argument("--sub", metavar="FILE", default=None,
                       help="generator file for the subgroup H")
     c_dc.add_argument("--stab", type=int, default=None,
                       help="use the stabilizer of this point as H")
 
-    exp = leaf(top, "export", _cmd_export, "re-emit an artifact in another format")
+    exp = leaf(top, "export", _cmd_export, "re-emit an artifact in another format", cap)
     exp.add_argument("--in", dest="in_file", metavar="FILE", default=None)
     exp.add_argument("--stdin", action="store_true")
 

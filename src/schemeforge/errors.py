@@ -56,7 +56,9 @@ class NonCommutative(SchemeForgeError):
 
 
 class DegenerateCombination(SchemeForgeError):
-    """No random combination with well-separated eigenvalues was found."""
+    """A random combination is unusable (close eigenvalues, a large residual);
+    compute_character_table draws another, and raises EigensolverFailure
+    when none is usable."""
 
 
 class EigensolverFailure(SchemeForgeError):

@@ -174,7 +174,7 @@ class AssociationScheme:
         rel = data["relations"]
         if "matrix" not in rel:
             raise ValueError("only matrix-backed scheme JSON can be loaded here")
-        built = cls.from_matrix(np.asarray(rel["matrix"]))
+        built = cls.from_matrix(json_ints(rel["matrix"], 2, "scheme JSON 'relations.matrix'"))
         n, d, valencies = json_header(data)
         if built.n != n or built.d != d:
             raise ValueError("scheme JSON header disagrees with its matrix")

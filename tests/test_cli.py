@@ -349,8 +349,7 @@ def test_scheme_verify_subcommand(capsys, tmp_path):
 
 
 def test_loop_scheme_and_compute(capsys, tmp_path):
-    rc, out, _ = run_cli(capsys, "scheme", "loop-scheme", "--q", "2",
-                         "--policy", "exact")
+    rc, out, _ = run_cli(capsys, "scheme", "loop-scheme", "--q", "2")
     assert rc == 0
     data = json.loads(out)
     assert data["n"] == 120
@@ -517,22 +516,29 @@ def test_impossible_table_parameters_exit_2_in_strict_json(
     assert error["kind"] == "ValueError" and fault in error["detail"]
 
 
-@pytest.mark.parametrize("suffix,text,fault", [
+MATRIX_NOT_INTS = "scheme JSON 'relations.matrix' must be integers in 2 dimensions"
+
+
+@pytest.mark.parametrize("suffix,text,kind,fault", [
     (".csv", "kind,scheme\nn,3\nd,1\nvalencies,1,2\nR,0,1,-1\nR,1,0,1\nR,1,1,0\n",
-     "negative class id -1"),
+     "ValueError", "negative class id -1"),
     (".json", json.dumps({"n": 3, "d": 1, "valencies": [1, 2], "relations": {
-        "matrix": [[0, 1, -1], [1, 0, 1], [1, 1, 0]]}}), "negative class id -1"),
+        "matrix": [[0, 1, -1], [1, 0, 1], [1, 1, 0]]}}), "ValueError", "negative class id -1"),
     (".json", json.dumps({"n": 3, "d": 1, "valencies": [1, 2], "relations": {
-        "matrix": [[0, 1, 1.5], [1, 0, 1], [1, 1, 0]]}}), "integer class ids"),
-], ids=["csv-negative", "json-negative", "json-fraction"])
-def test_scheme_matrix_with_impossible_class_ids_exits_2(capsys, tmp_path, suffix, text, fault):
+        "matrix": [[0, 1, 1.5], [1, 0, 1], [1, 1, 0]]}}), "ParseError", MATRIX_NOT_INTS),
+    # numpy reads a true among integers as 1, and this matrix as a scheme
+    (".json", json.dumps({"n": 3, "d": 1, "valencies": [1, 2], "relations": {
+        "matrix": [[0, True, 1], [1, 0, 1], [1, 1, 0]]}}), "ParseError", MATRIX_NOT_INTS),
+], ids=["csv-negative", "json-negative", "json-fraction", "json-true"])
+def test_scheme_matrix_with_impossible_class_ids_exits_2(capsys, tmp_path, suffix, text,
+                                                         kind, fault):
     path = tmp_path / ("x" + suffix)
     path.write_text(text)
     rc, out, err = run_cli(capsys, "scheme", "verify", "--scheme", str(path),
                            "--json-errors")
     assert rc == 2 and out == ""
     error = json.loads(err.splitlines()[-1])["error"]
-    assert error["kind"] == "ValueError" and fault in error["detail"]
+    assert error["kind"] == kind and fault in error["detail"]
 
 
 @pytest.mark.parametrize("argv,header", [
@@ -559,8 +565,10 @@ def test_headers_that_are_not_json_integers_exit_2(capsys, tmp_path, argv, heade
     ("valencies", lambda v: [float(k) for k in v]),
     ("valencies", lambda v: [str(k) for k in v]),
     ("valencies", lambda v: [True, *v[1:]]),
+    ("valencies", lambda v: [v[0], "x", *v[2:]]),
     ("multiplicities", lambda m: [str(x) for x in m]),
-], ids=["valency-floats", "valency-strings", "valency-true", "multiplicity-strings"])
+], ids=["valency-floats", "valency-strings", "valency-true", "valency-word",
+        "multiplicity-strings"])
 @pytest.mark.parametrize("reader", [("chartable", "verify", "--table"), ("export", "--in")],
                          ids=["verify", "export"])
 def test_table_json_numbers_that_are_not_json_numbers_exit_2(capsys, tmp_path, field,
@@ -778,23 +786,87 @@ def _leaves(parser, path=()):
             yield from _leaves(child, path + (name,))
 
 
-COMMON_OPTIONS = {"--seed", "--format", "--out", "--json-errors", "--tol-eigen",
-                  "--tol-compare", "--cap-elements"}
+COMMON_OPTIONS = {"--seed", "--format", "--out", "--json-errors"}
+SETTINGS = {"--tol-eigen", "--tol-compare", "--cap-elements"}
+# the settings each leaf's handler reads; the cap bounds every Paige loop
+# built, one rebuilt from a scheme recipe included
+LEAF_SETTINGS = {
+    ("paige", "build"): {"--cap-elements"},
+    ("paige", "table"): {"--tol-eigen", "--cap-elements"},
+    ("group", "psl2"): set(),
+    ("group", "sl2"): set(),
+    ("group", "from-file"): set(),
+    ("scheme", "orbitals"): set(),
+    ("scheme", "group-scheme"): set(),
+    ("scheme", "loop-scheme"): {"--cap-elements"},
+    ("scheme", "fuse"): {"--cap-elements"},
+    ("scheme", "verify"): {"--cap-elements"},
+    ("chartable", "compute"): {"--tol-eigen", "--cap-elements"},
+    ("chartable", "oracle-mstar"): set(),
+    ("chartable", "oracle-psl2"): set(),
+    ("chartable", "verify"): {"--tol-compare", "--cap-elements"},
+    ("chartable", "compare"): {"--tol-compare"},
+    ("chartable", "transfer"): set(),
+    ("chartable", "double-coset"): {"--tol-eigen", "--tol-compare"},
+    ("export",): {"--cap-elements"},
+}
 
 
 def test_every_subcommand_declares_its_handler_and_the_common_options(capsys):
     leaves = list(_leaves(cli.build_parser()))
-    assert len(leaves) == 18
+    assert sorted(path for path, _ in leaves) == sorted(LEAF_SETTINGS)
     handlers = {getattr(cli, name) for name in dir(cli) if name.startswith("_cmd_")}
     for path, parser in leaves:
         assert parser.format_help()
         assert parser._defaults["handler"] in handlers, path
         options = {opt for action in parser._actions for opt in action.option_strings}
-        assert COMMON_OPTIONS <= options, path
+        assert COMMON_OPTIONS <= options and "--policy" not in options, path
+        assert options & SETTINGS == LEAF_SETTINGS[path], path
         with pytest.raises(SystemExit) as exc:
             main([*path, "--help"])
         assert exc.value.code == 0, path
         capsys.readouterr()
+
+
+@pytest.fixture
+def t4(capsys, tmp_path):
+    """A file holding the closed-form table of PSL(2,4); T4 in an argv."""
+    path = tmp_path / "t4.json"
+    run_cli(capsys, "chartable", "oracle-psl2", "--q", "4", "--out", str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ("chartable", "oracle-psl2", "--q", "4", "--tol-eigen", "1e-9"),
+    ("chartable", "transfer", "--table", "T4", "--tol-compare", "1e-9"),
+    ("group", "psl2", "--q", "5", "--cap-elements", "100"),
+    ("paige", "table", "--q", "2", "--policy", "exact"),
+    ("scheme", "loop-scheme", "--q", "2", "--policy", "randomized"),
+], ids=["oracle-tol-eigen", "transfer-tol-compare", "group-cap-elements",
+        "paige-table-policy", "loop-scheme-policy"])
+def test_a_leaf_refuses_the_settings_its_handler_does_not_read(capsys, t4, argv):
+    # a setting a run would ignore is refused, not echoed as if applied
+    argv = [t4 if arg == "T4" else arg for arg in argv]
+    rc, out, err = run_cli(capsys, *argv, "--json-errors")
+    assert rc == 2 and out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["kind"] == "UsageError" and argv[-2] in error["detail"]
+
+
+@pytest.mark.parametrize("argv,header", [
+    (("chartable", "oracle-psl2", "--q", "4"), "seed=0xa55c format=json"),
+    (("chartable", "compare", "--table", "T4", "--other", "T4"),
+     "seed=0xa55c tol_compare=1e-08 format=json"),
+    (("chartable", "double-coset", "--psl2", "5", "--stab", "0", "--seed", "7"),
+     "seed=0x7 tol_eigen=1e-10 tol_compare=1e-08 format=json"),
+    (("paige", "table", "--q", "2", "--tol-eigen", "1e-9", "--format", "text"),
+     "seed=0xa55c tol_eigen=1e-09 format=text"),
+], ids=["none", "tol-compare", "both", "tol-eigen"])
+def test_the_header_echoes_the_settings_the_leaf_takes(capsys, t4, argv, header):
+    argv = [t4 if arg == "T4" else arg for arg in argv]
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 0
+    assert err.splitlines()[0] == f"# schemeforge {header}"
 
 
 def test_group_from_file_roundtrip(capsys, tmp_path):
@@ -936,7 +1008,8 @@ def test_files_in_no_known_format_exit_2(capsys, tmp_path, argv, text, message):
     (("--tol-eigen", "0.5"), "tol_eigen must lie in (0, 1e-2), got 0.5"),
 ])
 def test_bad_settings_exit_2(capsys, flags, message):
-    rc, out, err = run_cli(capsys, "paige", "build", "--q", "2", *flags)
+    # paige table is a leaf that takes both settings
+    rc, out, err = run_cli(capsys, "paige", "table", "--q", "2", *flags)
     assert rc == 2 and out == ""
     assert f"ValueError: {message}" in err
 
