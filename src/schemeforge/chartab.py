@@ -144,8 +144,9 @@ def compute_character_table(source, seed: int = DEFAULT_SEED,
     The rows are the eigenvectors of M^T for a random positive combination
     M = sum_j c_j B_j; each entry p_j(i) is read as the two-sided Rayleigh
     quotient of B_j^T on row i, with the matching eigenvector of M as left
-    partner.  Retries with a fresh combination when eigenvalues collide or a
-    residual check fails; raises EigensolverFailure after MAX_TRIES."""
+    partner.  Retries with a fresh combination when eigenvalues collide or
+    the try's table fails verify_candidate_table at 10 tol_eigen, so every
+    returned table passes it; raises EigensolverFailure after MAX_TRIES."""
     inter = _intersection_numbers_of(source)
     if not inter.commutes:
         raise NonCommutative("intersection matrices do not commute; "
@@ -179,21 +180,16 @@ def compute_character_table(source, seed: int = DEFAULT_SEED,
             if pivots.min() < 1e-12 * max(np.abs(V).max(), 1.0):
                 raise DegenerateCombination("eigenvector pivot near zero")
             W = _rayleigh_rows(M, Bt, eigvals, V, d1)
-            self_check = _max_eigen_residual(Bt, k, W)
-            if self_check > 10 * tol_eigen:
-                raise DegenerateCombination(
-                    f"eigen relation residual {self_check:.2e} too large")
             m = multiplicities(W, inter.valencies, n)
-            if abs(m.sum() - n) > 1e-6 * n:
-                raise DegenerateCombination(
-                    f"multiplicities sum to {m.sum():.6f}, expected {n}")
             perron = int(np.argmin(np.abs(W - k[None, :]).max(axis=1)))
-            if np.abs(W[perron] - k).max() > 1e-6 * max(1.0, k.max()):
-                raise DegenerateCombination("no row matches the valencies")
             rows = _lead_then_lexicographic(W, perron)
             P = W[rows]
             P[:, 0] = 1.0
-            return CharacterTable(P, inter.valencies, m[rows], n)
+            table = CharacterTable(P, inter.valencies, m[rows], n)
+            report = verify_candidate_table(table, inter, tol=10 * tol_eigen)
+            if not report.passed:
+                raise DegenerateCombination("; ".join(report.messages))
+            return table
         except DegenerateCombination as exc:
             last_error = str(exc)
     raise EigensolverFailure(

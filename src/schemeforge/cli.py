@@ -111,13 +111,45 @@ def _read_file(path: str) -> str:
         return fh.read()
 
 
-def _load_table(text: str) -> chartab.CharacterTable:
+def _read_artifact(text: str, kind: str | None = None,
+                   element_cap: int = DEFAULT_ELEMENT_CAP) -> tuple[str, object]:
+    """(kind, artifact) of a JSON or CSV text: a "table", "scheme" or "loop",
+    read as the kind asked for or, with kind None, as the kind the text
+    names: CSV by its kind line, JSON by the first of the keys "P",
+    "relations" and "elements" it holds.  element_cap bounds a Paige loop
+    that a scheme recipe rebuilds."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return chartab.CharacterTable.from_json(json.loads(text))
-    if stripped.startswith("kind,character-table"):
-        return chartab.table_from_csv(text)
-    raise ParseError("expected character-table JSON or CSV")
+        data = json.loads(text)
+        kind = kind or next((name for name, key in (("table", "P"), ("scheme", "relations"),
+                                                    ("loop", "elements")) if key in data), None)
+        if kind == "table":
+            return kind, chartab.CharacterTable.from_json(data)
+        if kind == "scheme":
+            relations = data.get("relations") if isinstance(data.get("relations"), dict) else {}
+            if "matrix" in relations:
+                return kind, scheme_mod.AssociationScheme.from_json(data)
+            built = _rebuild_functional_scheme(relations.get("source"), element_cap)
+            if [built.n, built.d, built.valencies.tolist()] != scheme_mod.json_header(data):
+                raise ParseError("scheme JSON n, d or valencies disagree with its rebuilt relation")
+            return kind, built
+        if kind == "loop":
+            return kind, zorn.PaigeLoop.from_json(data)
+        raise ParseError("unrecognized artifact; expected a table, scheme or loop")
+    if kind != "scheme" and stripped.startswith("kind,character-table"):
+        return "table", chartab.table_from_csv(text)
+    if kind != "table" and stripped.startswith("kind,scheme"):
+        return "scheme", scheme_mod.scheme_from_csv(text)
+    expected = {"table": "character-table JSON or CSV", "scheme": "scheme JSON or CSV"}
+    raise ParseError(f"expected {expected.get(kind, 'a JSON or CSV artifact')}")
+
+
+def _load_table(text: str) -> chartab.CharacterTable:
+    return _read_artifact(text, "table")[1]
+
+
+def _load_scheme(text: str, element_cap: int) -> scheme_mod.AssociationScheme:
+    return _read_artifact(text, "scheme", element_cap)[1]
 
 
 def _recipe_ints(source: dict, key: str, ndim: int) -> np.ndarray:
@@ -126,7 +158,11 @@ def _recipe_ints(source: dict, key: str, ndim: int) -> np.ndarray:
 
 
 def _rebuild_functional_scheme(source, element_cap: int) -> scheme_mod.AssociationScheme:
-    """Rebuild a homogeneous scheme from the recipe in its JSON source."""
+    """Rebuild a homogeneous scheme from the recipe in its JSON source: a
+    fusion fuses its rebuilt base, and any other recipe reruns the
+    constructor that wrote it (a loop's at the default seed) and is refused
+    unless its class_of equals the rebuilt one.  The scheme keeps the
+    certificate its rebuild earned; none is read from the file."""
     if not isinstance(source, dict):
         raise ParseError("scheme JSON has neither a matrix nor a source recipe")
     kind = source.get("kind")
@@ -138,46 +174,26 @@ def _rebuild_functional_scheme(source, element_cap: int) -> scheme_mod.Associati
         return scheme_mod.fuse(_rebuild_functional_scheme(source.get("base"), element_cap), cells)
     class_of = _recipe_ints(source, "class_of", 1)
     if kind == "group-scheme":
-        gens = _recipe_ints(source, "generators", 2)
         try:
-            group = permgroup.closure(gens)
+            group = permgroup.closure(_recipe_ints(source, "generators", 2))
         except ValueError as err:
             raise ParseError(f"group-scheme generators: {err}") from None
         built = permgroup.group_scheme(group)
-        if built.source["class_of"] != class_of.tolist():
-            raise ParseError("stored class_of is not the conjugacy classes of the generators")
-        return built
-    if kind == "paige-loop-scheme":
-        loop = zorn.build_paige_loop(int(_recipe_ints(source, "q", 0)),
-                                     element_cap=element_cap)
+    elif kind == "paige-loop-scheme":
+        built = loopcore.loop_scheme(zorn.build_paige_loop(
+            int(_recipe_ints(source, "q", 0)), element_cap=element_cap))
     elif kind == "loop-scheme":
         try:
             loop = loopcore.TableLoop(_recipe_ints(source, "table", 2))
         except ValueError as err:
             raise ParseError(f"loop-scheme table: {err}") from None
+        built = loopcore.loop_scheme(loop)
     else:
         raise ParseError(f"cannot rebuild a scheme from source kind {kind!r}")
-    built = loopcore.loop_scheme(loop, class_of=class_of)
-    # a Paige loop's recorded certificate is taken as written, like a stored
-    # matrix; a table loop's is dropped, so its scheme gets the full scan
-    if kind == "paige-loop-scheme" and "certificate" in source:
-        built.source["certificate"] = source["certificate"]
-    return built
-
-
-def _load_scheme(text: str, element_cap: int) -> scheme_mod.AssociationScheme:
-    stripped = text.lstrip()
-    if stripped.startswith("kind,scheme"):
-        return scheme_mod.scheme_from_csv(text)
-    if not stripped.startswith("{"):
-        raise ParseError("expected scheme JSON or CSV")
-    data = json.loads(text)
-    relations = data.get("relations") if isinstance(data.get("relations"), dict) else {}
-    if "matrix" in relations:
-        return scheme_mod.AssociationScheme.from_json(data)
-    built = _rebuild_functional_scheme(relations.get("source"), element_cap)
-    if [built.n, built.d, built.valencies.tolist()] != scheme_mod.json_header(data):
-        raise ParseError("scheme JSON n, d or valencies disagree with its rebuilt relation")
+    if not np.array_equal(built.source["class_of"], class_of):
+        orbits = ("conjugacy classes of the generators" if kind == "group-scheme"
+                  else "inner orbits of the loop")
+        raise ParseError(f"stored class_of is not the {orbits}")
     return built
 
 
@@ -459,22 +475,10 @@ def _cmd_chartable_double_coset(args):
 
 
 def _cmd_export(args):
-    text = _read_text(args, "--in", getattr(args, "in_file"))
-    stripped = text.lstrip()
-    if stripped.startswith("kind,character-table"):
-        return 0, _render_table(chartab.table_from_csv(text), args.format)
-    if stripped.startswith("kind,scheme"):
-        return 0, _render_scheme(scheme_mod.scheme_from_csv(text), args.format)
-    if not stripped.startswith("{"):
-        raise ParseError("expected a JSON or CSV artifact")
-    data = json.loads(text)
-    if "P" in data:
-        return 0, _render_table(chartab.CharacterTable.from_json(data), args.format)
-    if "relations" in data:
-        return 0, _render_scheme(_load_scheme(text, args.cap_elements), args.format)
-    if "elements" in data:
-        return 0, _render_loop(zorn.PaigeLoop.from_json(data), args.format)
-    raise ParseError("unrecognized artifact; expected a table, scheme or loop")
+    kind, artifact = _read_artifact(_read_text(args, "--in", args.in_file),
+                                    element_cap=args.cap_elements)
+    render = {"table": _render_table, "scheme": _render_scheme, "loop": _render_loop}[kind]
+    return 0, render(artifact, args.format)
 
 
 # parser assembly

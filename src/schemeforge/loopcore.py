@@ -566,7 +566,7 @@ def inner_orbits(loop: LoopStructure, policy: str = "auto",
 
 
 def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
-                policy: str = "auto", seed: int = DEFAULT_SEED) -> AssociationScheme:
+                seed: int = DEFAULT_SEED) -> AssociationScheme:
     """Homogeneous scheme with rel(u, v) = inner-orbit class of v / u.
 
     When class_of is the loop's invariant_partition() (for M*(q), the trace
@@ -576,15 +576,15 @@ def loop_scheme(loop: LoopStructure, class_of: np.ndarray | None = None,
     invariant, reads class_of at loop.right_div_vec.
 
     Passing class_of (an array or an InnerOrbitReport) skips the orbit
-    computation, for callers that already hold a certified partition.  The
-    source holds the loop's recipe and class_of, and a report's
-    certificate.  With an exact certificate the classes are the
-    orbits of the transitive group Mlt(L), and intersection_numbers reads
-    the scheme from its identity row; a bare array gets the representative
-    scan.
+    computation, inner_orbits(loop, seed=seed), for callers that already
+    hold a certified partition.  The source holds the loop's recipe and
+    class_of, and a report's certificate.  With an exact certificate the
+    classes are the orbits of the transitive group Mlt(L), and
+    intersection_numbers reads the scheme from its identity row; a bare
+    array gets the representative scan.
     """
     if class_of is None:
-        class_of = inner_orbits(loop, policy=policy, seed=seed)
+        class_of = inner_orbits(loop, seed=seed)
     certificate = None
     if isinstance(class_of, InnerOrbitReport):
         certificate = class_of.certificate

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schemeforge import chartab, loop_scheme
 from schemeforge.chartab import (CharacterTable, closed_form_mstar,
                                  closed_form_psl2, compare_tables,
                                  compute_character_table, double_coset_table,
@@ -16,7 +17,7 @@ from schemeforge.chartab import (CharacterTable, closed_form_mstar,
                                  table_to_latex, table_to_text,
                                  transfer_to_group_table,
                                  verify_candidate_table, verify_orthogonality)
-from schemeforge.config import DEFAULT_SEED
+from schemeforge.config import DEFAULT_SEED, DEFAULT_TOL_EIGEN
 from schemeforge.errors import (EigensolverFailure, MismatchWithOrbitalTable,
                                 NonCommutative, NonPositiveMultiplicity,
                                 NotGroupScheme, ParseError, UnsupportedQ)
@@ -226,6 +227,38 @@ def test_eigensolver_sweep_small_schemes():
         report = verify_candidate_table(table, scheme, tol=1e-8)
         assert report.passed, (scheme, report.messages)
         assert report.max_eigen_residual <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def pipeline_schemes(paige2, paige3):
+    schemes = {"M*(2)": loop_scheme(paige2), "M*(3)": loop_scheme(paige3)}
+    schemes.update({f"PSL(2,{q})": group_scheme(psl2(q)) for q in (4, 8, 16)})
+    schemes.update({f"S{n}": group_scheme(symmetric(n)) for n in (3, 4, 5, 6)})
+    return {name: intersection_numbers(sch) for name, sch in schemes.items()}
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 2])
+def test_every_returned_table_passes_the_published_check(pipeline_schemes, seed):
+    for name, inter in pipeline_schemes.items():
+        table = compute_character_table(inter, seed=seed)
+        report = verify_candidate_table(table, inter, tol=10 * DEFAULT_TOL_EIGEN)
+        assert report.passed, (name, report.messages)
+
+
+def test_a_table_that_fails_the_published_check_is_not_returned(monkeypatch,
+                                                                mstar2_scheme):
+    tols = []
+
+    def refuse(table, source, tol):
+        tols.append(tol)
+        report = verify_candidate_table(table, source, tol=tol)
+        report.passed = False
+        report.messages[:] = ["refused"]
+        return report
+    monkeypatch.setattr(chartab, "verify_candidate_table", refuse)
+    with pytest.raises(EigensolverFailure, match="refused"):
+        compute_character_table(mstar2_scheme, tol_eigen=1e-9)
+    assert tols == [1e-8] * chartab.MAX_TRIES
 
 
 def test_non_commuting_matrices_rejected():

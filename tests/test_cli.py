@@ -199,12 +199,15 @@ def test_table_loop_scheme_reloads(capsys, tmp_path, paige2_grid):
     source = json.loads(out)["relations"]["source"]
     assert source["kind"] == "loop-scheme" and source["table"] == table.tolist()
     again = _load_scheme(out, DEFAULT_ELEMENT_CAP)
-    # the written certificate is "exact" (exact policy at n = 120), but a
-    # table loop's is not trusted on reload: the full scan checks the scheme
-    assert source["certificate"] == "exact" and not again.orbital
+    # the reload reruns the pair orbits (n = 120), which earn "exact" again
+    assert source["certificate"] == "exact" and again.orbital
+    assert again.source["certificate"] == "exact"
     want = loop_scheme(build_paige_loop(2))
     assert np.array_equal(intersection_numbers(again).tensor,
                           intersection_numbers(want).tensor)
+    scheme_path = tmp_path / "xm2t.json"
+    scheme_path.write_text(out)
+    assert run_cli(capsys, "export", "--in", str(scheme_path))[:2] == (0, out)
 
 
 def test_group_scheme_recipe_is_checked_on_load(capsys):
@@ -221,6 +224,27 @@ def test_group_scheme_recipe_is_checked_on_load(capsys):
     data["valencies"] = [1, 3, 2]
     with pytest.raises(ParseError, match="valencies"):
         _load_scheme(json.dumps(data), DEFAULT_ELEMENT_CAP)
+
+
+@pytest.mark.parametrize("argv", [("scheme", "verify", "--scheme"),
+                                  ("chartable", "compute", "--scheme"),
+                                  ("export", "--in")], ids=["verify", "compute", "export"])
+def test_loop_recipe_with_swapped_classes_exits_2(capsys, tmp_path, argv):
+    # two points of classes 1 and 2 trade ids: n, d and the valencies still
+    # agree, and the file still claims exact orbits, but the rebuild refutes it
+    rc, out, _ = run_cli(capsys, "scheme", "loop-scheme", "--q", "3")
+    data = json.loads(out)
+    source = data["relations"]["source"]
+    class_of = source["class_of"]
+    i, j = class_of.index(1), class_of.index(2)
+    class_of[i], class_of[j] = 2, 1
+    assert source["certificate"] == "exact"
+    path = tmp_path / "xm3swap.json"
+    path.write_text(json.dumps(data))
+    rc, out, err = run_cli(capsys, *argv, str(path), "--json-errors")
+    assert rc == 2 and out == ""
+    assert json.loads(err.splitlines()[-1])["error"] == {
+        "kind": "ParseError", "detail": "stored class_of is not the inner orbits of the loop"}
 
 
 Z4_TABLE = [[(a + b) % 4 for b in range(4)] for a in range(4)]
@@ -276,7 +300,7 @@ def test_malformed_recipes_exit_2_with_a_parse_error(capsys, tmp_path, kind):
 
 @pytest.mark.parametrize("class_of", [[1, 0, 0], [0, 2, 2], [0, -1, 1]])
 def test_recipe_with_malformed_classes_exits_2(capsys, tmp_path, class_of):
-    # Z3 as a loop table; the classes must isolate point 0 and use 0..d
+    # Z3 as a loop table, whose inner orbits are its three points
     data = {"n": 3, "d": 1, "valencies": [2, 1], "relations": {"source": {
         "kind": "loop-scheme", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
         "class_of": class_of}}}
@@ -286,7 +310,8 @@ def test_recipe_with_malformed_classes_exits_2(capsys, tmp_path, class_of):
                            "--json-errors")
     assert rc == 2 and out == ""
     error = json.loads(err.splitlines()[-1])["error"]
-    assert error["kind"] == "ValueError" and error["detail"].startswith("class_of")
+    assert error == {"kind": "ParseError",
+                     "detail": "stored class_of is not the inner orbits of the loop"}
 
 
 def test_group_scheme_recipe_names_the_generator_row_that_is_not_a_permutation(
