@@ -16,6 +16,5 @@ MOUFANG_EXHAUSTIVE_LIMIT = 150        # exhaustive identity checks allowed up to
 DEFAULT_TOL_EIGEN = 1e-10             # eigenpair residual relative to the combined matrix norm
 DEFAULT_TOL_COMPARE = 1e-8            # entrywise table comparison and residual pass thresholds
 DEFAULT_TOL_SQUARE = 1e-6             # multiplicity perfect-square slack for group transfer
-EIGENVALUE_COLLISION_TOL = 1e-6       # minimum eigenvalue separation before retrying
 
 OUTPUT_FORMATS = ("json", "csv", "latex", "text")

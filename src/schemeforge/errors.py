@@ -56,7 +56,8 @@ class NonCommutative(SchemeForgeError):
 
 
 class DegenerateCombination(SchemeForgeError):
-    """A random combination is unusable (close eigenvalues, a large residual);
+    """A random combination is unusable: its left and right spectra do not
+    pair up, or its table fails verify_candidate_table.
     compute_character_table draws another, and raises EigensolverFailure
     when none is usable."""
 

@@ -299,21 +299,27 @@ def _mstar2_intersection():
 
 def test_candidate_report_catches_single_entry_perturbation(mstar2_scheme):
     t = compute_character_table(mstar2_scheme)
-    for i in range(3):
-        for j in range(3):
-            P = t.P.copy()
-            P[i, j] += 1e-2
-            bad = CharacterTable(P, t.valencies, t.multiplicities, t.n)
-            report = verify_candidate_table(bad, mstar2_scheme, tol=1e-8)
-            assert not report.passed, (i, j)
+    # checked with the scheme, and without it
+    for source in (mstar2_scheme, None):
+        for i in range(3):
+            for j in range(3):
+                P = t.P.copy()
+                P[i, j] += 1e-2
+                bad = CharacterTable(P, t.valencies, t.multiplicities, t.n)
+                report = verify_candidate_table(bad, source, tol=1e-8)
+                assert not report.passed, (source is None, i, j)
 
 
 def test_candidate_report_passes_for_honest_tables(mstar2_scheme):
     t = compute_character_table(mstar2_scheme)
-    report = verify_candidate_table(t, mstar2_scheme, tol=1e-8)
-    assert report.passed
-    assert all(report.checks.values())
-    assert report.orthogonality.passed
+    for source in (mstar2_scheme, None):
+        report = verify_candidate_table(t, source, tol=1e-8)
+        assert report.passed
+        assert all(report.checks.values())
+        assert report.orthogonality.passed
+        # the eigen relations need the scheme, and are skipped without it
+        assert ("eigen_relations" in report.checks) is (source is not None)
+        assert (report.max_eigen_residual is None) is (source is None)
 
 
 def test_transfer_s3():
@@ -492,19 +498,21 @@ def test_table_csv_roundtrip_exact():
         assert np.array_equal(again.multiplicities, t.multiplicities)
 
 
-@pytest.mark.parametrize("valencies,multiplicities,n,fault", [
-    ([1, 0], [1, 2], 3, "valencies must be positive integers"),
-    ([1, 2.5], [1, 2], 3, "valencies must be positive integers"),
-    ([1, float("nan")], [1, 2], 3, "valencies must be positive integers"),
-    ([1, 2], [-1, 4], 3, "multiplicities must be positive and finite"),
-    ([1, 2], [1, 0], 3, "multiplicities must be positive and finite"),
-    ([1, 2], [1, float("inf")], 3, "multiplicities must be positive and finite"),
-    ([1, 2], [1, 2], 0, "n must be at least 1"),
+@pytest.mark.parametrize("P,valencies,multiplicities,n,fault", [
+    ([[1, 2], [1, -1]], [1, 0], [1, 2], 3, "valencies must be positive integers"),
+    ([[1, 2], [1, -1]], [1, 2.5], [1, 2], 3, "valencies must be positive integers"),
+    ([[1, 2], [1, -1]], [1, float("nan")], [1, 2], 3, "valencies must be positive integers"),
+    ([[1, 2], [1, -1]], [1, 2], [-1, 4], 3, "multiplicities must be positive and finite"),
+    ([[1, 2], [1, -1]], [1, 2], [1, 0], 3, "multiplicities must be positive and finite"),
+    ([[1, 2], [1, -1]], [1, 2], [1, float("inf")], 3,
+     "multiplicities must be positive and finite"),
+    ([[1, 2], [1, -1]], [1, 2], [1, 2], 0, "n must be at least 1"),
+    ([[1, 2], [1, float("nan")]], [1, 2], [1, 2], 3, "entries of P must be finite"),
 ], ids=["valency-0", "valency-2.5", "valency-nan", "multiplicity-negative",
-        "multiplicity-0", "multiplicity-inf", "n-0"])
-def test_character_table_refuses_impossible_parameters(valencies, multiplicities, n, fault):
+        "multiplicity-0", "multiplicity-inf", "n-0", "P-nan"])
+def test_character_table_refuses_impossible_parameters(P, valencies, multiplicities, n, fault):
     with pytest.raises(ValueError, match=fault):
-        CharacterTable([[1, 2], [1, -1]], valencies, multiplicities, n)
+        CharacterTable(P, valencies, multiplicities, n)
 
 
 @pytest.mark.parametrize("call,error,message", [
@@ -582,11 +590,10 @@ def test_compare_tables_rejects_rows_that_fit_only_one_at_a_time():
     assert res.row_perm is None and res.max_diff is None
 
 
-def test_compute_character_table_gives_up_after_max_tries(monkeypatch):
-    from schemeforge import chartab
-    monkeypatch.setattr(chartab, "EIGENVALUE_COLLISION_TOL", float("inf"))
+def test_compute_character_table_gives_up_after_max_tries():
+    # no try's table meets the published check at 10 * 1e-300
     with pytest.raises(EigensolverFailure, match=f"after {chartab.MAX_TRIES} tries"):
-        compute_character_table(complete_graph_scheme(4))
+        compute_character_table(complete_graph_scheme(4), tol_eigen=1e-300)
 
 
 def test_constituent_multiplicities_must_be_integral(monkeypatch):

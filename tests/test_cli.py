@@ -77,6 +77,24 @@ def test_verify_rejects_perturbed_table(capsys, tmp_path):
     assert rc == 1
 
 
+def test_verify_refuses_an_off_valency_row_with_and_without_the_scheme(capsys, tmp_path):
+    # PSL(2,4)'s valency-12 entry raised by 1.5e-7 is 1.25e-8 off relative to
+    # its own valency, above tol_compare 1e-8 (but 7.5e-9 of the largest, 20)
+    run_cli(capsys, "scheme", "group-scheme", "--psl2", "4", "--out", str(tmp_path / "x4.json"))
+    rc, out, _ = run_cli(capsys, "chartable", "compute", "--scheme", str(tmp_path / "x4.json"))
+    data = json.loads(out)
+    column = [int(k) for k in data["valencies"]].index(12)
+    data["P"][0][column]["re"] += 1.5e-7
+    (tmp_path / "t4.json").write_text(json.dumps(data))
+    for scheme in ((), ("--scheme", str(tmp_path / "x4.json"))):
+        rc, out, _ = run_cli(capsys, "chartable", "verify", "--table", str(tmp_path / "t4.json"),
+                             *scheme)
+        assert rc == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False and payload["checks"]["valency_row"] is False
+        assert (payload["eigen_residual"] is None) is not scheme
+
+
 def test_verify_against_scheme(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "scheme", "orbitals", "--symmetric", "3")
     scheme_file = tmp_path / "s3.json"
@@ -139,6 +157,16 @@ def test_fuse_valid_and_invalid(capsys, tmp_path):
                            "--cells", "1,x")
     assert rc == 2 and out == ""
     assert "UsageError: bad cell spec '1,x'" in err
+
+    # class ids outside 0..d, or named twice, are bad arguments, not a fusion
+    for cells, message in (("1,99", "class id 99 in --cells is not in 0..3"),
+                           ("1,3;-1", "class id -1 in --cells is not in 0..3"),
+                           ("1,1", "class id 1 is named twice in --cells"),
+                           ("1,3;3", "class id 3 is named twice in --cells")):
+        rc, out, err = run_cli(capsys, "scheme", "fuse", "--scheme", str(path),
+                               "--cells", cells)
+        assert rc == 2 and out == ""
+        assert f"UsageError: {message}" in err
 
 
 Z4_RENDERINGS = {
@@ -539,6 +567,31 @@ def test_impossible_table_parameters_exit_2_in_strict_json(
     assert rc == 2 and out == ""
     error = json.loads(err.splitlines()[-1], parse_constant=_reject_constant)["error"]
     assert error["kind"] == "ValueError" and fault in error["detail"]
+
+
+@pytest.mark.parametrize("argv,fmt,bad", [
+    (("chartable", "verify"), "json", "NaN"),
+    (("chartable", "compare", "--other", "{good}"), "json", "Infinity"),
+    (("chartable", "transfer"), "csv", "nan"),
+    (("chartable", "verify"), "csv", "-inf"),
+], ids=["verify-json-NaN", "compare-json-Infinity", "transfer-csv-nan", "verify-csv-inf"])
+def test_tables_with_non_finite_entries_exit_2(capsys, tmp_path, argv, fmt, bad):
+    # Python's json reads NaN and Infinity, and float() reads nan and inf
+    rc, out, _ = run_cli(capsys, "chartable", "oracle-psl2", "--q", "4", "--format", fmt)
+    good = tmp_path / f"good.{fmt}"
+    good.write_text(out)
+    if fmt == "json":
+        text = out.replace('"re": -3.0', f'"re": {bad}', 1)
+    else:
+        text = out.replace(",-3.0,", f",{bad},", 1)
+    assert text != out
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    argv = [arg.format(good=good) for arg in argv]
+    rc, out, err = run_cli(capsys, *argv, "--table", str(path), "--json-errors")
+    assert rc == 2 and out == ""
+    error = json.loads(err.splitlines()[-1], parse_constant=_reject_constant)["error"]
+    assert error == {"kind": "ValueError", "detail": "entries of P must be finite"}
 
 
 MATRIX_NOT_INTS = "scheme JSON 'relations.matrix' must be integers in 2 dimensions"
