@@ -563,8 +563,6 @@ def double_cosets(group: PermutationGroup, subgroup) -> DoubleCosetDecomposition
         seen[part] = True
         parts.append(part.tolist())
     parts.sort(key=lambda p: (len(p), p[0]))
-    if parts[0] != H:
-        raise NotSubgroup("double coset containing the identity is not H itself")
     return DoubleCosetDecomposition(tuple(H), parts, [p[0] for p in parts])
 
 

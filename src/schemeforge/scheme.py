@@ -214,10 +214,8 @@ def json_header(data: dict) -> list:
 
 
 class IntersectionNumbers:
-    """The tensor p_ij^h together with the derived matrices B_i.
-
-    tensor[h, i, j] = p_ij^h, so B_i = tensor[:, i, :] has (B_i)[h][j] = p_ij^h.
-    """
+    """The tensor tensor[h, i, j] = p_ij^h of a scheme; its slice
+    tensor[:, i, :] is the intersection matrix B_i, (B_i)[h][j] = p_ij^h."""
 
     def __init__(self, tensor: np.ndarray, valencies: np.ndarray, n: int):
         self.tensor = tensor
@@ -227,16 +225,6 @@ class IntersectionNumbers:
     @property
     def d(self) -> int:
         return self.tensor.shape[0] - 1
-
-    def p(self, i: int, j: int, h: int) -> int:
-        return int(self.tensor[h, i, j])
-
-    def B(self, i: int) -> np.ndarray:
-        return self.tensor[:, i, :]
-
-    @property
-    def b_matrices(self) -> list[np.ndarray]:
-        return [self.B(i) for i in range(self.d + 1)]
 
     @property
     def commutes(self) -> bool:
@@ -286,7 +274,8 @@ def intersection_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
     scheme has the same counts at every pair of a class, so rows 0 and 1
     suffice (a count and its cross-check); others read REPS_PER_CLASS
     rows.  In a scheme every row meets every class, so a row that misses
-    one raises NotAScheme too.
+    one, or a class with no pair in the all-pairs scan, raises NotAScheme
+    too.
     """
     d, n = scheme.d, scheme.n
     tensor = np.full((d + 1, d + 1, d + 1), -1, dtype=np.int64)
@@ -300,6 +289,9 @@ def intersection_numbers(scheme: AssociationScheme) -> IntersectionNumbers:
             flat = (np.arange(n, dtype=np.int64) * span)[None, :] + codes
             counts = np.bincount(flat.ravel(), minlength=n * span).reshape(n, d + 1, d + 1)
             _record_row(tensor, x, row, np.arange(n), counts)
+        empty = np.flatnonzero(tensor[:, 0, 0] < 0)
+        if empty.size:
+            raise NotAScheme(f"class {int(empty[0])} has no pair")
         return IntersectionNumbers(tensor, scheme.valencies, n)
 
     quota = 2 if scheme.orbital else REPS_PER_CLASS
@@ -328,53 +320,60 @@ class SchemeReport:
 
 def verify_scheme_axioms(scheme: AssociationScheme,
                          seed: int = DEFAULT_SEED) -> SchemeReport:
-    """Check diagonal class, row regularity, transpose closure and
-    representative independence of the intersection numbers, on every row
-    up to 600 points and above that on rows 0, 1, 2 and VERIFY_ROWS - 3
-    more, distinct ones drawn by sampling.Sampler(seed)."""
+    """Check that k_0 = 1, no class is empty, the valencies sum to n and
+    the transpose map is a permutation keeping them (one that is not ends
+    the check); then that each row x read has rel(x, x) = 0 and pair counts
+    #{z : rel(x,z) = i, rel(z,x) = j} equal to p_ij^0 (k_i for j the
+    transpose of i, else 0), up to the first row that fails; then count the
+    intersection numbers.  Up to 600 points every row is read from
+    dense_matrix(); above, rows 0, 1, 2 and VERIFY_ROWS - 3 more drawn by
+    sampling.Sampler(seed), by rel_row and rel_col."""
     n, d = scheme.n, scheme.d
     k = scheme.valencies
+    tm = scheme.transpose_map
     failures: list[str] = []
 
     if k[0] != 1:
         failures.append(f"diagonal class has valency {k[0]}, expected 1")
     if int(k.sum()) != n:
         failures.append(f"valencies sum to {int(k.sum())}, expected n={n}")
+    failures += [f"class {i} has valency 0" for i in np.flatnonzero(k == 0).tolist() if i]
+    if sorted(tm.tolist()) != list(range(d + 1)):
+        # no p_ij^0 to compare the rows with
+        failures.append(f"transpose map {tm.tolist()} is not a permutation of the classes")
+        return SchemeReport(passed=False, failures=failures)
+    failures += [f"valency of class {i} differs from its transpose {int(tm[i])}"
+                 for i in np.flatnonzero(k[tm] != k).tolist()]
 
+    # expected[i, j] = p_ij^0
+    expected = np.zeros((d + 1, d + 1), dtype=np.int64)
+    expected[np.arange(d + 1), tm] = k
     if n <= 600:
-        rows = range(n)
+        mat = scheme.dense_matrix()
+        reads = ((x, mat[x], mat[:, x]) for x in range(n))
     else:
         rows = [0, 1, 2] + sorted(Sampler(seed).sample(range(3, n), VERIFY_ROWS - 3))
-
-    class_reps: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
-    for x in rows:
-        row = scheme.rel_row(x)
+        reads = ((x, scheme.rel_row(x), scheme.rel_col(x)) for x in rows)
+    for x, row, col in reads:
         if row[x] != 0:
             failures.append(f"rel({x},{x}) = {int(row[x])}, diagonal must be class 0")
             break
-        counts = np.bincount(row.astype(np.int64), minlength=d + 1)
-        if counts.shape[0] > d + 1 or not np.array_equal(counts[:d + 1], k):
+        counts = _pair_counts(row, col, d)
+        if np.array_equal(counts, expected):
+            continue
+        sizes = counts.sum(axis=1)
+        if not np.array_equal(sizes, k):
             failures.append(
-                f"row {x} class counts {counts.tolist()} differ from valencies {k.tolist()}")
+                f"row {x} class counts {sizes.tolist()} differ from valencies {k.tolist()}")
             break
-        first = first_members(row, d + 1)
-        for h in np.flatnonzero(first < n).tolist():
-            if len(class_reps[h]) < 3:
-                class_reps[h].append((x, int(first[h])))
-
-    tm = scheme.transpose_map
-    perm_ok = sorted(tm.tolist()) == list(range(d + 1))
-    if not perm_ok:
-        failures.append(f"transpose map {tm.tolist()} is not a permutation of the classes")
-    for i in range(d + 1):
-        if perm_ok and k[tm[i]] != k[i]:
-            failures.append(f"valency of class {i} differs from its transpose {int(tm[i])}")
-        for x, y in class_reps[i]:
-            back = scheme.rel(y, x)
-            if back != tm[i]:
-                failures.append(
-                    f"rel({y},{x}) = {back} but transpose of class {i} is {int(tm[i])}")
-                break
+        # per class i, the first z whose pair (z, x) is not in class tm[i]
+        bad = np.flatnonzero(col != tm[row])
+        first = first_members(row[bad], d + 1)
+        for i in np.flatnonzero(first < bad.size).tolist():
+            z = int(bad[first[i]])
+            failures.append(
+                f"rel({z},{x}) = {int(col[z])} but transpose of class {i} is {int(tm[i])}")
+        break
 
     inter = None
     if not failures:
@@ -398,7 +397,7 @@ def fuse(scheme: AssociationScheme, cells) -> AssociationScheme:
     d = scheme.d
     norm = [tuple(sorted(int(c) for c in cell)) for cell in cells]
     flat = [c for cell in norm for c in cell]
-    if sorted(flat) != list(range(d + 1)):
+    if sorted(flat) != list(range(d + 1)) or not all(norm):
         raise InvalidFusion(f"cells {norm} are not a partition of the classes 0..{d}")
     for cell in norm:
         if 0 in cell and cell != (0,):

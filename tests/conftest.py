@@ -26,6 +26,17 @@ def mstar2_scheme(paige2):
     return loop_scheme(paige2, inner_orbits(paige2))
 
 
+@pytest.fixture
+def hamming():
+    """hamming(q): class matrix of the Hamming scheme H(2,q) on the q^2
+    points x, rel(x, y) the number of coordinates x // q, x % q in which x
+    and y differ."""
+    def build(q):
+        x = np.arange(q * q)
+        return (x // q != (x // q)[:, None]).astype(np.int64) + (x % q != (x % q)[:, None])
+    return build
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     lines = getattr(config, "acceptance_lines", None)
     if lines:

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from schemeforge.config import DEFAULT_ELEMENT_CAP
 from schemeforge.errors import ParseError
 from schemeforge.loopcore import loop_scheme
 from schemeforge.permgroup import cyclic, group_scheme, psl2
-from schemeforge.scheme import fuse, intersection_numbers
+from schemeforge.scheme import AssociationScheme, fuse, intersection_numbers, scheme_to_csv
 from schemeforge.zorn import build_paige_loop
 
 
@@ -401,6 +402,34 @@ def test_scheme_verify_subcommand(capsys, tmp_path):
     assert json.loads(out)["passed"] is True
 
 
+def test_scheme_verify_refuses_a_pair_without_its_transpose(capsys, tmp_path, hamming):
+    # H(2,20) with a class-1 and a class-2 entry of row 10 exchanged
+    mat = hamming(20)
+    mat[10, 399], mat[10, 390] = 1, 2
+    path = tmp_path / "h220swap.csv"
+    path.write_text(scheme_to_csv(AssociationScheme.from_matrix(mat)))
+    rc, out, _ = run_cli(capsys, "scheme", "verify", "--scheme", str(path))
+    assert rc == 1
+    assert json.loads(out)["failures"] == ["rel(399,10) = 2 but transpose of class 1 is 1",
+                                           "rel(390,10) = 1 but transpose of class 2 is 2"]
+
+
+def test_a_scheme_with_an_empty_class_is_refused(capsys, tmp_path):
+    # the complete graph on 3 points with its edges in class 2
+    path = tmp_path / "k3gap.csv"
+    path.write_text("kind,scheme\nn,3\nd,2\nvalencies,1,0,2\nR,0,2,2\nR,2,0,2\nR,2,2,0\n")
+    rc, out, _ = run_cli(capsys, "scheme", "verify", "--scheme", str(path))
+    assert rc == 1
+    assert json.loads(out)["failures"] == ["class 1 has valency 0"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, _, err = run_cli(capsys, "chartable", "compute", "--scheme", str(path),
+                             "--json-errors")
+    assert rc == 1
+    assert json.loads(err.splitlines()[-1])["error"] == {
+        "kind": "NotAScheme", "detail": "class 1 has no pair"}
+
+
 def test_loop_scheme_and_compute(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "scheme", "loop-scheme", "--q", "2")
     assert rc == 0
@@ -466,6 +495,20 @@ def test_double_coset_subgroup_outside_the_group_exits_2(capsys, tmp_path):
                          "--sub", str(sub), "--json-errors")
     assert rc == 2
     assert json.loads(err.splitlines()[-1])["error"]["kind"] == "NotSubgroup"
+
+
+def test_double_coset_of_a_repeated_constituent_exits_1(capsys, tmp_path):
+    # the identity permutation generates the trivial subgroup, whose induced
+    # trivial character is the regular one: every constituent is repeated
+    # as often as its degree
+    sub = tmp_path / "one.gens"
+    sub.write_text("0 1 2 3 4 5\n")
+    rc, out, err = run_cli(capsys, "chartable", "double-coset", "--psl2", "5",
+                           "--sub", str(sub), "--json-errors")
+    assert rc == 1 and out == ""
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["kind"] == "NotMultiplicityFree"
+    assert error["detail"].endswith("multiplicities [1, 4, 3, 5, 3]")
 
 
 @pytest.mark.parametrize("point", ["99", "-1"])

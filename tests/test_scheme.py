@@ -16,25 +16,25 @@ from schemeforge.zorn import build_paige_loop
 def test_complete_graph_intersection_numbers():
     k5 = complete_graph_scheme(5)
     inter = intersection_numbers(k5)
-    assert inter.p(0, 0, 0) == 1
-    assert inter.p(1, 1, 1) == 3
-    assert inter.p(1, 1, 0) == 4
-    assert inter.p(0, 1, 1) == 1
+    assert inter.tensor[0, 0, 0] == 1
+    assert inter.tensor[1, 1, 1] == 3
+    assert inter.tensor[0, 1, 1] == 4
+    assert inter.tensor[1, 0, 1] == 1
 
 
 def test_intersection_b0_is_identity():
     for scheme in (complete_graph_scheme(6), group_scheme(symmetric(3))):
         inter = intersection_numbers(scheme)
-        assert np.array_equal(inter.B(0), np.eye(scheme.d + 1, dtype=np.int64))
+        assert np.array_equal(inter.tensor[:, 0, :], np.eye(scheme.d + 1, dtype=np.int64))
 
 
 def test_cyclic_scheme_intersection_numbers():
     z3 = orbitals(cyclic(3))
     inter = intersection_numbers(z3)
     # rotation classes add indices mod 3: R_1 after R_1 lands in R_2
-    assert inter.p(1, 1, 2) == 1
-    assert inter.p(1, 2, 0) == 1
-    assert inter.p(1, 1, 1) == 0
+    assert inter.tensor[2, 1, 1] == 1
+    assert inter.tensor[0, 1, 2] == 1
+    assert inter.tensor[1, 1, 1] == 0
 
 
 @pytest.mark.parametrize("make", [
@@ -51,14 +51,14 @@ def test_valency_consistency_identity(make):
     for i in range(d + 1):
         for j in range(d + 1):
             # sum_h p_ij^h k_h = k_i k_j
-            total = sum(inter.p(i, j, h) * int(k[h]) for h in range(d + 1))
+            total = sum(inter.tensor[h, i, j] * int(k[h]) for h in range(d + 1))
             assert total == int(k[i]) * int(k[j])
 
 
 def test_intersection_matrices_commute():
     inter = intersection_numbers(group_scheme(symmetric(4)))
     assert inter.commutes
-    mats = [inter.B(j) for j in range(inter.d + 1)]
+    mats = [inter.tensor[:, j, :] for j in range(inter.d + 1)]
     for a in mats:
         for b in mats:
             assert np.array_equal(a @ b, b @ a)
@@ -116,7 +116,7 @@ def test_all_pairs_scan_matches_the_pairwise_reference(seed):
 
 def _b_matrices_commute(inter) -> bool:
     """Every pair of intersection matrices B_i, B_j multiplied both ways."""
-    mats = [m.astype(np.int64) for m in inter.b_matrices]
+    mats = [inter.tensor[:, i, :] for i in range(inter.d + 1)]
     return all(np.array_equal(a @ b, b @ a)
                for i, a in enumerate(mats) for b in mats[i + 1:])
 
@@ -192,6 +192,8 @@ def test_fuse_rejects_non_partition():
         fuse(z4, [[0], [1, 3]])
     with pytest.raises(InvalidFusion):
         fuse(z4, [[0, 1], [2], [3]])
+    with pytest.raises(InvalidFusion, match="not a partition"):
+        fuse(group_scheme(symmetric(3)), [[0], [1], [2], []])
 
 
 def test_fuse_rejects_transpose_breaking_cell():
@@ -404,6 +406,8 @@ def test_verify_axioms_reports_transpose_failures():
     k = s3.valencies
     report = verify_scheme_axioms(AssociationScheme(6, 2, k, [0, 1, 1], s3.classes))
     assert "transpose map [0, 1, 1] is not a permutation of the classes" in report.failures
+    report = verify_scheme_axioms(AssociationScheme(6, 2, k, [0, 1, 5], s3.classes))
+    assert report.failures == ["transpose map [0, 1, 5] is not a permutation of the classes"]
     report = verify_scheme_axioms(AssociationScheme(6, 2, k, [0, 2, 1], s3.classes))
     assert "valency of class 1 differs from its transpose 2" in report.failures
     assert any(f.endswith("but transpose of class 1 is 2") for f in report.failures)
@@ -411,6 +415,28 @@ def test_verify_axioms_reports_transpose_failures():
     report = verify_scheme_axioms(AssociationScheme(3, 2, [1, 1, 1], [0, 1, 2], z3.classes))
     assert not report.passed
     assert report.failures[0].endswith("but transpose of class 1 is 1")
+
+
+@pytest.mark.parametrize("q,x,one,two", [(20, 10, 390, 399), (25, 1, 601, 624)],
+                         ids=["every-row", "sampled-rows"])
+def test_verify_axioms_checks_the_transpose_of_every_pair_of_a_row(hamming, q, x, one, two):
+    # row x of H(2,q) trades a class-1 and a class-2 entry: its class counts
+    # hold, but rel(x,two) = 1 and rel(x,one) = 2 meet no transpose pair
+    mat = hamming(q)
+    assert verify_scheme_axioms(AssociationScheme.from_matrix(mat)).passed
+    mat[x, two], mat[x, one] = 1, 2
+    report = verify_scheme_axioms(AssociationScheme.from_matrix(mat))
+    assert report.failures == [f"rel({two},{x}) = 2 but transpose of class 1 is 1",
+                               f"rel({one},{x}) = 1 but transpose of class 2 is 2"]
+
+
+def test_a_class_with_no_pair_is_not_a_scheme():
+    # the complete graph on 3 points with its edges in class 2
+    sch = AssociationScheme.from_matrix(2 * complete_graph_scheme(3).dense_matrix())
+    assert sch.valencies.tolist() == [1, 0, 2]
+    assert verify_scheme_axioms(sch).failures == ["class 1 has valency 0"]
+    with pytest.raises(NotAScheme, match=r"^class 1 has no pair$"):
+        intersection_numbers(sch)
 
 
 def test_orbitals_are_orbital_and_read_from_two_rows():
